@@ -1,8 +1,11 @@
-(* The farm round loop. Each round: allocate → dispatch to a domain
-   pool → join → reward the bandit, bump farm.* counters, persist each
-   ran campaign's store generation, emit checkpoints. Campaigns are
-   single-shard and never share mutable state; the pool only decides
-   which domain runs which campaign, never what the campaign does. *)
+(* The farm round loop (DESIGN.md §16–17). Each round: deal the budget,
+   hand the round's (campaign, execs) jobs to a backend, then fold the
+   returned round reports in job order — the fold is the only place that
+   updates per-campaign records, rewards the bandit, bumps farm.*
+   counters and emits checkpoints. A backend runs every job as one
+   {!Worker.run_slice} and reports with the store generation already
+   final: the in-process domain pool saves plain generations itself, the
+   process backend promotes each worker generation before reporting. *)
 
 type campaign_result = {
   fc_campaign : Store.campaign;
@@ -30,40 +33,9 @@ type result = {
   fr_warnings : string list;
 }
 
-let coverage_keys (fz : Fuzz.Driver.fuzzer) =
-  let h = fz.Fuzz.Driver.f_harness in
-  Fuzz.Harness.branches h
-  + (match Fuzz.Harness.grammar_virgin h with
-     | Some g -> Coverage.Bitmap.count_nonzero g
-     | None -> 0)
+let coverage_keys = Worker.coverage_keys
 
-type cstate = {
-  cs_campaign : Store.campaign;
-  cs_dir : string;
-  cs_fuzzer : Fuzz.Driver.fuzzer;
-  cs_acc : Store.acc;
-  cs_prior_execs : int;  (* execs_done carried in from the store *)
-  cs_epoch : int;
-  cs_resumed_from : int option;
-  mutable cs_keys : int;        (* coverage keys at last observation *)
-  cs_start_keys : int;
-  mutable cs_rounds : int;
-  mutable cs_allocated : int;
-  mutable cs_generation : int;
-  mutable cs_error : string option;
-}
-
-let execs_done st = st.cs_prior_execs + Fuzz.Harness.execs st.cs_fuzzer.Fuzz.Driver.f_harness
-
-let remaining st = st.cs_campaign.sc_budget - execs_done st
-
-let finished st = remaining st <= 0
-
-let alive st = st.cs_error = None && not (finished st)
-
-let empty_compact = lazy (Coverage.Bitmap.compact_of_cells [])
-
-(* One round's deal, shared by both backends: the policy's allocation
+(* One round's deal: the policy's allocation
    over active arms, capped by each arm's remaining budget, with the
    overflow re-dealt to arms that still have spare capacity so the
    round's deal stays whole. *)
@@ -113,309 +85,279 @@ let deal_round ~policy ~bandit ~round_budget ~active ~remaining =
     alloc;
   (alloc, pulls)
 
-(* Persist one campaign's current state as a fresh store generation. *)
-let save_state st =
-  let fz = st.cs_fuzzer in
-  let h = fz.Fuzz.Driver.f_harness in
-  (match fz.Fuzz.Driver.f_exchange with
-   | Some port -> Store.acc_add_export st.cs_acc (port.Fuzz.Sync.p_export ())
-   | None -> ());
-  let tri = Fuzz.Harness.triage h in
-  let snapshot =
-    Store.acc_snapshot st.cs_acc ~campaign:st.cs_campaign
-      ~progress:{ Store.pr_execs_done = execs_done st; pr_epoch = st.cs_epoch }
-      ~virgin:(Coverage.Bitmap.compact (Fuzz.Harness.virgin h))
-      ~grammar:
-        (match Fuzz.Harness.grammar_virgin h with
-         | Some g -> Coverage.Bitmap.compact g
-         | None -> Lazy.force empty_compact)
-      ~crash_keys:(Fuzz.Triage.crash_keys tri)
-      ~logic_keys:(Fuzz.Triage.logic_keys tri)
-  in
-  st.cs_generation <- Store.save ~dir:st.cs_dir snapshot
+(* Finding counts come back per live fuzzer (preloaded keys excluded); a
+   worker reload starts a new one, so farm totals are the closed
+   segments plus the live segment's latest report. *)
+type findings = { f_total : int; f_crashes : int; f_logic : int }
 
-(* Build one campaign's state: fresh, or preloaded from an existing
-   store (spec config authoritative, learned state from disk). *)
-let init_campaign ~runs_dir warnings (c : Store.campaign) =
-  let dir = Store.store_dir ?runs_dir c.sc_id in
-  let prior, epoch, resumed_from, preload =
-    if Store.generations ~dir = [] then (0, 0, None, None)
-    else
-      match Store.load ~dir with
-      | Ok (sn, gen, warns) ->
-        List.iter (fun w -> warnings := (c.sc_id ^ ": " ^ w) :: !warnings) warns;
-        ( sn.Store.sn_progress.pr_execs_done,
-          sn.Store.sn_progress.pr_epoch + 1, Some gen, Some sn )
-      | Error warns ->
-        List.iter (fun w -> warnings := (c.sc_id ^ ": " ^ w) :: !warnings) warns;
-        warnings :=
-          (Printf.sprintf "%s: no valid store generation, starting fresh"
-             c.sc_id)
-          :: !warnings;
-        (0, 0, None, None)
-  in
-  match Spec.make ~campaign:c ~seed:(Spec.epoch_seed ~campaign:c ~epoch) with
-  | Error e -> Error e
-  | Ok base ->
-    let fz = base 0 in
-    Option.iter (fun sn -> Resume.preload_fuzzer sn fz) preload;
-    let acc =
-      match preload with
-      | Some sn -> Store.acc_of_snapshot sn
-      | None -> Store.acc_create ()
+let no_findings = { f_total = 0; f_crashes = 0; f_logic = 0 }
+
+let add_findings a b =
+  { f_total = a.f_total + b.f_total; f_crashes = a.f_crashes + b.f_crashes;
+    f_logic = a.f_logic + b.f_logic }
+
+(* The coordinator's view of one campaign, folded from round reports. *)
+type crec = {
+  c_campaign : Store.campaign;
+  c_dir : string;
+  c_resumed_from : int option;
+  mutable c_execs_done : int;
+  mutable c_keys : int;
+  mutable c_branches : int;
+  mutable c_new_keys : int;
+  mutable c_rounds : int;
+  mutable c_allocated : int;
+  mutable c_executed : int;
+  mutable c_closed : findings;
+  mutable c_live : findings;
+  mutable c_bugs : string list;
+  mutable c_generation : int;
+  mutable c_error : string option;
+}
+
+let crec ?resumed_from ?(generation = 0) ?(keys = 0) ?(branches = 0) ~dir
+    ~execs_done c =
+  { c_campaign = c; c_dir = dir; c_resumed_from = resumed_from;
+    c_execs_done = execs_done; c_keys = keys; c_branches = branches;
+    c_new_keys = 0; c_rounds = 0; c_allocated = 0; c_executed = 0;
+    c_closed = no_findings; c_live = no_findings; c_bugs = [];
+    c_generation = generation; c_error = None }
+
+let remaining c = c.c_campaign.Store.sc_budget - c.c_execs_done
+let finished c = remaining c <= 0
+let alive c = c.c_error = None && not (finished c)
+
+(* A backend runs one round's jobs and returns their reports in job
+   order ([None]: the job could not be served). *)
+type backend = {
+  b_dispatch :
+    round:int -> (int * int) array -> Transport.round_report option array;
+  b_usable : unit -> bool;  (* false once no job can be served any more *)
+  b_finish : unit -> unit;  (* after the last round *)
+}
+
+(* A campaign's newest good store generation at farm start, if any;
+   skipped corrupt generations become farm warnings. *)
+let load_existing warnings ~dir (c : Store.campaign) =
+  let warn w = warnings := (c.sc_id ^ ": " ^ w) :: !warnings in
+  if Store.generations ~dir = [] then None
+  else
+    match Store.load ~dir with
+    | Ok (sn, gen, warns) ->
+      List.iter warn warns;
+      Some (sn, gen)
+    | Error warns ->
+      List.iter warn warns;
+      warn "no valid store generation, starting fresh";
+      None
+
+let campaign_ctr metrics c which =
+  Telemetry.Registry.counter metrics
+    (Printf.sprintf "farm.%s.%s" c.c_campaign.Store.sc_id which)
+
+(* Fold one round report into its campaign's record, counters and
+   checkpoint stream; returns the bandit's key delta. *)
+let fold_report ~sink ~metrics ~round c ~execs (r : Transport.round_report) =
+  let per_ctr = campaign_ctr metrics c in
+  let delta = max 0 r.rr_new_keys in
+  c.c_rounds <- c.c_rounds + 1;
+  c.c_allocated <- c.c_allocated + execs;
+  c.c_executed <- c.c_executed + r.rr_executed;
+  c.c_execs_done <- r.rr_execs_done;
+  c.c_keys <- r.rr_coverage_keys;
+  c.c_branches <- r.rr_branches;
+  c.c_new_keys <- c.c_new_keys + delta;
+  if r.rr_reloads > 0 then c.c_closed <- add_findings c.c_closed c.c_live;
+  c.c_live <-
+    { f_total = r.rr_crashes_total; f_crashes = r.rr_crashes_unique;
+      f_logic = r.rr_logic_unique };
+  c.c_bugs <- List.sort_uniq compare (c.c_bugs @ r.rr_bugs);
+  if r.rr_generation > 0 then c.c_generation <- r.rr_generation;
+  c.c_error <- r.rr_error;
+  Telemetry.Registry.incr (per_ctr "rounds");
+  Telemetry.Registry.incr ~by:execs (per_ctr "allocated");
+  Telemetry.Registry.incr ~by:delta (per_ctr "new_keys");
+  let f = add_findings c.c_closed c.c_live in
+  Telemetry.Sink.emit sink
+    (Telemetry.Event.Checkpoint
+       { point =
+           { Telemetry.Event.p_series = "farm/" ^ c.c_campaign.Store.sc_id;
+             p_iteration = round; p_execs = c.c_execs_done;
+             p_branches = c.c_keys; p_crashes_total = f.f_total;
+             p_crashes_unique = f.f_crashes; p_bugs = c.c_bugs };
+         wall_s = None; execs_per_sec = None });
+  delta
+
+let campaign_result c =
+  let f = add_findings c.c_closed c.c_live in
+  { fc_campaign = c.c_campaign; fc_rounds = c.c_rounds;
+    fc_allocated = c.c_allocated; fc_executed = c.c_executed;
+    fc_execs_done = c.c_execs_done; fc_branches = c.c_branches;
+    fc_coverage_keys = c.c_keys; fc_new_keys = c.c_new_keys;
+    fc_crashes_unique = f.f_crashes; fc_logic_unique = f.f_logic;
+    fc_bugs = c.c_bugs; fc_generation = c.c_generation;
+    fc_resumed_from = c.c_resumed_from; fc_finished = finished c;
+    fc_error = c.c_error }
+
+(* The one round loop: until the farm budget is dealt, every campaign is
+   finished or dead, or the backend can serve nothing more. *)
+let farm ~sink ~metrics ~meta ~workers ~warnings (spec : Spec.t) crecs
+    backend =
+  let rounds_ctr = Telemetry.Registry.counter metrics "farm.rounds" in
+  let alloc_ctr = Telemetry.Registry.counter metrics "farm.allocated" in
+  Array.iter
+    (fun c ->
+       List.iter
+         (fun which -> ignore (campaign_ctr metrics c which))
+         [ "rounds"; "allocated"; "new_keys" ])
+    crecs;
+  Telemetry.Sink.emit sink
+    (Telemetry.Event.Meta
+       ((("command", Telemetry.Json.Str "farm") :: meta)
+        @ [ ("campaigns", Telemetry.Json.Int (Array.length crecs));
+            ("total_execs", Telemetry.Json.Int spec.fs_total_execs);
+            ("round_execs", Telemetry.Json.Int spec.fs_round_execs);
+            ("workers", Telemetry.Json.Int workers);
+            ("policy",
+             Telemetry.Json.Str (Spec.policy_to_string spec.fs_policy)) ]));
+  let bandit = Bandit.create ~c:spec.fs_ucb_c ~arms:(Array.length crecs) () in
+  let dealt_total = ref 0 and round = ref 0 and progressed = ref true in
+  while
+    !progressed
+    && !dealt_total < spec.fs_total_execs
+    && Array.exists alive crecs
+    && backend.b_usable ()
+  do
+    incr round;
+    let round_budget =
+      min spec.fs_round_execs (spec.fs_total_execs - !dealt_total)
     in
-    let keys = coverage_keys fz in
-    Ok
-      { cs_campaign = c; cs_dir = dir; cs_fuzzer = fz; cs_acc = acc;
-        cs_prior_execs = prior; cs_epoch = epoch;
-        cs_resumed_from = resumed_from; cs_keys = keys; cs_start_keys = keys;
-        cs_rounds = 0; cs_allocated = 0; cs_generation = 0; cs_error = None }
+    let alloc, pulls =
+      deal_round ~policy:spec.fs_policy ~bandit ~round_budget
+        ~active:(Array.map alive crecs)
+        ~remaining:(Array.map remaining crecs)
+    in
+    let jobs =
+      Array.to_list (Array.mapi (fun i a -> (i, a)) alloc)
+      |> List.filter (fun (_, a) -> a > 0)
+      |> Array.of_list
+    in
+    (* Nothing allocatable (every active arm is out of budget, or the
+       whole round's deal overflowed): stop instead of spinning. *)
+    progressed := jobs <> [||];
+    if !progressed then begin
+      let reports = backend.b_dispatch ~round:!round jobs in
+      let dealt = ref 0 in
+      Array.iteri
+        (fun k (i, execs) ->
+           Option.iter
+             (fun r ->
+                let delta =
+                  fold_report ~sink ~metrics ~round:!round crecs.(i) ~execs r
+                in
+                dealt := !dealt + execs;
+                match spec.fs_policy with
+                | Spec.Bandit ->
+                  Bandit.update bandit ~arm:i ~pulls:pulls.(i)
+                    ~reward:(float_of_int delta /. float_of_int (max 1 execs))
+                | Spec.Round_robin -> ())
+             reports.(k))
+        jobs;
+      dealt_total := !dealt_total + !dealt;
+      if !dealt > 0 then begin
+        Telemetry.Registry.incr rounds_ctr;
+        Telemetry.Registry.incr ~by:!dealt alloc_ctr
+      end
+    end
+  done;
+  backend.b_finish ();
+  Telemetry.Sink.emit sink
+    (Telemetry.Event.Registry_dump { series = "farm"; registry = metrics });
+  { fr_campaigns = Array.to_list (Array.map campaign_result crecs);
+    fr_rounds = Telemetry.Registry.counter_value metrics "farm.rounds";
+    fr_allocated = !dealt_total; fr_metrics = metrics;
+    fr_warnings = List.rev !warnings }
 
-(* Run one campaign's round slice on the calling domain. Exceptions
-   (Stalled, engine faults) retire the arm instead of killing the
-   farm. *)
-let run_slice st ~execs =
-  let h = st.cs_fuzzer.Fuzz.Driver.f_harness in
-  let target = Fuzz.Harness.execs h + execs in
-  try ignore (Fuzz.Driver.run_until_execs st.cs_fuzzer ~execs:target)
-  with
-  | Fuzz.Driver.Stalled msg -> st.cs_error <- Some ("stalled: " ^ msg)
-  | exn -> st.cs_error <- Some (Printexc.to_string exn)
-
-let checkpoint_event ~round st =
-  let h = st.cs_fuzzer.Fuzz.Driver.f_harness in
-  let tri = Fuzz.Harness.triage h in
-  Telemetry.Event.Checkpoint
-    { point =
-        { Telemetry.Event.p_series = "farm/" ^ st.cs_campaign.sc_id;
-          p_iteration = round; p_execs = execs_done st;
-          p_branches = st.cs_keys;
-          p_crashes_total = Fuzz.Triage.total_crashes tri;
-          p_crashes_unique = Fuzz.Triage.unique_count tri;
-          p_bugs = Fuzz.Triage.bug_ids tri };
-      wall_s = None; execs_per_sec = None }
+(* ===================================================================== *)
+(* In-process backend: a domain pool over live campaign states opened at
+   farm start (spec config authoritative, learned state from the store).
+   Each campaign runs entirely on one domain per round. *)
 
 let run ?(sink = Telemetry.Sink.null) ?runs_dir (spec : Spec.t) =
   let warnings = ref [] in
-  let states_r =
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | c :: rest -> (
-          match init_campaign ~runs_dir warnings c with
-          | Error e -> Error e
-          | Ok st -> go (st :: acc) rest)
-    in
-    go [] spec.fs_campaigns
+  let rec open_all acc = function
+    | [] -> Ok (List.rev acc)
+    | (c : Store.campaign) :: rest -> (
+        let dir = Store.store_dir ?runs_dir c.sc_id in
+        let loaded = load_existing warnings ~dir c in
+        match Worker.open_campaign ?snapshot:(Option.map fst loaded) c with
+        | Error e -> Error e
+        | Ok lv ->
+          let cr =
+            crec ?resumed_from:(Option.map snd loaded) ~keys:lv.Worker.lv_keys
+              ~branches:
+                (Fuzz.Harness.branches lv.lv_fuzzer.Fuzz.Driver.f_harness)
+              ~dir ~execs_done:lv.lv_prior_execs c
+          in
+          open_all ((cr, lv) :: acc) rest)
   in
-  match states_r with
+  match open_all [] spec.fs_campaigns with
   | Error e -> Error e
-  | Ok states_l ->
-    let states = Array.of_list states_l in
-    let n = Array.length states in
+  | Ok opened ->
+    let crecs = Array.of_list (List.map fst opened) in
+    let lives = Array.of_list (List.map snd opened) in
+    let slice i ~execs ~round =
+      Worker.run_slice ~dir:crecs.(i).c_dir lives.(i) ~execs ~round
+    in
+    let dispatch ~round jobs =
+      let reports = Array.make (Array.length jobs) None in
+      let next = Atomic.make 0 in
+      let rec work () =
+        let k = Atomic.fetch_and_add next 1 in
+        if k < Array.length jobs then begin
+          let i, execs = jobs.(k) in
+          reports.(k) <- Some (slice i ~execs ~round);
+          work ()
+        end
+      in
+      let helpers =
+        Array.init
+          (max 0 (min spec.fs_workers (Array.length jobs) - 1))
+          (fun _ -> Domain.spawn work)
+      in
+      work ();
+      Array.iter Domain.join helpers;
+      reports
+    in
     let metrics = Telemetry.Registry.create () in
-    let rounds_ctr = Telemetry.Registry.counter metrics "farm.rounds" in
-    let alloc_ctr = Telemetry.Registry.counter metrics "farm.allocated" in
-    let per_ctr st which =
-      Telemetry.Registry.counter metrics
-        (Printf.sprintf "farm.%s.%s" st.cs_campaign.sc_id which)
-    in
-    Array.iter
-      (fun st ->
-         ignore (per_ctr st "rounds");
-         ignore (per_ctr st "allocated");
-         ignore (per_ctr st "new_keys"))
-      states;
-    Telemetry.Sink.emit sink
-      (Telemetry.Event.Meta
-         [ ("command", Telemetry.Json.Str "farm");
-           ("campaigns", Telemetry.Json.Int n);
-           ("total_execs", Telemetry.Json.Int spec.fs_total_execs);
-           ("round_execs", Telemetry.Json.Int spec.fs_round_execs);
-           ("workers", Telemetry.Json.Int spec.fs_workers);
-           ("policy", Telemetry.Json.Str (Spec.policy_to_string spec.fs_policy))
-         ]);
-    let bandit = Bandit.create ~c:spec.fs_ucb_c ~arms:n () in
-    let dealt_total = ref 0 and round = ref 0 in
-    let progressed = ref true in
-    let continue_ () =
-      !progressed
-      && !dealt_total < spec.fs_total_execs
-      && Array.exists alive states
-    in
-    while continue_ () do
-      incr round;
-      let active = Array.map alive states in
-      let round_budget =
-        min spec.fs_round_execs (spec.fs_total_execs - !dealt_total)
-      in
-      let alloc, pulls =
-        deal_round ~policy:spec.fs_policy ~bandit ~round_budget ~active
-          ~remaining:(Array.map remaining states)
-      in
-      let jobs =
-        Array.to_list (Array.mapi (fun i a -> (i, a)) alloc)
-        |> List.filter (fun (_, a) -> a > 0)
-        |> Array.of_list
-      in
-      if Array.length jobs = 0 then
-        (* Nothing allocatable (every active arm is out of budget, or the
-           whole round's deal overflowed): stop instead of spinning. *)
-        progressed := false
-      else begin
-        progressed := true;
-        let keys_before = Array.map (fun st -> st.cs_keys) states in
-        let next = Atomic.make 0 in
-        let worker () =
-          let rec loop () =
-            let k = Atomic.fetch_and_add next 1 in
-            if k < Array.length jobs then begin
-              let i, a = jobs.(k) in
-              run_slice states.(i) ~execs:a;
-              loop ()
-            end
-          in
-          loop ()
-        in
-        let pool = min spec.fs_workers (Array.length jobs) in
-        if pool <= 1 then worker ()
-        else begin
-          let domains =
-            Array.init (pool - 1) (fun _ -> Domain.spawn worker)
-          in
-          worker ();
-          Array.iter Domain.join domains
-        end;
-        (* Join done: observe, reward, persist, report — main thread. *)
-        Array.iter
-          (fun (i, a) ->
-             let st = states.(i) in
-             st.cs_keys <- coverage_keys st.cs_fuzzer;
-             let delta = st.cs_keys - keys_before.(i) in
-             st.cs_rounds <- st.cs_rounds + 1;
-             st.cs_allocated <- st.cs_allocated + a;
-             dealt_total := !dealt_total + a;
-             (match spec.fs_policy with
-              | Spec.Bandit ->
-                Bandit.update bandit ~arm:i ~pulls:pulls.(i)
-                  ~reward:(float_of_int delta /. float_of_int (max 1 a))
-              | Spec.Round_robin -> ());
-             Telemetry.Registry.incr (per_ctr st "rounds");
-             Telemetry.Registry.incr ~by:a (per_ctr st "allocated");
-             Telemetry.Registry.incr ~by:(max 0 delta) (per_ctr st "new_keys");
-             save_state st;
-             Telemetry.Sink.emit sink (checkpoint_event ~round:!round st))
-          jobs;
-        Telemetry.Registry.incr rounds_ctr;
-        Telemetry.Registry.incr
-          ~by:(Array.fold_left (fun acc (_, a) -> acc + a) 0 jobs)
-          alloc_ctr
-      end
-    done;
     (* Campaigns that never got a round still deserve a generation (the
        initial corpus is real learned state), and every campaign's
        harness metrics fold into the farm registry. *)
-    Array.iter
-      (fun st ->
-         if st.cs_generation = 0 then save_state st;
-         Telemetry.Registry.merge ~into:metrics
-           (Telemetry.Registry.snapshot
-              (Fuzz.Harness.metrics st.cs_fuzzer.Fuzz.Driver.f_harness)))
-      states;
-    Telemetry.Sink.emit sink
-      (Telemetry.Event.Registry_dump { series = "farm"; registry = metrics });
-    let campaigns =
-      Array.to_list
-        (Array.map
-           (fun st ->
-              let h = st.cs_fuzzer.Fuzz.Driver.f_harness in
-              let tri = Fuzz.Harness.triage h in
-              { fc_campaign = st.cs_campaign; fc_rounds = st.cs_rounds;
-                fc_allocated = st.cs_allocated;
-                fc_executed = Fuzz.Harness.execs h;
-                fc_execs_done = execs_done st;
-                fc_branches = Fuzz.Harness.branches h;
-                fc_coverage_keys = st.cs_keys;
-                fc_new_keys = st.cs_keys - st.cs_start_keys;
-                fc_crashes_unique = Fuzz.Triage.unique_count tri;
-                fc_logic_unique = Fuzz.Triage.logic_count tri;
-                fc_bugs = Fuzz.Triage.bug_ids tri;
-                fc_generation = st.cs_generation;
-                fc_resumed_from = st.cs_resumed_from;
-                fc_finished = finished st; fc_error = st.cs_error })
-           states)
+    let finish () =
+      Array.iteri
+        (fun i c ->
+           if c.c_generation = 0 then
+             c.c_generation <- (slice i ~execs:0 ~round:0).rr_generation;
+           Telemetry.Registry.merge ~into:metrics
+             (Telemetry.Registry.snapshot
+                (Fuzz.Harness.metrics lives.(i).lv_fuzzer.f_harness)))
+        crecs
     in
     Ok
-      { fr_campaigns = campaigns;
-        fr_rounds = Telemetry.Registry.counter_value metrics "farm.rounds";
-        fr_allocated = !dealt_total; fr_metrics = metrics;
-        fr_warnings = List.rev !warnings }
+      (farm ~sink ~metrics ~meta:[] ~workers:spec.fs_workers ~warnings spec
+         crecs
+         { b_dispatch = dispatch; b_usable = (fun () -> true);
+           b_finish = finish })
 
 (* ===================================================================== *)
-(* Process backend (DESIGN.md §17): the same round loop, but slices run
-   in spawned worker processes speaking the Transport line protocol.
-   The coordinator never builds a fuzzer — campaign state lives in the
-   stores; workers persist rounds into their generation namespaces and
-   the coordinator promotes them under the store lock. A worker that
-   dies, wedges (missed heartbeats) or talks garbage is quarantined:
-   killed, its in-flight round re-queued, the slot respawned until its
-   restart budget runs out — never a farm abort. *)
-
-type pstate = {
-  p_campaign : Store.campaign;
-  p_dir : string;
-  mutable p_execs_done : int;
-  mutable p_keys : int;
-  mutable p_new_keys : int;
-  mutable p_branches : int;
-  mutable p_rounds : int;
-  mutable p_allocated : int;
-  mutable p_executed : int;
-  (* Unique-finding counts come back per worker epoch segment (preloaded
-     keys excluded); a reload starts a new segment, so farm totals are
-     base (closed segments) + the live segment's latest count. *)
-  mutable p_crash_base : int;
-  mutable p_seg_crashes : int;
-  mutable p_logic_base : int;
-  mutable p_seg_logic : int;
-  mutable p_bugs : string list;
-  mutable p_generation : int;
-  p_resumed_from : int option;
-  mutable p_error : string option;
-}
-
-let p_remaining p = p.p_campaign.Store.sc_budget - p.p_execs_done
-let p_finished p = p_remaining p <= 0
-let p_alive p = p.p_error = None && not (p_finished p)
-
-(* Coordinator-side campaign init: make sure the store has a loadable
-   generation carrying the spec's (authoritative) config, but build no
-   fuzzer — workers do that from the store. *)
-let init_process_campaign ~runs_dir warnings (c : Store.campaign) =
-  let dir = Store.store_dir ?runs_dir c.sc_id in
-  let warn w = warnings := (c.sc_id ^ ": " ^ w) :: !warnings in
-  let execs_done, generation, resumed_from =
-    if Store.generations ~dir = [] then
-      (0, Store.save ~dir (Store.empty_snapshot c), None)
-    else
-      match Store.load ~dir with
-      | Ok (sn, gen, warns) ->
-        List.iter warn warns;
-        let gen' =
-          if sn.Store.sn_campaign <> c then
-            Store.save ~dir { sn with Store.sn_campaign = c }
-          else gen
-        in
-        (sn.Store.sn_progress.pr_execs_done, gen', Some gen)
-      | Error warns ->
-        List.iter warn warns;
-        warn "no valid store generation, starting fresh";
-        (0, Store.save ~dir (Store.empty_snapshot c), None)
-  in
-  { p_campaign = c; p_dir = dir; p_execs_done = execs_done; p_keys = 0;
-    p_new_keys = 0; p_branches = 0; p_rounds = 0; p_allocated = 0;
-    p_executed = 0; p_crash_base = 0; p_seg_crashes = 0; p_logic_base = 0;
-    p_seg_logic = 0; p_bugs = []; p_generation = generation;
-    p_resumed_from = resumed_from; p_error = None }
+(* Process backend (DESIGN.md §17): slices run in spawned worker
+   processes speaking the Transport line protocol. The coordinator never
+   builds a fuzzer — campaign state lives in the stores; workers persist
+   rounds into their generation namespaces and the coordinator promotes
+   them under the store lock. A worker that dies, wedges (missed
+   heartbeats) or talks garbage is quarantined: killed, its in-flight
+   job re-queued, the slot respawned until its restart budget runs
+   out — never a farm abort. *)
 
 type wslot = {
   w_id : int;
@@ -441,6 +383,335 @@ let default_worker_cmd ?runs_dir () k =
   in
   Array.of_list (base @ rd)
 
+(* Coordinator-side campaign init: make sure the store has a loadable
+   generation carrying the spec's (authoritative) config, but build no
+   fuzzer — workers do that from the store. *)
+let init_store warnings ~runs_dir (c : Store.campaign) =
+  let dir = Store.store_dir ?runs_dir c.sc_id in
+  match load_existing warnings ~dir c with
+  | None ->
+    crec ~generation:(Store.save ~dir (Store.empty_snapshot c)) ~dir
+      ~execs_done:0 c
+  | Some (sn, gen) ->
+    let generation =
+      if sn.Store.sn_campaign <> c then
+        Store.save ~dir { sn with Store.sn_campaign = c }
+      else gen
+    in
+    crec ~resumed_from:gen ~generation ~dir
+      ~execs_done:sn.Store.sn_progress.pr_execs_done c
+
+let process_backend ~worker_cmd ~heartbeat_timeout ~max_restarts ~on_heartbeat
+    ~metrics ~warnings slots crecs =
+  let warn w = warnings := w :: !warnings in
+  let counter name = Telemetry.Registry.counter metrics name in
+  let wk_ctr k which = counter (Printf.sprintf "farm.worker.%d.%s" k which) in
+  ignore (counter "farm.store.reloads");
+  ignore (counter "farm.store.reload_skipped");
+  Array.iter (fun w -> ignore (wk_ctr w.w_id "rounds")) slots;
+  let now () = Unix.gettimeofday () in
+  let spawn_slot w =
+    let stdin_r, stdin_w = Unix.pipe () in
+    let stdout_r, stdout_w = Unix.pipe () in
+    Unix.set_close_on_exec stdin_w;
+    Unix.set_close_on_exec stdout_r;
+    let argv = worker_cmd w.w_id in
+    let pid =
+      try Some (Unix.create_process argv.(0) argv stdin_r stdout_w Unix.stderr)
+      with Unix.Unix_error _ | Invalid_argument _ -> None
+    in
+    Unix.close stdin_r;
+    Unix.close stdout_w;
+    match pid with
+    | None ->
+      Unix.close stdin_w;
+      Unix.close stdout_r;
+      w.w_live <- false;
+      w.w_retired <- true;
+      warn
+        (Printf.sprintf "worker %d: cannot spawn %s" w.w_id
+           (if Array.length argv > 0 then argv.(0) else "<empty argv>"))
+    | Some pid ->
+      w.w_pid <- pid;
+      w.w_stdin <- Some (Unix.out_channel_of_descr stdin_w);
+      w.w_fd <- Some stdout_r;
+      Buffer.clear w.w_buf;
+      w.w_last <- now ();
+      w.w_job <- None;
+      w.w_live <- true;
+      w.w_spawns <- w.w_spawns + 1
+  in
+  let close_ends w =
+    (match w.w_stdin with
+     | Some oc -> (try close_out oc with Sys_error _ -> ())
+     | None -> ());
+    (match w.w_fd with
+     | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
+     | None -> ());
+    w.w_stdin <- None;
+    w.w_fd <- None
+  in
+  let kill_slot ?(already_dead = false) w =
+    close_ends w;
+    if w.w_live && not already_dead && w.w_pid > 0 then begin
+      (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
+    end;
+    w.w_live <- false
+  in
+  (* The round in flight: jobs not yet sent, jobs not yet reported, and
+     the reports so far, indexed by campaign. *)
+  let round = ref 0 in
+  let pending = ref [] in
+  let outstanding = ref 0 in
+  let reports = ref [||] in
+  let fail_slot ?(already_dead = false) w reason =
+    (match w.w_job with
+     | Some ((i, _) as job) ->
+       Store.discard_worker_generations ~dir:crecs.(i).c_dir ~worker:w.w_id;
+       pending := !pending @ [ job ];
+       w.w_job <- None
+     | None -> ());
+    w.w_restarts <- w.w_restarts + 1;
+    Telemetry.Registry.incr (wk_ctr w.w_id "restarts");
+    let retire = w.w_restarts > max_restarts in
+    warn
+      (Printf.sprintf "worker %d %s; %s" w.w_id reason
+         (if retire then "retiring slot" else "restarting"));
+    kill_slot ~already_dead w;
+    if retire then w.w_retired <- true else spawn_slot w
+  in
+  let send w ((i, a) as job) =
+    match w.w_stdin with
+    | None -> false
+    | Some oc -> (
+        let id = crecs.(i).c_campaign.Store.sc_id in
+        try
+          output_string oc
+            (Transport.command_to_line
+               (Transport.Run
+                  { rc_campaign = id; rc_execs = a; rc_round = !round }));
+          output_char oc '\n';
+          flush oc;
+          w.w_job <- Some job;
+          w.w_last <- now ();
+          w.w_affinity <- id;
+          true
+        with Sys_error _ ->
+          fail_slot w "stdin write failed";
+          false)
+  in
+  (* Assignment prefers a job for the campaign the slot served last —
+     that's what makes the worker's reload short-circuit hit. *)
+  let pick w =
+    let rec go acc = function
+      | [] -> (
+          match List.rev acc with
+          | [] -> None
+          | j :: rest -> Some (j, rest))
+      | ((i, _) as j) :: rest
+        when crecs.(i).c_campaign.Store.sc_id = w.w_affinity ->
+        Some (j, List.rev_append acc rest)
+      | j :: rest -> go (j :: acc) rest
+    in
+    go [] !pending
+  in
+  let assign () =
+    Array.iter
+      (fun w ->
+         if w.w_live && not w.w_retired && w.w_job = None && !pending <> []
+         then
+           match pick w with
+           | None -> ()
+           | Some (job, rest) ->
+             pending := rest;
+             if not (send w job) then pending := job :: !pending)
+      slots
+  in
+  (* A reported worker generation becomes final here: promoted into the
+     plain namespace (0 when the worker's save or the promotion failed). *)
+  let handle_round w (r : Transport.round_report) =
+    w.w_last <- now ();
+    match w.w_job with
+    | None -> ()
+    | Some (i, _) ->
+      w.w_job <- None;
+      let dir = crecs.(i).c_dir in
+      let generation =
+        if r.rr_generation <= 0 then 0
+        else
+          match Store.promote ~dir ~worker:w.w_id r.rr_generation with
+          | Ok g -> g
+          | Error e ->
+            warn
+              (Printf.sprintf "%s: promote of gen %d.w%d failed: %s"
+                 r.rr_campaign r.rr_generation w.w_id e);
+            0
+      in
+      !reports.(i) <- Some { r with rr_generation = generation };
+      Telemetry.Registry.incr (wk_ctr w.w_id "rounds");
+      Telemetry.Registry.incr ~by:r.rr_executed (wk_ctr w.w_id "execs");
+      Telemetry.Registry.incr ~by:r.rr_reloads (counter "farm.store.reloads");
+      Telemetry.Registry.incr ~by:r.rr_reload_skipped
+        (counter "farm.store.reload_skipped");
+      decr outstanding
+  in
+  let handle_line w line =
+    match Transport.message_of_line line with
+    | Error e ->
+      fail_slot w (Printf.sprintf "sent a malformed control line (%s)" e)
+    | Ok (Transport.Hello _) -> w.w_last <- now ()
+    | Ok (Transport.Heartbeat _) ->
+      w.w_last <- now ();
+      on_heartbeat ~worker:w.w_id ~pid:w.w_pid
+    | Ok (Transport.Fatal e) -> fail_slot w ("reported fatal: " ^ e)
+    | Ok (Transport.Round r) -> handle_round w r
+  in
+  let drain_lines w =
+    let spawns = w.w_spawns in
+    let continue_drain = ref true in
+    while !continue_drain && w.w_spawns = spawns do
+      let s = Buffer.contents w.w_buf in
+      match String.index_opt s '\n' with
+      | None -> continue_drain := false
+      | Some i ->
+        let line = String.sub s 0 i in
+        Buffer.clear w.w_buf;
+        Buffer.add_substring w.w_buf s (i + 1) (String.length s - i - 1);
+        handle_line w line
+    done
+  in
+  let scratch = Bytes.create 8192 in
+  let read_slot w fd =
+    match Unix.read fd scratch 0 (Bytes.length scratch) with
+    | 0 -> fail_slot w "closed its stdout"
+    | len ->
+      Buffer.add_subbytes w.w_buf scratch 0 len;
+      drain_lines w
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) -> ()
+    | exception Unix.Unix_error _ -> fail_slot w "stdout read failed"
+  in
+  let pump timeout =
+    let live =
+      Array.to_list slots
+      |> List.filter_map (fun w ->
+          if w.w_live then
+            match w.w_fd with
+            | Some fd -> Some (w, fd, w.w_spawns)
+            | None -> None
+          else None)
+    in
+    let readable =
+      match live with
+      | [] ->
+        (* Nothing to select on; don't busy-spin while respawns or
+           retirements settle. *)
+        Unix.sleepf (min timeout 0.02);
+        []
+      | _ -> (
+          match Unix.select (List.map (fun (_, fd, _) -> fd) live) [] [] timeout with
+          | r, _, _ -> r
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> [])
+    in
+    List.iter
+      (fun (w, fd, spawns) ->
+         if List.memq fd readable && w.w_spawns = spawns && w.w_live then
+           read_slot w fd)
+      live;
+    Array.iter
+      (fun w ->
+         if w.w_live then
+           match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
+           | 0, _ -> ()
+           | _, _ -> fail_slot ~already_dead:true w "exited unexpectedly"
+           | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
+             fail_slot ~already_dead:true w "exited unexpectedly")
+      slots;
+    Array.iter
+      (fun w ->
+         if w.w_live && w.w_job <> None
+            && now () -. w.w_last > heartbeat_timeout
+         then
+           fail_slot w
+             (Printf.sprintf "missed heartbeats for %.1fs"
+                (now () -. w.w_last)))
+      slots
+  in
+  let usable () = Array.exists (fun w -> not w.w_retired) slots in
+  let dispatch ~round:r jobs =
+    round := r;
+    reports := Array.make (Array.length crecs) None;
+    pending := Array.to_list jobs;
+    outstanding := Array.length jobs;
+    while !outstanding > 0 && usable () do
+      assign ();
+      pump 0.1
+    done;
+    if !outstanding > 0 then begin
+      warn
+        (Printf.sprintf
+           "farm: all worker slots exhausted with %d round jobs unserved"
+           !outstanding);
+      pending := [];
+      outstanding := 0
+    end;
+    Array.map (fun (i, _) -> !reports.(i)) jobs
+  in
+  (* Orderly shutdown: ask, wait briefly, then make sure. Namespace
+     hygiene: no unpromoted worker generation survives the farm,
+     whatever happened to its worker. *)
+  let finish () =
+    Array.iter
+      (fun w ->
+         if w.w_live then (
+           match w.w_stdin with
+           | Some oc -> (
+               try
+                 output_string oc
+                   (Transport.command_to_line Transport.Shutdown);
+                 output_char oc '\n';
+                 flush oc;
+                 close_out oc;
+                 w.w_stdin <- None
+               with Sys_error _ -> ())
+           | None -> ()))
+      slots;
+    let deadline = now () +. 5.0 in
+    Array.iter
+      (fun w ->
+         if w.w_live then begin
+           let rec wait () =
+             match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
+             | 0, _ ->
+               if now () < deadline then begin
+                 Unix.sleepf 0.02;
+                 wait ()
+               end
+               else begin
+                 (try Unix.kill w.w_pid Sys.sigkill
+                  with Unix.Unix_error _ -> ());
+                 (try ignore (Unix.waitpid [] w.w_pid)
+                  with Unix.Unix_error _ -> ())
+               end
+             | _, _ -> ()
+             | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+           in
+           wait ();
+           close_ends w;
+           w.w_live <- false
+         end)
+      slots;
+    Array.iter
+      (fun c ->
+         Array.iter
+           (fun w ->
+              Store.discard_worker_generations ~dir:c.c_dir ~worker:w.w_id)
+           slots)
+      crecs
+  in
+  Array.iter spawn_slot slots;
+  { b_dispatch = dispatch; b_usable = usable; b_finish = finish }
+
 let run_processes ?(sink = Telemetry.Sink.null) ?runs_dir ?worker_cmd
     ?(heartbeat_timeout = 30.) ?(max_restarts = 3)
     ?(on_heartbeat = fun ~worker:_ ~pid:_ -> ()) ~workers (spec : Spec.t) =
@@ -449,60 +720,20 @@ let run_processes ?(sink = Telemetry.Sink.null) ?runs_dir ?worker_cmd
     | Some f -> f
     | None -> default_worker_cmd ?runs_dir ()
   in
-  let warnings = ref [] in
-  let warn w = warnings := w :: !warnings in
-  let setup_error = ref None in
-  List.iter
-    (fun (c : Store.campaign) ->
-       if !setup_error = None then
-         match Spec.make ~campaign:c ~seed:c.sc_seed with
-         | Error e -> setup_error := Some e
-         | Ok _ -> ())
-    spec.Spec.fs_campaigns;
-  match !setup_error with
+  match
+    List.find_map
+      (fun (c : Store.campaign) ->
+         Result.fold ~ok:(fun _ -> None) ~error:Option.some
+           (Spec.make ~campaign:c ~seed:c.sc_seed))
+      spec.fs_campaigns
+  with
   | Some e -> Error e
   | None ->
-    let states =
-      Array.of_list
-        (List.map (init_process_campaign ~runs_dir warnings)
-           spec.Spec.fs_campaigns)
+    let warnings = ref [] in
+    let crecs =
+      Array.of_list (List.map (init_store warnings ~runs_dir) spec.fs_campaigns)
     in
-    let n = Array.length states in
     let workers = max 1 workers in
-    let metrics = Telemetry.Registry.create () in
-    let rounds_ctr = Telemetry.Registry.counter metrics "farm.rounds" in
-    let alloc_ctr = Telemetry.Registry.counter metrics "farm.allocated" in
-    let per_ctr p which =
-      Telemetry.Registry.counter metrics
-        (Printf.sprintf "farm.%s.%s" p.p_campaign.Store.sc_id which)
-    in
-    let wk_ctr k which =
-      Telemetry.Registry.counter metrics
-        (Printf.sprintf "farm.worker.%d.%s" k which)
-    in
-    let store_ctr which =
-      Telemetry.Registry.counter metrics ("farm.store." ^ which)
-    in
-    Array.iter
-      (fun p ->
-         ignore (per_ctr p "rounds");
-         ignore (per_ctr p "allocated");
-         ignore (per_ctr p "new_keys"))
-      states;
-    ignore (store_ctr "reloads");
-    ignore (store_ctr "reload_skipped");
-    Telemetry.Sink.emit sink
-      (Telemetry.Event.Meta
-         [ ("command", Telemetry.Json.Str "farm");
-           ("backend", Telemetry.Json.Str "processes");
-           ("campaigns", Telemetry.Json.Int n);
-           ("total_execs", Telemetry.Json.Int spec.Spec.fs_total_execs);
-           ("round_execs", Telemetry.Json.Int spec.Spec.fs_round_execs);
-           ("workers", Telemetry.Json.Int workers);
-           ("policy",
-            Telemetry.Json.Str (Spec.policy_to_string spec.Spec.fs_policy)) ]);
-    let bandit = Bandit.create ~c:spec.Spec.fs_ucb_c ~arms:n () in
-    let now () = Unix.gettimeofday () in
     let slots =
       Array.init workers (fun k ->
           { w_id = k + 1; w_buf = Buffer.create 512; w_pid = 0;
@@ -510,411 +741,17 @@ let run_processes ?(sink = Telemetry.Sink.null) ?runs_dir ?worker_cmd
             w_affinity = ""; w_restarts = 0; w_spawns = 0; w_live = false;
             w_retired = false })
     in
-    ignore (Array.iter (fun w -> ignore (wk_ctr w.w_id "rounds")) slots);
-    let spawn_slot w =
-      let stdin_r, stdin_w = Unix.pipe () in
-      let stdout_r, stdout_w = Unix.pipe () in
-      Unix.set_close_on_exec stdin_w;
-      Unix.set_close_on_exec stdout_r;
-      let argv = worker_cmd w.w_id in
-      let pid =
-        try Some (Unix.create_process argv.(0) argv stdin_r stdout_w Unix.stderr)
-        with Unix.Unix_error _ | Invalid_argument _ -> None
-      in
-      Unix.close stdin_r;
-      Unix.close stdout_w;
-      match pid with
-      | None ->
-        Unix.close stdin_w;
-        Unix.close stdout_r;
-        w.w_live <- false;
-        w.w_retired <- true;
-        warn
-          (Printf.sprintf "worker %d: cannot spawn %s" w.w_id
-             (if Array.length argv > 0 then argv.(0) else "<empty argv>"))
-      | Some pid ->
-        w.w_pid <- pid;
-        w.w_stdin <- Some (Unix.out_channel_of_descr stdin_w);
-        w.w_fd <- Some stdout_r;
-        Buffer.clear w.w_buf;
-        w.w_last <- now ();
-        w.w_job <- None;
-        w.w_live <- true;
-        w.w_spawns <- w.w_spawns + 1
-    in
-    let close_ends w =
-      (match w.w_stdin with
-       | Some oc -> (try close_out oc with Sys_error _ -> ())
-       | None -> ());
-      (match w.w_fd with
-       | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
-       | None -> ());
-      w.w_stdin <- None;
-      w.w_fd <- None
-    in
-    let kill_slot ?(already_dead = false) w =
-      close_ends w;
-      if w.w_live && not already_dead && w.w_pid > 0 then begin
-        (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
-      end;
-      w.w_live <- false
-    in
-    let pending = ref [] in
-    let outstanding = ref 0 in
-    let round = ref 0 in
-    let current_pulls = ref [||] in
-    let dealt_total = ref 0 in
-    let round_completed = ref 0 in
-    let round_dealt = ref 0 in
-    let fail_slot ?(already_dead = false) w reason =
-      (match w.w_job with
-       | Some (i, _) ->
-         Store.discard_worker_generations ~dir:states.(i).p_dir
-           ~worker:w.w_id
-       | None -> ());
-      (match w.w_job with
-       | Some job ->
-         pending := !pending @ [ job ];
-         w.w_job <- None
-       | None -> ());
-      w.w_restarts <- w.w_restarts + 1;
-      Telemetry.Registry.incr (wk_ctr w.w_id "restarts");
-      let retire = w.w_restarts > max_restarts in
-      warn
-        (Printf.sprintf "worker %d %s; %s" w.w_id reason
-           (if retire then "retiring slot" else "restarting"));
-      kill_slot ~already_dead w;
-      if retire then w.w_retired <- true else spawn_slot w
-    in
-    let send w ((i, a) as job) =
-      match w.w_stdin with
-      | None -> false
-      | Some oc -> (
-          let id = states.(i).p_campaign.Store.sc_id in
-          try
-            output_string oc
-              (Transport.command_to_line
-                 (Transport.Run
-                    { rc_campaign = id; rc_execs = a; rc_round = !round }));
-            output_char oc '\n';
-            flush oc;
-            w.w_job <- Some job;
-            w.w_last <- now ();
-            w.w_affinity <- id;
-            true
-          with Sys_error _ ->
-            fail_slot w "stdin write failed";
-            false)
-    in
-    (* Dispatch prefers a job for the campaign the slot served last —
-       that's what makes the worker's reload short-circuit hit. *)
-    let pick w =
-      let rec go acc = function
-        | [] -> (
-            match List.rev acc with
-            | [] -> None
-            | j :: rest -> Some (j, rest))
-        | ((i, _) as j) :: rest
-          when states.(i).p_campaign.Store.sc_id = w.w_affinity ->
-          Some (j, List.rev_append acc rest)
-        | j :: rest -> go (j :: acc) rest
-      in
-      go [] !pending
-    in
-    let dispatch () =
-      Array.iter
-        (fun w ->
-           if w.w_live && not w.w_retired && w.w_job = None && !pending <> []
-           then
-             match pick w with
-             | None -> ()
-             | Some (job, rest) ->
-               pending := rest;
-               if not (send w job) then pending := job :: !pending)
-        slots
-    in
-    let checkpoint p (r : Transport.round_report) =
-      let crashes = p.p_crash_base + p.p_seg_crashes in
-      Telemetry.Sink.emit sink
-        (Telemetry.Event.Checkpoint
-           { point =
-               { Telemetry.Event.p_series =
-                   "farm/" ^ p.p_campaign.Store.sc_id;
-                 p_iteration = r.rr_round; p_execs = p.p_execs_done;
-                 p_branches = p.p_keys; p_crashes_total = crashes;
-                 p_crashes_unique = crashes; p_bugs = p.p_bugs };
-             wall_s = None; execs_per_sec = None })
-    in
-    let handle_round w (r : Transport.round_report) =
-      match w.w_job with
-      | None -> w.w_last <- now ()
-      | Some (i, a) ->
-        w.w_job <- None;
-        w.w_last <- now ();
-        let p = states.(i) in
-        (if r.rr_generation > 0 then
-           match
-             Store.promote ~dir:p.p_dir ~worker:w.w_id r.rr_generation
-           with
-           | Ok g -> p.p_generation <- g
-           | Error e ->
-             warn
-               (Printf.sprintf "%s: promote of gen %d.w%d failed: %s"
-                  p.p_campaign.Store.sc_id r.rr_generation w.w_id e));
-        p.p_rounds <- p.p_rounds + 1;
-        p.p_allocated <- p.p_allocated + a;
-        p.p_executed <- p.p_executed + r.rr_executed;
-        p.p_execs_done <- r.rr_execs_done;
-        p.p_keys <- r.rr_coverage_keys;
-        p.p_branches <- r.rr_branches;
-        let delta = max 0 r.rr_new_keys in
-        p.p_new_keys <- p.p_new_keys + delta;
-        if r.rr_reloads > 0 then begin
-          p.p_crash_base <- p.p_crash_base + p.p_seg_crashes;
-          p.p_logic_base <- p.p_logic_base + p.p_seg_logic
-        end;
-        p.p_seg_crashes <- r.rr_crashes_unique;
-        p.p_seg_logic <- r.rr_logic_unique;
-        p.p_bugs <-
-          List.sort_uniq compare (p.p_bugs @ r.rr_bugs);
-        p.p_error <- r.rr_error;
-        dealt_total := !dealt_total + a;
-        round_dealt := !round_dealt + a;
-        incr round_completed;
-        (match spec.Spec.fs_policy with
-         | Spec.Bandit ->
-           let pulls =
-             if i < Array.length !current_pulls then !current_pulls.(i)
-             else 1
-           in
-           Bandit.update bandit ~arm:i ~pulls
-             ~reward:(float_of_int delta /. float_of_int (max 1 a))
-         | Spec.Round_robin -> ());
-        Telemetry.Registry.incr (per_ctr p "rounds");
-        Telemetry.Registry.incr ~by:a (per_ctr p "allocated");
-        Telemetry.Registry.incr ~by:delta (per_ctr p "new_keys");
-        Telemetry.Registry.incr (wk_ctr w.w_id "rounds");
-        Telemetry.Registry.incr ~by:r.rr_executed (wk_ctr w.w_id "execs");
-        Telemetry.Registry.incr ~by:r.rr_reloads (store_ctr "reloads");
-        Telemetry.Registry.incr ~by:r.rr_reload_skipped
-          (store_ctr "reload_skipped");
-        checkpoint p r;
-        decr outstanding
-    in
-    let handle_line w line =
-      match Transport.message_of_line line with
-      | Error e ->
-        fail_slot w
-          (Printf.sprintf "sent a malformed control line (%s)" e)
-      | Ok (Transport.Hello _) -> w.w_last <- now ()
-      | Ok (Transport.Heartbeat _) ->
-        w.w_last <- now ();
-        on_heartbeat ~worker:w.w_id ~pid:w.w_pid
-      | Ok (Transport.Fatal e) -> fail_slot w ("reported fatal: " ^ e)
-      | Ok (Transport.Round r) -> handle_round w r
-    in
-    let drain_lines w =
-      let spawns = w.w_spawns in
-      let continue_drain = ref true in
-      while !continue_drain && w.w_spawns = spawns do
-        let s = Buffer.contents w.w_buf in
-        match String.index_opt s '\n' with
-        | None -> continue_drain := false
-        | Some i ->
-          let line = String.sub s 0 i in
-          Buffer.clear w.w_buf;
-          Buffer.add_substring w.w_buf s (i + 1) (String.length s - i - 1);
-          handle_line w line
-      done
-    in
-    let scratch = Bytes.create 8192 in
-    let read_slot w fd =
-      match Unix.read fd scratch 0 (Bytes.length scratch) with
-      | 0 -> fail_slot w "closed its stdout"
-      | len ->
-        Buffer.add_subbytes w.w_buf scratch 0 len;
-        drain_lines w
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) -> ()
-      | exception Unix.Unix_error _ -> fail_slot w "stdout read failed"
-    in
-    let pump timeout =
-      let live =
-        Array.to_list slots
-        |> List.filter_map (fun w ->
-            if w.w_live then
-              match w.w_fd with
-              | Some fd -> Some (w, fd, w.w_spawns)
-              | None -> None
-            else None)
-      in
-      let readable =
-        match live with
-        | [] ->
-          (* Nothing to select on; don't busy-spin while respawns or
-             retirements settle. *)
-          Unix.sleepf (min timeout 0.02);
-          []
-        | _ -> (
-            match Unix.select (List.map (fun (_, fd, _) -> fd) live) [] [] timeout with
-            | r, _, _ -> r
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> [])
-      in
-      List.iter
-        (fun (w, fd, spawns) ->
-           if List.memq fd readable && w.w_spawns = spawns && w.w_live then
-             read_slot w fd)
-        live;
-      Array.iter
-        (fun w ->
-           if w.w_live then
-             match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
-             | 0, _ -> ()
-             | _, _ -> fail_slot ~already_dead:true w "exited unexpectedly"
-             | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-               fail_slot ~already_dead:true w "exited unexpectedly")
-        slots;
-      Array.iter
-        (fun w ->
-           if w.w_live && w.w_job <> None
-              && now () -. w.w_last > heartbeat_timeout
-           then
-             fail_slot w
-               (Printf.sprintf "missed heartbeats for %.1fs"
-                  (now () -. w.w_last)))
-        slots
-    in
-    let usable () =
-      Array.exists (fun w -> not w.w_retired) slots
-    in
+    let metrics = Telemetry.Registry.create () in
     let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-    Fun.protect
-      ~finally:(fun () -> ignore (Sys.signal Sys.sigpipe old_sigpipe))
-      (fun () ->
-         Array.iter spawn_slot slots;
-         let progressed = ref true in
-         let continue_ () =
-           !progressed
-           && !dealt_total < spec.Spec.fs_total_execs
-           && Array.exists p_alive states
-           && usable ()
-         in
-         while continue_ () do
-           incr round;
-           let active = Array.map p_alive states in
-           let round_budget =
-             min spec.Spec.fs_round_execs
-               (spec.Spec.fs_total_execs - !dealt_total)
-           in
-           let alloc, pulls =
-             deal_round ~policy:spec.Spec.fs_policy ~bandit ~round_budget
-               ~active ~remaining:(Array.map p_remaining states)
-           in
-           current_pulls := pulls;
-           let jobs =
-             Array.to_list (Array.mapi (fun i a -> (i, a)) alloc)
-             |> List.filter (fun (_, a) -> a > 0)
-           in
-           if jobs = [] then progressed := false
-           else begin
-             progressed := true;
-             pending := jobs;
-             outstanding := List.length jobs;
-             round_completed := 0;
-             round_dealt := 0;
-             while !outstanding > 0 && usable () do
-               dispatch ();
-               pump 0.1
-             done;
-             if !outstanding > 0 then begin
-               warn
-                 (Printf.sprintf
-                    "farm: all worker slots exhausted with %d round jobs \
-                     unserved"
-                    !outstanding);
-               pending := [];
-               outstanding := 0;
-               progressed := false
-             end;
-             if !round_completed > 0 then begin
-               Telemetry.Registry.incr rounds_ctr;
-               Telemetry.Registry.incr ~by:!round_dealt alloc_ctr
-             end
-           end
-         done;
-         (* Orderly shutdown: ask, wait briefly, then make sure. *)
-         Array.iter
-           (fun w ->
-              if w.w_live then (
-                match w.w_stdin with
-                | Some oc -> (
-                    try
-                      output_string oc
-                        (Transport.command_to_line Transport.Shutdown);
-                      output_char oc '\n';
-                      flush oc;
-                      close_out oc;
-                      w.w_stdin <- None
-                    with Sys_error _ -> ())
-                | None -> ()))
-           slots;
-         let deadline = now () +. 5.0 in
-         Array.iter
-           (fun w ->
-              if w.w_live then begin
-                let rec wait () =
-                  match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
-                  | 0, _ ->
-                    if now () < deadline then begin
-                      Unix.sleepf 0.02;
-                      wait ()
-                    end
-                    else begin
-                      (try Unix.kill w.w_pid Sys.sigkill
-                       with Unix.Unix_error _ -> ());
-                      (try ignore (Unix.waitpid [] w.w_pid)
-                       with Unix.Unix_error _ -> ())
-                    end
-                  | _, _ -> ()
-                  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-                in
-                wait ();
-                close_ends w;
-                w.w_live <- false
-              end)
-           slots);
-    (* Namespace hygiene: no unpromoted worker generation survives the
-       farm, whatever happened to its worker. *)
-    Array.iter
-      (fun p ->
-         Array.iter
-           (fun w ->
-              Store.discard_worker_generations ~dir:p.p_dir ~worker:w.w_id)
-           slots)
-      states;
-    Telemetry.Sink.emit sink
-      (Telemetry.Event.Registry_dump { series = "farm"; registry = metrics });
-    let fr_rounds = Telemetry.Registry.counter_value metrics "farm.rounds" in
-    if fr_rounds = 0 && Array.for_all (fun w -> w.w_retired) slots then
+    let r =
+      Fun.protect
+        ~finally:(fun () -> ignore (Sys.signal Sys.sigpipe old_sigpipe))
+        (fun () ->
+           process_backend ~worker_cmd ~heartbeat_timeout ~max_restarts
+             ~on_heartbeat ~metrics ~warnings slots crecs
+           |> farm ~sink ~metrics ~workers ~warnings spec crecs
+                ~meta:[ ("backend", Telemetry.Json.Str "processes") ])
+    in
+    if r.fr_rounds = 0 && Array.for_all (fun w -> w.w_retired) slots then
       Error "farm: every worker slot failed before completing a round"
-    else
-      Ok
-        { fr_campaigns =
-            Array.to_list
-              (Array.map
-                 (fun p ->
-                    { fc_campaign = p.p_campaign; fc_rounds = p.p_rounds;
-                      fc_allocated = p.p_allocated;
-                      fc_executed = p.p_executed;
-                      fc_execs_done = p.p_execs_done;
-                      fc_branches = p.p_branches;
-                      fc_coverage_keys = p.p_keys;
-                      fc_new_keys = p.p_new_keys;
-                      fc_crashes_unique = p.p_crash_base + p.p_seg_crashes;
-                      fc_logic_unique = p.p_logic_base + p.p_seg_logic;
-                      fc_bugs = p.p_bugs; fc_generation = p.p_generation;
-                      fc_resumed_from = p.p_resumed_from;
-                      fc_finished = p_finished p; fc_error = p.p_error })
-                 states);
-          fr_rounds; fr_allocated = !dealt_total; fr_metrics = metrics;
-          fr_warnings = List.rev !warnings }
+    else Ok r

@@ -1,23 +1,32 @@
 (** The farm scheduler: many campaigns, one exec budget, UCB1 arms.
 
-    [legofuzz farm <spec.json>] multiplexes the spec's campaigns over a
-    bounded pool of OCaml 5 domains. Each round the scheduler
-    reallocates [fs_round_execs] executions across the still-active
-    campaigns — UCB1 ({!Bandit}) over per-round new-coverage-key
-    deltas, or plain round-robin for the ablation baseline — runs the
-    allocated slices concurrently (each campaign entirely on one domain
-    per round, so campaigns stay single-shard deterministic), then
-    feeds the observed rewards back and persists every ran campaign's
-    store generation. A farm killed between rounds therefore loses at
-    most one round of work, and [legofuzz resume] (or simply re-running
-    the farm) picks each campaign up from its last good generation.
+    [legofuzz farm <spec.json>] runs the spec's campaigns through one
+    round loop. Each round the scheduler reallocates [fs_round_execs]
+    executions across the still-active campaigns — UCB1 ({!Bandit}) over
+    per-round new-coverage-key deltas, or plain round-robin for the
+    ablation baseline — and hands the round's [(campaign, execs)] jobs to
+    a backend. The backend runs each job as one {!Worker.run_slice}: run
+    the execs, save the campaign as a new store generation, return a
+    {!Transport.round_report} whose generation is already final. The
+    loop then folds the reports in job order; that fold alone updates
+    the per-campaign records, rewards the bandit, bumps the [farm.*]
+    counters and emits the checkpoints, so both backends report alike.
+
+    Backends: {!run} is a pool of OCaml 5 domains over live campaign
+    states (each campaign entirely on one domain per round, so campaigns
+    stay single-shard deterministic); {!run_processes} deals jobs to
+    [legofuzz worker] processes and promotes their generations. A farm
+    killed between rounds therefore loses at most one round of work, and
+    [legofuzz resume] (or simply re-running the farm) picks each
+    campaign up from its last good generation.
 
     Coverage keys: edge branches plus nonzero grammar-virgin cells —
     the same news signal the harness feedback modes use.
 
     Determinism: campaigns never share state, rewards are pure exec /
-    key counts, and {!Bandit} is RNG-free — a farm run is a function of
-    (spec, stores on disk), independent of domain scheduling. *)
+    key counts, and {!Bandit} is RNG-free — an in-process farm run is a
+    function of (spec, stores on disk), independent of domain scheduling
+    and of the domain count (tested). *)
 
 type campaign_result = {
   fc_campaign : Store.campaign;
@@ -78,7 +87,7 @@ val run_processes :
   Spec.t ->
   (result, string) Stdlib.result
 (** The multi-process backend (DESIGN.md §17): the same round loop,
-    but each round slice runs in a spawned worker process
+    but each job runs in a spawned worker process
     ([legofuzz worker], or whatever argv [worker_cmd slot_id] returns)
     speaking the {!Transport} line protocol over its stdin/stdout.
     Workers persist rounds into their store generation namespaces
@@ -96,6 +105,9 @@ val run_processes :
 
     [on_heartbeat] is a test hook invoked on every worker heartbeat
     with the slot id and live pid.
+
+    Checkpoints have the in-process shape; finding counts add up the
+    segments between worker reloads.
 
     Extra metrics over the in-process backend:
     [farm.worker.<K>.{rounds,execs,restarts}] and

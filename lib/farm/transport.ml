@@ -19,6 +19,7 @@ type round_report = {
   rr_branches : int;
   rr_coverage_keys : int;
   rr_new_keys : int;
+  rr_crashes_total : int;
   rr_crashes_unique : int;
   rr_logic_unique : int;
   rr_bugs : string list;
@@ -53,6 +54,7 @@ let round_to_json r =
       ("branches", Json.Int r.rr_branches);
       ("coverage_keys", Json.Int r.rr_coverage_keys);
       ("new_keys", Json.Int r.rr_new_keys);
+      ("crashes_total", Json.Int r.rr_crashes_total);
       ("crashes_unique", Json.Int r.rr_crashes_unique);
       ("logic_unique", Json.Int r.rr_logic_unique);
       ("bugs", Json.Arr (List.map (fun b -> Json.Str b) r.rr_bugs));
@@ -126,6 +128,7 @@ let round_of_json json =
   let* branches = field "branches" Json.to_int json in
   let* coverage_keys = field "coverage_keys" Json.to_int json in
   let* new_keys = field "new_keys" Json.to_int json in
+  let* crashes_total = field "crashes_total" Json.to_int json in
   let* crashes_unique = field "crashes_unique" Json.to_int json in
   let* logic_unique = field "logic_unique" Json.to_int json in
   let* bugs = field "bugs" str_list json in
@@ -145,7 +148,8 @@ let round_of_json json =
     { rr_campaign = campaign; rr_round = round; rr_allocated = allocated;
       rr_executed = executed; rr_execs_done = execs_done;
       rr_branches = branches; rr_coverage_keys = coverage_keys;
-      rr_new_keys = new_keys; rr_crashes_unique = crashes_unique;
+      rr_new_keys = new_keys; rr_crashes_total = crashes_total;
+      rr_crashes_unique = crashes_unique;
       rr_logic_unique = logic_unique; rr_bugs = bugs;
       rr_generation = generation; rr_finished = finished;
       rr_reloads = reloads; rr_reload_skipped = reload_skipped;

@@ -31,6 +31,7 @@ type round_report = {
   rr_coverage_keys : int;  (** branches + grammar cells after the round *)
   rr_new_keys : int;       (** coverage-key delta this round — the
                                coordinator's bandit reward *)
+  rr_crashes_total : int;  (** crash occurrences, duplicates included *)
   rr_crashes_unique : int; (** preloaded keys excluded *)
   rr_logic_unique : int;
   rr_bugs : string list;

@@ -196,6 +196,28 @@ let starts_query st =
   | Lexer.KW "SELECT" | Lexer.KW "VALUES" -> true
   | _ -> false
 
+(* [(e, ...), (e, ...), ...]: comma-separated parenthesised rows of
+   [elem]s, as in VALUES lists. A row may be empty — the printer renders
+   a row for a table with no columns left as [()]. *)
+let parse_rows st elem =
+  let row () =
+    expect_tok st Lexer.LPAREN "(";
+    if accept_tok st Lexer.RPAREN then []
+    else begin
+      let es = ref [ elem st ] in
+      while accept_tok st Lexer.COMMA do
+        es := elem st :: !es
+      done;
+      expect_tok st Lexer.RPAREN ")";
+      List.rev !es
+    end
+  in
+  let rows = ref [ row () ] in
+  while accept_tok st Lexer.COMMA do
+    rows := row () :: !rows
+  done;
+  List.rev !rows
+
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -585,20 +607,7 @@ and parse_query_atom st =
   | Lexer.KW "SELECT" -> Q_select (parse_select st)
   | Lexer.KW "VALUES" ->
     advance st;
-    let row () =
-      expect_tok st Lexer.LPAREN "(";
-      let es = ref [ parse_expr_top st ] in
-      while accept_tok st Lexer.COMMA do
-        es := parse_expr_top st :: !es
-      done;
-      expect_tok st Lexer.RPAREN ")";
-      List.rev !es
-    in
-    let rows = ref [ row () ] in
-    while accept_tok st Lexer.COMMA do
-      rows := row () :: !rows
-    done;
-    Q_values (List.rev !rows)
+    Q_values (parse_rows st parse_expr_top)
   | _ -> fail st "expected SELECT or VALUES"
 
 and parse_select st =
@@ -772,21 +781,7 @@ let parse_priv st =
     fail st "expected privilege"
 
 let parse_literal_rows st =
-  prod st site_literal_rows @@ fun () ->
-  let row () =
-    expect_tok st Lexer.LPAREN "(";
-    let ls = ref [ parse_literal st ] in
-    while accept_tok st Lexer.COMMA do
-      ls := parse_literal st :: !ls
-    done;
-    expect_tok st Lexer.RPAREN ")";
-    List.rev !ls
-  in
-  let rows = ref [ row () ] in
-  while accept_tok st Lexer.COMMA do
-    rows := row () :: !rows
-  done;
-  List.rev !rows
+  prod st site_literal_rows @@ fun () -> parse_rows st parse_literal
 
 let rec parse_stmt st =
   prod st site_stmt @@ fun () ->
@@ -1319,22 +1314,7 @@ and parse_insert_body st =
     else []
   in
   let i_source =
-    if accept_kw st "VALUES" then begin
-      let row () =
-        expect_tok st Lexer.LPAREN "(";
-        let es = ref [ parse_expr_top st ] in
-        while accept_tok st Lexer.COMMA do
-          es := parse_expr_top st :: !es
-        done;
-        expect_tok st Lexer.RPAREN ")";
-        List.rev !es
-      in
-      let rows = ref [ row () ] in
-      while accept_tok st Lexer.COMMA do
-        rows := row () :: !rows
-      done;
-      Src_values (List.rev !rows)
-    end
+    if accept_kw st "VALUES" then Src_values (parse_rows st parse_expr_top)
     else Src_query (parse_query st)
   in
   { i_table; i_cols; i_source; i_ignore }

@@ -55,17 +55,28 @@ let pick ~print arr =
 
 let pick_str arr = pick ~print:Fun.id arr
 
+(* A testcase the LEGO generator emits once a table has lost its last
+   column: the INSERT prints as [VALUES ()]. Built as an AST so the pool
+   does not depend on the parser accepting it. *)
+let zero_column_testcase =
+  parse "CREATE TABLE v1 (c1 INT); ALTER TABLE v1 DROP COLUMN c1"
+  @ [ Ast.S_insert
+        { i_table = "v1"; i_cols = []; i_source = Ast.Src_values [ [] ];
+          i_ignore = true } ]
+
 let testcase_pool =
-  Array.map parse
-    [| "SELECT 1";
-       "SELECT a FROM t WHERE a > 0";
-       "CREATE TABLE t (a INT, b TEXT)";
-       "CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT a FROM t";
-       "INSERT INTO t VALUES (1, 'x')";
-       "UPDATE t SET a = 2 WHERE b = 'x'";
-       "DELETE FROM t WHERE a IS NOT NULL";
-       "DROP TABLE IF EXISTS t";
-       "SELECT a, b FROM t ORDER BY a LIMIT 3" |]
+  Array.append
+    (Array.map parse
+       [| "SELECT 1";
+          "SELECT a FROM t WHERE a > 0";
+          "CREATE TABLE t (a INT, b TEXT)";
+          "CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT a FROM t";
+          "INSERT INTO t VALUES (1, 'x')";
+          "UPDATE t SET a = 2 WHERE b = 'x'";
+          "DELETE FROM t WHERE a IS NOT NULL";
+          "DROP TABLE IF EXISTS t";
+          "SELECT a, b FROM t ORDER BY a LIMIT 3" |])
+    [| zero_column_testcase |]
 
 let stmt_pool =
   Array.map parse_stmt
@@ -210,6 +221,12 @@ let test_roundtrip_meta () =
 
 let test_roundtrip_corpus () =
   with_dir "rt-corpus" (fun dir ->
+    let seed =
+      { Sync.xs_tc = zero_column_testcase; xs_cov_hash = 7L;
+        xs_new_branches = 1; xs_cost = 3 }
+    in
+    Alcotest.(check bool) "INSERT ... VALUES () corpus entry reloads" true
+      (roundtrips dir { (base ()) with Store.sn_seeds = [ seed ] });
     Prop.check ~name:"corpus save→load ≡ identity"
       (Prop.list ~max_len:12 gen_xseed)
       (fun seeds -> roundtrips dir { (base ()) with Store.sn_seeds = seeds }))
@@ -560,6 +577,50 @@ let test_scheduler_planted () =
                  <> []))
         [ hot; cold ])
 
+(* A farm run is a function of (spec, stores on disk), independent of
+   domain scheduling: one domain and two emit the same checkpoint stream
+   and end with the same per-campaign counts. *)
+let test_scheduler_domain_independent () =
+  let farm workers =
+    with_dir "farm-det" (fun runs_dir ->
+      let checkpoints = ref [] in
+      let sink =
+        { Telemetry.Sink.emit =
+            (function
+              | Telemetry.Event.Checkpoint _ as e ->
+                checkpoints :=
+                  Telemetry.Json.to_string (Telemetry.Event.to_json e)
+                  :: !checkpoints
+              | _ -> ());
+          close = ignore }
+      in
+      let spec = { (parse_spec ()) with Spec.fs_workers = workers } in
+      match Scheduler.run ~sink ~runs_dir spec with
+      | Error m -> Alcotest.failf "farm on %d domain(s): %s" workers m
+      | Ok r -> (List.rev !checkpoints, r.Scheduler.fr_campaigns))
+  in
+  let cps1, camps1 = farm 1 and cps2, camps2 = farm 2 in
+  Alcotest.(check bool) "checkpoints emitted" true (cps1 <> []);
+  Alcotest.(check (list string)) "farm/<id> checkpoints" cps1 cps2;
+  List.iter2
+    (fun (a : Scheduler.campaign_result) (b : Scheduler.campaign_result) ->
+       let id = a.fc_campaign.Store.sc_id in
+       List.iter
+         (fun (what, f) ->
+            Alcotest.(check int) (id ^ " " ^ what) (f a) (f b))
+         [ ("rounds", fun c -> c.Scheduler.fc_rounds);
+           ("allocated", fun c -> c.Scheduler.fc_allocated);
+           ("executed", fun c -> c.Scheduler.fc_executed);
+           ("execs_done", fun c -> c.Scheduler.fc_execs_done);
+           ("branches", fun c -> c.Scheduler.fc_branches);
+           ("coverage_keys", fun c -> c.Scheduler.fc_coverage_keys);
+           ("new_keys", fun c -> c.Scheduler.fc_new_keys);
+           ("crashes_unique", fun c -> c.Scheduler.fc_crashes_unique);
+           ("logic_unique", fun c -> c.Scheduler.fc_logic_unique);
+           ("generation", fun c -> c.Scheduler.fc_generation) ];
+       Alcotest.(check (list string)) (id ^ " bugs") a.fc_bugs b.fc_bugs)
+    camps1 camps2
+
 (* --- resume golden test ------------------------------------------------ *)
 
 let golden_budget = 12_000
@@ -699,19 +760,19 @@ let gen_report =
   Prop.map
     ~print:(fun r -> Transport.message_to_line (Transport.Round r))
     (fun ((c, (round, alloc, ex), (ed, br, keys)),
-          ((nk, cu, lu), bugs, ((g, rl, rs), fin, err))) ->
+          (((nk, ct), cu, lu), bugs, ((g, rl, rs), fin, err))) ->
       { Transport.rr_campaign = c; rr_round = round; rr_allocated = alloc;
         rr_executed = ex; rr_execs_done = ed; rr_branches = br;
-        rr_coverage_keys = keys; rr_new_keys = nk; rr_crashes_unique = cu;
-        rr_logic_unique = lu; rr_bugs = bugs; rr_generation = g;
-        rr_finished = fin; rr_reloads = rl; rr_reload_skipped = rs;
-        rr_error = err })
+        rr_coverage_keys = keys; rr_new_keys = nk; rr_crashes_total = ct;
+        rr_crashes_unique = cu; rr_logic_unique = lu; rr_bugs = bugs;
+        rr_generation = g; rr_finished = fin; rr_reloads = rl;
+        rr_reload_skipped = rs; rr_error = err })
     (Prop.pair
        (Prop.triple (pick_str key_pool)
           (Prop.triple small_int small_int small_int)
           (Prop.triple small_int small_int small_int))
        (Prop.triple
-          (Prop.triple small_int small_int small_int)
+          (Prop.triple (Prop.pair small_int small_int) small_int small_int)
           (Prop.list ~max_len:4 (pick_str key_pool))
           (Prop.triple
              (Prop.triple small_int small_int small_int)
@@ -1106,6 +1167,8 @@ let suite =
       test_discard_worker_generations;
     Alcotest.test_case "farm: planted two campaigns" `Slow
       test_scheduler_planted;
+    Alcotest.test_case "farm: independent of domain count" `Slow
+      test_scheduler_domain_independent;
     Alcotest.test_case "resume: golden parity" `Slow test_resume_golden;
     Alcotest.test_case "processes: SIGKILL recovery" `Slow
       test_processes_sigkill_recovery;

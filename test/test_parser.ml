@@ -195,30 +195,41 @@ let test_handwritten_roundtrips () =
       "SELECT COUNT(DISTINCT a), GROUP_CONCAT(b) FROM t GROUP BY c";
       "SELECT * FROM (SELECT a FROM t) AS sub WHERE (a IN (1, 2, 3))";
       "WITH w AS (UPDATE t SET a = 1) INSERT INTO t VALUES (2)";
-      "SELECT ROW_NUMBER() OVER (ORDER BY a ASC) FROM t" ]
+      "SELECT ROW_NUMBER() OVER (ORDER BY a ASC) FROM t";
+      "INSERT IGNORE INTO t VALUES ()" ]
 
 (* Property: the generator's statements all print to parseable SQL that
-   round-trips structurally — for every one of the 94 statement types. *)
+   round-trips structurally — for every one of the 94 statement types,
+   against a two-column table and against a table whose last column was
+   dropped (its INSERTs print [VALUES ()]). *)
+let generator_schemas =
+  [ [ "CREATE TABLE g1 (c1 INT, c2 TEXT)" ];
+    [ "CREATE TABLE g0 (c1 INT)"; "ALTER TABLE g0 DROP COLUMN c1" ] ]
+
 let prop_generator_roundtrip =
   QCheck.Test.make ~name:"print/parse roundtrip on generated statements"
     ~count:500
     QCheck.(pair small_nat (int_bound (Stmt_type.count - 1)))
     (fun (seed, ty_idx) ->
-       let rng = Reprutil.Rng.create (seed + 1) in
-       let schema = Lego.Sym_schema.empty () in
-       (* give the generator something to reference *)
-       Lego.Sym_schema.apply schema
-         (P.parse_stmt_exn "CREATE TABLE g1 (c1 INT, c2 TEXT)");
-       let ty = Stmt_type.of_index ty_idx in
-       let stmt = Lego.Generator.stmt rng schema ty in
-       let printed = Sql_printer.stmt stmt in
-       match P.parse_stmt printed with
-       | Error msg -> QCheck.Test.fail_reportf "parse failed: %s\n%s" msg printed
-       | Ok reparsed ->
-         if reparsed = stmt then true
-         else
-           QCheck.Test.fail_reportf "roundtrip mismatch:\n%s\n%s" printed
-             (Sql_printer.stmt reparsed))
+       List.for_all
+         (fun ddl ->
+            let rng = Reprutil.Rng.create (seed + 1) in
+            let schema = Lego.Sym_schema.empty () in
+            (* give the generator something to reference *)
+            List.iter
+              (fun sql -> Lego.Sym_schema.apply schema (P.parse_stmt_exn sql))
+              ddl;
+            let ty = Stmt_type.of_index ty_idx in
+            let stmt = Lego.Generator.stmt rng schema ty in
+            let printed = Sql_printer.stmt stmt in
+            match P.parse_stmt printed with
+            | Error msg ->
+              QCheck.Test.fail_reportf "parse failed: %s\n%s" msg printed
+            | Ok reparsed ->
+              reparsed = stmt
+              || QCheck.Test.fail_reportf "roundtrip mismatch:\n%s\n%s"
+                   printed (Sql_printer.stmt reparsed))
+         generator_schemas)
 
 (* Grammar recording must be a pure function of the SQL text: parsing
    the same input twice into fresh grammar bitmaps yields cell-identical
