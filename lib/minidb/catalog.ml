@@ -1,11 +1,23 @@
 open Sqlcore
 
+(* An index reads as of the last time its table's version was recorded
+   (the end of each DML statement, DDL on the table, REINDEX, ROLLBACK),
+   not as of the live table. Recording keeps an O(1) copy of the table
+   ([None]: the table was gone); the index is built from that copy on
+   the first lookup and replaces it in the version, which engine
+   snapshots share. *)
+type index_version = { mutable iv : index_state }
+
+and index_state =
+  | Pending of Storage.Table.t option
+  | Built of Storage.Index.t
+
 type index_spec = {
   x_name : string;
   x_table : string;
   x_cols : string list;
   x_unique : bool;
-  x_data : Storage.Index.t;
+  mutable x_version : index_version;
 }
 
 type trigger = {
@@ -172,22 +184,54 @@ let take_snapshot t =
         (fun name sq acc -> (name, sq.sq_value) :: acc)
         t.sequences [] }
 
-let rebuild_indexes t =
+(* The one index builder: [cols] over [table]'s rows in rowid order.
+   A repeated key of a unique index keeps its first row only; the
+   second result says whether that happened. A table that lacks one of
+   [cols] gives an empty index. *)
+let build_index ~unique cols table =
+  let data = Storage.Index.create ~unique in
+  let dup = ref false in
+  (match table with
+   | None -> ()
+   | Some table ->
+     let positions = List.filter_map (Storage.Table.col_index table) cols in
+     if List.length positions = List.length cols then
+       Storage.Table.iter
+         (fun rowid row ->
+            let key = List.map (fun p -> row.(p)) positions in
+            match Storage.Index.add data key rowid with
+            | `Ok -> ()
+            | `Dup _ -> dup := true)
+         table);
+  (data, !dup)
+
+let index_data spec =
+  match spec.x_version.iv with
+  | Built data -> data
+  | Pending table ->
+    let data, _ = build_index ~unique:spec.x_unique spec.x_cols table in
+    spec.x_version.iv <- Built data;
+    data
+
+let version_of_index data = { iv = Built data }
+
+let record_version t spec =
+  let table =
+    Option.map Storage.Table.copy (Hashtbl.find_opt t.tables spec.x_table)
+  in
+  spec.x_version <- { iv = Pending table };
+  (* A ragged table may fail to index; build now so the failure
+     surfaces here, where it always did. *)
+  match table with
+  | Some tbl when Storage.Table.ragged tbl -> ignore (index_data spec)
+  | _ -> ()
+
+let record_index_versions ?table t =
   Hashtbl.iter
     (fun _ spec ->
-       Storage.Index.clear spec.x_data;
-       match Hashtbl.find_opt t.tables spec.x_table with
-       | None -> ()
-       | Some table ->
-         let positions =
-           List.filter_map (Storage.Table.col_index table) spec.x_cols
-         in
-         if List.length positions = List.length spec.x_cols then
-           Storage.Table.iter
-             (fun rowid row ->
-                let key = List.map (fun p -> row.(p)) positions in
-                ignore (Storage.Index.add spec.x_data key rowid))
-             table)
+       match table with
+       | Some name when not (String.equal spec.x_table name) -> ()
+       | _ -> record_version t spec)
     t.indexes
 
 let restore_snapshot t snapshot =
@@ -206,7 +250,7 @@ let restore_snapshot t snapshot =
        | Some sq -> sq.sq_value <- v
        | None -> ())
     snapshot.sn_sequences;
-  rebuild_indexes t
+  record_index_versions t
 
 let copy_snapshot sn =
   { sn_tables =
@@ -330,9 +374,7 @@ let deep_copy t =
          copy's own [v_cache] field — so the row lists can be shared. *)
       copy_bindings (fun v -> { v with v_cache = v.v_cache }) t.views;
     indexes =
-      copy_bindings
-        (fun s -> { s with x_data = Storage.Index.copy s.x_data })
-        t.indexes;
+      copy_bindings (fun s -> { s with x_version = s.x_version }) t.indexes;
     (* Immutable payloads: a plain table copy is enough. *)
     triggers = Hashtbl.copy t.triggers;
     rules = Hashtbl.copy t.rules;

@@ -7,12 +7,17 @@
 
 open Sqlcore
 
+type index_version
+(** The table contents an index answers for: an O(1) copy of its table
+    as of the last {!record_index_versions}, replaced by the index built
+    from it on first use. Shared by {!deep_copy}. *)
+
 type index_spec = {
   x_name : string;
   x_table : string;
   x_cols : string list;
   x_unique : bool;
-  x_data : Storage.Index.t;
+  mutable x_version : index_version;
 }
 
 type trigger = {
@@ -114,9 +119,26 @@ val take_snapshot : t -> snapshot
 
 val restore_snapshot : t -> snapshot -> unit
 (** Restore data to the snapshot; schema objects created since the
-    snapshot that hold data are cleared, and index data is rebuilt. *)
+    snapshot that hold data are cleared, and every index's version is
+    recorded afresh. *)
 
-val rebuild_indexes : t -> unit
+val build_index :
+  unique:bool -> string list -> Storage.Table.t option ->
+  Storage.Index.t * bool
+(** [build_index ~unique cols table]: the index on [cols] over [table]'s
+    rows in rowid order, and whether a repeated unique key was left out
+    of it. Empty when the table is absent or lacks one of [cols]. *)
+
+val version_of_index : Storage.Index.t -> index_version
+(** A version already built: [CREATE INDEX] builds eagerly to reject
+    duplicate keys. *)
+
+val record_index_versions : ?table:string -> t -> unit
+(** Point the indexes on [table] (default: all) at their table's
+    current contents, by name, in O(1) per index. *)
+
+val index_data : index_spec -> Storage.Index.t
+(** The index as of its recorded version, built on first use. *)
 
 val deep_copy : t -> t
 (** Independent copy of the whole catalog — every table, index, view

@@ -220,6 +220,37 @@ type binding = {
 
 type env_row = binding list
 
+(* One SELECT's window plan for one OVER clause whose PARTITION BY and
+   ORDER BY keys are all columns or literals. Evaluating such keys fires
+   no probe and has no other effect, so partitioning once and sorting
+   each partition once gives exactly what the per-row path computes. *)
+type win_part = {
+  pt_members : int list;  (* row indexes, ascending *)
+  mutable pt_sorted : int array option;  (* window order, on first use *)
+}
+
+type win_plan = {
+  wp_part_of : int array;  (* row index -> partition *)
+  wp_parts : win_part array;
+  wp_pos : int array;  (* row index -> place in its window order *)
+  wp_rank : int array;
+  wp_dense : int array;
+}
+
+(* Per SELECT: [None] for an OVER clause the per-row path serves. *)
+type win_plans = (over_clause * win_plan option) list ref
+
+module Kmap = Map.Make (Index.Key)
+module Iset = Set.Make (Int)
+module Vset = Set.Make (struct
+    type t = Value.t
+    let compare = Value.compare_total
+  end)
+module Sset = Set.Make (struct
+    type t = string list
+    let compare = compare
+  end)
+
 let resolve_col (row : env_row) q name =
   match q with
   | Some alias -> (
@@ -429,7 +460,7 @@ and eval_from ctx ~where (f : from_item) : env_row list =
                  | None -> Table.to_rows table |> List.map snd
                  | Some spec ->
                    let key = eval_scalar ctx key_expr in
-                   let rowids = Index.find spec.x_data [ key ] in
+                   let rowids = Index.find (Catalog.index_data spec) [ key ] in
                    let rowids =
                      (* test-only planted planner bug: the index path
                         silently loses its first match *)
@@ -684,8 +715,9 @@ and run_select ctx (s : select) : Value.t array list =
       probe ctx s_window (bucket (List.length rows));
       set_flag ctx "window_executed";
       let arr = Array.of_list rows in
+      let plans = ref [] in
       Array.to_list
-        (Array.mapi (fun i row -> (window_env ctx arr i row, row)) arr)
+        (Array.mapi (fun i row -> (window_env ctx arr plans i row, row)) arr)
     end
     else List.map (fun row -> (row_env ctx row, row)) rows
   in
@@ -847,13 +879,12 @@ and compute_agg ctx fn distinct arg members =
   in
   let values =
     if distinct then begin
-      let seen = ref [] in
+      let seen = ref Vset.empty in
       List.filter
         (fun v ->
-           if List.exists (fun o -> Value.compare_total o v = 0) !seen then
-             false
+           if Vset.mem v !seen then false
            else begin
-             seen := v :: !seen;
+             seen := Vset.add v !seen;
              true
            end)
         values
@@ -919,14 +950,14 @@ and compute_agg ctx fn distinct arg members =
       Value.Text
         (String.concat "," (List.map Value.to_display non_null))
 
-and window_env ctx all_rows cur_idx row : Expr_eval.env =
+and window_env ctx all_rows plans cur_idx row : Expr_eval.env =
   let base = row_env ctx row in
   { base with
     win =
       (fun fn args over ->
-         compute_window ctx all_rows cur_idx fn args over) }
+         compute_window ctx all_rows plans cur_idx fn args over) }
 
-and compute_window ctx all_rows cur_idx fn args over =
+and compute_window ctx all_rows plans cur_idx fn args over =
   let fn_tag =
     match fn with
     | Row_number -> 0 | Rank -> 1 | Dense_rank -> 2 | Lead -> 3 | Lag -> 4
@@ -940,60 +971,23 @@ and compute_window ctx all_rows cur_idx fn args over =
         | None -> 0
         | Some { f_kind = F_rows; _ } -> 1
         | Some { f_kind = F_range; _ } -> 2));
-  let eval_at i e = Expr_eval.eval (row_env ctx all_rows.(i)) e in
-  let n = Array.length all_rows in
-  let part_key i = List.map (eval_at i) over.partition_by in
-  let keys_equal a b =
-    List.length a = List.length b
-    && List.for_all2 (fun x y -> Value.compare_total x y = 0) a b
-  in
-  let mine = part_key cur_idx in
-  let part =
-    List.filter
-      (fun i -> keys_equal (part_key i) mine)
-      (List.init n (fun i -> i))
-  in
-  let order_key i = List.map (fun (e, _) -> eval_at i e) over.w_order_by in
-  let dirs = List.map snd over.w_order_by in
-  let cmp_order a b =
-    let rec loop ka kb ds =
-      match (ka, kb, ds) with
-      | [], [], _ -> 0
-      | x :: xs, y :: ys, d :: dt ->
-        let c = Value.compare_total x y in
-        let c = match d with Asc -> c | Desc -> -c in
-        if c <> 0 then c else loop xs ys dt
-      | _ -> 0
-    in
-    loop (order_key a) (order_key b) dirs
-  in
-  let sorted = List.stable_sort cmp_order part in
-  let pos =
-    let rec find i = function
-      | [] -> 0
-      | x :: _ when x = cur_idx -> i
-      | _ :: t -> find (i + 1) t
-    in
-    find 0 sorted
+  (* [sorted] is the current row's partition in window order and [pos]
+     the row's place in it; [rank] and [dense] are forced only by the
+     functions that need them, as the per-row path evaluated them. *)
+  let sorted, pos, rank, dense =
+    match window_plan ctx all_rows plans over with
+    | Some f when window_sort ctx all_rows over f cur_idx ->
+      ( Option.get f.wp_parts.(f.wp_part_of.(cur_idx)).pt_sorted,
+        f.wp_pos.(cur_idx),
+        (fun () -> f.wp_rank.(cur_idx)),
+        fun () -> f.wp_dense.(cur_idx) )
+    | _ -> window_per_row ctx all_rows cur_idx over
   in
   if over.frame <> None then set_flag ctx "window_frame";
   match fn with
   | Row_number -> Value.Int (pos + 1)
-  | Rank ->
-    let before =
-      List.filteri (fun i x -> i < pos && cmp_order x cur_idx < 0) sorted
-    in
-    Value.Int (List.length before + 1)
-  | Dense_rank ->
-    let distinct_before =
-      List.sort_uniq compare
-        (List.filteri (fun i _ -> i < pos) sorted
-         |> List.filter_map (fun x ->
-             if cmp_order x cur_idx < 0 then
-               Some (List.map Value.to_display (order_key x))
-             else None))
-    in
-    Value.Int (List.length distinct_before + 1)
+  | Rank -> Value.Int (rank ())
+  | Dense_rank -> Value.Int (dense ())
   | Lead | Lag ->
     let offset =
       match args with
@@ -1004,14 +998,13 @@ and compute_window ctx all_rows cur_idx fn args over =
       | _ -> 1
     in
     let target = if fn = Lead then pos + offset else pos - offset in
-    if target < 0 || target >= List.length sorted then
+    if target < 0 || target >= Array.length sorted then
       (match args with
        | _ :: _ :: d :: _ -> eval_scalar ctx d
        | _ -> Value.Null)
     else
-      let idx = List.nth sorted target in
       (match args with
-       | e :: _ -> eval_at idx e
+       | e :: _ -> eval_at ctx all_rows sorted.(target) e
        | [] -> Value.Null)
   | Ntile ->
     let buckets =
@@ -1022,8 +1015,172 @@ and compute_window ctx all_rows cur_idx fn args over =
           | _ -> 1)
       | [] -> 1
     in
-    let total = List.length sorted in
+    let total = Array.length sorted in
     Value.Int ((pos * buckets / max 1 total) + 1)
+
+(* The per-row path: partitions and sorts the whole row set for each
+   call, evaluating keys as it goes. Serves key shapes that may fire
+   probes, and any key that fails to evaluate, so errors surface where
+   and when they always did. *)
+and window_per_row ctx all_rows cur_idx over =
+  let n = Array.length all_rows in
+  let part_key i = List.map (eval_at ctx all_rows i) over.partition_by in
+  let keys_equal a b =
+    List.length a = List.length b
+    && List.for_all2 (fun x y -> Value.compare_total x y = 0) a b
+  in
+  let mine = part_key cur_idx in
+  let part =
+    List.filter
+      (fun i -> keys_equal (part_key i) mine)
+      (List.init n (fun i -> i))
+  in
+  let order_key i =
+    List.map (fun (e, _) -> eval_at ctx all_rows i e) over.w_order_by
+  in
+  let cmp_order a b =
+    compare_window_keys over (order_key a) (order_key b)
+  in
+  let sorted = List.stable_sort cmp_order part in
+  let pos =
+    let rec find i = function
+      | [] -> 0
+      | x :: _ when x = cur_idx -> i
+      | _ :: t -> find (i + 1) t
+    in
+    find 0 sorted
+  in
+  let rank () =
+    let before =
+      List.filteri (fun i x -> i < pos && cmp_order x cur_idx < 0) sorted
+    in
+    List.length before + 1
+  in
+  let dense () =
+    let distinct_before =
+      List.sort_uniq compare
+        (List.filteri (fun i _ -> i < pos) sorted
+         |> List.filter_map (fun x ->
+             if cmp_order x cur_idx < 0 then
+               Some (List.map Value.to_display (order_key x))
+             else None))
+    in
+    List.length distinct_before + 1
+  in
+  (Array.of_list sorted, pos, rank, dense)
+
+and eval_at ctx all_rows i e = Expr_eval.eval (row_env ctx all_rows.(i)) e
+
+and compare_window_keys over ka kb =
+  let rec loop ka kb ds =
+    match (ka, kb, ds) with
+    | [], [], _ -> 0
+    | x :: xs, y :: ys, d :: dt ->
+      let c = Value.compare_total x y in
+      let c = match d with Asc -> c | Desc -> -c in
+      if c <> 0 then c else loop xs ys dt
+    | _ -> 0
+  in
+  loop ka kb (List.map snd over.w_order_by)
+
+(* The OVER clause's once-per-SELECT plan, partitioned on first use;
+   [None] when its keys are not all columns and literals, or when a
+   partition key fails to evaluate on some row. *)
+and window_plan ctx all_rows (plans : win_plans) over =
+  match List.assq_opt over !plans with
+  | Some f -> f
+  | None ->
+    let simple = function Col _ | Lit _ -> true | _ -> false in
+    let f =
+      if not (List.for_all simple over.partition_by
+              && List.for_all (fun (e, _) -> simple e) over.w_order_by)
+      then None
+      else
+        let n = Array.length all_rows in
+        match
+          Array.init n (fun i ->
+              List.map (eval_at ctx all_rows i) over.partition_by)
+        with
+        | exception Errors.Sql_error _ -> None
+        | keys ->
+          let ids = ref Kmap.empty and count = ref 0 in
+          let part =
+            Array.map
+              (fun key ->
+                 match Kmap.find_opt key !ids with
+                 | Some p -> p
+                 | None ->
+                   let p = !count in
+                   ids := Kmap.add key p !ids;
+                   incr count;
+                   p)
+              keys
+          in
+          let buckets = Array.make !count [] in
+          for i = n - 1 downto 0 do
+            buckets.(part.(i)) <- i :: buckets.(part.(i))
+          done;
+          Some
+            { wp_part_of = part;
+              wp_parts =
+                Array.map
+                  (fun m -> { pt_members = m; pt_sorted = None })
+                  buckets;
+              wp_pos = Array.make n 0;
+              wp_rank = Array.make n 1;
+              wp_dense = Array.make n 1 }
+    in
+    plans := (over, f) :: !plans;
+    f
+
+(* Sorts the current row's partition on first use and fills [wp_pos],
+   [wp_rank] and [wp_dense] for its rows (their initial values are a
+   one-row partition's answers). [false] when an ORDER BY key
+   of a partition of two or more rows fails to evaluate: the per-row
+   path then raises the error the way it always did. *)
+and window_sort ctx all_rows over f cur_idx =
+  let part = f.wp_parts.(f.wp_part_of.(cur_idx)) in
+  match part.pt_sorted, part.pt_members with
+  | Some _, _ -> true
+  | None, [ _ ] ->
+    part.pt_sorted <- Some (Array.of_list part.pt_members);
+    true
+  | None, members -> (
+      let order_key i =
+        List.map (fun (e, _) -> eval_at ctx all_rows i e) over.w_order_by
+      in
+      match List.map (fun i -> (i, order_key i)) members with
+      | exception Errors.Sql_error _ -> false
+      | keyed ->
+        let sorted =
+          Array.of_list
+            (List.stable_sort
+               (fun (_, ka) (_, kb) -> compare_window_keys over ka kb)
+               keyed)
+        in
+        (* Rows tied under the window order form a contiguous run; RANK
+           counts the rows before the run, DENSE_RANK the distinct
+           displayed keys before it. *)
+        let seen = ref Sset.empty and distinct = ref 0 and start = ref 0 in
+        Array.iteri
+          (fun j (i, key) ->
+             if j > 0 && compare_window_keys over (snd sorted.(j - 1)) key <> 0
+             then begin
+               for k = !start to j - 1 do
+                 let shown = List.map Value.to_display (snd sorted.(k)) in
+                 if not (Sset.mem shown !seen) then begin
+                   seen := Sset.add shown !seen;
+                   incr distinct
+                 end
+               done;
+               start := j
+             end;
+             f.wp_pos.(i) <- j;
+             f.wp_rank.(i) <- !start + 1;
+             f.wp_dense.(i) <- !distinct + 1)
+          sorted;
+        part.pt_sorted <- Some (Array.map fst sorted);
+        true)
 
 and project ctx (env : Expr_eval.env) (row : env_row) projs : Value.t array =
   let out = ref [] in
@@ -1047,26 +1204,6 @@ and project ctx (env : Expr_eval.env) (row : env_row) projs : Value.t array =
 (* ------------------------------------------------------------------ *)
 (* Statement execution                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let rebuild_table_indexes ctx table_name =
-  Hashtbl.iter
-    (fun _ (spec : Catalog.index_spec) ->
-       if String.equal spec.x_table table_name then begin
-         Index.clear spec.x_data;
-         match Hashtbl.find_opt ctx.cat.Catalog.tables table_name with
-         | None -> ()
-         | Some table ->
-           let positions =
-             List.filter_map (Table.col_index table) spec.x_cols
-           in
-           if List.length positions = List.length spec.x_cols then
-             Table.iter
-               (fun rowid row ->
-                  let key = List.map (fun p -> row.(p)) positions in
-                  ignore (Index.add spec.x_data key rowid))
-               table
-       end)
-    ctx.cat.Catalog.indexes
 
 let priv_covers granted needed =
   List.exists (fun p -> p = P_all || p = needed) granted
@@ -1113,6 +1250,13 @@ let check_privs ctx stmt =
       (Ast_util.tables_written stmt)
   end
 
+let violates_not_null cols row =
+  let rec from p =
+    p < Array.length cols
+    && ((cols.(p).Table.c_not_null && row.(p) = Value.Null) || from (p + 1))
+  in
+  from 0
+
 let unique_key_sets ctx table_name table =
   (* Column positions whose value sets must be unique: each UNIQUE/PK
      column by itself, plus every unique index's column list. *)
@@ -1136,20 +1280,29 @@ let find_conflicts ctx table_name table row ~exclude =
   let key_sets = unique_key_sets ctx table_name table in
   if key_sets <> [] && Hashtbl.length ctx.cat.Catalog.indexes > 0 then
     probe ctx s_constraint 9;
-  let conflicts = ref [] in
+  let conflicts = ref [] and seen = ref Iset.empty in
+  let excluded rowid = exclude = Some rowid in
+  let note rowid =
+    if not (excluded rowid || Iset.mem rowid !seen) then begin
+      conflicts := rowid :: !conflicts;
+      seen := Iset.add rowid !seen
+    end
+  in
   List.iter
     (fun positions ->
        let mine = List.map (fun p -> row.(p)) positions in
        if not (List.exists (fun v -> v = Value.Null) mine) then
-         Table.iter
-           (fun rowid other ->
-              if (not (List.mem rowid exclude))
-                 && List.for_all
-                      (fun p -> Value.compare_total row.(p) other.(p) = 0)
-                      positions
-                 && not (List.mem rowid !conflicts)
-              then conflicts := rowid :: !conflicts)
-           table)
+         match Table.find_key table positions mine with
+         | Some rowids -> List.iter note rowids
+         | None ->
+           Table.iter
+             (fun rowid other ->
+                if (not (excluded rowid))
+                   && List.for_all
+                        (fun p -> Value.compare_total row.(p) other.(p) = 0)
+                        positions
+                then note rowid)
+             table)
     key_sets;
   !conflicts
 
@@ -1190,24 +1343,13 @@ let rec exec ctx stmt : result =
       Errors.fail (Errors.Duplicate_object ("index", name))
     end;
     let tbl = Catalog.find_table ctx.cat table in
-    let positions =
-      List.map
-        (fun c ->
-           match Table.col_index tbl c with
-           | Some p -> p
-           | None -> Errors.fail (Errors.No_such_column c))
-        cols
-    in
-    let data = Index.create ~unique in
-    let ok = ref true in
-    Table.iter
-      (fun rowid row ->
-         let key = List.map (fun p -> row.(p)) positions in
-         match Index.add data key rowid with
-         | `Ok -> ()
-         | `Dup _ -> ok := false)
-      tbl;
-    if not !ok then begin
+    List.iter
+      (fun c ->
+         if Table.col_index tbl c = None then
+           Errors.fail (Errors.No_such_column c))
+      cols;
+    let data, dup = Catalog.build_index ~unique cols (Some tbl) in
+    if dup then begin
       probe ctx s_constraint 8;
       set_flag ctx "unique_violated";
       Errors.fail
@@ -1215,7 +1357,7 @@ let rec exec ctx stmt : result =
     end;
     Hashtbl.replace ctx.cat.Catalog.indexes name
       { Catalog.x_name = name; x_table = table; x_cols = cols;
-        x_unique = unique; x_data = data };
+        x_unique = unique; x_version = Catalog.version_of_index data };
     probe ctx s_ddl (if unique then 5 else 4);
     Done "index created"
   | S_create_view { materialized; name; query } ->
@@ -1341,7 +1483,7 @@ let rec exec ctx stmt : result =
     let table = Catalog.find_table ctx.cat name in
     check_lock ctx name `Write;
     let n = Table.truncate table in
-    rebuild_table_indexes ctx name;
+    Catalog.record_index_versions ~table:name ctx.cat;
     probe ctx s_ddl (21 + min 2 (bucket n));
     if ctx.cat.Catalog.in_txn then set_flag ctx "truncate_in_txn";
     Done (Printf.sprintf "truncated %d rows" n)
@@ -1624,8 +1766,8 @@ let rec exec ctx stmt : result =
     (match target with
      | Some t ->
        ignore (Catalog.find_table ctx.cat t);
-       rebuild_table_indexes ctx t
-     | None -> Catalog.rebuild_indexes ctx.cat);
+       Catalog.record_index_versions ~table:t ctx.cat
+     | None -> Catalog.record_index_versions ctx.cat);
     probe ctx s_util (52 lor if target = None then 1 else 0);
     Done "reindexed"
   | S_checkpoint ->
@@ -1821,7 +1963,7 @@ let rec exec ctx stmt : result =
         in
         ignore (Table.truncate table);
         List.iter (fun r -> ignore (Table.insert table r)) sorted;
-        rebuild_table_indexes ctx name;
+        Catalog.record_index_versions ~table:name ctx.cat;
         probe ctx s_util 101;
         set_flag ctx "clustered"
     in
@@ -2072,7 +2214,7 @@ and exec_alter_table ctx table_name action =
          Table.change_column_type table pos dt;
          probe ctx s_ddl 55;
          set_flag ctx "column_retyped"));
-  rebuild_table_indexes ctx table_name;
+  Catalog.record_index_versions ~table:table_name ctx.cat;
   Done "table altered"
 
 and fire_triggers ctx table_name event ~timing =
@@ -2155,16 +2297,17 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
   let cols = Table.cols table in
   let arity = Array.length cols in
   let positions =
-    if i.i_cols = [] then List.init arity (fun x -> x)
+    if i.i_cols = [] then Array.init arity (fun x -> x)
     else
-      List.map
-        (fun c ->
-           match Table.col_index table c with
-           | Some p -> p
-           | None ->
-             probe ctx s_insert 14;
-             Errors.fail (Errors.No_such_column c))
-        i.i_cols
+      Array.of_list
+        (List.map
+           (fun c ->
+              match Table.col_index table c with
+              | Some p -> p
+              | None ->
+                probe ctx s_insert 14;
+                Errors.fail (Errors.No_such_column c))
+           i.i_cols)
   in
   let src_rows =
     match i.i_source with
@@ -2184,7 +2327,7 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
   in
   List.iter
     (fun src ->
-       if List.length src <> List.length positions then begin
+       if List.length src <> Array.length positions then begin
          if i.i_ignore then skip_row 15
          else begin
            probe ctx s_insert 13;
@@ -2203,7 +2346,7 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
          let coerce_err = ref None in
          List.iteri
            (fun k v ->
-              let p = List.nth positions k in
+              let p = positions.(k) in
               match Value.coerce v cols.(p).Table.c_type with
               | Ok v ->
                 if cols.(p).Table.c_zerofill then
@@ -2220,13 +2363,7 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
            end
          | None ->
            (* NOT NULL *)
-           let nn_violation =
-             Array.exists
-               (fun p ->
-                  cols.(p).Table.c_not_null && row.(p) = Value.Null)
-               (Array.init arity (fun x -> x))
-           in
-           if nn_violation then begin
+           if violates_not_null cols row then begin
              if i.i_ignore then skip_row 1
              else begin
                probe ctx s_constraint 0;
@@ -2237,14 +2374,13 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
            end
            else begin
              let conflicts =
-               find_conflicts ctx i.i_table table row ~exclude:[]
+               find_conflicts ctx i.i_table table row ~exclude:None
              in
              if conflicts <> [] then begin
                if replace then begin
                  probe ctx s_constraint 4;
                  set_flag ctx "replace_displaced";
-                 ignore
-                   (Table.delete_rows table (fun id -> List.mem id conflicts));
+                 List.iter (Table.delete_row table) conflicts;
                  fire_triggers ctx i.i_table Ev_delete ~timing:After;
                  do_store ctx table i.i_table row inserted ~in_with
                end
@@ -2260,7 +2396,7 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
            end
        end)
     src_rows;
-  rebuild_table_indexes ctx i.i_table;
+  Catalog.record_index_versions ~table:i.i_table ctx.cat;
   (* non-INSTEAD rules run after the original statement *)
   List.iter
     (fun (r : Catalog.rule) ->
@@ -2351,18 +2487,13 @@ and exec_update ctx ~in_with (u : update) =
                 probe ctx s_update 13;
                 Errors.fail (Errors.Type_error msg))
            set_positions;
-         let nn =
-           Array.exists
-             (fun p -> cols.(p).Table.c_not_null && row'.(p) = Value.Null)
-             (Array.init (Array.length cols) (fun x -> x))
-         in
-         if nn then begin
+         if violates_not_null cols row' then begin
            probe ctx s_constraint 5;
            set_flag ctx "not_null_violated";
            Errors.fail (Errors.Constraint_violation "NOT NULL constraint")
          end;
          let conflicts =
-           find_conflicts ctx u.u_table table row' ~exclude:[ rowid ]
+           find_conflicts ctx u.u_table table row' ~exclude:(Some rowid)
          in
          if conflicts <> [] then begin
            probe ctx s_constraint 6;
@@ -2375,7 +2506,7 @@ and exec_update ctx ~in_with (u : update) =
          if in_with then set_flag ctx "dml_in_with_executed";
          fire_triggers ctx u.u_table Ev_update ~timing:After)
       matching;
-    rebuild_table_indexes ctx u.u_table;
+    Catalog.record_index_versions ~table:u.u_table ctx.cat;
     Affected !updated
   | decision -> apply_rule ctx ~in_with decision
 
@@ -2410,14 +2541,15 @@ and exec_delete ctx ~in_with (d : delete) =
         List.filteri (fun i _ -> i < n) matching
     in
     probe ctx s_delete (bucket (List.length matching));
-    let ids = List.map fst matching in
-    if ids <> [] then fire_triggers ctx d.d_table Ev_delete ~timing:Before;
-    let n = Table.delete_rows table (fun id -> List.mem id ids) in
+    let ids = Iset.of_list (List.map fst matching) in
+    if not (Iset.is_empty ids) then
+      fire_triggers ctx d.d_table Ev_delete ~timing:Before;
+    let n = Table.delete_rows table (fun id -> Iset.mem id ids) in
     if n > 0 then begin
       if in_with then set_flag ctx "dml_in_with_executed";
       fire_triggers ctx d.d_table Ev_delete ~timing:After
     end;
-    rebuild_table_indexes ctx d.d_table;
+    Catalog.record_index_versions ~table:d.d_table ctx.cat;
     Affected n
   | decision -> apply_rule ctx ~in_with decision
 

@@ -58,8 +58,6 @@ let find_range t ~lo ~hi =
 
 let length t = M.cardinal t.map
 
-let clear t = t.map <- M.empty
-
 (* The map is persistent, so an independent copy is just a new record
    holding the same root — later [add]/[remove] on either side rebind
    their own [map] field without disturbing the other. *)

@@ -1,5 +1,14 @@
 (** Ordered multimap from composite value keys to row ids — the backing
-    structure for secondary indexes and uniqueness enforcement. *)
+    structure for secondary indexes. It enforces nothing: the executor
+    checks UNIQUE and PRIMARY KEY through {!Table.find_key}; a unique
+    index only keeps the first row of a repeated key out of its map. *)
+
+module Key : sig
+  type t = Value.t list
+
+  val compare : t -> t -> int
+  (** Lexicographic {!Value.compare_total}. *)
+end
 
 type t
 
@@ -24,8 +33,6 @@ val find_range :
 
 val length : t -> int
 (** Number of distinct keys. *)
-
-val clear : t -> unit
 
 val copy : t -> t
 (** Independent copy: mutations of either side never affect the other.

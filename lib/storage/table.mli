@@ -3,7 +3,7 @@
     Constraint checking (NOT NULL, PRIMARY KEY, UNIQUE) is performed by the
     engine's executor so that it can fire coverage probes and honour
     [INSERT IGNORE]; this module is plain storage with schema-change
-    primitives. *)
+    primitives and the key lookups ({!find_key}) those checks use. *)
 
 type col = {
   c_name : string;
@@ -51,8 +51,24 @@ val update_row : t -> int -> Value.t array -> unit
 val delete_rows : t -> (int -> bool) -> int
 (** Delete rows whose rowid satisfies the predicate; returns the count. *)
 
+val delete_row : t -> int -> unit
+(** Delete one row by rowid, if present. O(log n). *)
+
 val truncate : t -> int
 (** Remove all rows; returns how many were removed. *)
+
+val ragged : t -> bool
+(** Whether a row whose length differs from the arity was stored since
+    the table was created or last truncated (a trigger altered the
+    table mid-statement). Such rows can fail positional reads. *)
+
+val find_key : t -> int list -> Value.t list -> int list option
+(** [find_key t positions key]: rowids, ascending, of the rows whose
+    values at [positions] equal [key] under {!Value.compare_total}.
+    O(log n) after the first call for a position list, which builds the
+    table's key map for it; every mutator keeps the built maps current
+    and {!copy} shares them. [None] on a {!ragged} table: the caller
+    must scan. *)
 
 val iter : (int -> Value.t array -> unit) -> t -> unit
 (** Iterate (rowid, row) in insertion order. *)
@@ -73,16 +89,16 @@ val change_column_type : t -> int -> Sqlcore.Ast.data_type -> unit
 
 val copy : t -> t
 (** Independent copy used for transaction and engine snapshots. O(1):
-    rows live in a persistent map, so both sides share the row storage
-    and later mutations of either side only rebind their own root. *)
+    rows and key maps live in persistent maps, so both sides share them
+    and later mutations of either side only rebind their own roots. *)
 
 val deep_copy : t -> t
-(** Physical copy sharing nothing with the source — the pre-refactor
-    [copy] semantics. O(rows); only the REPRO_COW bench ablation and
-    the equivalence tests should need it. *)
+(** Physical copy sharing no row array with the source — the
+    pre-refactor [copy] semantics (the immutable key maps are shared).
+    O(rows); only the REPRO_COW bench ablation and the equivalence
+    tests should need it. *)
 
 val rows_root_eq : t -> t -> bool
 (** Whether two tables share the same row-storage root (physical
     equality of the persistent map). [true] guarantees the row sets are
-    identical; used by snapshot size accounting to cost shared state at
-    zero. *)
+    identical. Only the copy-on-write tests use it. *)

@@ -74,7 +74,9 @@ let apply_op t (tag, x, y) =
   | 3 ->
     let row = Array.make (T.arity t) (V.Int (x + y)) in
     T.update_row t (x mod 40) row
-  | 4 -> ignore (T.delete_rows t (fun id -> id mod (2 + (y mod 5)) = 0))
+  | 4 ->
+    if x mod 2 = 0 then T.delete_row t (y mod 40)
+    else ignore (T.delete_rows t (fun id -> id mod (2 + (y mod 5)) = 0))
   | 5 ->
     if y mod 11 = 0 then ignore (T.truncate t)
     else ignore (T.insert t (Array.make (T.arity t) V.Null))
@@ -86,7 +88,49 @@ let apply_op t (tag, x, y) =
           c_not_null = false; c_primary = false; c_unique = false;
           c_default = Some (V.Int y); c_zerofill = false }
   | _ ->
-    if T.arity t > 0 then T.rename_column t (x mod T.arity t) ("r" ^ string_of_int y)
+    if T.arity t = 0 then ()
+    else if y mod 2 = 0 then
+      T.change_column_type t (x mod T.arity t)
+        (if y mod 4 = 0 then Ast.T_text else Ast.T_int)
+    else T.rename_column t (x mod T.arity t) ("r" ^ string_of_int y)
+
+(* [T.find_key] must answer what a filter over [T.to_rows] answers, for
+   every key present plus one absent, on single and composite position
+   lists. Looking a list up builds its key map, so checking after every
+   op also checks that the mutators keep built maps current. *)
+let keys_consistent t =
+  let rows = T.to_rows t in
+  let arity = T.arity t in
+  List.for_all
+    (fun positions ->
+       List.exists (fun p -> p >= arity) positions
+       ||
+       let key_of row = List.map (fun p -> row.(p)) positions in
+       let absent = List.map (fun _ -> V.Text "absent") positions in
+       List.for_all
+         (fun key ->
+            let expected =
+              List.filter_map
+                (fun (id, row) ->
+                   if List.for_all2
+                        (fun a b -> V.compare_total a b = 0)
+                        (key_of row) key
+                   then Some id
+                   else None)
+                rows
+            in
+            T.find_key t positions key = Some expected)
+         (absent :: List.map (fun (_, row) -> key_of row) rows))
+    [ [ 0 ]; [ 1 ]; [ 2 ]; [ 0; 1 ]; [ 1; 0 ] ]
+
+(* Apply [ops] to [t], checking the key maps of every table in
+   [watch] after each one. *)
+let run_checked t watch ops =
+  List.for_all
+    (fun op ->
+       apply_op t op;
+       List.for_all keys_consistent watch)
+    ops
 
 let ops_arb =
   Prop.list ~max_len:40
@@ -112,14 +156,15 @@ let prop_table_copy_equiv =
       (fun (ops, cut) ->
          let prefix, suffix = split_at (cut mod (List.length ops + 1)) ops in
          let live = fresh_table () in
-         List.iter (apply_op live) prefix;
+         let keys_prefix = run_checked live [ live ] prefix in
          let cow = T.copy live in
          let deep = T.deep_copy live in
          let frozen = dump_table cow in
-         List.iter (apply_op live) suffix;
+         let keys_suffix = run_checked live [ live; cow; deep ] suffix in
          let replay = fresh_table () in
          List.iter (apply_op replay) prefix;
-         frozen = dump_table deep
+         keys_prefix && keys_suffix
+         && frozen = dump_table deep
          && frozen = dump_table replay
          && frozen = dump_table cow  (* suffix did not leak into cow *)
          && frozen = dump_table deep)
@@ -133,11 +178,12 @@ let prop_table_copy_isolated =
       arb
       (fun (prefix, suffix) ->
          let live = fresh_table () in
-         List.iter (apply_op live) prefix;
+         let keys_prefix = run_checked live [ live ] prefix in
          let before = dump_table live in
          let cow = T.copy live in
-         List.iter (apply_op cow) suffix;
-         dump_table live = before)
+         keys_prefix
+         && run_checked cow [ live; cow ] suffix
+         && dump_table live = before)
 
 (* -- index copy law ----------------------------------------------- *)
 

@@ -4,6 +4,7 @@
 
 open Sqlcore
 module E = Minidb.Engine
+module Prop = Reprutil.Prop
 
 let clean_profile =
   Minidb.Profile.make ~name:"clean" ~flavor:Minidb.Profile.Pg
@@ -318,6 +319,135 @@ let test_window_lead_lag () =
   Alcotest.(check bool) "lead of last is null" true
     ((List.nth rows 2).(1) = Storage.Value.Null)
 
+(* Window functions against a naive reference: for every row, filter
+   its partition, stable-sort it, and read the answer off the sorted
+   list. The value pool mixes NULL, ties, and values that display alike
+   but compare apart (Int 1 / Text '1') or compare equal but differ in
+   type (Int 1 / Float 1.0). The same query with its keys wrapped in a
+   CASE goes through the per-row path and must agree too. *)
+module V = Storage.Value
+
+let win_pool =
+  [| ("NULL", V.Null); ("1", V.Int 1); ("'1'", V.Text "1"); ("2", V.Int 2);
+     ("'a'", V.Text "a"); ("1.0", V.Float 1.0) |]
+
+let window_reference rows ~partitioned ~desc ~k ~b =
+  let n = Array.length rows in
+  let cmp a b =
+    let _, oa = rows.(a) and _, ob = rows.(b) in
+    let c = V.compare_total oa ob in
+    if desc then -c else c
+  in
+  List.init n (fun i ->
+      let part =
+        List.filter
+          (fun j ->
+             (not partitioned)
+             || V.compare_total (fst rows.(j)) (fst rows.(i)) = 0)
+          (List.init n Fun.id)
+      in
+      let sorted = List.stable_sort cmp part in
+      let len = List.length sorted in
+      let pos =
+        let rec find p = function
+          | x :: _ when x = i -> p
+          | _ :: tl -> find (p + 1) tl
+          | [] -> assert false
+        in
+        find 0 sorted
+      in
+      let before = List.filter (fun j -> cmp j i < 0) sorted in
+      let shown =
+        List.sort_uniq compare
+          (List.map (fun j -> V.to_display (snd rows.(j))) before)
+      in
+      let at p = if p >= 0 && p < len then Some (List.nth sorted p) else None in
+      [| V.Int i; V.Int (pos + 1); V.Int (List.length before + 1);
+         V.Int (List.length shown + 1);
+         (match at (pos + k) with Some j -> V.Int j | None -> V.Null);
+         (match at (pos - k) with Some j -> V.Int j | None -> V.Int (-1));
+         V.Int ((pos * b / len) + 1) |])
+
+let window_sql rows ~partitioned ~desc ~k ~b ~wrap =
+  let key c =
+    if wrap then Printf.sprintf "CASE WHEN TRUE THEN %s END" c else c
+  in
+  let over =
+    Printf.sprintf "OVER (%sORDER BY %s %s)"
+      (if partitioned then "PARTITION BY " ^ key "column1" ^ " " else "")
+      (key "column2")
+      (if desc then "DESC" else "ASC")
+  in
+  Printf.sprintf
+    "SELECT column3, ROW_NUMBER() %s, RANK() %s, DENSE_RANK() %s, \
+     LEAD(column3, %d) %s, LAG(column3, %d, -1) %s, NTILE(%d) %s \
+     FROM (VALUES %s) AS v;"
+    over over over k over k over b over
+    (String.concat ", "
+       (List.mapi
+          (fun i (p, o) ->
+             Printf.sprintf "(%s, %s, %d)" (fst win_pool.(p))
+               (fst win_pool.(o)) i)
+          rows))
+
+let prop_window_reference () =
+  let pool = Array.length win_pool - 1 in
+  let arb =
+    Prop.pair
+      (Prop.list ~max_len:9
+         (Prop.pair (Prop.int_range 0 pool) (Prop.int_range 0 pool)))
+      (Prop.pair (Prop.pair Prop.bool Prop.bool)
+         (Prop.pair (Prop.int_range 0 3) (Prop.int_range 1 4)))
+  in
+  Prop.check ~count:300 ~name:"window functions = naive reference" arb
+    (fun (rows, ((partitioned, desc), (k, b))) ->
+       rows = []
+       ||
+       let values =
+         Array.of_list
+           (List.map (fun (p, o) -> (snd win_pool.(p), snd win_pool.(o))) rows)
+       in
+       let expected = window_reference values ~partitioned ~desc ~k ~b in
+       let same got =
+         List.length got = List.length expected
+         && List.for_all2
+              (fun g e ->
+                 Array.length g = Array.length e && Array.for_all2 V.equal g e)
+              got expected
+       in
+       List.for_all
+         (fun wrap ->
+            same
+              (rows_of
+                 (last_result (fresh ())
+                    (window_sql rows ~partitioned ~desc ~k ~b ~wrap))))
+         [ false; true ])
+
+let test_window_unknown_order_column () =
+  let run rows =
+    run_sql (fresh ())
+      (Printf.sprintf
+         "SELECT ROW_NUMBER() OVER (PARTITION BY column1 ORDER BY nosuch) \
+          FROM (VALUES %s) AS v;"
+         rows)
+  in
+  let failed = function
+    | [ E.Sql_failed (Minidb.Errors.No_such_column "nosuch") ] -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "singleton partitions never sort" false
+    (failed (run "(1), (2), (3)"));
+  Alcotest.(check bool) "a two-row partition sorts and raises" true
+    (failed (run "(1), (2), (2)"));
+  Alcotest.(check bool) "unknown partition column raises" true
+    (match
+       run_sql (fresh ())
+         "SELECT ROW_NUMBER() OVER (PARTITION BY nosuch) \
+          FROM (VALUES (1)) AS v;"
+     with
+     | [ E.Sql_failed (Minidb.Errors.No_such_column "nosuch") ] -> true
+     | _ -> false)
+
 let test_joins () =
   let eng = fresh () in
   ignore
@@ -597,6 +727,43 @@ let test_analyze_enables_index_scan () =
 
 (* ---------------- limits & engine gate ---------------- *)
 
+(* Characterisation, not a specification: an index answers as of the
+   last statement boundary that recorded its table, so a trigger that
+   reads its own table through an index while a multi-row INSERT or an
+   UPDATE is under way misses the rows that statement already wrote. A
+   sequential scan would see them. *)
+let test_trigger_reads_stale_index () =
+  let eng = fresh () in
+  ignore
+    (run_sql eng
+       "CREATE TABLE t (a INT, b INT);\n\
+        CREATE TABLE log (n INT);\n\
+        CREATE INDEX ix ON t (a);\n\
+        INSERT INTO t VALUES (1, 0);\n\
+        ANALYZE t;\n\
+        CREATE TRIGGER ti AFTER INSERT ON t FOR EACH ROW \
+        INSERT INTO log SELECT COUNT(*) FROM t WHERE a = 2;\n\
+        INSERT INTO t VALUES (2, 0), (2, 0), (2, 0);");
+  let counts sql =
+    List.map (fun r -> int_cell [ r ] 0 0) (rows_of (last_result eng sql))
+  in
+  Alcotest.(check (list int)) "insert trigger sees the pre-statement index"
+    [ 0; 0; 0 ] (counts "SELECT n FROM log;");
+  Alcotest.(check (list int)) "the next statement sees all rows" [ 3 ]
+    (counts "SELECT COUNT(*) FROM t WHERE a = 2;");
+  ignore
+    (run_sql eng
+       "DELETE FROM log;\n\
+        CREATE TRIGGER tu AFTER UPDATE ON t FOR EACH ROW \
+        INSERT INTO log SELECT COUNT(*) FROM t WHERE a = 5;\n\
+        UPDATE t SET a = 5 WHERE b = 0;");
+  Alcotest.(check (list int)) "update trigger sees the pre-statement index"
+    [ 0; 0; 0; 0 ] (counts "SELECT n FROM log;");
+  Alcotest.(check (list int)) "after the update" [ 4 ]
+    (counts "SELECT COUNT(*) FROM t WHERE a = 5;");
+  Alcotest.(check (list int)) "a sequential scan sees the rows as written"
+    [ 4 ] (counts "SELECT COUNT(*) FROM t WHERE b = 0;")
+
 let test_row_limit () =
   let eng =
     E.create ~limits:Minidb.Limits.tiny ~profile:clean_profile
@@ -673,6 +840,8 @@ let suite =
     ("distinct aggregate", `Quick, test_distinct_agg);
     ("window row_number", `Quick, test_window_row_number);
     ("window lead/lag", `Quick, test_window_lead_lag);
+    ("window = naive reference (300 cases)", `Quick, prop_window_reference);
+    ("window unknown order column", `Quick, test_window_unknown_order_column);
     ("joins", `Quick, test_joins);
     ("subqueries", `Quick, test_subqueries);
     ("set operations", `Quick, test_set_operations);
@@ -695,6 +864,7 @@ let suite =
     ("handler cursor", `Quick, test_handler_cursor);
     ("discard temp", `Quick, test_discard_temp);
     ("analyze enables index scan", `Quick, test_analyze_enables_index_scan);
+    ("trigger reads stale index", `Quick, test_trigger_reads_stale_index);
     ("row limit", `Quick, test_row_limit);
     ("statement budget", `Quick, test_statement_budget);
     ("profile gate", `Quick, test_profile_gate);
