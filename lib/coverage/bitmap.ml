@@ -290,21 +290,32 @@ let compact_bytes = function
 
 (* Canonical serialisable form: ascending (index, value) pairs. The
    compact's own idx array is in touch order (and C_full is positional),
-   so both arms sort/scan into the same ascending listing. *)
-let compact_cells c =
+   so both arms sort/scan into the same ascending listing. C_cells sorts
+   packed [index lsl 8 lor value] ints — the (index, value) order,
+   without tuples or polymorphic compare. *)
+let iter_compact_cells f c =
   match c with
   | C_cells { idx; vals } ->
-    let n = Array.length idx in
-    let pairs = Array.init n (fun k -> (idx.(k), Char.code (Bytes.get vals k))) in
-    Array.sort compare pairs;
-    Array.to_list (Array.of_seq (Seq.filter (fun (_, v) -> v <> 0) (Array.to_seq pairs)))
+    let keys =
+      Array.init (Array.length idx) (fun k ->
+        (Array.unsafe_get idx k lsl 8) lor Char.code (Bytes.unsafe_get vals k))
+    in
+    Array.sort Int.compare keys;
+    Array.iter
+      (fun key ->
+         let v = key land 0xff in
+         if v <> 0 then f (key lsr 8) v)
+      keys
   | C_full buf ->
-    let acc = ref [] in
-    for i = size - 1 downto 0 do
+    for i = 0 to size - 1 do
       let v = Char.code (Bytes.unsafe_get buf i) in
-      if v <> 0 then acc := (i, v) :: !acc
-    done;
-    !acc
+      if v <> 0 then f i v
+    done
+
+let compact_cells c =
+  let acc = ref [] in
+  iter_compact_cells (fun i v -> acc := (i, v) :: !acc) c;
+  List.rev !acc
 
 let compact_of_cells cells =
   (* Deduplicate through a scratch buffer: duplicate indices must not

@@ -109,6 +109,11 @@ val compact_cells : compact -> (int * int) list
     store persists virgin maps this way). Deterministic for equal map
     contents regardless of the order cells were touched in. *)
 
+val iter_compact_cells : (int -> int -> unit) -> compact -> unit
+(** [iter_compact_cells f c] calls [f index value] on the cells
+    {!compact_cells} lists, in the same order, without building the
+    list. *)
+
 val compact_of_cells : (int * int) list -> compact
 (** Inverse of {!compact_cells}: rebuild a compact map from cell pairs.
     Indices are reduced mod {!size} and values clamped to a byte; later

@@ -23,6 +23,19 @@ type campaign = {
 
 type progress = { pr_execs_done : int; pr_epoch : int }
 
+(* A grow-only section as rendered entry by entry: the bytes of exactly
+   [s_src], in order, and their FNV-64 state. The cache is only ever
+   used when the snapshot's list is [s_src] itself (physically), and the
+   entries are immutable, so it cannot describe a list it was not
+   rendered from. *)
+type 'a section = { s_src : 'a list; s_text : string; s_digest : int64 }
+
+type render_cache = {
+  rc_corpus : Fuzz.Sync.xseed section;
+  rc_affinities : (Sqlcore.Stmt_type.t * Sqlcore.Stmt_type.t) section;
+  rc_skeletons : Sqlcore.Ast.stmt section;
+}
+
 type snapshot = {
   sn_campaign : campaign;
   sn_progress : progress;
@@ -33,6 +46,7 @@ type snapshot = {
   sn_grammar : Coverage.Bitmap.compact;
   sn_crash_keys : string list;
   sn_logic_keys : string list;
+  sn_rendered : render_cache;
 }
 
 let schema = "legofuzz-store-v1"
@@ -116,28 +130,44 @@ let rec mkdir_p path =
 
 let ensure_dir = mkdir_p
 
+(* --- digests --------------------------------------------------------- *)
+
+let fnv_basis = 0xcbf29ce484222325L
+
+(* A [for] loop over a local ref: the native compiler keeps [h] unboxed,
+   where a [String.iter] closure would box an Int64 per byte. *)
+let fnv_feed h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
+  !h
+
+let hex64 v = Printf.sprintf "%016Lx" v
+
+let fnv64 s = hex64 (fnv_feed fnv_basis s)
+
+(* The empty lists' sections: valid for every snapshot whose grow-only
+   lists are all empty, and for no other ([[] == []], but a fresh list
+   is never physically an old one). *)
+let empty_section = { s_src = []; s_text = ""; s_digest = fnv_basis }
+
+let no_render_cache =
+  { rc_corpus = empty_section; rc_affinities = empty_section;
+    rc_skeletons = empty_section }
+
 let empty_snapshot campaign =
   { sn_campaign = campaign;
     sn_progress = { pr_execs_done = 0; pr_epoch = 0 }; sn_seeds = [];
     sn_affinities = []; sn_skeletons = [];
     sn_virgin = Coverage.Bitmap.compact_of_cells [];
     sn_grammar = Coverage.Bitmap.compact_of_cells []; sn_crash_keys = [];
-    sn_logic_keys = [] }
-
-(* --- digests --------------------------------------------------------- *)
-
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-       h := Int64.logxor !h (Int64.of_int (Char.code c));
-       h := Int64.mul !h 0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
+    sn_logic_keys = []; sn_rendered = no_render_cache }
 
 (* --- rendering ------------------------------------------------------- *)
-
-let hex64 v = Printf.sprintf "%016Lx" v
 
 let parse_hex64 s =
   if String.length s = 16 then
@@ -159,52 +189,55 @@ let render_meta sn =
          ("epoch", Json.Int p.pr_epoch) ])
   ^ "\n"
 
-let render_corpus sn =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (xs : Fuzz.Sync.xseed) ->
-       Buffer.add_string buf
-         (Json.to_string
-            (Json.Obj
-               [ ("sql", Json.Str (Sqlcore.Sql_printer.testcase xs.xs_tc));
-                 ("cov_hash", Json.Str (hex64 xs.xs_cov_hash));
-                 ("new_branches", Json.Int xs.xs_new_branches);
-                 ("cost", Json.Int xs.xs_cost) ]));
-       Buffer.add_char buf '\n')
-    sn.sn_seeds;
-  Buffer.contents buf
+(* One line per grow-only entry. A section is the concatenation of its
+   entries' lines, so it can be rendered (and digested) an entry at a
+   time. *)
 
-let render_affinities sn =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (a, b) ->
-       Buffer.add_string buf (Sqlcore.Stmt_type.name a);
-       Buffer.add_string buf " -> ";
-       Buffer.add_string buf (Sqlcore.Stmt_type.name b);
-       Buffer.add_char buf '\n')
-    sn.sn_affinities;
-  Buffer.contents buf
-
-let render_skeletons sn =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun st ->
-       Buffer.add_string buf
-         (Json.to_string
-            (Json.Obj [ ("sql", Json.Str (Sqlcore.Sql_printer.stmt st)) ]));
-       Buffer.add_char buf '\n')
-    sn.sn_skeletons;
-  Buffer.contents buf
-
-let render_bitmap compact =
+let corpus_line (xs : Fuzz.Sync.xseed) =
   Json.to_string
     (Json.Obj
-       [ ( "cells",
-           Json.Arr
-             (List.map
-                (fun (i, v) -> Json.Arr [ Json.Int i; Json.Int v ])
-                (Coverage.Bitmap.compact_cells compact)) ) ])
+       [ ("sql", Json.Str (Sqlcore.Sql_printer.testcase xs.xs_tc));
+         ("cov_hash", Json.Str (hex64 xs.xs_cov_hash));
+         ("new_branches", Json.Int xs.xs_new_branches);
+         ("cost", Json.Int xs.xs_cost) ])
   ^ "\n"
+
+let affinity_line (a, b) =
+  Sqlcore.Stmt_type.name a ^ " -> " ^ Sqlcore.Stmt_type.name b ^ "\n"
+
+(* Takes the printed SQL: the accumulator already prints it for its
+   dedup key. *)
+let skeleton_line sql =
+  Json.to_string (Json.Obj [ ("sql", Json.Str sql) ]) ^ "\n"
+
+let skeleton_stmt_line st = skeleton_line (Sqlcore.Sql_printer.stmt st)
+
+(* Section [name] for [src]: the cached rendering when it was made from
+   this very list, a fresh one otherwise. *)
+let section_of name line (cached : _ section) src =
+  if cached.s_src == src then (name, cached.s_text, cached.s_digest)
+  else begin
+    let buf = Buffer.create 4096 in
+    List.iter (fun x -> Buffer.add_string buf (line x)) src;
+    let text = Buffer.contents buf in
+    (name, text, fnv_feed fnv_basis text)
+  end
+
+let render_bitmap compact =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\"cells\":[";
+  let first = ref true in
+  Coverage.Bitmap.iter_compact_cells
+    (fun i v ->
+       if !first then first := false else Buffer.add_char buf ',';
+       Buffer.add_char buf '[';
+       Buffer.add_string buf (string_of_int i);
+       Buffer.add_char buf ',';
+       Buffer.add_string buf (string_of_int v);
+       Buffer.add_char buf ']')
+    compact;
+  Buffer.add_string buf "]}\n";
+  Buffer.contents buf
 
 let render_dedup sn =
   Json.to_string
@@ -213,15 +246,25 @@ let render_dedup sn =
          ("logic", Json.Arr (List.map (fun k -> Json.Str k) sn.sn_logic_keys)) ])
   ^ "\n"
 
+(* Every section as [(file, text, digest)], in {!section_files} order.
+   Only meta, the bitmaps and dedup are rendered and digested here; the
+   grow-only sections come from the render cache when it is valid. *)
 let render sn =
-  [ (meta_file, render_meta sn); (corpus_file, render_corpus sn);
-    (affinities_file, render_affinities sn);
-    (skeletons_file, render_skeletons sn);
-    (virgin_file, render_bitmap sn.sn_virgin);
-    (grammar_file, render_bitmap sn.sn_grammar);
-    (dedup_file, render_dedup sn) ]
+  let fresh name text = (name, text, fnv_feed fnv_basis text) in
+  let rc = sn.sn_rendered in
+  [ fresh meta_file (render_meta sn);
+    section_of corpus_file corpus_line rc.rc_corpus sn.sn_seeds;
+    section_of affinities_file affinity_line rc.rc_affinities sn.sn_affinities;
+    section_of skeletons_file skeleton_stmt_line rc.rc_skeletons
+      sn.sn_skeletons;
+    fresh virgin_file (render_bitmap sn.sn_virgin);
+    fresh grammar_file (render_bitmap sn.sn_grammar);
+    fresh dedup_file (render_dedup sn) ]
 
-let snapshot_equal a b = render a = render b
+let snapshot_equal a b =
+  List.for_all2
+    (fun (_, x, _) (_, y, _) -> String.equal x y)
+    (render a) (render b)
 
 (* --- parsing --------------------------------------------------------- *)
 
@@ -427,9 +470,9 @@ let save ?(keep = 3) ?worker ~dir sn =
   mkdir_p gdir;
   let digests =
     List.map
-      (fun (name, content) ->
+      (fun (name, content, digest) ->
          write_atomic gdir name content;
-         (name, Json.Str (fnv64 content)))
+         (name, Json.Str (hex64 digest)))
       (render sn)
   in
   let manifest =
@@ -513,7 +556,7 @@ let load_generation_at ~gdir gen =
     { sn_campaign = campaign; sn_progress = progress; sn_seeds = seeds;
       sn_affinities = affinities; sn_skeletons = skeletons;
       sn_virgin = virgin; sn_grammar = grammar; sn_crash_keys = crash_keys;
-      sn_logic_keys = logic_keys }
+      sn_logic_keys = logic_keys; sn_rendered = no_render_cache }
 
 let load_generation ~dir gen =
   load_generation_at ~gdir:(generation_dir ~dir gen) gen
@@ -571,38 +614,70 @@ let manifest_digests gdir =
 
 (* --- discovery accumulation ------------------------------------------ *)
 
+(* A grow-only section under accumulation: entries in reverse discovery
+   order, their lines rendered once on arrival, and the running FNV-64
+   state over those lines. [g_last] is the section the last snapshot
+   got, reused while nothing new arrives. *)
+type 'a grow = {
+  mutable g_rev : 'a list;
+  g_text : Buffer.t;
+  mutable g_digest : int64;
+  mutable g_last : 'a section option;
+}
+
 type acc = {
-  mutable a_seeds : Fuzz.Sync.xseed list;  (* reverse discovery order *)
-  mutable a_affinities : (Sqlcore.Stmt_type.t * Sqlcore.Stmt_type.t) list;
-  mutable a_skeletons : Sqlcore.Ast.stmt list;
+  a_seeds : Fuzz.Sync.xseed grow;
+  a_affinities : (Sqlcore.Stmt_type.t * Sqlcore.Stmt_type.t) grow;
+  a_skeletons : Sqlcore.Ast.stmt grow;
   seen_seeds : (int64, unit) Hashtbl.t;
   seen_affinities : (int * int, unit) Hashtbl.t;
   seen_skeletons : (string, unit) Hashtbl.t;
 }
 
+let grow_create () =
+  { g_rev = []; g_text = Buffer.create 4096; g_digest = fnv_basis;
+    g_last = None }
+
+let grow_add g x line =
+  g.g_rev <- x :: g.g_rev;
+  Buffer.add_string g.g_text line;
+  g.g_digest <- fnv_feed g.g_digest line;
+  g.g_last <- None
+
+let grow_section g =
+  match g.g_last with
+  | Some s -> s
+  | None ->
+    let s =
+      { s_src = List.rev g.g_rev; s_text = Buffer.contents g.g_text;
+        s_digest = g.g_digest }
+    in
+    g.g_last <- Some s;
+    s
+
 let acc_create () =
-  { a_seeds = []; a_affinities = []; a_skeletons = [];
-    seen_seeds = Hashtbl.create 64; seen_affinities = Hashtbl.create 64;
-    seen_skeletons = Hashtbl.create 64 }
+  { a_seeds = grow_create (); a_affinities = grow_create ();
+    a_skeletons = grow_create (); seen_seeds = Hashtbl.create 64;
+    seen_affinities = Hashtbl.create 64; seen_skeletons = Hashtbl.create 64 }
 
 let acc_add_seed acc (xs : Fuzz.Sync.xseed) =
   if not (Hashtbl.mem acc.seen_seeds xs.xs_cov_hash) then begin
     Hashtbl.replace acc.seen_seeds xs.xs_cov_hash ();
-    acc.a_seeds <- xs :: acc.a_seeds
+    grow_add acc.a_seeds xs (corpus_line xs)
   end
 
 let acc_add_affinity acc (a, b) =
   let key = (Sqlcore.Stmt_type.to_index a, Sqlcore.Stmt_type.to_index b) in
   if not (Hashtbl.mem acc.seen_affinities key) then begin
     Hashtbl.replace acc.seen_affinities key ();
-    acc.a_affinities <- (a, b) :: acc.a_affinities
+    grow_add acc.a_affinities (a, b) (affinity_line (a, b))
   end
 
 let acc_add_skeleton acc st =
   let key = Sqlcore.Sql_printer.stmt st in
   if not (Hashtbl.mem acc.seen_skeletons key) then begin
     Hashtbl.replace acc.seen_skeletons key ();
-    acc.a_skeletons <- st :: acc.a_skeletons
+    grow_add acc.a_skeletons st (skeleton_line key)
   end
 
 let acc_add_export acc (xp : Fuzz.Sync.export) =
@@ -618,17 +693,21 @@ let acc_of_snapshot sn =
   acc
 
 let acc_counts acc =
-  ( List.length acc.a_seeds, List.length acc.a_affinities,
-    List.length acc.a_skeletons )
+  ( List.length acc.a_seeds.g_rev, List.length acc.a_affinities.g_rev,
+    List.length acc.a_skeletons.g_rev )
 
 let acc_snapshot acc ~campaign ~progress ~virgin ~grammar ~crash_keys
     ~logic_keys =
-  { sn_campaign = campaign; sn_progress = progress;
-    sn_seeds = List.rev acc.a_seeds;
-    sn_affinities = List.rev acc.a_affinities;
-    sn_skeletons = List.rev acc.a_skeletons; sn_virgin = virgin;
-    sn_grammar = grammar; sn_crash_keys = crash_keys;
-    sn_logic_keys = logic_keys }
+  let corpus = grow_section acc.a_seeds
+  and affinities = grow_section acc.a_affinities
+  and skeletons = grow_section acc.a_skeletons in
+  { sn_campaign = campaign; sn_progress = progress; sn_seeds = corpus.s_src;
+    sn_affinities = affinities.s_src; sn_skeletons = skeletons.s_src;
+    sn_virgin = virgin; sn_grammar = grammar; sn_crash_keys = crash_keys;
+    sn_logic_keys = logic_keys;
+    sn_rendered =
+      { rc_corpus = corpus; rc_affinities = affinities;
+        rc_skeletons = skeletons } }
 
 (* --- snapshot merge & worker-generation promotion --------------------- *)
 

@@ -38,6 +38,19 @@ type progress = {
                             not replay the interrupted epoch's decisions *)
 }
 
+type render_cache
+(** The grow-only sections (corpus, affinities, skeletons) of a snapshot
+    as already-rendered bytes with their FNV-64 digests. {!acc_snapshot}
+    fills it, so {!save} writes those sections without re-rendering or
+    re-digesting them (DESIGN.md §16). Each section's cache is used only
+    when the snapshot's list is physically the list it was rendered from;
+    a [{ sn with sn_seeds = ... }] update, a loaded or a hand-built
+    snapshot simply renders that section from scratch. *)
+
+val no_render_cache : render_cache
+(** The cache of a snapshot with nothing cached — what hand-built
+    snapshots carry. *)
+
 type snapshot = {
   sn_campaign : campaign;
   sn_progress : progress;
@@ -50,6 +63,7 @@ type snapshot = {
   sn_crash_keys : string list;   (** {!Fuzz.Triage.stack_key}s, first-seen
                                      order *)
   sn_logic_keys : string list;   (** {!Oracle.Violation.key}s *)
+  sn_rendered : render_cache;
 }
 
 val schema : string
@@ -106,9 +120,14 @@ val empty_snapshot : campaign -> snapshot
 (** A fresh campaign's snapshot: zero progress, no entries, empty
     maps — the [prior] of a first-epoch capture. *)
 
+val fnv_feed : int64 -> string -> int64
+(** [fnv_feed h s] runs the FNV-1a 64-bit state [h] over the bytes of
+    [s]: [fnv_feed (fnv_feed h x) y = fnv_feed h (x ^ y)], so a section
+    can be digested an entry at a time. *)
+
 val fnv64 : string -> string
 (** FNV-1a 64-bit digest as 16 hex chars — the manifest's content
-    digest. *)
+    digest: {!fnv_feed} from the offset basis [0xcbf29ce484222325]. *)
 
 val save : ?keep:int -> ?worker:int -> dir:string -> snapshot -> int
 (** Persist a new generation (1 + the newest present, counting

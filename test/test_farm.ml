@@ -279,7 +279,267 @@ let test_roundtrip_full () =
              sn_virgin = virgin;
              sn_grammar = grammar;
              sn_crash_keys = ck;
-             sn_logic_keys = lk }))
+             sn_logic_keys = lk;
+             sn_rendered = Store.no_render_cache }))
+
+(* --- incremental rendering ---------------------------------------------- *)
+
+let empty_map = Bitmap.compact_of_cells []
+
+let acc_snap acc =
+  Store.acc_snapshot acc ~campaign:base_campaign
+    ~progress:{ Store.pr_execs_done = 0; pr_epoch = 0 }
+    ~virgin:empty_map ~grammar:empty_map ~crash_keys:[ "k" ] ~logic_keys:[]
+
+(* Save [sn] into [dir], and the same snapshot with its render cache
+   dropped into [scratch]: every section file must match, and every
+   manifest digest must be the digest of its file. *)
+let saves_like_uncached ~dir ~scratch sn =
+  let g = Store.save ~keep:2 ~dir sn in
+  let g' =
+    Store.save ~keep:1 ~dir:scratch
+      { sn with Store.sn_rendered = Store.no_render_cache }
+  in
+  let gdir = Store.generation_dir ~dir g
+  and fresh = Store.generation_dir ~dir:scratch g' in
+  match Store.manifest_digests gdir with
+  | None -> false
+  | Some digests ->
+    List.length digests = List.length Store.section_files
+    && List.for_all
+         (fun (name, digest) ->
+            let bytes = read_file (Filename.concat gdir name) in
+            String.equal bytes (read_file (Filename.concat fresh name))
+            && String.equal digest (Store.fnv64 bytes))
+         digests
+
+(* What a snapshot must hold after [exports]: each list deduplicated by
+   its exchange key, first occurrence first — projected to those keys. *)
+let expected_keys exports =
+  let uniq key xs =
+    let seen = Hashtbl.create 16 in
+    List.filter_map
+      (fun x ->
+         let k = key x in
+         if Hashtbl.mem seen k then None
+         else begin
+           Hashtbl.add seen k ();
+           Some k
+         end)
+      xs
+  in
+  ( uniq (fun (x : Sync.xseed) -> x.xs_cov_hash)
+      (List.concat_map (fun xp -> xp.Sync.xp_seeds) exports),
+    uniq (fun (a, b) -> Stmt_type.(to_index a, to_index b))
+      (List.concat_map (fun xp -> xp.Sync.xp_affinities) exports),
+    uniq Sql_printer.stmt
+      (List.concat_map (fun xp -> xp.Sync.xp_skeletons) exports) )
+
+let snapshot_keys (sn : Store.snapshot) =
+  ( List.map (fun (x : Sync.xseed) -> x.xs_cov_hash) sn.sn_seeds,
+    List.map
+      (fun (a, b) -> Stmt_type.(to_index a, to_index b))
+      sn.sn_affinities,
+    List.map Sql_printer.stmt sn.sn_skeletons )
+
+type acc_op = Add of Sync.export | Snap | Save of int
+
+let print_op = function
+  | Add xp ->
+    Printf.sprintf "add(%s | %d affs | %d skels)"
+      (String.concat "; " (List.map print_xseed xp.Sync.xp_seeds))
+      (List.length xp.xp_affinities) (List.length xp.xp_skeletons)
+  | Snap -> "snap"
+  | Save k -> Printf.sprintf "save#%d" k
+
+(* Eight cov hashes in all, so exports keep re-exporting seeds the
+   accumulator already holds (as do the affinity and skeleton pools). *)
+let gen_dup_xseed =
+  Prop.map ~print:print_xseed
+    (fun (tc, h) ->
+       { Sync.xs_tc = tc; xs_cov_hash = Int64.of_int h; xs_new_branches = h;
+         xs_cost = 2 * h })
+    (Prop.pair (pick ~print:Sql_printer.testcase testcase_pool)
+       (Prop.int_range 0 7))
+
+let gen_export =
+  Prop.map
+    ~print:(fun xp -> print_op (Add xp))
+    (fun (seeds, affs, skels) ->
+       { Sync.xp_seeds = seeds; xp_affinities = affs; xp_skeletons = skels })
+    (Prop.triple
+       (Prop.list ~max_len:4 gen_dup_xseed)
+       (Prop.list ~max_len:4 (Prop.pair gen_stmt_type gen_stmt_type))
+       (Prop.list ~max_len:3 (pick ~print:Sql_printer.stmt stmt_pool)))
+
+let gen_op =
+  Prop.map ~print:print_op
+    (fun (kind, (xp, k)) ->
+       match kind with 0 | 1 -> Add xp | 2 -> Snap | _ -> Save k)
+    (Prop.pair (Prop.int_range 0 3) (Prop.pair gen_export (Prop.int_range 0 7)))
+
+let test_incremental_sections () =
+  with_dir "inc" (fun dir ->
+    with_dir "inc-fresh" (fun scratch ->
+      Prop.check ~count:200
+        ~name:"incremental sections ≡ rendering from scratch"
+        (Prop.list ~max_len:14 gen_op)
+        (fun ops ->
+           let acc = Store.acc_create () in
+           let exports = ref [] in
+           let snap () =
+             let sn = acc_snap acc in
+             if snapshot_keys sn = expected_keys (List.rev !exports) then
+               Some sn
+             else None
+           in
+           (* Held snapshots: a save may pick an older one, taken before
+              later exports grew the accumulator past it. *)
+           let held = ref [] in
+           let save = saves_like_uncached ~dir ~scratch in
+           let save_held k =
+             match !held with
+             | [] -> Option.fold ~none:false ~some:save (snap ())
+             | l -> save (List.nth l (k mod List.length l))
+           in
+           List.for_all
+             (function
+               | Add xp ->
+                 Store.acc_add_export acc xp;
+                 exports := xp :: !exports;
+                 true
+               | Snap -> (
+                   match snap () with
+                   | Some sn -> held := sn :: !held; true
+                   | None -> false)
+               | Save k -> save_held k)
+             ops
+           && Option.fold ~none:false ~some:save (snap ()))))
+
+let test_stale_cache_guard () =
+  with_dir "stale" (fun dir ->
+    let acc = Store.acc_create () in
+    Store.acc_add_export acc
+      { Sync.xp_seeds =
+          List.mapi
+            (fun i tc ->
+               { Sync.xs_tc = tc; xs_cov_hash = Int64.of_int i;
+                 xs_new_branches = i; xs_cost = i })
+            (Array.to_list testcase_pool);
+        xp_affinities =
+          List.init 6 (fun i ->
+            (Stmt_type.of_index i, Stmt_type.of_index (i + 1)));
+        xp_skeletons = Array.to_list stmt_pool };
+    let sn = acc_snap acc in
+    let load_back sn' =
+      let g = Store.save ~keep:1 ~dir sn' in
+      match Store.load ~dir with
+      | Ok (loaded, g', []) when g = g' -> loaded
+      | _ -> Alcotest.fail "saved generation does not load cleanly"
+    in
+    let extra =
+      { Sync.xs_tc = zero_column_testcase; xs_cov_hash = 99L;
+        xs_new_branches = 1; xs_cost = 1 }
+    in
+    List.iter
+      (fun (what, seeds) ->
+         let loaded = load_back { sn with Store.sn_seeds = seeds } in
+         Alcotest.(check (list string)) ("seeds: " ^ what)
+           (List.map print_xseed seeds)
+           (List.map print_xseed loaded.Store.sn_seeds))
+      [ ("tail", List.tl sn.sn_seeds); ("reversed", List.rev sn.sn_seeds);
+        ("empty", []); ("extended", sn.sn_seeds @ [ extra ]) ];
+    let affs_t = Alcotest.(list (pair int int)) in
+    let aff_ix = List.map (fun (a, b) -> Stmt_type.(to_index a, to_index b)) in
+    List.iter
+      (fun (what, affs) ->
+         let loaded = load_back { sn with Store.sn_affinities = affs } in
+         Alcotest.check affs_t ("affinities: " ^ what) (aff_ix affs)
+           (aff_ix loaded.Store.sn_affinities))
+      [ ("tail", List.tl sn.sn_affinities);
+        ("reversed", List.rev sn.sn_affinities); ("empty", []) ];
+    List.iter
+      (fun (what, skels) ->
+         let loaded = load_back { sn with Store.sn_skeletons = skels } in
+         Alcotest.(check (list string)) ("skeletons: " ^ what)
+           (List.map Sql_printer.stmt skels)
+           (List.map Sql_printer.stmt loaded.Store.sn_skeletons))
+      [ ("tail", List.tl sn.sn_skeletons);
+        ("reversed", List.rev sn.sn_skeletons); ("empty", []) ];
+    (* The untouched snapshot still writes what its cache holds. *)
+    let loaded = load_back sn in
+    Alcotest.(check int) "original seeds" (Array.length testcase_pool)
+      (List.length loaded.Store.sn_seeds))
+
+let gen_bytes =
+  Prop.map ~print:String.escaped
+    (fun codes -> String.of_seq (Seq.map Char.chr (List.to_seq codes)))
+    (Prop.list ~max_len:24 (Prop.int_range 0 255))
+
+let test_fnv_feed () =
+  Alcotest.(check string) "FNV-1a-64 of \"\"" "cbf29ce484222325"
+    (Store.fnv64 "");
+  Alcotest.(check string) "FNV-1a-64 of \"a\"" "af63dc4c8601ec8c"
+    (Store.fnv64 "a");
+  Prop.check ~name:"fnv_feed chains"
+    (Prop.triple gen_int64 gen_bytes gen_bytes)
+    (fun (b, x, y) ->
+       Int64.equal
+         (Store.fnv_feed (Store.fnv_feed b x) y)
+         (Store.fnv_feed b (x ^ y)))
+
+(* The bitmap sections as the store rendered them through a JSON tree;
+   the direct renderer must write the same bytes. *)
+let json_tree_bitmap cells =
+  Telemetry.Json.(
+    to_string
+      (Obj
+         [ ("cells", Arr (List.map (fun (i, v) -> Arr [ Int i; Int v ]) cells))
+         ]))
+  ^ "\n"
+
+(* A live map hit at [indices] in that (touch) order, and its cells as
+   ascending (index, hit count capped at 255) pairs. *)
+let touched indices =
+  let m = Bitmap.create () in
+  List.iter (Bitmap.hit m) indices;
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun i ->
+       let n = Option.value ~default:0 (Hashtbl.find_opt counts i) in
+       Hashtbl.replace counts i (min 255 (n + 1)))
+    indices;
+  ( Bitmap.compact m,
+    List.sort compare (Hashtbl.fold (fun i v acc -> (i, v) :: acc) counts []) )
+
+let test_bitmap_render () =
+  with_dir "bitmap" (fun dir ->
+    let renders_like_tree (compact, cells) =
+      let g =
+        Store.save ~keep:1 ~dir { (base ()) with Store.sn_virgin = compact }
+      in
+      let bytes =
+        read_file (Filename.concat (Store.generation_dir ~dir g) "virgin.json")
+      in
+      Bitmap.compact_cells compact = cells
+      && String.equal bytes (json_tree_bitmap cells)
+    in
+    Alcotest.(check bool) "empty map" true (renders_like_tree (touched []));
+    Prop.check ~count:200 ~name:"sparse map renders as the JSON tree did"
+      (Prop.list ~max_len:64
+         (Prop.map ~print:string_of_int
+            (fun (hot, i) -> if hot then i mod 8 else i)
+            (Prop.pair Prop.bool (Prop.int_range 0 (Bitmap.size - 1)))))
+      (fun indices -> renders_like_tree (touched indices));
+    (* More touched cells than the dirty list holds: a C_full compact. *)
+    let indices =
+      List.init 5000 (fun i -> i * 13 mod Bitmap.size)
+      @ List.concat (List.init 300 (fun _ -> [ 13; 26 ]))
+    in
+    let full = touched indices in
+    Alcotest.(check int) "saturated compact" (Bitmap.size + 16)
+      (Bitmap.compact_bytes (fst full));
+    Alcotest.(check bool) "saturated map" true (renders_like_tree full))
 
 (* --- crash recovery --------------------------------------------------- *)
 
@@ -303,7 +563,8 @@ let sample_snapshot n =
       Bitmap.compact_of_cells (List.init (4 * n) (fun i -> (17 * i, 1 + i)));
     sn_grammar = Bitmap.compact_of_cells (List.init n (fun i -> (31 * i, 8)));
     sn_crash_keys = List.init n (Printf.sprintf "crash-%d");
-    sn_logic_keys = List.init n (Printf.sprintf "logic-%d") }
+    sn_logic_keys = List.init n (Printf.sprintf "logic-%d");
+    sn_rendered = Store.no_render_cache }
 
 (* Two generations: gen 1 holds [snap_a], gen 2 the richer [snap_b]. *)
 let snap_a = sample_snapshot 2
@@ -1124,6 +1385,12 @@ let suite =
     Alcotest.test_case "roundtrip: virgin maps" `Quick test_roundtrip_maps;
     Alcotest.test_case "roundtrip: dedup keys" `Quick test_roundtrip_dedup;
     Alcotest.test_case "roundtrip: full snapshot" `Quick test_roundtrip_full;
+    Alcotest.test_case "store: incremental sections" `Quick
+      test_incremental_sections;
+    Alcotest.test_case "store: stale render cache" `Quick
+      test_stale_cache_guard;
+    Alcotest.test_case "store: fnv_feed laws" `Quick test_fnv_feed;
+    Alcotest.test_case "store: bitmap sections" `Quick test_bitmap_render;
     Alcotest.test_case "recovery: truncated section" `Quick
       test_recovery_truncated;
     Alcotest.test_case "recovery: bit flip" `Quick test_recovery_bitflip;
