@@ -24,6 +24,19 @@ let dialect_conv =
     ( (fun s -> profile_of_name s),
       fun fmt p -> Format.pp_print_string fmt (Minidb.Profile.name p) )
 
+(* Campaign ids name directories under runs/, so anything that could
+   escape it ("..", "/", a leading '.') is rejected at parse time. *)
+let campaign_id =
+  let parse s =
+    if Farm.Spec.valid_id s then Ok s
+    else
+      Error
+        (`Msg
+           (Printf.sprintf
+              "invalid campaign id %S (letters, digits, '.', '_', '-')" s))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let dialect_arg =
   let doc = "Simulated DBMS: postgresql, mysql, mariadb or comdb2." in
   Arg.(
@@ -292,18 +305,14 @@ let fuzz_cmd =
        runs/$(docv)/store, resumable with $(b,legofuzz resume) $(docv)."
     in
     Arg.(
-      value & opt (some string) None & info [ "store" ] ~docv:"CAMPAIGN" ~doc)
+      value
+      & opt (some campaign_id) None
+      & info [ "store" ] ~docv:"CAMPAIGN" ~doc)
   in
   let run fuzzer profile execs seed jobs sync_every sync_seeds
       sync_affinities oracles exec_cache feedback cow sessions schedules
       telemetry json save store =
     Minidb.Catalog.set_copy_on_write cow;
-    (match store with
-     | Some id when not (Farm.Spec.valid_id id) ->
-       Printf.eprintf
-         "invalid campaign id %S (letters, digits, '.', '_', '-')\n" id;
-       exit 2
-     | _ -> ());
     match make_fuzzer ~oracles ~exec_cache ~feedback fuzzer profile seed with
     | Error (`Msg m) ->
       prerr_endline m;
@@ -558,7 +567,8 @@ let compare_cmd =
 let resume_cmd =
   let id_arg =
     let doc = "Campaign id: the store under runs/$(docv)/store." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"CAMPAIGN" ~doc)
+    Arg.(
+      required & pos 0 (some campaign_id) None & info [] ~docv:"CAMPAIGN" ~doc)
   in
   let execs_opt_arg =
     let doc =

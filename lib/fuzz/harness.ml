@@ -313,67 +313,47 @@ let execute ?hint t tc =
        | None -> Telemetry.Registry.incr cs.cs_c_bypass);
       Some (cs, r)
   in
-  (* When the probe fell short of the hinted depth, capture that
-     boundary as this run passes it: the next sibling sharing the same
-     prefix then restores instead of replaying. [mem] (no LRU reorder):
-     an existing entry is identical by determinism, so keep it and its
-     recency. *)
-  let boundary_capture cs d maxp ~base engine =
-    Some
-      (fun k stats ->
-         let abs = base + k in
-         if abs = maxp && not (Prefix_cache.mem cs.cs_cache d.(abs - 1))
-         then cache_capture t cs engine d.(abs - 1) ~stats ~len:abs)
+  (* Choose the start. On a hit, restore the cached boundary: exec map
+     first (the prefix's coverage contribution), then an engine
+     continuing from the snapshot. Running the remaining suffix with the
+     prefix stats carried over reproduces a cold full replay bit for
+     bit. Otherwise start cold at statement 0. *)
+  let engine, carry, k =
+    match probed with
+    | Some (cs, Some (_, _, Some e)) ->
+      let engine =
+        Telemetry.Span.time cs.cs_sp_restore (fun () ->
+            Coverage.Bitmap.load_compact ~into:t.h_exec_map e.e_map;
+            Minidb.Engine.restore ~metrics:t.h_metrics e.e_snapshot
+              ~cov:t.h_exec_map ())
+      in
+      (engine, Some e.e_stats, e.e_len)
+    | Some (_, (None | Some (_, _, None))) | None ->
+      Coverage.Bitmap.reset t.h_exec_map;
+      ( Minidb.Engine.create ~limits:t.h_limits ~metrics:t.h_metrics
+          ~profile:t.h_profile ~cov:t.h_exec_map (),
+        None,
+        0 )
+  in
+  (* When the start falls short of the hinted depth (a shallow hit or a
+     hinted miss), capture that boundary as this run passes it: the next
+     sibling sharing the same prefix then restores instead of replaying.
+     [mem] (no LRU reorder): an existing entry is identical by
+     determinism, so keep it and its recency. *)
+  let on_boundary =
+    match probed with
+    | Some (cs, Some (d, maxp, _)) when k < maxp ->
+      Some
+        (fun consumed stats ->
+           if k + consumed = maxp
+              && not (Prefix_cache.mem cs.cs_cache d.(maxp - 1))
+           then cache_capture t cs engine d.(maxp - 1) ~stats ~len:maxp)
+    | _ -> None
   in
   let stats =
-    match probed with
-    | Some (cs, Some (_, maxp, Some e)) when e.e_len = maxp ->
-      (* Full-depth hit: restore the boundary — exec map first (the
-         prefix's coverage contribution), then an engine continuing from
-         the snapshot. Running the remaining suffix with the prefix
-         stats carried over reproduces a cold full replay bit for
-         bit. *)
-      let engine =
-        Telemetry.Span.time cs.cs_sp_restore (fun () ->
-            Coverage.Bitmap.load_compact ~into:t.h_exec_map e.e_map;
-            Minidb.Engine.restore ~metrics:t.h_metrics e.e_snapshot
-              ~cov:t.h_exec_map ())
-      in
-      Telemetry.Span.time t.h_sp_execute (fun () ->
-          Minidb.Engine.run_testcase_from ~carry:e.e_stats engine
-            (drop e.e_len tc))
-    | Some (cs, Some (d, maxp, Some e)) ->
-      (* Shallow hit: restore what we have, deepen the cache to the
-         hinted boundary on the way through the suffix. *)
-      let engine =
-        Telemetry.Span.time cs.cs_sp_restore (fun () ->
-            Coverage.Bitmap.load_compact ~into:t.h_exec_map e.e_map;
-            Minidb.Engine.restore ~metrics:t.h_metrics e.e_snapshot
-              ~cov:t.h_exec_map ())
-      in
-      Telemetry.Span.time t.h_sp_execute (fun () ->
-          Minidb.Engine.run_testcase_from ~carry:e.e_stats
-            ?on_boundary:(boundary_capture cs d maxp ~base:e.e_len engine)
-            engine (drop e.e_len tc))
-    | Some (cs, Some (d, maxp, None)) ->
-      (* Hinted miss: cold run, capturing the hinted boundary. *)
-      Coverage.Bitmap.reset t.h_exec_map;
-      let engine =
-        Minidb.Engine.create ~limits:t.h_limits ~metrics:t.h_metrics
-          ~profile:t.h_profile ~cov:t.h_exec_map ()
-      in
-      Telemetry.Span.time t.h_sp_execute (fun () ->
-          Minidb.Engine.run_testcase_from
-            ?on_boundary:(boundary_capture cs d maxp ~base:0 engine)
-            engine tc)
-    | Some (_, None) | None ->
-      Coverage.Bitmap.reset t.h_exec_map;
-      let engine =
-        Minidb.Engine.create ~limits:t.h_limits ~metrics:t.h_metrics
-          ~profile:t.h_profile ~cov:t.h_exec_map ()
-      in
-      Telemetry.Span.time t.h_sp_execute (fun () ->
-          Minidb.Engine.run_testcase engine tc)
+    Telemetry.Span.time t.h_sp_execute (fun () ->
+        Minidb.Engine.run_testcase_from ?carry ?on_boundary engine
+          (drop k tc))
   in
   let news = Coverage.Bitmap.merge_into ~virgin:t.h_virgin t.h_exec_map in
   if news > 0 then Telemetry.Registry.incr ~by:news t.h_c_new_branches;

@@ -164,7 +164,7 @@ let rules_on t table event =
 
 (* Copy-on-write snapshots are the production mode: table copies share
    their persistent row maps, making every snapshot O(#objects). The
-   REPRO_COW bench ablation flips this off to measure the pre-refactor
+   --cow off ablation flips this off to measure the pre-refactor
    physical-copy cost; outcomes are identical either way. *)
 let cow_enabled = ref true
 
@@ -461,7 +461,7 @@ let approx_words t =
         (fun acc (_, sv) -> acc + session_view_words sv)
         0 t.parked
   in
-  (* In the REPRO_COW ablation's legacy mode copies really do duplicate
+  (* In the --cow off ablation's legacy mode copies really do duplicate
      every row, so account for them — eviction pressure must match the
      copying regime actually in force. *)
   let legacy_rows =

@@ -191,7 +191,7 @@ val set_copy_on_write : bool -> unit
     O(1) via the persistent storage layer; [false] restores the
     pre-refactor physical row copies. Outcomes are identical in both
     modes — only wall clock and heap pressure differ. Exists for the
-    REPRO_COW bench ablation; production code never flips it. *)
+    --cow off ablation; production code never flips it. *)
 
 val approx_bytes : t -> int
 (** Incremental heap cost of a {!deep_copy}: per-object record copies

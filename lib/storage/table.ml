@@ -220,7 +220,7 @@ let copy t =
     t_rows = t.t_rows; next_rowid = t.next_rowid; t_keys = t.t_keys;
     t_ragged = t.t_ragged }
 
-(* Pre-refactor physical copy, kept for the REPRO_COW bench ablation
+(* Pre-refactor physical copy, kept for the --cow off ablation
    (and as the reference implementation in the equivalence tests):
    rebuilds the row map with fresh arrays so no row is shared. The key
    maps hold values, never row arrays, so sharing them is safe. *)

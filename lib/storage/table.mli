@@ -95,7 +95,7 @@ val copy : t -> t
 val deep_copy : t -> t
 (** Physical copy sharing no row array with the source — the
     pre-refactor [copy] semantics (the immutable key maps are shared).
-    O(rows); only the REPRO_COW bench ablation and the equivalence
+    O(rows); only the --cow off ablation and the equivalence
     tests should need it. *)
 
 val rows_root_eq : t -> t -> bool

@@ -267,7 +267,7 @@ let prop_snapshot_aliasing =
          let ok3 = dump_engine r2 = dump_engine replay in
          ok1 && ok2 && ok3)
 
-(* Law: disabling copy-on-write (the REPRO_COW ablation's deep-copy
+(* Law: disabling copy-on-write (the --cow off ablation's deep-copy
    mode) changes performance only — snapshot/restore observations are
    identical in both modes. *)
 let prop_cow_ablation_equiv =

@@ -1255,6 +1255,34 @@ let check_store_dedup ~runs_dir id =
     Alcotest.(check bool) (id ^ ": logic keys duplicate-free") true
       (no_dups sn.Store.sn_logic_keys)
 
+(* A campaign id names a directory under runs/: ids that climb out of
+   it must be refused before anything touches the file system. The CLI
+   runs in work/ inside a scratch root, so runs/../x lands in work/ and
+   runs/../../x in the root itself. *)
+let test_cli_rejects_escaping_ids () =
+  let exe = Filename.concat (Sys.getcwd ()) legofuzz in
+  with_dir "cli-id" (fun root ->
+    let work = Filename.concat root "work" in
+    Store.ensure_dir work;
+    List.iter
+      (fun (label, args) ->
+         let code =
+           Sys.command
+             (Printf.sprintf "cd %s && %s %s >/dev/null 2>&1"
+                (Filename.quote work) (Filename.quote exe)
+                (String.concat " " (List.map Filename.quote args)))
+         in
+         Alcotest.(check bool) (label ^ ": non-zero exit") true (code <> 0);
+         let ls d = List.sort compare (Array.to_list (Sys.readdir d)) in
+         Alcotest.(check (list string)) (label ^ ": scratch root untouched")
+           [ "work" ] (ls root);
+         Alcotest.(check bool) (label ^ ": nothing but runs/ in cwd") true
+           (List.for_all (fun e -> e = "runs") (ls work)))
+      [ ("resume ..", [ "resume"; "../escaped-campaign" ]);
+        ("resume ../..", [ "resume"; "../../escaped-campaign" ]);
+        ("fuzz --store ..",
+         [ "fuzz"; "-n"; "100"; "--store"; "../escaped-campaign" ]) ])
+
 let counter r name = Telemetry.Registry.counter_value r.Scheduler.fr_metrics name
 
 (* SIGKILL a worker mid-round: the farm must finish the full budget,
@@ -1444,4 +1472,6 @@ let suite =
     Alcotest.test_case "processes: malformed worker quarantined" `Slow
       test_processes_malformed_worker;
     Alcotest.test_case "processes: equal-budget parity" `Slow
-      test_processes_parity ]
+      test_processes_parity;
+    Alcotest.test_case "cli: path-escaping campaign ids rejected" `Quick
+      test_cli_rejects_escaping_ids ]
