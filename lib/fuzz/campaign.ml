@@ -43,8 +43,8 @@ let checkpoint_event ~series (cp : Driver.checkpoint) =
       wall_s = Some cp.cp_annot.Driver.an_wall_s;
       execs_per_sec = Some cp.cp_annot.an_execs_per_sec }
 
-(* Per-shard publish bookkeeping: every published quantity is a delta
-   against the last publish, so the global accumulators (exec counts,
+(* Per-shard round bookkeeping: every published quantity is a delta
+   against the last round, so the global accumulators (exec counts,
    crash totals, metric registry) never double-count. The first metric
    delta is against an empty registry: it carries the initial-corpus
    executions performed during fuzzer construction. *)
@@ -70,81 +70,69 @@ let deltas_take dl (fz : Driver.fuzzer) =
   dl.dl_metrics <- Telemetry.Registry.snapshot m;
   (execs_delta, crashes_delta, mdelta)
 
-let shard_result fz ~shard_id ~iterations =
-  { sh_id = shard_id;
-    sh_seed_offset = shard_id * seed_stride;
-    sh_snapshot = Driver.snapshot fz ~iteration:iterations;
-    sh_fuzzer = fz }
-
-(* One shard's campaign, publish-only sync: free-running sync-interval
-   rounds, publishing coverage, crash and metric deltas after each.
-   Runs inside its own domain. *)
-let run_shard ~sync ~make ~budget ~report ~emit ~series ~start shard_id =
+(* One shard's campaign: a fixed number of barriered rounds, identical
+   for every shard (the barrier needs all parties each round; a shard
+   whose budget is exhausted keeps joining with empty deltas). Round r
+   fuzzes up to [min budget (r * interval)]; [report] runs after each,
+   and [worked] counts the rounds in which the shard fuzzed. *)
+let run_shard ~sync ~exchange ~make ~budget ~rounds_total ~report ~emit
+    ~series ~start ~worked shard_id =
   let fz : Driver.fuzzer = make shard_id in
-  (* Fuzzer construction may already have executed an initial corpus;
-     those executions count against the shard's budget. *)
-  let iterations = ref 0 in
-  let dl = deltas_create () in
-  let publish () =
-    let execs_delta, crashes_delta, mdelta = deltas_take dl fz in
-    ignore
-      (Sync.publish_harness ~metrics:mdelta ~crashes_delta sync
-         fz.Driver.f_harness ~execs_delta);
-    emit
-      (checkpoint_event ~series
-         (Driver.checkpoint ~start fz ~iteration:!iterations));
-    report ()
-  in
-  let rec rounds () =
-    let done_ = Harness.execs fz.Driver.f_harness in
-    if done_ < budget then begin
-      let target = min budget (done_ + Sync.interval sync) in
-      let snap = Driver.run_until_execs fz ~execs:target in
-      iterations := !iterations + snap.Driver.st_iteration;
-      publish ();
-      rounds ()
-    end
-  in
-  rounds ();
-  if dl.dl_execs < Harness.execs fz.Driver.f_harness then publish ();
-  shard_result fz ~shard_id ~iterations:!iterations
-
-(* One shard's campaign in bidirectional-exchange mode: a fixed number of
-   barriered rounds, identical for every shard (the barrier needs all
-   parties each round; a shard whose budget is exhausted keeps joining
-   with empty deltas). Round r fuzzes up to [min budget (r * interval)],
-   so budgets and sync cadence match the free-running mode. *)
-let run_shard_exchange ~sync ~make ~budget ~rounds_total ~report ~emit
-    ~series ~start shard_id =
-  let fz : Driver.fuzzer = make shard_id in
+  let h = fz.Driver.f_harness in
   let iterations = ref 0 in
   let dl = deltas_create () in
   let interval = Sync.interval sync in
+  (* Exports drain the fuzzer's discovery cursors, so they are taken only
+     when something crosses, and the returned fuzzer hands what the
+     rounds drained back to its first export after the campaign: a store
+     capture still sees every discovery of the shard. *)
+  let port =
+    if Sync.exchange_active exchange then fz.Driver.f_exchange else None
+  in
+  let drained = ref [] in
   for r = 1 to rounds_total do
     let target = min budget (r * interval) in
-    if Harness.execs fz.Driver.f_harness < target then begin
+    if Harness.execs h < target then begin
       let snap = Driver.run_until_execs fz ~execs:target in
+      Atomic.incr worked;
       iterations := !iterations + snap.Driver.st_iteration
     end;
     let execs_delta, crashes_delta, mdelta = deltas_take dl fz in
     let export =
-      match fz.Driver.f_exchange with
-      | Some p -> p.Sync.p_export ()
+      match port with
+      | Some p ->
+        let x = p.Sync.p_export () in
+        drained := x :: !drained;
+        x
       | None -> Sync.empty_export
     in
     let imports =
-      Sync.exchange_harness_round ~metrics:mdelta ~crashes_delta sync
-        fz.Driver.f_harness ~shard:shard_id ~execs_delta ~export
+      Sync.exchange_round ~metrics:mdelta ?gram:(Harness.grammar_virgin h)
+        ~crashes_delta sync ~shard:shard_id ~virgin:(Harness.virgin h)
+        ~triage:(Harness.triage h) ~execs_delta ~export
     in
-    (match fz.Driver.f_exchange with
-     | Some p -> List.iter p.Sync.p_import imports
-     | None -> ());
+    Option.iter (fun p -> List.iter p.Sync.p_import imports) port;
     emit
       (checkpoint_event ~series
          (Driver.checkpoint ~start fz ~iteration:!iterations));
     report ()
   done;
-  shard_result fz ~shard_id ~iterations:!iterations
+  let replay (p : Sync.port) () =
+    let xs = List.rev (p.p_export () :: !drained) in
+    drained := [];
+    let all f = List.concat_map f xs in
+    { Sync.xp_seeds = all (fun x -> x.Sync.xp_seeds);
+      xp_affinities = all (fun x -> x.Sync.xp_affinities);
+      xp_skeletons = all (fun x -> x.Sync.xp_skeletons) }
+  in
+  { sh_id = shard_id;
+    sh_seed_offset = shard_id * seed_stride;
+    sh_snapshot = Driver.snapshot fz ~iteration:!iterations;
+    sh_fuzzer =
+      (match port with
+       | None -> fz
+       | Some p ->
+         { fz with f_exchange = Some { p with p_export = replay p } }) }
 
 let sequential ?checkpoint_every ?(on_checkpoint = fun _ -> ()) ~sink
     ~series_prefix ~execs make =
@@ -186,90 +174,70 @@ let run ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?sync_every
     let sync = Sync.create ?interval:sync_every ~exchange ~parties:jobs () in
     prime_sync sync;
     let start = Telemetry.Span.now_s () in
-    (* Shards on other domains never write the sink directly: checkpoint
-       events are buffered with a (rank, execs, seq) tag and emitted in
-       sorted order after the join, so the jobs>1 event stream is
-       ordered-identical run to run, not merely multiset-identical.
-       rank is the shard id (aggregate checkpoints sort last, rank =
-       jobs); within one rank, execs then seq reproduce the shard's own
-       emission order — seq values are globally timing-dependent, but
-       each shard assigns them monotonically, so relative order inside a
-       (rank, execs) group is program order. [on_checkpoint] callbacks
-       still fire live. *)
-    let buf_lock = Mutex.create () in
-    let buffered = ref [] in
-    let seq = ref 0 in
-    let execs_of = function
-      | Telemetry.Event.Checkpoint { point; _ } ->
-        point.Telemetry.Event.p_execs
-      | _ -> 0
-    in
-    let emit_tagged rank ev =
-      Mutex.lock buf_lock;
-      incr seq;
-      buffered := (rank, execs_of ev, !seq, ev) :: !buffered;
-      Mutex.unlock buf_lock
-    in
     (* Spread the total budget over shards; early shards absorb the
        remainder so the sum is exactly [execs]. *)
     let budget_of i = (execs / jobs) + (if i < execs mod jobs then 1 else 0) in
-    (* Aggregate checkpointing: after any shard publishes, emit one
-       aggregate snapshot per [checkpoint_every] published executions.
-       Guarded by its own mutex so callbacks never interleave. *)
-    let cp_lock = Mutex.create () in
+    (* Aggregate checkpointing: after each round, shard 0 reads the
+       totals the round's release froze and emits one aggregate snapshot
+       per [checkpoint_every] published executions. Every other shard is
+       parked at the next barrier or still fuzzing privately, so the
+       reading is the same whatever the domain scheduling. *)
     let last_cp = ref 0 in
+    let aggregate_events = ref [] in
     let report () =
-      if checkpoint_every > 0 then begin
-        Mutex.lock cp_lock;
-        Fun.protect ~finally:(fun () -> Mutex.unlock cp_lock) (fun () ->
-            let seen = Sync.execs_seen sync in
-            if seen - !last_cp >= checkpoint_every && seen < execs then begin
-              last_cp := seen;
-              let snap =
-                snapshot_of_sync sync ~iteration:(Sync.rounds sync)
-                  ~execs:seen
-                  ~total_crashes:(Sync.total_crashes sync)
-              in
-              let wall = Telemetry.Span.now_s () -. start in
-              let cp =
-                { Driver.cp_snapshot = snap;
-                  cp_annot =
-                    { Driver.an_wall_s = wall;
-                      an_execs_per_sec =
-                        (if wall > 0.0 then float_of_int seen /. wall
-                         else 0.0) } }
-              in
-              on_checkpoint cp;
-              emit_tagged jobs
-                (checkpoint_event ~series:(series_prefix ^ "aggregate") cp)
-            end)
+      let seen = Sync.execs_seen sync in
+      if checkpoint_every > 0 && seen - !last_cp >= checkpoint_every
+         && seen < execs
+      then begin
+        last_cp := seen;
+        let snap =
+          snapshot_of_sync sync ~iteration:(Sync.rounds sync) ~execs:seen
+            ~total_crashes:(Sync.total_crashes sync)
+        in
+        let wall = Telemetry.Span.now_s () -. start in
+        let cp =
+          { Driver.cp_snapshot = snap;
+            cp_annot =
+              { Driver.an_wall_s = wall;
+                an_execs_per_sec =
+                  (if wall > 0.0 then float_of_int seen /. wall else 0.0) } }
+        in
+        on_checkpoint cp;
+        aggregate_events :=
+          checkpoint_event ~series:(series_prefix ^ "aggregate") cp
+          :: !aggregate_events
       end
     in
-    (* In exchange mode every shard runs the same fixed number of
-       barriered rounds, derived from the largest shard budget. *)
+    (* Every shard runs the same fixed number of barriered rounds,
+       derived from the largest shard budget. *)
     let rounds_total =
       let iv = Sync.interval sync in
       max 1 ((budget_of 0 + iv - 1) / iv)
     in
-    let exchange_on = Sync.exchange_active exchange in
-    (* A dying shard (Driver.Stalled, a harness bug …) must not leave the
-       others blocked at the exchange barrier: trap the exception, abort
+    (* The campaign's sync rounds: shard rounds that carried fuzzing, not
+       the empty arrivals of a shard whose budget is spent. *)
+    let worked = Atomic.make 0 in
+    (* Shards on other domains never write the sink directly: each keeps
+       its checkpoint events, and after the join they are emitted shard
+       by shard, aggregate checkpoints last, so the event stream is
+       ordered-identical run to run. [on_checkpoint] still fires live.
+       A dying shard (Driver.Stalled, a harness bug …) must not leave the
+       others blocked at the round barrier: trap the exception, abort
        the sync (waking everyone with Sync.Aborted), join all domains,
        then re-raise the original error rather than a secondary Aborted. *)
     let domains =
       List.init jobs (fun i ->
           Domain.spawn (fun () ->
               let series = Printf.sprintf "%sshard-%d" series_prefix i in
-              let emit = emit_tagged i in
+              let events = ref [] in
+              let emit ev = events := ev :: !events in
               match
-                if exchange_on then
-                  run_shard_exchange ~sync ~make ~budget:(budget_of i)
-                    ~rounds_total ~report ~emit ~series ~start i
-                else
-                  run_shard ~sync ~make ~budget:(budget_of i) ~report ~emit
-                    ~series ~start i
+                run_shard ~sync ~exchange ~make ~budget:(budget_of i)
+                  ~rounds_total
+                  ~report:(if i = 0 then report else ignore)
+                  ~emit ~series ~start ~worked i
               with
-              | sh -> Ok sh
+              | sh -> Ok (sh, List.rev !events)
               | exception e ->
                 Sync.abort sync;
                 Error e))
@@ -289,17 +257,16 @@ let run ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?sync_every
          | None -> List.hd es
        in
        raise primary);
-    List.iter
-      (fun (_, _, _, ev) -> Telemetry.Sink.emit sink ev)
-      (List.sort
-         (fun (r1, e1, s1, _) (r2, e2, s2, _) ->
-            match compare r1 r2 with
-            | 0 -> (match compare e1 e2 with 0 -> compare s1 s2 | c -> c)
-            | c -> c)
-         !buffered);
     let shards =
-      List.filter_map (function Ok sh -> Some sh | Error _ -> None) results
+      List.filter_map
+        (function
+          | Ok (sh, events) ->
+            List.iter (Telemetry.Sink.emit sink) events;
+            Some sh
+          | Error _ -> None)
+        results
     in
+    List.iter (Telemetry.Sink.emit sink) (List.rev !aggregate_events);
     let sum f = List.fold_left (fun acc sh -> acc + f sh.sh_snapshot) 0 shards in
     let aggregate =
       snapshot_of_sync sync
@@ -323,6 +290,6 @@ let run ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?sync_every
       cg_shards = shards;
       cg_crashes = Sync.unique_crashes sync;
       cg_logic = Sync.unique_logic sync;
-      cg_sync_rounds = Sync.rounds sync;
+      cg_sync_rounds = Atomic.get worked;
       cg_metrics = metrics }
   end

@@ -15,15 +15,15 @@
 
     Each shard builds its own fuzzer from the factory (so every piece of
     mutable fuzzing state — RNG, seed pool, affinity map, harness — is
-    domain-private), runs in rounds of [sync_every] executions, and
-    publishes after each round. The only cross-domain state is the
+    domain-private) and runs in barriered rounds of [sync_every]
+    executions, publishing at each. The only cross-domain state is the
     mutex-guarded {!Sync.t}.
 
-    With an active [exchange] configuration the rounds become barriered
-    bidirectional exchange rounds (DESIGN.md §10): each shard additionally
-    pulls the global virgin map back into its own harness and
-    imports foreign coverage-increasing seeds / type-affinities / AST
-    skeletons through its fuzzer's {!Driver.fuzzer.f_exchange} port. *)
+    With an active [exchange] configuration each shard additionally
+    pulls the global virgin map back into its own harness at every round
+    and imports foreign coverage-increasing seeds / type-affinities / AST
+    skeletons through its fuzzer's {!Driver.fuzzer.f_exchange} port
+    (DESIGN.md §10). *)
 
 type shard = {
   sh_id : int;
@@ -46,6 +46,7 @@ type result = {
           runs without an oracle suite), deduplicated by
           {!Oracle.Violation.key} with first-finder reproducers *)
   cg_sync_rounds : int;
+      (** shard rounds in which the shard fuzzed (0 with [jobs = 1]) *)
   cg_metrics : Telemetry.Registry.t;
       (** the campaign's merged metric registry — always a completion-time
           {e snapshot}: with [jobs = 1] a snapshot of the single harness's
@@ -80,10 +81,29 @@ val run :
     of [exchange] (one shard has nobody to exchange with) — so
     single-job campaigns preserve the repository's determinism guarantee.
 
-    With [jobs > 1], shards publish to a {!Sync} every [sync_every]
-    executions (default {!Sync.default_interval}); [on_checkpoint]
-    receives aggregate snapshots roughly every [checkpoint_every]
-    {e published} executions, including the true published crash total.
+    With [jobs > 1], every shard runs the same fixed number of barriered
+    rounds ([ceil (largest shard budget / sync_every)], [sync_every]
+    defaulting to {!Sync.default_interval}), fuzzing up to
+    [min budget (r * sync_every)] executions before round [r]; a shard
+    whose budget is spent keeps joining with empty deltas. At each
+    barrier the shards publish coverage, crashes and metric deltas to a
+    {!Sync}. The result, the checkpoint series and the event stream are
+    a pure function of (seed, jobs, execs, sync_every, exchange): nothing
+    depends on domain scheduling. If a shard dies (e.g.
+    {!Driver.Stalled}), the campaign aborts the remaining shards and
+    re-raises that shard's exception.
+
+    [exchange] (default {!Sync.exchange_off}) decides what crosses at
+    the barriers: with it active, shards pull the merged virgin map and
+    import each other's deduplicated discoveries in (round, shard id)
+    order; with it off, each shard fuzzes as if alone. Discoveries the
+    rounds exported are handed back by each shard fuzzer's first
+    [p_export] after the run, so a store capture sees them all.
+
+    [on_checkpoint] receives aggregate snapshots at round barriers, at
+    most one per round and once per [checkpoint_every] published
+    executions, read from the totals the round's release froze
+    (including the published crash total).
 
     [prime_sync] (default: nothing) is applied to the freshly created
     {!Sync.t} before any shard domain is spawned — the farm-resume hook
@@ -92,25 +112,13 @@ val run :
     pre-interruption findings. Ignored at [jobs = 1] (the sequential
     path has no sync; resume preloads the harness directly).
 
-    [exchange] (default {!Sync.exchange_off}) turns the sync rounds into
-    barriered bidirectional exchange rounds: all shards run the same
-    fixed round count derived from the largest shard budget, and at each
-    barrier they pull the merged virgin map and import each other's
-    deduplicated discoveries in (round, shard id) order. The aggregate
-    result is deterministic per (seed, jobs, execs, sync_every,
-    exchange): import order never depends on domain scheduling. If a
-    shard dies (e.g. {!Driver.Stalled}), the campaign aborts the
-    remaining shards and re-raises that shard's exception.
-
     Telemetry: every aggregate checkpoint, and one per-shard checkpoint
-    per sync round, is emitted into [sink] (default {!Telemetry.Sink.null})
+    per round, is emitted into [sink] (default {!Telemetry.Sink.null})
     as a {!Telemetry.Event.Checkpoint} whose series is
     [<series_prefix>aggregate] / [<series_prefix>shard-<i>]. With
-    [jobs > 1] the events are buffered during the run and written to
-    [sink] after the shards join, sorted by (shard, execs, emission
-    order) with aggregate checkpoints last — the stream is
-    ordered-identical run to run, never a scheduling-dependent
-    interleaving ([on_checkpoint] still fires live). Shards
-    publish metric {e deltas} at each sync round, so {!result.cg_metrics}
-    is the campaign-wide registry union, mirroring the virgin-map
-    union. *)
+    [jobs > 1] the events are kept during the run and written to [sink]
+    after the shards join, shard by shard in emission order with
+    aggregate checkpoints last ([on_checkpoint] still fires live).
+    Shards publish metric {e deltas} at each round, so
+    {!result.cg_metrics} is the campaign-wide registry union, mirroring
+    the virgin-map union. *)

@@ -1,6 +1,6 @@
-(* Cross-shard synchronisation: global virgin union, crash dedup, and —
-   when exchange is enabled — the bidirectional seed/affinity/skeleton
-   exchange protocol (barriered rounds, deterministic import order). *)
+(* Cross-shard synchronisation in barriered rounds: global virgin union,
+   crash dedup, and — when an exchange is enabled — the bidirectional
+   seed/affinity/skeleton exchange (deterministic import order). *)
 
 type exchange = { ex_seeds : bool; ex_affinities : bool }
 
@@ -49,6 +49,10 @@ type staged_publish = {
 
 exception Aborted
 
+(* Campaign-wide running totals; [t.frozen] is [t.live] as of the last
+   round release. *)
+type tally = { rounds : int; execs : int; crashes : int }
+
 type t = {
   lock : Mutex.t;
   virgin : Coverage.Bitmap.t;
@@ -66,15 +70,12 @@ type t = {
   mutable logic_uniques :
     (Oracle.Violation.t * Sqlcore.Ast.testcase option) list;
       (* reverse first-published order *)
-  mutable n_logic : int;
   mutable bug_ids_memo : string list option;
       (* sorted distinct bug ids; invalidated on unique insert *)
-  mutable rounds : int;
-  mutable execs_seen : int;
-  mutable total_crashes : int;  (* sum of published crash deltas *)
+  mutable live : tally;  (* sums of published deltas *)
+  mutable frozen : tally;
   interval : int;
   metrics : Telemetry.Registry.t;  (* global union of published deltas *)
-  (* --- exchange state (unused when exchange_off) ------------------- *)
   exchange : exchange;
   parties : int;
   cond : Condition.t;
@@ -101,8 +102,10 @@ type t = {
 
 let default_interval = 4096
 
-let create ?(interval = default_interval) ?(exchange = exchange_off)
-    ?(parties = 1) () =
+let no_tally = { rounds = 0; execs = 0; crashes = 0 }
+
+let create ?(interval = default_interval) ?(exchange = exchange_off) ~parties
+    () =
   { lock = Mutex.create ();
     virgin = Coverage.Bitmap.create ();
     gram_virgin = Coverage.Bitmap.create ();
@@ -111,11 +114,9 @@ let create ?(interval = default_interval) ?(exchange = exchange_off)
     n_uniques = 0;
     lseen = Hashtbl.create 16;
     logic_uniques = [];
-    n_logic = 0;
     bug_ids_memo = None;
-    rounds = 0;
-    execs_seen = 0;
-    total_crashes = 0;
+    live = no_tally;
+    frozen = no_tally;
     interval = max 1 interval;
     metrics = Telemetry.Registry.create ();
     exchange;
@@ -135,8 +136,6 @@ let create ?(interval = default_interval) ?(exchange = exchange_off)
 
 let interval t = t.interval
 
-let exchange_config t = t.exchange
-
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
@@ -154,43 +153,10 @@ let note_logic t ((violation, _) as u) =
   let key = Oracle.Violation.key violation in
   if not (Hashtbl.mem t.lseen key) then begin
     Hashtbl.replace t.lseen key ();
-    t.logic_uniques <- u :: t.logic_uniques;
-    t.n_logic <- t.n_logic + 1
+    t.logic_uniques <- u :: t.logic_uniques
   end
 
-(* Caller holds the lock. Common bookkeeping of one shard publish.
-   [gram], when the shard runs grammar feedback, is its grammar virgin
-   map — unioned with the very same merge the edge map uses. *)
-let publish_locked ?metrics ?gram t ~virgin ~execs_delta ~crashes_delta =
-  t.rounds <- t.rounds + 1;
-  t.execs_seen <- t.execs_seen + max 0 execs_delta;
-  t.total_crashes <- t.total_crashes + max 0 crashes_delta;
-  (match metrics with
-   | None -> ()
-   | Some delta -> Telemetry.Registry.merge ~into:t.metrics delta);
-  (match gram with
-   | None -> ()
-   | Some g -> ignore (Coverage.Bitmap.merge ~into:t.gram_virgin g));
-  Coverage.Bitmap.merge ~into:t.virgin virgin
-
-let publish ?metrics ?gram ?(crashes_delta = 0) t ~virgin ~triage
-    ~execs_delta =
-  (* Triage is shard-private: read it before taking the global lock. *)
-  let crashes = Triage.unique_with_cases triage in
-  let logic = Triage.unique_logic triage in
-  locked t (fun () ->
-      let news =
-        publish_locked ?metrics ?gram t ~virgin ~execs_delta ~crashes_delta
-      in
-      List.iter (note_unique t) crashes;
-      List.iter (note_logic t) logic;
-      news)
-
-let publish_harness ?metrics ?crashes_delta t h ~execs_delta =
-  publish ?metrics ?gram:(Harness.grammar_virgin h) ?crashes_delta t
-    ~virgin:(Harness.virgin h) ~triage:(Harness.triage h) ~execs_delta
-
-(* --- exchange rounds -------------------------------------------------- *)
+(* --- rounds ------------------------------------------------------------- *)
 
 (* Caller holds the lock. Resolve the round's staged publishes into the
    canonical store, sorted by shard id so the store order — and hence every
@@ -231,7 +197,8 @@ let release_round t =
        end)
     staged;
   t.pull_map <- Coverage.Bitmap.snapshot t.virgin;
-  t.gram_pull <- Coverage.Bitmap.snapshot t.gram_virgin
+  t.gram_pull <- Coverage.Bitmap.snapshot t.gram_virgin;
+  t.frozen <- t.live
 
 let abort t =
   Mutex.lock t.lock;
@@ -246,6 +213,29 @@ let rec insert_staged sp = function
   | [] -> [ sp ]
   | hd :: _ as l when sp.sp_shard <= hd.sp_shard -> sp :: l
   | hd :: tl -> hd :: insert_staged sp tl
+
+(* Caller holds the lock, after the barrier. Fold the round-frozen global
+   virgin map back into the shard's own, so branches the campaign already
+   knows stop counting as new there, and collect the foreign store
+   entries this shard has not imported yet. *)
+let pull_locked ?gram t ~shard ~virgin =
+  ignore (Coverage.Bitmap.merge ~into:virgin t.pull_map);
+  Option.iter
+    (fun g -> ignore (Coverage.Bitmap.merge ~into:g t.gram_pull))
+    gram;
+  let from =
+    match Hashtbl.find_opt t.cursors shard with
+    | Some i -> i
+    | None -> 0
+  in
+  let n = Reprutil.Vec.length t.store in
+  Hashtbl.replace t.cursors shard n;
+  let acc = ref [] in
+  for i = n - 1 downto from do
+    let owner, entry = Reprutil.Vec.get t.store i in
+    if owner <> shard then acc := entry :: !acc
+  done;
+  !acc
 
 let exchange_round ?metrics ?gram ?(crashes_delta = 0) t ~shard ~virgin
     ~triage ~execs_delta ~export =
@@ -281,9 +271,17 @@ let exchange_round ?metrics ?gram ?(crashes_delta = 0) t ~shard ~virgin
   in
   locked t (fun () ->
       if t.aborted then raise Aborted;
-      ignore
-        (publish_locked ?metrics ?gram t ~virgin ~execs_delta
-           ~crashes_delta);
+      t.live <-
+        { rounds = t.live.rounds + 1;
+          execs = t.live.execs + max 0 execs_delta;
+          crashes = t.live.crashes + max 0 crashes_delta };
+      Option.iter
+        (fun delta -> Telemetry.Registry.merge ~into:t.metrics delta)
+        metrics;
+      Option.iter
+        (fun g -> ignore (Coverage.Bitmap.merge ~into:t.gram_virgin g))
+        gram;
+      ignore (Coverage.Bitmap.merge ~into:t.virgin virgin);
       t.staged <- insert_staged staged t.staged;
       t.arrived <- t.arrived + 1;
       let gen = t.generation in
@@ -299,33 +297,8 @@ let exchange_round ?metrics ?gram ?(crashes_delta = 0) t ~shard ~virgin
         done;
         if t.aborted then raise Aborted
       end;
-      (* Post-barrier, still under the lock: fold the round-frozen global
-         virgin map back into the shard's own, so branches the campaign
-         already knows stop counting as new there, and collect the foreign
-         store entries this shard has not imported yet. *)
-      ignore (Coverage.Bitmap.merge ~into:virgin t.pull_map);
-      (match gram with
-       | None -> ()
-       | Some g -> ignore (Coverage.Bitmap.merge ~into:g t.gram_pull));
-      let from =
-        match Hashtbl.find_opt t.cursors shard with
-        | Some i -> i
-        | None -> 0
-      in
-      let n = Reprutil.Vec.length t.store in
-      Hashtbl.replace t.cursors shard n;
-      let acc = ref [] in
-      for i = n - 1 downto from do
-        let owner, entry = Reprutil.Vec.get t.store i in
-        if owner <> shard then acc := entry :: !acc
-      done;
-      !acc)
-
-let exchange_harness_round ?metrics ?crashes_delta t h ~shard ~execs_delta
-    ~export =
-  exchange_round ?metrics ?gram:(Harness.grammar_virgin h) ?crashes_delta t
-    ~shard ~virgin:(Harness.virgin h) ~triage:(Harness.triage h)
-    ~execs_delta ~export
+      if exchange_active t.exchange then pull_locked ?gram t ~shard ~virgin
+      else [])
 
 (* Prime a fresh sync with persisted campaign state before any shard
    publishes: merged-in virgin maps stop resurrected coverage counting
@@ -388,18 +361,18 @@ let seed_port pool =
 let metrics t = locked t (fun () -> Telemetry.Registry.snapshot t.metrics)
 
 let branches t =
-  locked t (fun () -> Coverage.Bitmap.count_nonzero t.virgin)
+  locked t (fun () -> Coverage.Bitmap.count_nonzero t.pull_map)
 
 let grammar_counts t =
   locked t (fun () ->
       ( Coverage.Grammar.rules t.gram_virgin,
         Coverage.Grammar.pairs t.gram_virgin ))
 
-let execs_seen t = locked t (fun () -> t.execs_seen)
+let execs_seen t = locked t (fun () -> t.frozen.execs)
 
-let total_crashes t = locked t (fun () -> t.total_crashes)
+let total_crashes t = locked t (fun () -> t.frozen.crashes)
 
-let rounds t = locked t (fun () -> t.rounds)
+let rounds t = locked t (fun () -> t.frozen.rounds)
 
 let exchanged t = locked t (fun () -> Reprutil.Vec.length t.store)
 
@@ -408,8 +381,6 @@ let unique_crashes t = locked t (fun () -> List.rev t.uniques)
 let unique_count t = locked t (fun () -> t.n_uniques)
 
 let unique_logic t = locked t (fun () -> List.rev t.logic_uniques)
-
-let logic_count t = locked t (fun () -> t.n_logic)
 
 let bug_ids t =
   locked t (fun () ->

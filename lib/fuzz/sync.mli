@@ -1,35 +1,39 @@
 (** Cross-shard coverage, crash and corpus synchronisation.
 
     In a sharded campaign every shard owns a private {!Harness.t} (its own
-    exec map, virgin map, and triage) and periodically {e publishes} into
-    one shared [Sync.t]: the shard's virgin map is unioned into the global
-    virgin map ({!Coverage.Bitmap.merge}) and its unique crashes are
-    deduplicated by stack signature against every other shard's. This is
-    the analogue of AFL++'s [-M]/[-S] sync directory.
+    exec map, virgin map, and triage) and meets the other shards at one
+    shared [Sync.t] every [sync_every] executions. A meeting is a
+    barriered round ({!exchange_round}): each shard publishes, the
+    shard's virgin map is unioned into the global virgin map
+    ({!Coverage.Bitmap.merge}), and the last arrival releases the round,
+    deduplicating unique crashes by stack signature in shard-id order and
+    freezing the campaign's running totals. This is the analogue of
+    AFL++'s [-M]/[-S] sync directory.
 
-    With an {!exchange} configuration the sync becomes {e bidirectional}
-    (DESIGN.md §10): sync rounds turn into barriered exchange rounds in
-    which each shard also publishes its coverage-increasing seeds and its
-    discovered type-affinities and AST skeletons, then (a) pulls the
-    global virgin map back into its own so branches the campaign already
-    knows stop counting as new, and (b) imports the foreign entries it
-    has not seen. Entries are globally deduplicated (seed cov-hash,
-    affinity pair, printed skeleton SQL) and resolved in (publish round,
-    shard id) order at the round barrier, so the canonical store — and
-    every shard's import sequence — is a pure function of the campaign
-    seed, independent of domain scheduling.
+    The {!exchange} configuration only decides what crosses shards
+    (DESIGN.md §10). With it active each shard also publishes its
+    coverage-increasing seeds and its discovered type-affinities and AST
+    skeletons, then (a) pulls the global virgin map back into its own so
+    branches the campaign already knows stop counting as new, and (b)
+    imports the foreign entries it has not seen. Entries are globally
+    deduplicated (seed cov-hash, affinity pair, printed skeleton SQL) and
+    resolved in (round, shard id) order at the barrier, so the canonical
+    store — and every shard's import sequence — is a pure function of the
+    campaign seed, independent of domain scheduling. With {!exchange_off}
+    shards publish and never pull: they stay independent.
 
-    All operations take an internal mutex; publishing is safe from any
-    domain. Publish frequency is the campaign's [sync_every] interval. *)
+    All operations take an internal mutex and are safe from any domain. *)
 
 type exchange = { ex_seeds : bool; ex_affinities : bool }
-(** What crosses shards at exchange rounds: coverage-increasing seeds
+(** What crosses shards at each round: coverage-increasing seeds
     ([ex_seeds]) and/or type-affinities + AST skeletons
     ([ex_affinities]). The virgin-map pull-back is active whenever either
     is. *)
 
 val exchange_off : exchange
-(** Publish-only sync: the pre-exchange behaviour, free-running shards. *)
+(** Nothing crosses: shards still meet at every round barrier and
+    publish coverage, crashes and metrics, but never pull or import, so
+    each shard fuzzes as if alone. *)
 
 val exchange_all : exchange
 
@@ -83,53 +87,12 @@ type t
 val default_interval : int
 (** Executions between syncs when unspecified (4096). *)
 
-val create : ?interval:int -> ?exchange:exchange -> ?parties:int -> unit -> t
-(** [parties] is the number of shards meeting at each exchange-round
-    barrier (default 1; only meaningful with an active [exchange],
-    default {!exchange_off}). *)
+val create : ?interval:int -> ?exchange:exchange -> parties:int -> unit -> t
+(** [parties] is the number of shards meeting at each round barrier
+    (clamped to ≥ 1); [exchange] defaults to {!exchange_off}. *)
 
 val interval : t -> int
 (** The configured sync interval in executions (clamped to ≥ 1). *)
-
-val exchange_config : t -> exchange
-
-val publish :
-  ?metrics:Telemetry.Registry.t ->
-  ?gram:Coverage.Bitmap.t ->
-  ?crashes_delta:int ->
-  t ->
-  virgin:Coverage.Bitmap.t ->
-  triage:Triage.t ->
-  execs_delta:int ->
-  int
-(** One publish-only sync round: union a shard's virgin map into the
-    global map and fold its unique crashes into the cross-shard dedup
-    table. Returns the number of global virgin cells whose bucket set
-    grew. [execs_delta] and [crashes_delta] are the executions and {e
-    total} (not unique) crashes the shard accumulated since its last
-    publish; they drive {!execs_seen} and {!total_crashes} for aggregate
-    progress reporting. Re-publishing the same state is idempotent:
-    zero news, no duplicate crashes.
-
-    [metrics], when given, must be the {e delta} registry since the
-    shard's last publish ({!Telemetry.Registry.diff}); it is merged into
-    the global registry under the same lock, mirroring the virgin-map
-    union. Deltas — not absolute registries — keep the non-idempotent
-    counter/histogram merge correct across repeated publishes.
-
-    [gram], when the shard runs grammar feedback, is its grammar virgin
-    map: it is unioned into a global grammar virgin map under the same
-    lock, with the same idempotent {!Coverage.Bitmap.merge} the edge map
-    uses (see {!grammar_counts}). *)
-
-val publish_harness :
-  ?metrics:Telemetry.Registry.t ->
-  ?crashes_delta:int ->
-  t ->
-  Harness.t ->
-  execs_delta:int ->
-  int
-(** {!publish} with the virgin map and triage taken from a harness. *)
 
 val exchange_round :
   ?metrics:Telemetry.Registry.t ->
@@ -142,42 +105,44 @@ val exchange_round :
   execs_delta:int ->
   export:export ->
   entry list
-(** One barriered bidirectional round. Publishes like {!publish} (except
-    crashes, which are staged and folded in shard-id order at the
-    barrier so first-finder attribution is deterministic), stages
-    [export], then blocks until all [parties] shards of this round have
-    arrived. The last arrival resolves the round: staged entries are
-    deduplicated into the canonical store sorted by shard id, and the
-    global virgin map is frozen for this round's pulls. On wake-up the
-    shard's [virgin] map absorbs the frozen global map (the pull-back)
-    and the call returns the store entries this shard has not imported
-    yet, excluding its own, in canonical order — apply them through the
-    fuzzer's {!port}.
+(** One barriered round. Unions the shard's [virgin] map into the global
+    map, adds [execs_delta] and [crashes_delta] — the executions and {e
+    total} (not unique) crashes since the shard's last round — to the
+    running totals, stages the shard's unique crashes and logic findings
+    and [export], then blocks until all [parties] shards of this round
+    have arrived. The last arrival releases the round: staged findings
+    are folded into the cross-shard dedup tables in shard-id order (so
+    first-finder attribution is deterministic), staged exports are
+    deduplicated into the canonical store, and the global virgin map and
+    running totals are frozen for this round ({!branches},
+    {!execs_seen}, {!total_crashes}, {!rounds}). Re-publishing the same
+    state is idempotent: no new branches, no duplicate crashes.
+
+    With an active {!exchange}, on wake-up the shard's [virgin] map
+    absorbs the frozen global map (the pull-back) and the call returns
+    the store entries this shard has not imported yet, excluding its own,
+    in canonical order — apply them through the fuzzer's {!port}. With
+    {!exchange_off} it returns [[]] and leaves [virgin] alone; kinds
+    disabled in the configuration are dropped at staging time.
+
+    [metrics], when given, must be the {e delta} registry since the
+    shard's last round ({!Telemetry.Registry.diff}); it is merged into
+    the global registry under the lock. Deltas — not absolute registries
+    — keep the non-idempotent counter/histogram merge correct across
+    rounds.
+
+    [gram], when the shard runs grammar feedback, is its grammar virgin
+    map: unioned into a global grammar map with the same idempotent
+    merge (see {!grammar_counts}) and, with an active exchange, absorbed
+    back from the round-frozen global grammar map at the pull-back.
 
     Every shard must call this the same number of times (the campaign
     derives a fixed round count from the budget); a shard whose budget is
-    exhausted keeps joining with empty deltas. Kinds disabled in the
-    {!exchange} configuration are dropped at staging time.
-
-    [gram], like in {!publish}, is the shard's grammar virgin map; it is
-    additionally absorbed back from the round-frozen global grammar map
-    at the pull-back, so rule pairs any shard has fired stop counting as
-    grammar news everywhere.
+    exhausted keeps joining with empty deltas.
     @raise Aborted after {!abort}. *)
 
-val exchange_harness_round :
-  ?metrics:Telemetry.Registry.t ->
-  ?crashes_delta:int ->
-  t ->
-  Harness.t ->
-  shard:int ->
-  execs_delta:int ->
-  export:export ->
-  entry list
-(** {!exchange_round} with virgin map and triage taken from a harness. *)
-
 val abort : t -> unit
-(** Wake every shard blocked at the exchange barrier with {!Aborted};
+(** Wake every shard blocked at the round barrier with {!Aborted};
     idempotent. Called when a shard dies so the campaign can fail instead
     of hanging. *)
 
@@ -212,21 +177,24 @@ val metrics : t -> Telemetry.Registry.t
     shard deltas (stage-time histograms, engine counters). *)
 
 val branches : t -> int
-(** Branches of the merged global virgin map — the aggregate Figure 9
-    metric across shards. *)
+(** Branches of the merged global virgin map as of the last released
+    round — the aggregate Figure 9 metric across shards. *)
 
 val grammar_counts : t -> int * int
 (** [(rules, pairs)] of the merged global grammar virgin map; [(0, 0)]
     when no shard published grammar coverage. *)
 
 val execs_seen : t -> int
-(** Total executions published so far across all shards. *)
+(** Total executions published across all shards up to the last
+    released round. *)
 
 val total_crashes : t -> int
-(** Total (non-unique) crashes published so far across all shards. *)
+(** Total (non-unique) crashes published across all shards up to the
+    last released round. *)
 
 val rounds : t -> int
-(** Publish calls so far (exchange rounds count one per shard). *)
+(** Shard publishes up to the last released round (one per shard per
+    round). *)
 
 val exchanged : t -> int
 (** Entries in the canonical exchange store (post-dedup). *)
@@ -244,11 +212,8 @@ val unique_logic :
 (** Cross-shard unique logic-bug findings in first-published order,
     deduplicated by {!Oracle.Violation.key} exactly like crashes are by
     stack, each with the test case of the shard that exposed it first.
-    Fed by {!publish} (from the shard triage) and staged/folded in
-    shard-id order at exchange-round barriers. *)
-
-val logic_count : t -> int
-(** O(1), like {!unique_count}. *)
+    Staged from the shard triage and folded in shard-id order at round
+    barriers. *)
 
 val bug_ids : t -> string list
 (** Distinct injected-bug ids among the cross-shard unique crashes.

@@ -14,44 +14,50 @@ let fake_crash id =
   let bug = fake_bug id in
   { Minidb.Fault.c_bug = bug; c_stack = Minidb.Fault.stack_of_bug bug }
 
+(* One single-party round: it releases as soon as it arrives, so its
+   effects are visible when the call returns. *)
+let publish ?gram ?crashes_delta sync ~virgin ~triage ~execs_delta =
+  ignore
+    (Fuzz.Sync.exchange_round ?gram ?crashes_delta sync ~shard:0 ~virgin
+       ~triage ~execs_delta ~export:Fuzz.Sync.empty_export)
+
 let test_sync_dedupes_across_shards () =
   (* Two shards independently find the same crash signature: the sync
      layer must count it once, keeping the first finder's reproducer. *)
-  let sync = Fuzz.Sync.create () in
+  let sync = Fuzz.Sync.create ~parties:1 () in
   let tri_a = Fuzz.Triage.create () and tri_b = Fuzz.Triage.create () in
   ignore (Fuzz.Triage.record tri_a (fake_crash "B1"));
   ignore (Fuzz.Triage.record tri_b (fake_crash "B1"));
   ignore (Fuzz.Triage.record tri_b (fake_crash "B2"));
   let virgin_a = Coverage.Bitmap.create ()
   and virgin_b = Coverage.Bitmap.create () in
-  ignore
-    (Fuzz.Sync.publish sync ~virgin:virgin_a ~triage:tri_a ~execs_delta:10);
-  ignore
-    (Fuzz.Sync.publish sync ~virgin:virgin_b ~triage:tri_b ~execs_delta:10);
+  publish sync ~virgin:virgin_a ~triage:tri_a ~execs_delta:10;
+  publish sync ~virgin:virgin_b ~triage:tri_b ~execs_delta:10;
   Alcotest.(check int) "identical signatures deduped" 2
     (Fuzz.Sync.unique_count sync);
   Alcotest.(check (list string)) "bug ids unioned" [ "B1"; "B2" ]
     (Fuzz.Sync.bug_ids sync);
   (* republishing a shard is idempotent *)
-  ignore
-    (Fuzz.Sync.publish sync ~virgin:virgin_b ~triage:tri_b ~execs_delta:0);
+  publish sync ~virgin:virgin_b ~triage:tri_b ~execs_delta:0;
   Alcotest.(check int) "republish adds nothing" 2
     (Fuzz.Sync.unique_count sync);
   Alcotest.(check int) "execs accumulate" 20 (Fuzz.Sync.execs_seen sync);
   Alcotest.(check int) "rounds counted" 3 (Fuzz.Sync.rounds sync)
 
 let test_sync_merges_coverage () =
-  let sync = Fuzz.Sync.create () in
+  let sync = Fuzz.Sync.create ~parties:1 () in
   let exec = Coverage.Bitmap.create () in
   Coverage.Bitmap.hit exec 17;
   let virgin = Coverage.Bitmap.create () in
   ignore (Coverage.Bitmap.merge_into ~virgin exec);
   let tri = Fuzz.Triage.create () in
-  let news = Fuzz.Sync.publish sync ~virgin ~triage:tri ~execs_delta:1 in
-  Alcotest.(check int) "first publish is news" 1 news;
+  let before = Fuzz.Sync.branches sync in
+  publish sync ~virgin ~triage:tri ~execs_delta:1;
+  Alcotest.(check int) "first publish is news" 1
+    (Fuzz.Sync.branches sync - before);
   Alcotest.(check int) "global branches" 1 (Fuzz.Sync.branches sync);
-  Alcotest.(check int) "re-publish is no news" 0
-    (Fuzz.Sync.publish sync ~virgin ~triage:tri ~execs_delta:0)
+  publish sync ~virgin ~triage:tri ~execs_delta:0;
+  Alcotest.(check int) "re-publish is no news" 1 (Fuzz.Sync.branches sync)
 
 let budget = 1500
 
@@ -124,19 +130,14 @@ let test_sharded_campaign_aggregates () =
 let test_sync_crash_totals () =
   (* Satellite fix: published crash deltas must accumulate into the
      aggregate total instead of being dropped. *)
-  let sync = Fuzz.Sync.create () in
+  let sync = Fuzz.Sync.create ~parties:1 () in
   let virgin = Coverage.Bitmap.create () in
   let tri = Fuzz.Triage.create () in
-  ignore
-    (Fuzz.Sync.publish ~crashes_delta:3 sync ~virgin ~triage:tri
-       ~execs_delta:5);
-  ignore
-    (Fuzz.Sync.publish ~crashes_delta:2 sync ~virgin ~triage:tri
-       ~execs_delta:5);
+  publish ~crashes_delta:3 sync ~virgin ~triage:tri ~execs_delta:5;
+  publish ~crashes_delta:2 sync ~virgin ~triage:tri ~execs_delta:5;
   Alcotest.(check int) "crash deltas accumulate" 5
     (Fuzz.Sync.total_crashes sync);
-  ignore
-    (Fuzz.Sync.publish sync ~virgin ~triage:tri ~execs_delta:0);
+  publish sync ~virgin ~triage:tri ~execs_delta:0;
   Alcotest.(check int) "default delta is zero" 5
     (Fuzz.Sync.total_crashes sync)
 
@@ -179,23 +180,23 @@ let lego_factory_fb ~feedback ~seed shard_id =
   Lego.Lego_fuzzer.fuzzer (Lego.Lego_fuzzer.create ~config ~harness profile)
 
 let test_sync_grammar_union () =
-  let sync = Fuzz.Sync.create () in
+  let sync = Fuzz.Sync.create ~parties:1 () in
   let virgin = Coverage.Bitmap.create () in
   let tri = Fuzz.Triage.create () in
   Alcotest.(check (pair int int)) "empty before any publish" (0, 0)
     (Fuzz.Sync.grammar_counts sync);
   let g1 = Coverage.Bitmap.create () in
   Coverage.Grammar.record g1 ~site:1 ~parent:0;
-  ignore (Fuzz.Sync.publish ~gram:g1 sync ~virgin ~triage:tri ~execs_delta:1);
+  publish ~gram:g1 sync ~virgin ~triage:tri ~execs_delta:1;
   Alcotest.(check (pair int int)) "first shard's rules and pairs" (1, 1)
     (Fuzz.Sync.grammar_counts sync);
   let g2 = Coverage.Bitmap.create () in
   Coverage.Grammar.record g2 ~site:1 ~parent:0;
   Coverage.Grammar.record g2 ~site:2 ~parent:1;
-  ignore (Fuzz.Sync.publish ~gram:g2 sync ~virgin ~triage:tri ~execs_delta:1);
+  publish ~gram:g2 sync ~virgin ~triage:tri ~execs_delta:1;
   Alcotest.(check (pair int int)) "union across shards" (2, 2)
     (Fuzz.Sync.grammar_counts sync);
-  ignore (Fuzz.Sync.publish ~gram:g1 sync ~virgin ~triage:tri ~execs_delta:0);
+  publish ~gram:g1 sync ~virgin ~triage:tri ~execs_delta:0;
   Alcotest.(check (pair int int)) "re-publish is idempotent" (2, 2)
     (Fuzz.Sync.grammar_counts sync)
 
@@ -408,16 +409,29 @@ let run_exchange_campaign ~exchange ~seed =
   Fuzz.Campaign.run ~jobs:4 ~sync_every:300 ~exchange ~execs:2400
     (lego_factory ~seed)
 
-let test_exchange_campaign_deterministic () =
-  (* The whole point of barriered rounds: at jobs=4 the aggregate
-     snapshot is a pure function of the seed, run to run. *)
-  let a = run_exchange_campaign ~exchange:Fuzz.Sync.exchange_all ~seed:5 in
-  let b = run_exchange_campaign ~exchange:Fuzz.Sync.exchange_all ~seed:5 in
-  Alcotest.(check bool) "aggregate snapshots identical" true
-    (a.Fuzz.Campaign.cg_snapshot = b.Fuzz.Campaign.cg_snapshot);
-  Alcotest.(check int) "same store size"
-    (List.length a.Fuzz.Campaign.cg_crashes)
-    (List.length b.Fuzz.Campaign.cg_crashes)
+let test_exchange_campaign_deterministic exchange () =
+  (* The whole point of barriered rounds: at jobs=4, with or without the
+     exchange, the aggregate checkpoint series, the cross-shard crash
+     order and the final snapshot are a pure function of the seed. *)
+  let run () =
+    let cps = ref [] in
+    let res =
+      Fuzz.Campaign.run ~jobs:4 ~sync_every:20 ~checkpoint_every:200
+        ~on_checkpoint:(fun cp -> cps := cp.Fuzz.Driver.cp_snapshot :: !cps)
+        ~exchange ~execs:2400 (lego_factory ~seed:5)
+    in
+    ( List.rev !cps,
+      List.map
+        (fun (c, _) -> Fuzz.Triage.stack_key c)
+        res.Fuzz.Campaign.cg_crashes,
+      res.Fuzz.Campaign.cg_snapshot )
+  in
+  let cps_a, crashes_a, snap_a = run () in
+  let cps_b, crashes_b, snap_b = run () in
+  Alcotest.(check bool) "checkpoints fired" true (cps_a <> []);
+  Alcotest.(check bool) "checkpoint series identical" true (cps_a = cps_b);
+  Alcotest.(check (list string)) "crash order identical" crashes_a crashes_b;
+  Alcotest.(check bool) "aggregate snapshots identical" true (snap_a = snap_b)
 
 let test_exchange_beats_publish_only () =
   (* At equal budget, bidirectional exchange must not cover fewer
@@ -464,7 +478,9 @@ let suite =
     ("seed port never echoes imports", `Quick, test_seed_port_no_echo);
     ("4-shard campaign aggregates", `Slow, test_sharded_campaign_aggregates);
     ("4-shard exchange campaign deterministic", `Slow,
-     test_exchange_campaign_deterministic);
+     test_exchange_campaign_deterministic Fuzz.Sync.exchange_all);
+    ("4-shard exchange-off campaign deterministic", `Slow,
+     test_exchange_campaign_deterministic Fuzz.Sync.exchange_off);
     ("exchange beats publish-only sync", `Slow,
      test_exchange_beats_publish_only);
     ("sequential metrics are a snapshot", `Quick,

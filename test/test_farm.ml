@@ -996,6 +996,52 @@ let test_resume_golden () =
            (o2.rs_warnings <> []);
          Alcotest.(check int) "wrote a fresh generation" 3 o2.rs_generation))
 
+let test_resume_sharded () =
+  (* A 2-job campaign stored the way [fuzz --jobs 2 --store] writes it
+     (exchange on), then resumed at [~jobs:2] from two copies of its
+     store: the resume keeps the exchange on, so both copies replay one
+     campaign, and no finding preloaded from the store comes back. *)
+  let campaign = { golden_campaign with Store.sc_id = "sharded"; sc_budget = 6000 } in
+  let factory =
+    match Spec.make ~campaign ~seed:campaign.sc_seed with
+    | Ok f -> f
+    | Error m -> Alcotest.failf "factory: %s" m
+  in
+  let first =
+    Fuzz.Campaign.run ~jobs:2 ~sync_every:500 ~exchange:Fuzz.Sync.exchange_all
+      ~execs:3000 factory
+  in
+  let sn =
+    Resume.capture ~prior:(Store.empty_snapshot campaign) ~campaign
+      ~progress:
+        { Store.pr_execs_done = first.cg_snapshot.Fuzz.Driver.st_execs;
+          pr_epoch = 0 }
+      first
+  in
+  Alcotest.(check bool) "exchanged discoveries reach the store" true
+    (sn.Store.sn_seeds <> [] && sn.sn_affinities <> []
+     && sn.sn_skeletons <> []);
+  Alcotest.(check bool) "findings stored" true (sn.sn_crash_keys <> []);
+  let resume dir =
+    ignore (Store.save ~dir sn);
+    match Resume.run ~jobs:2 ~sync_every:500 ~dir () with
+    | Ok o -> o.Resume.rs_result
+    | Error m -> Alcotest.failf "resume: %s" m
+  in
+  let a = with_dir "sharded-a" resume and b = with_dir "sharded-b" resume in
+  Alcotest.(check bool) "equal snapshots" true (a.cg_snapshot = b.cg_snapshot);
+  let new_keys (r : Fuzz.Campaign.result) =
+    ( List.map (fun (c, _) -> Fuzz.Triage.stack_key c) r.cg_crashes,
+      List.map (fun (v, _) -> Oracle.Violation.key v) r.cg_logic )
+  in
+  Alcotest.(check (pair (list string) (list string))) "equal new dedup keys"
+    (new_keys a) (new_keys b);
+  let crashes, logic = new_keys a in
+  Alcotest.(check (list string)) "no crash re-reported" []
+    (List.filter (fun k -> List.mem k sn.sn_crash_keys) crashes);
+  Alcotest.(check (list string)) "no violation re-reported" []
+    (List.filter (fun k -> List.mem k sn.sn_logic_keys) logic)
+
 (* --- worker transport: line-framed JSON round-trip --------------------- *)
 
 module Transport = Farm.Transport
@@ -1465,6 +1511,8 @@ let suite =
     Alcotest.test_case "farm: independent of domain count" `Slow
       test_scheduler_domain_independent;
     Alcotest.test_case "resume: golden parity" `Slow test_resume_golden;
+    Alcotest.test_case "resume: sharded, exchange on" `Slow
+      test_resume_sharded;
     Alcotest.test_case "processes: SIGKILL recovery" `Slow
       test_processes_sigkill_recovery;
     Alcotest.test_case "processes: wedged worker quarantined" `Slow
