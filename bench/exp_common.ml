@@ -51,8 +51,7 @@ let checkpoint_every = max 1 (budget / 6)
 (* A campaign maker: [factory shard_id] builds one shard's fuzzer (called
    inside the shard's domain by the campaign engine). [jobs] defaults to
    REPRO_JOBS; the exchange ablation passes all three shard settings. *)
-let run_campaign ?(jobs = jobs)
-    ?(exchange = Fuzz.Sync.exchange_all)
+let run_campaign ?(jobs = jobs) ?(exchange = true)
     ?(sync_every = Fuzz.Sync.default_interval) profile (name, factory) =
   let series = ref [] in
   let start = Telemetry.Span.now_s () in

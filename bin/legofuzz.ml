@@ -1,28 +1,20 @@
-(* legofuzz: command-line driver for the LEGO reproduction.
-
-   Subcommands:
-     fuzz       run one fuzzer on one simulated DBMS
-     compare    run every fuzzer on one DBMS with the same budget
-     report     render a recorded telemetry run (runs/*.jsonl)
-     bugs       print the seeded bug inventory (Table I data)
-     affinities run LEGO briefly and dump the learned affinity map
-     exec       execute a SQL file against a simulated DBMS *)
+(* legofuzz: command-line driver for the LEGO reproduction
+   ([legofuzz --help] lists the subcommands). *)
 
 open Cmdliner
 
-let profile_of_name name =
-  match Dialects.Registry.by_name name with
-  | Some p -> Ok p
-  | None ->
-    Error
-      (`Msg
-         (Printf.sprintf
-            "unknown DBMS %S (try postgresql, mysql, mariadb, comdb2)" name))
-
 let dialect_conv =
+  let parse name =
+    match Dialects.Registry.by_name name with
+    | Some p -> Ok p
+    | None ->
+      Error
+        (`Msg
+           (Printf.sprintf
+              "unknown DBMS %S (try postgresql, mysql, mariadb, comdb2)" name))
+  in
   Arg.conv
-    ( (fun s -> profile_of_name s),
-      fun fmt p -> Format.pp_print_string fmt (Minidb.Profile.name p) )
+    (parse, fun fmt p -> Format.pp_print_string fmt (Minidb.Profile.name p))
 
 (* Campaign ids name directories under runs/, so anything that could
    escape it ("..", "/", a leading '.') is rejected at parse time. *)
@@ -36,6 +28,28 @@ let campaign_id =
               "invalid campaign id %S (letters, digits, '.', '_', '-')" s))
   in
   Arg.conv (parse, Format.pp_print_string)
+
+(* Input and usage errors: the message on stderr, then exit status
+   [code]. *)
+let die ?(code = 1) msg =
+  prerr_endline msg;
+  exit code
+
+(* The one file-or-stdin read behind every subcommand that takes an
+   input file: an unreadable input is reported as "path: reason" with
+   exit status 1, never as an uncaught exception. *)
+let read_input path =
+  try
+    if path = "-" then In_channel.input_all In_channel.stdin
+    else In_channel.with_open_bin path In_channel.input_all
+  with Sys_error e ->
+    let prefix = path ^ ": " in
+    die (if String.starts_with ~prefix e then e else prefix ^ e)
+
+let read_testcase path =
+  match Sqlparser.Parser.parse_testcase (read_input path) with
+  | Ok tc -> tc
+  | Error msg -> die ("parse error: " ^ msg)
 
 let dialect_arg =
   let doc = "Simulated DBMS: postgresql, mysql, mariadb or comdb2." in
@@ -52,13 +66,16 @@ let seed_arg =
   let doc = "PRNG seed (campaigns are deterministic per seed)." in
   Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
 
+(* Clamped to >= 1 here, once, for every subcommand that shards. *)
 let jobs_arg =
   let doc =
     "Number of parallel campaign shards (OCaml domains). 1 = the exact \
      sequential behaviour; each shard gets a distinct derived seed and \
      1/JOBS of the execution budget."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
+  Term.(
+    const (max 1)
+    $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc))
 
 let sync_arg =
   let doc =
@@ -71,25 +88,15 @@ let sync_arg =
 
 let onoff = Arg.enum [ ("on", true); ("off", false) ]
 
-let sync_seeds_arg =
+let exchange_arg =
   let doc =
-    "Bidirectional seed exchange between shards at sync rounds (jobs > 1 \
-     only): shards publish their coverage-increasing seeds and import \
-     each other's. $(b,on) or $(b,off)."
+    "Bidirectional exchange between shards at sync rounds (jobs > 1 \
+     only): shards trade their coverage-increasing seeds, type-affinities \
+     and AST skeletons, and pull the merged virgin map back; imported \
+     affinities trigger LEGO's sequence synthesis on the importing shard. \
+     $(b,on) or $(b,off)."
   in
-  Arg.(value & opt onoff true & info [ "sync-seeds" ] ~docv:"on|off" ~doc)
-
-let sync_affinities_arg =
-  let doc =
-    "Bidirectional type-affinity and AST-skeleton exchange between shards \
-     at sync rounds (jobs > 1 only); imported affinities trigger LEGO's \
-     sequence synthesis on the importing shard. $(b,on) or $(b,off)."
-  in
-  Arg.(
-    value & opt onoff true & info [ "sync-affinities" ] ~docv:"on|off" ~doc)
-
-let exchange_of ~sync_seeds ~sync_affinities =
-  { Fuzz.Sync.ex_seeds = sync_seeds; ex_affinities = sync_affinities }
+  Arg.(value & opt onoff true & info [ "exchange" ] ~docv:"on|off" ~doc)
 
 let oracles_arg =
   let doc =
@@ -107,30 +114,12 @@ let exec_cache_arg =
      captured as engine snapshots and mutants sharing a prefix resume \
      from the snapshot instead of replaying it. Outcomes — coverage, \
      crashes, oracle verdicts — are identical to cold replays; only \
-     wall-clock changes. $(b,on) (1024 entries), $(b,off), or an entry \
-     count."
-  in
-  let cache_conv =
-    let parse s =
-      match String.lowercase_ascii s with
-      | "on" -> Ok 1024
-      | "off" -> Ok 0
-      | s -> (
-          match int_of_string_opt s with
-          | Some n when n >= 0 -> Ok n
-          | _ ->
-            Error
-              (`Msg
-                 (Printf.sprintf
-                    "invalid exec-cache %S (on, off or an entry count)" s)))
-    in
-    let print ppf n =
-      Format.pp_print_string ppf (if n = 0 then "off" else string_of_int n)
-    in
-    Arg.conv (parse, print)
+     wall-clock changes. $(b,on) (1024 entries) or $(b,off)."
   in
   Arg.(
-    value & opt cache_conv 1024 & info [ "exec-cache" ] ~docv:"on|off|N" ~doc)
+    value
+    & opt (enum [ ("on", 1024); ("off", 0) ]) 1024
+    & info [ "exec-cache" ] ~docv:"on|off" ~doc)
 
 let feedback_arg =
   let doc =
@@ -142,25 +131,18 @@ let feedback_arg =
      $(b,both) (either signal; also biases generation toward unfired \
      rule pairs)."
   in
-  let feedback_conv =
-    let parse s =
-      match Fuzz.Harness.feedback_of_string (String.lowercase_ascii s) with
-      | Some f -> Ok f
-      | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "invalid feedback %S (edges, grammar or both)" s))
-    in
-    let print ppf f =
-      Format.pp_print_string ppf (Fuzz.Harness.feedback_to_string f)
-    in
-    Arg.conv (parse, print)
+  let feedback =
+    List.map
+      (fun f -> (Fuzz.Harness.feedback_to_string f, f))
+      Fuzz.Harness.[ Edges; Grammar; Both ]
   in
   Arg.(
     value
-    & opt feedback_conv Fuzz.Harness.Edges
+    & opt (enum feedback) Fuzz.Harness.Edges
     & info [ "feedback" ] ~docv:"edges|grammar|both" ~doc)
 
+(* Evaluating the term applies the setting; the value is what a farm
+   passes on to its worker processes. *)
 let cow_arg =
   let doc =
     "Copy-on-write engine snapshots: $(b,on) takes snapshots as O(1) \
@@ -169,7 +151,11 @@ let cow_arg =
      Outcomes are identical either way; only wall-clock and snapshot \
      memory accounting change."
   in
-  Arg.(value & opt onoff true & info [ "cow" ] ~docv:"on|off" ~doc)
+  Term.(
+    const (fun cow ->
+        Minidb.Catalog.set_copy_on_write cow;
+        cow)
+    $ Arg.(value & opt onoff true & info [ "cow" ] ~docv:"on|off" ~doc))
 
 let sessions_arg =
   let doc =
@@ -189,104 +175,236 @@ let schedules_arg =
   in
   Arg.(value & opt int 64 & info [ "schedules" ] ~docv:"M" ~doc)
 
-let telemetry_arg =
-  let doc =
-    "Telemetry recording: $(b,none) (console only; byte-identical output \
-     to pre-telemetry builds for the same seed) or $(b,jsonl) (also \
-     record every event under runs/ as a .jsonl stream for $(b,legofuzz \
-     report))."
+(* --- campaign options -------------------------------------------------- *)
+
+(* The configuration [fuzz] and [compare] share: every fuzzer of a
+   comparison runs under exactly what one [fuzz] run would. *)
+type campaign = {
+  profile : Minidb.Profile.t;
+  execs : int;
+  seed : int;
+  jobs : int;
+  sync_every : int;
+  exchange : bool;
+  exec_cache : int;  (* entries; 0 = off *)
+  feedback : Fuzz.Harness.feedback;
+}
+
+let campaign_term =
+  let make profile execs seed jobs sync_every exchange exec_cache feedback =
+    { profile; execs; seed; jobs; sync_every; exchange; exec_cache;
+      feedback }
   in
-  Arg.(
-    value
-    & opt (enum [ ("none", `None); ("jsonl", `Jsonl) ]) `None
-    & info [ "telemetry" ] ~docv:"MODE" ~doc)
+  Term.(
+    const make $ dialect_arg $ execs_arg $ seed_arg $ jobs_arg $ sync_arg
+    $ exchange_arg $ exec_cache_arg $ feedback_arg)
 
-let json_arg =
-  let doc =
-    "Machine-readable output: print every telemetry event to stdout as \
-     one JSON object per line instead of the human summary."
+(* The Meta event of a [fuzz] / [compare] run: [fuzzer] and [oracles]
+   slot in where [fuzz] has them, [tail] closes the list. *)
+let meta ~command ?fuzzer ?oracles ?(tail = []) c =
+  let module J = Telemetry.Json in
+  let some key f = Option.fold ~none:[] ~some:(fun v -> [ (key, f v) ]) in
+  (("command", J.Str command) :: some "fuzzer" (fun f -> J.Str f) fuzzer)
+  @ [ ("dialect", J.Str (Minidb.Profile.name c.profile));
+      ("seed", J.Int c.seed); ("execs", J.Int c.execs);
+      ("jobs", J.Int c.jobs); ("sync_every", J.Int c.sync_every);
+      ("exchange", J.Bool c.exchange) ]
+  @ some "oracles" (fun b -> J.Bool b) oracles
+  @ [ ("exec_cache", J.Int c.exec_cache);
+      ("feedback", J.Str (Fuzz.Harness.feedback_to_string c.feedback)) ]
+  @ tail
+
+let factory ?oracles c name =
+  Farm.Spec.fuzzer_factory ?oracles ~exec_cache:c.exec_cache
+    ~feedback:c.feedback ~name ~profile:c.profile ~seed:c.seed ()
+
+let timed f =
+  let start = Telemetry.Span.now_s () in
+  let r = f () in
+  (r, Telemetry.Span.now_s () -. start)
+
+let run_campaign ?checkpoint_every ?series_prefix ~sink c make =
+  timed (fun () ->
+      Fuzz.Campaign.run ?checkpoint_every ?series_prefix
+        ~sync_every:c.sync_every ~exchange:c.exchange ~sink ~jobs:c.jobs
+        ~execs:c.execs make)
+
+(* --- run output -------------------------------------------------------- *)
+
+type output = { json : bool; telemetry : [ `None | `Jsonl ] }
+
+let output_term =
+  let telemetry_arg =
+    let doc =
+      "Telemetry recording: $(b,none) (console only; byte-identical \
+       output to pre-telemetry builds for the same seed) or $(b,jsonl) \
+       (also record every event under runs/ as a .jsonl stream for \
+       $(b,legofuzz report))."
+    in
+    Arg.(
+      value
+      & opt (enum [ ("none", `None); ("jsonl", `Jsonl) ]) `None
+      & info [ "telemetry" ] ~docv:"MODE" ~doc)
   in
-  Arg.(value & flag & info [ "json" ] ~doc)
+  let json_arg =
+    let doc =
+      "Machine-readable output: print every telemetry event to stdout as \
+       one JSON object per line instead of the human summary."
+    in
+    Arg.(value & flag & info [ "json" ] ~doc)
+  in
+  Term.(
+    const (fun telemetry json -> { json; telemetry }) $ telemetry_arg
+    $ json_arg)
 
-(* Validate the fuzzer name up front and return a shard factory: fuzzer
-   construction is deferred into the shard's domain by the campaign
-   engine (it executes the initial corpus). The factory itself lives in
-   Farm.Spec so that a store's meta.json resolves to exactly the same
-   fuzzer assembly the CLI uses. *)
-let make_fuzzer ?(oracles = false) ?(exec_cache = 0)
-    ?(feedback = Fuzz.Harness.Edges) name profile seed =
-  match
-    Farm.Spec.fuzzer_factory ~oracles ~exec_cache ~feedback ~name ~profile
-      ~seed ()
-  with
-  | Ok make -> Ok make
-  | Error m -> Error (`Msg m)
-
-(* --- telemetry plumbing ---------------------------------------------- *)
-
-let point_of ~series (s : Fuzz.Driver.snapshot) =
-  { Telemetry.Event.p_series = series;
-    p_iteration = s.Fuzz.Driver.st_iteration;
-    p_execs = s.st_execs;
-    p_branches = s.st_branches;
-    p_crashes_total = s.st_total_crashes;
-    p_crashes_unique = s.st_unique_crashes;
-    p_bugs = s.st_bugs }
-
-(* The one summary formatter (human sink) serves both [fuzz] and
-   [compare]; [shards] controls whether per-shard lines appear
-   ([compare] never printed them). *)
-let summary_event ~name ?(shards = []) ~sync_rounds ~wall_s
-    (snap : Fuzz.Driver.snapshot) =
-  Telemetry.Event.Summary
-    { point = point_of ~series:name snap;
-      shards;
-      sync_rounds;
-      wall_s = Some wall_s;
-      execs_per_sec =
-        (if wall_s > 0.0 then
-           Some (float_of_int snap.Fuzz.Driver.st_execs /. wall_s)
-         else None) }
-
-let shard_points (res : Fuzz.Campaign.result) =
-  List.map
-    (fun (sh : Fuzz.Campaign.shard) ->
-       point_of
-         ~series:(Printf.sprintf "shard-%d" sh.sh_id)
-         sh.sh_snapshot)
-    res.cg_shards
-
-(* Console sink + optional JSONL recorder; returns the sink stack and the
-   recorder path (when recording) for the closing "telemetry:" note. *)
-let sink_stack ~json ~telemetry ~name =
+(* The one run-output path: the console sink (human, or JSON lines with
+   --json) teed with the JSONL recorder when recording, [meta] emitted
+   first, then [body]. The sink is closed afterwards; an [Error] from
+   [body] goes to stderr with exit status 1, success ends with the
+   recording's "telemetry:" note. *)
+let with_output ?dir ?append ?meta ~name out body =
   let console =
-    if json then Telemetry.Sink.json_lines ()
-    else Telemetry.Sink.human ()
+    if out.json then Telemetry.Sink.json_lines () else Telemetry.Sink.human ()
   in
-  match telemetry with
-  | `None -> (console, None)
-  | `Jsonl ->
-    let recorder, path = Telemetry.Sink.jsonl ~name () in
-    (Telemetry.Sink.tee [ console; recorder ], Some path)
+  let sink, recording =
+    match out.telemetry with
+    | `None -> (console, None)
+    | `Jsonl ->
+      let recorder, path = Telemetry.Sink.jsonl ?dir ?append ~name () in
+      (Telemetry.Sink.tee [ console; recorder ], Some path)
+  in
+  Option.iter (fun m -> Telemetry.Sink.emit sink (Telemetry.Event.Meta m)) meta;
+  let result = body sink in
+  Telemetry.Sink.close sink;
+  match (result, recording) with
+  | Error e, _ -> die e
+  | Ok (), Some path when not out.json -> Printf.printf "telemetry: %s\n" path
+  | Ok (), _ -> ()
 
-let registry_dumps ?aggregate ~prefix sink (res : Fuzz.Campaign.result) =
+(* A finished campaign's tail: the summary, then [between] (post-campaign
+   stages whose registries join the aggregate dump), then the registry
+   dumps — the aggregate, plus one per shard when sharded. [shards:false]
+   leaves per-shard points out of the summary, so [compare] prints one
+   line per fuzzer. *)
+let report_campaign ?(prefix = "") ?(shards = true)
+    ?(between = fun () -> []) ~name ~wall_s sink
+    (res : Fuzz.Campaign.result) =
+  let module E = Telemetry.Event in
+  let snap = res.cg_snapshot in
+  Telemetry.Sink.emit sink
+    (E.Summary
+       { point = Fuzz.Campaign.point_of ~series:name snap;
+         shards =
+           (if shards then
+              List.map
+                (fun (sh : Fuzz.Campaign.shard) ->
+                   Fuzz.Campaign.point_of
+                     ~series:(Printf.sprintf "shard-%d" sh.sh_id)
+                     sh.sh_snapshot)
+                res.cg_shards
+            else []);
+         sync_rounds = res.cg_sync_rounds;
+         wall_s = Some wall_s;
+         execs_per_sec =
+           (if wall_s > 0.0 then
+              Some (float_of_int snap.Fuzz.Driver.st_execs /. wall_s)
+            else None) });
   let aggregate =
-    match aggregate with Some r -> r | None -> res.Fuzz.Campaign.cg_metrics
+    match between () with
+    | [] -> res.cg_metrics
+    | extra ->
+      let agg = Telemetry.Registry.snapshot res.cg_metrics in
+      List.iter (fun r -> Telemetry.Registry.merge ~into:agg r) extra;
+      agg
   in
   Telemetry.Sink.emit sink
-    (Telemetry.Event.Registry_dump
-       { series = prefix ^ "aggregate"; registry = aggregate });
+    (E.Registry_dump { series = prefix ^ "aggregate"; registry = aggregate });
   if List.length res.cg_shards > 1 then
     List.iter
       (fun (sh : Fuzz.Campaign.shard) ->
          Telemetry.Sink.emit sink
-           (Telemetry.Event.Registry_dump
+           (E.Registry_dump
               { series = Printf.sprintf "%sshard-%d" prefix sh.sh_id;
                 registry =
                   Fuzz.Harness.metrics sh.sh_fuzzer.Fuzz.Driver.f_harness }))
       res.cg_shards
 
 (* --- fuzz ------------------------------------------------------------ *)
+
+(* The one reproducer pipeline, for crashes and logic violations alike:
+   print the finding, shrink its test case under [pred] (the finding
+   still reproduces), print the reproducer and save it as [dir/file]. *)
+let reproduce ~json ~save ~sp_reduce ~c_tries (pp, testcase, pred, file) =
+  if not json then Format.printf "@.%t@." pp;
+  Option.iter
+    (fun tc ->
+       let out =
+         Telemetry.Span.time sp_reduce (fun () ->
+             Fuzz.Reducer.reduce_with ~pred ~max_tries:256 tc)
+       in
+       Telemetry.Registry.incr ~by:out.Fuzz.Reducer.r_tries c_tries;
+       let reduced = out.Fuzz.Reducer.r_testcase in
+       let sql = Sqlcore.Sql_printer.testcase reduced in
+       if not json then
+         Printf.printf "reproducer (%d statements):\n%s\n"
+           (List.length reduced) sql;
+       Option.iter
+         (fun dir ->
+            let path = Filename.concat dir file in
+            Out_channel.with_open_text path (fun oc ->
+                Out_channel.output_string oc (sql ^ "\n"));
+            if not json then Printf.printf "saved to %s\n" path)
+         save)
+    testcase
+
+(* Every finding of a campaign in reporting order — unique crashes,
+   then logic violations — as [reproduce] takes it. *)
+let findings profile (res : Fuzz.Campaign.result) =
+  let crash ((c : Minidb.Fault.crash), tc) =
+    let bug_id = c.c_bug.Minidb.Fault.bug_id in
+    ( (fun ppf -> Minidb.Fault.pp_crash ppf c),
+      tc,
+      Fuzz.Reducer.crashes_with ~profile ~limits:Minidb.Limits.default ~bug_id,
+      bug_id ^ ".sql" )
+  in
+  let violation i ((v : Oracle.Violation.t), tc) =
+    let key = Oracle.Violation.key v and suite = Oracle.Suite.create profile in
+    let pred candidate =
+      List.exists
+        (fun v' -> String.equal (Oracle.Violation.key v') key)
+        (Oracle.Suite.check suite candidate).Oracle.Suite.oc_violations
+    in
+    ( (fun ppf -> Oracle.Violation.pp ppf v),
+      tc,
+      pred,
+      Printf.sprintf "logic-%s-%d.sql" v.vi_oracle i )
+  in
+  List.map crash res.cg_crashes @ List.mapi violation res.cg_logic
+
+(* Interleaving-schedule phase: corpus sequences across concurrent
+   sessions of one shared engine. Its schedule.* / session.* /
+   oracle.isolation.* counters go into [metrics]. *)
+let schedule_phase ~json ~metrics ~profile ~seed ~sessions ~schedules =
+  let corpus = Fuzz.Corpus.initial profile in
+  let sr =
+    Fuzz.Schedule.campaign ~metrics ~profile ~sessions ~schedules ~seed
+      ~corpus ()
+  in
+  if not json then begin
+    Printf.printf
+      "\nschedules: %d executed (%d steps, %d sessions), %d replay \
+       mismatch(es)\n"
+      sr.Fuzz.Schedule.sr_schedules sr.Fuzz.Schedule.sr_steps sessions
+      sr.Fuzz.Schedule.sr_replay_mismatch;
+    let repro what (id, steps) =
+      Printf.printf "\n%s %s, minimized schedule (%d steps):\n%s\n" what id
+        (Array.length steps)
+        (Fuzz.Schedule.render_steps steps)
+    in
+    List.iter (repro "concurrency crash") sr.Fuzz.Schedule.sr_crash_repros;
+    List.iter (repro "isolation violation")
+      sr.Fuzz.Schedule.sr_violation_repros
+  end
 
 let fuzz_cmd =
   let fuzzer_arg =
@@ -309,170 +427,60 @@ let fuzz_cmd =
       & opt (some campaign_id) None
       & info [ "store" ] ~docv:"CAMPAIGN" ~doc)
   in
-  let run fuzzer profile execs seed jobs sync_every sync_seeds
-      sync_affinities oracles exec_cache feedback cow sessions schedules
-      telemetry json save store =
-    Minidb.Catalog.set_copy_on_write cow;
-    match make_fuzzer ~oracles ~exec_cache ~feedback fuzzer profile seed with
-    | Error (`Msg m) ->
-      prerr_endline m;
-      exit 2
-    | Ok make ->
-      let jobs = max 1 jobs in
-      let exchange = exchange_of ~sync_seeds ~sync_affinities in
-      let dialect = Minidb.Profile.name profile in
-      if not json then
-        Printf.printf "fuzzing %s with %s, %d executions, %d job(s)...\n%!"
-          dialect fuzzer execs jobs;
-      let sink, recording =
-        sink_stack ~json ~telemetry
-          ~name:(Printf.sprintf "fuzz-%s-%s-seed%d" dialect fuzzer seed)
-      in
-      Telemetry.Sink.emit sink
-        (Telemetry.Event.Meta
-           [ ("command", Telemetry.Json.Str "fuzz");
-             ("fuzzer", Telemetry.Json.Str fuzzer);
-             ("dialect", Telemetry.Json.Str dialect);
-             ("seed", Telemetry.Json.Int seed);
-             ("execs", Telemetry.Json.Int execs);
-             ("jobs", Telemetry.Json.Int jobs);
-             ("sync_every", Telemetry.Json.Int sync_every);
-             ("sync_seeds", Telemetry.Json.Bool sync_seeds);
-             ("sync_affinities", Telemetry.Json.Bool sync_affinities);
-             ("oracles", Telemetry.Json.Bool oracles);
-             ("exec_cache", Telemetry.Json.Int exec_cache);
-             ("feedback",
-              Telemetry.Json.Str (Fuzz.Harness.feedback_to_string feedback));
-             ("sessions", Telemetry.Json.Int sessions);
-             ("schedules", Telemetry.Json.Int schedules) ]);
-      let start = Telemetry.Span.now_s () in
-      let res =
-        Fuzz.Campaign.run ~checkpoint_every:(max 1 (execs / 5)) ~sync_every
-          ~exchange ~sink ~jobs ~execs make
-      in
-      let wall_s = Telemetry.Span.now_s () -. start in
-      Telemetry.Sink.emit sink
-        (summary_event ~name:fuzzer ~shards:(shard_points res)
-           ~sync_rounds:res.Fuzz.Campaign.cg_sync_rounds ~wall_s
-           res.Fuzz.Campaign.cg_snapshot);
-      (match save with
-       | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-       | _ -> ());
-      (* Post-campaign registry: the reduce stage happens after the
-         campaign's own metrics were snapshotted, so its span and try
-         counter are collected separately and merged into the aggregate
-         registry dump below — "reduce" then shows up in the stage
-         breakdown of [legofuzz report] next to execute/triage. *)
+  let run c fuzzer oracles (_ : bool) sessions schedules out save store =
+    let make =
+      match factory ~oracles c fuzzer with
+      | Ok make -> make
+      | Error m -> die ~code:2 m
+    in
+    (* Create the reproducer directory up front: a bad path fails
+       before the campaign, not after it. *)
+    Option.iter
+      (fun dir ->
+         (try Farm.Store.ensure_dir dir with Sys_error e -> die e);
+         if not (Sys.is_directory dir) then die (dir ^ ": not a directory"))
+      save;
+    let dialect = Minidb.Profile.name c.profile in
+    if not out.json then
+      Printf.printf "fuzzing %s with %s, %d executions, %d job(s)...\n%!"
+        dialect fuzzer c.execs c.jobs;
+    with_output out
+      ~name:(Printf.sprintf "fuzz-%s-%s-seed%d" dialect fuzzer c.seed)
+      ~meta:
+        (meta ~command:"fuzz" ~fuzzer ~oracles c
+           ~tail:
+             [ ("sessions", Telemetry.Json.Int sessions);
+               ("schedules", Telemetry.Json.Int schedules) ])
+    @@ fun sink ->
+    let res, wall_s =
+      run_campaign ~checkpoint_every:(max 1 (c.execs / 5)) ~sink c make
+    in
+    (* Post-campaign stages run after the summary prints. Their spans and
+       counters are collected in registries of their own and merged into
+       the aggregate dump — "reduce" then shows up in the stage
+       breakdown of [legofuzz report] next to execute/triage. *)
+    let between () =
       let post = Telemetry.Registry.create () in
       let sp_reduce = Telemetry.Span.stage post "reduce" in
       let c_tries = Telemetry.Registry.counter post "reducer.tries" in
       List.iter
-        (fun ((c : Minidb.Fault.crash), testcase) ->
-           if not json then Format.printf "@.%a@." Minidb.Fault.pp_crash c;
-           match testcase with
-           | None -> ()
-           | Some tc ->
-             (* ship a minimized reproducer, like the paper's Fig. 3/7 *)
-             let bug_id = c.Minidb.Fault.c_bug.Minidb.Fault.bug_id in
-             let out =
-               Telemetry.Span.time sp_reduce (fun () ->
-                   Fuzz.Reducer.reduce ~profile ~max_tries:256 ~bug_id tc)
-             in
-             Telemetry.Registry.incr ~by:out.Fuzz.Reducer.r_tries c_tries;
-             let reduced = out.Fuzz.Reducer.r_testcase in
-             let sql = Sqlcore.Sql_printer.testcase reduced in
-             if not json then
-               Printf.printf "reproducer (%d statements):\n%s\n"
-                 (List.length reduced) sql;
-             (match save with
-              | None -> ()
-              | Some dir ->
-                let path = Filename.concat dir (bug_id ^ ".sql") in
-                Out_channel.with_open_text path (fun oc ->
-                    Out_channel.output_string oc (sql ^ "\n"));
-                if not json then Printf.printf "saved to %s\n" path))
-        res.Fuzz.Campaign.cg_crashes;
-      (* Logic-bug findings: same pipeline as crashes — print, reduce with
-         the violation's oracle as the interestingness predicate, save. *)
-      List.iteri
-        (fun i ((v : Oracle.Violation.t), testcase) ->
-           if not json then Format.printf "@.%a@." Oracle.Violation.pp v;
-           match testcase with
-           | None -> ()
-           | Some tc ->
-             let suite = Oracle.Suite.create profile in
-             let key = Oracle.Violation.key v in
-             let pred candidate =
-               List.exists
-                 (fun v' -> String.equal (Oracle.Violation.key v') key)
-                 (Oracle.Suite.check suite candidate)
-                   .Oracle.Suite.oc_violations
-             in
-             let out =
-               Telemetry.Span.time sp_reduce (fun () ->
-                   Fuzz.Reducer.reduce_with ~pred ~max_tries:256 tc)
-             in
-             Telemetry.Registry.incr ~by:out.Fuzz.Reducer.r_tries c_tries;
-             let reduced = out.Fuzz.Reducer.r_testcase in
-             let sql = Sqlcore.Sql_printer.testcase reduced in
-             if not json then
-               Printf.printf "reproducer (%d statements):\n%s\n"
-                 (List.length reduced) sql;
-             (match save with
-              | None -> ()
-              | Some dir ->
-                let path =
-                  Filename.concat dir
-                    (Printf.sprintf "logic-%s-%d.sql" v.Oracle.Violation.vi_oracle i)
-                in
-                Out_channel.with_open_text path (fun oc ->
-                    Out_channel.output_string oc (sql ^ "\n"));
-                if not json then Printf.printf "saved to %s\n" path))
-        res.Fuzz.Campaign.cg_logic;
-      (* Interleaving-schedule phase: corpus sequences across concurrent
-         sessions of one shared engine. Its schedule.* / session.* /
-         oracle.isolation.* counters join the aggregate registry dump. *)
-      let sched_metrics = Telemetry.Registry.create () in
-      if sessions > 1 && schedules > 0 then begin
-        let corpus = Fuzz.Corpus.initial profile in
-        let sr =
-          Fuzz.Schedule.campaign ~metrics:sched_metrics ~profile ~sessions
-            ~schedules ~seed ~corpus ()
-        in
-        if not json then begin
-          Printf.printf
-            "\nschedules: %d executed (%d steps, %d sessions), %d replay \
-             mismatch(es)\n"
-            sr.Fuzz.Schedule.sr_schedules sr.Fuzz.Schedule.sr_steps sessions
-            sr.Fuzz.Schedule.sr_replay_mismatch;
-          List.iter
-            (fun (bug_id, steps) ->
-               Printf.printf
-                 "\nconcurrency crash %s, minimized schedule (%d steps):\n%s\n"
-                 bug_id (Array.length steps)
-                 (Fuzz.Schedule.render_steps steps))
-            sr.Fuzz.Schedule.sr_crash_repros;
-          List.iter
-            (fun (key, steps) ->
-               Printf.printf
-                 "\nisolation violation %s, minimized schedule (%d steps):\n%s\n"
-                 key (Array.length steps)
-                 (Fuzz.Schedule.render_steps steps))
-            sr.Fuzz.Schedule.sr_violation_repros
-        end
-      end;
-      let aggregate = Telemetry.Registry.snapshot res.Fuzz.Campaign.cg_metrics in
-      Telemetry.Registry.merge ~into:aggregate post;
-      Telemetry.Registry.merge ~into:aggregate sched_metrics;
-      registry_dumps ~aggregate ~prefix:"" sink res;
-      (* Persist the campaign as a resumable store generation. *)
-      (match store with
-       | None -> ()
-       | Some id ->
+        (reproduce ~json:out.json ~save ~sp_reduce ~c_tries)
+        (findings c.profile res);
+      let sched = Telemetry.Registry.create () in
+      if sessions > 1 && schedules > 0 then
+        schedule_phase ~json:out.json ~metrics:sched ~profile:c.profile
+          ~seed:c.seed ~sessions ~schedules;
+      [ post; sched ]
+    in
+    report_campaign ~name:fuzzer ~between ~wall_s sink res;
+    (* Persist the campaign as a resumable store generation. *)
+    Option.iter
+      (fun id ->
          let campaign =
            { Farm.Store.sc_id = id; sc_fuzzer = fuzzer; sc_dialect = dialect;
-             sc_quirks = []; sc_feedback = feedback; sc_oracles = oracles;
-             sc_exec_cache = exec_cache; sc_seed = seed; sc_budget = execs }
+             sc_quirks = []; sc_feedback = c.feedback; sc_oracles = oracles;
+             sc_exec_cache = c.exec_cache; sc_seed = c.seed;
+             sc_budget = c.execs }
          in
          let snapshot =
            Farm.Resume.capture
@@ -480,54 +488,36 @@ let fuzz_cmd =
              ~campaign
              ~progress:
                { Farm.Store.pr_execs_done =
-                   res.Fuzz.Campaign.cg_snapshot.Fuzz.Driver.st_execs;
+                   res.cg_snapshot.Fuzz.Driver.st_execs;
                  pr_epoch = 0 }
              res
          in
          let dir = Farm.Store.store_dir id in
          let gen = Farm.Store.save ~dir snapshot in
-         if not json then Printf.printf "store: %s (generation %d)\n" dir gen);
-      Telemetry.Sink.close sink;
-      match recording with
-      | Some path when not json -> Printf.printf "telemetry: %s\n" path
-      | _ -> ()
+         if not out.json then
+           Printf.printf "store: %s (generation %d)\n" dir gen)
+      store;
+    Ok ()
   in
   let term =
-    Term.(const run $ fuzzer_arg $ dialect_arg $ execs_arg $ seed_arg
-          $ jobs_arg $ sync_arg $ sync_seeds_arg $ sync_affinities_arg
-          $ oracles_arg $ exec_cache_arg $ feedback_arg $ cow_arg
-          $ sessions_arg $ schedules_arg $ telemetry_arg $ json_arg
-          $ save_arg $ store_arg)
+    Term.(const run $ campaign_term $ fuzzer_arg $ oracles_arg $ cow_arg
+          $ sessions_arg $ schedules_arg $ output_term $ save_arg
+          $ store_arg)
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Run one fuzzer on one simulated DBMS.") term
 
 (* --- compare --------------------------------------------------------- *)
 
 let compare_cmd =
-  let run profile execs seed jobs sync_every sync_seeds sync_affinities
-      exec_cache feedback telemetry json =
-    let dialect = Minidb.Profile.name profile in
-    let exchange = exchange_of ~sync_seeds ~sync_affinities in
-    let sink, recording =
-      sink_stack ~json ~telemetry
-        ~name:(Printf.sprintf "compare-%s-seed%d" dialect seed)
-    in
-    Telemetry.Sink.emit sink
-      (Telemetry.Event.Meta
-         [ ("command", Telemetry.Json.Str "compare");
-           ("dialect", Telemetry.Json.Str dialect);
-           ("seed", Telemetry.Json.Int seed);
-           ("execs", Telemetry.Json.Int execs);
-           ("jobs", Telemetry.Json.Int jobs);
-           ("sync_every", Telemetry.Json.Int sync_every);
-           ("sync_seeds", Telemetry.Json.Bool sync_seeds);
-           ("sync_affinities", Telemetry.Json.Bool sync_affinities);
-           ("exec_cache", Telemetry.Json.Int exec_cache);
-           ("feedback",
-            Telemetry.Json.Str (Fuzz.Harness.feedback_to_string feedback)) ]);
+  let run c out =
+    let dialect = Minidb.Profile.name c.profile in
+    with_output out
+      ~name:(Printf.sprintf "compare-%s-seed%d" dialect c.seed)
+      ~meta:(meta ~command:"compare" c)
+    @@ fun sink ->
     List.iter
       (fun name ->
-         match make_fuzzer ~exec_cache ~feedback name profile seed with
+         match factory c name with
          | Error _ -> ()
          | Ok make ->
            (* The series prefix keeps the five fuzzers' checkpoint series
@@ -535,28 +525,14 @@ let compare_cmd =
               human sink only voices the unprefixed "aggregate" series,
               so compare's console output stays exactly summary lines. *)
            let prefix = name ^ "/" in
-           let start = Telemetry.Span.now_s () in
-           let res =
-             Fuzz.Campaign.run ~sync_every ~exchange ~sink
-               ~series_prefix:prefix ~jobs ~execs make
+           let res, wall_s =
+             run_campaign ~series_prefix:prefix ~sink c make
            in
-           let wall_s = Telemetry.Span.now_s () -. start in
-           Telemetry.Sink.emit sink
-             (summary_event ~name
-                ~sync_rounds:res.Fuzz.Campaign.cg_sync_rounds ~wall_s
-                res.Fuzz.Campaign.cg_snapshot);
-           registry_dumps ~prefix sink res)
+           report_campaign ~prefix ~shards:false ~name ~wall_s sink res)
       [ "lego"; "lego-"; "squirrel"; "sqlancer"; "sqlsmith" ];
-    Telemetry.Sink.close sink;
-    match recording with
-    | Some path when not json -> Printf.printf "telemetry: %s\n" path
-    | _ -> ()
+    Ok ()
   in
-  let term =
-    Term.(const run $ dialect_arg $ execs_arg $ seed_arg $ jobs_arg
-          $ sync_arg $ sync_seeds_arg $ sync_affinities_arg $ exec_cache_arg
-          $ feedback_arg $ telemetry_arg $ json_arg)
-  in
+  let term = Term.(const run $ campaign_term $ output_term) in
   Cmd.v
     (Cmd.info "compare"
        ~doc:"Run every fuzzer on one DBMS with the same budget.")
@@ -577,61 +553,33 @@ let resume_cmd =
     in
     Arg.(value & opt (some int) None & info [ "n"; "execs" ] ~docv:"N" ~doc)
   in
-  let run id execs jobs sync_every cow telemetry json =
-    Minidb.Catalog.set_copy_on_write cow;
-    let jobs = max 1 jobs in
+  let run id execs jobs sync_every (_ : bool) out =
     let dir = Farm.Store.store_dir id in
     let run_dir = Filename.concat (Telemetry.Sink.runs_dir ()) id in
     Farm.Store.ensure_dir run_dir;
     (* Resumed segments append to the campaign's own events.jsonl, so one
        stream carries every epoch; the Meta event's resumed_from field
        marks each boundary. *)
-    let console =
-      if json then Telemetry.Sink.json_lines () else Telemetry.Sink.human ()
+    with_output out ~dir:run_dir ~append:true ~name:"events" @@ fun sink ->
+    let result, wall_s =
+      timed (fun () -> Farm.Resume.run ~jobs ?execs ~sync_every ~sink ~dir ())
     in
-    let sink, recording =
-      match telemetry with
-      | `None -> (console, None)
-      | `Jsonl ->
-        let recorder, path =
-          Telemetry.Sink.jsonl ~dir:run_dir ~append:true ~name:"events" ()
-        in
-        (Telemetry.Sink.tee [ console; recorder ], Some path)
-    in
-    let start = Telemetry.Span.now_s () in
-    match Farm.Resume.run ~jobs ?execs ~sync_every ~sink ~dir () with
-    | Error e ->
-      Telemetry.Sink.close sink;
-      prerr_endline e;
-      exit 1
-    | Ok out ->
-      let wall_s = Telemetry.Span.now_s () -. start in
-      let res = out.Farm.Resume.rs_result in
-      List.iter
-        (fun w -> Printf.eprintf "warning: %s\n" w)
-        out.Farm.Resume.rs_warnings;
-      if not json then
-        Printf.printf
-          "resumed %s from generation %d (epoch %d): +%d execs (%d/%d \
-           total), generation %d written\n"
-          id out.Farm.Resume.rs_from_generation out.Farm.Resume.rs_epoch
-          out.Farm.Resume.rs_executed out.Farm.Resume.rs_execs_done
-          out.Farm.Resume.rs_budget out.Farm.Resume.rs_generation;
-      Telemetry.Sink.emit sink
-        (summary_event
-           ~name:out.Farm.Resume.rs_campaign.Farm.Store.sc_fuzzer
-           ~shards:(shard_points res)
-           ~sync_rounds:res.Fuzz.Campaign.cg_sync_rounds ~wall_s
-           res.Fuzz.Campaign.cg_snapshot);
-      registry_dumps ~prefix:"" sink res;
-      Telemetry.Sink.close sink;
-      match recording with
-      | Some path when not json -> Printf.printf "telemetry: %s\n" path
-      | _ -> ()
+    Result.map
+      (fun (r : Farm.Resume.outcome) ->
+         List.iter (fun w -> Printf.eprintf "warning: %s\n" w) r.rs_warnings;
+         if not out.json then
+           Printf.printf
+             "resumed %s from generation %d (epoch %d): +%d execs (%d/%d \
+              total), generation %d written\n"
+             id r.rs_from_generation r.rs_epoch r.rs_executed r.rs_execs_done
+             r.rs_budget r.rs_generation;
+         report_campaign ~name:r.rs_campaign.Farm.Store.sc_fuzzer ~wall_s sink
+           r.rs_result)
+      result
   in
   let term =
     Term.(const run $ id_arg $ execs_opt_arg $ jobs_arg $ sync_arg $ cow_arg
-          $ telemetry_arg $ json_arg)
+          $ output_term)
   in
   Cmd.v
     (Cmd.info "resume"
@@ -661,8 +609,7 @@ let worker_cmd =
     let doc = "Executions between mid-round heartbeats." in
     Arg.(value & opt int 500 & info [ "heartbeat-execs" ] ~docv:"N" ~doc)
   in
-  let run worker runs_dir heartbeat_execs cow =
-    Minidb.Catalog.set_copy_on_write cow;
+  let run worker runs_dir heartbeat_execs (_ : bool) =
     Farm.Worker.serve ?runs_dir ~heartbeat_execs ~worker stdin stdout
   in
   let term =
@@ -705,58 +652,46 @@ let farm_cmd =
     in
     Arg.(value & opt float 30. & info [ "heartbeat-timeout" ] ~docv:"S" ~doc)
   in
-  let run spec_path workers heartbeat_timeout cow telemetry json =
-    Minidb.Catalog.set_copy_on_write cow;
-    match Farm.Spec.of_file spec_path with
-    | Error e ->
-      Printf.eprintf "%s: %s\n" spec_path e;
-      exit 2
-    | Ok spec ->
-      let sink, recording = sink_stack ~json ~telemetry ~name:"farm" in
-      if not json then
-        Printf.printf
-          "farm: %d campaign(s), %d total execs, %d per round, %s, %s \
-           policy\n%!"
-          (List.length spec.Farm.Spec.fs_campaigns)
-          spec.Farm.Spec.fs_total_execs spec.Farm.Spec.fs_round_execs
-          (if workers > 0 then
-             Printf.sprintf "%d worker process(es)" workers
-           else
-             Printf.sprintf "%d domain worker(s)" spec.Farm.Spec.fs_workers)
-          (Farm.Spec.policy_to_string spec.Farm.Spec.fs_policy);
-      let start = Telemetry.Span.now_s () in
-      let result =
-        if workers > 0 then
-          let worker_argv k =
-            [| Sys.executable_name; "worker"; "--worker-id";
-               string_of_int k; "--runs-dir"; Telemetry.Sink.runs_dir ();
-               "--cow"; (if cow then "on" else "off") |]
-          in
-          Farm.Scheduler.run_processes ~sink ~worker_cmd:worker_argv
-            ~heartbeat_timeout ~workers spec
-        else Farm.Scheduler.run ~sink spec
-      in
-      (match result with
-       | Error e ->
-         Telemetry.Sink.close sink;
-         prerr_endline e;
-         exit 1
-       | Ok res ->
-         let wall_s = Telemetry.Span.now_s () -. start in
-         List.iter
-           (fun w -> Printf.eprintf "warning: %s\n" w)
-           res.Farm.Scheduler.fr_warnings;
-         if not json then begin
+  let run spec_path workers heartbeat_timeout cow out =
+    let spec =
+      match Farm.Spec.of_string (read_input spec_path) with
+      | Ok spec -> spec
+      | Error e -> die ~code:2 (spec_path ^ ": " ^ e)
+    in
+    with_output out ~name:"farm" @@ fun sink ->
+    if not out.json then
+      Printf.printf
+        "farm: %d campaign(s), %d total execs, %d per round, %s, %s \
+         policy\n%!"
+        (List.length spec.fs_campaigns) spec.fs_total_execs
+        spec.fs_round_execs
+        (if workers > 0 then Printf.sprintf "%d worker process(es)" workers
+         else Printf.sprintf "%d domain worker(s)" spec.fs_workers)
+        (Farm.Spec.policy_to_string spec.fs_policy);
+    let result, wall_s =
+      timed (fun () ->
+          if workers > 0 then
+            let worker_argv k =
+              [| Sys.executable_name; "worker"; "--worker-id";
+                 string_of_int k; "--runs-dir"; Telemetry.Sink.runs_dir ();
+                 "--cow"; (if cow then "on" else "off") |]
+            in
+            Farm.Scheduler.run_processes ~sink ~worker_cmd:worker_argv
+              ~heartbeat_timeout ~workers spec
+          else Farm.Scheduler.run ~sink spec)
+    in
+    Result.map
+      (fun (res : Farm.Scheduler.result) ->
+         List.iter (fun w -> Printf.eprintf "warning: %s\n" w) res.fr_warnings;
+         if not out.json then begin
            Printf.printf "farm done: %d round(s), %d execs dealt, %.1fs\n"
-             res.Farm.Scheduler.fr_rounds res.Farm.Scheduler.fr_allocated
-             wall_s;
+             res.fr_rounds res.fr_allocated wall_s;
            List.iter
              (fun (c : Farm.Scheduler.campaign_result) ->
                 Printf.printf
                   "  %-16s execs=%d/%d keys=%d(+%d) crashes(unique)=%d \
                    gen=%d%s%s%s\n"
-                  c.Farm.Scheduler.fc_campaign.Farm.Store.sc_id
-                  c.fc_execs_done c.fc_campaign.Farm.Store.sc_budget
+                  c.fc_campaign.sc_id c.fc_execs_done c.fc_campaign.sc_budget
                   c.fc_coverage_keys c.fc_new_keys c.fc_crashes_unique
                   c.fc_generation
                   (match c.fc_resumed_from with
@@ -766,16 +701,13 @@ let farm_cmd =
                   (match c.fc_error with
                    | Some e -> " error: " ^ e
                    | None -> ""))
-             res.Farm.Scheduler.fr_campaigns
-         end;
-         Telemetry.Sink.close sink;
-         match recording with
-         | Some path when not json -> Printf.printf "telemetry: %s\n" path
-         | _ -> ())
+             res.fr_campaigns
+         end)
+      result
   in
   let term =
     Term.(const run $ spec_arg $ workers_arg $ hb_timeout_arg $ cow_arg
-          $ telemetry_arg $ json_arg)
+          $ output_term)
   in
   Cmd.v
     (Cmd.info "farm"
@@ -796,14 +728,9 @@ let report_cmd =
       required & pos 0 (some string) None & info [] ~docv:"RUN.jsonl" ~doc)
   in
   let run file =
-    let lines =
-      In_channel.with_open_text file (fun ic ->
-          In_channel.input_lines ic)
-    in
+    let lines = String.split_on_char '\n' (read_input file) in
     match Telemetry.Report.parse_lines lines with
-    | Error msg ->
-      Printf.eprintf "%s: %s\n" file msg;
-      exit 1
+    | Error msg -> die (file ^ ": " ^ msg)
     | Ok events -> print_string (Telemetry.Report.render events)
   in
   let term = Term.(const run $ file_arg) in
@@ -864,43 +791,35 @@ let exec_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
   let run profile file =
-    let sql =
-      if file = "-" then In_channel.input_all In_channel.stdin
-      else In_channel.with_open_text file In_channel.input_all
-    in
-    match Sqlparser.Parser.parse_testcase sql with
-    | Error msg ->
-      Printf.eprintf "parse error: %s\n" msg;
-      exit 1
-    | Ok tc ->
-      let cov = Coverage.Bitmap.create () in
-      let engine = Minidb.Engine.create ~profile ~cov () in
-      (try
-         List.iter
-           (fun stmt ->
-              Printf.printf "%s;\n" (Sqlcore.Sql_printer.stmt stmt);
-              match Minidb.Engine.exec_stmt engine stmt with
-              | Minidb.Engine.Ok_result
-                  (Minidb.Executor.Rows (headers, rows)) ->
-                Printf.printf "  -> %s\n" (String.concat " | " headers);
-                List.iter
-                  (fun row ->
-                     Printf.printf "     %s\n"
-                       (String.concat " | "
-                          (Array.to_list
-                             (Array.map Storage.Value.to_display row))))
-                  rows
-              | Minidb.Engine.Ok_result (Minidb.Executor.Affected n) ->
-                Printf.printf "  -> %d row(s)\n" n
-              | Minidb.Engine.Ok_result (Minidb.Executor.Done msg) ->
-                Printf.printf "  -> %s\n" msg
-              | Minidb.Engine.Sql_failed e ->
-                Printf.printf "  !! %s\n" (Minidb.Errors.message e))
-           tc
-       with Minidb.Fault.Crashed c ->
-         Format.printf "@.*** server crash ***@.%a@." Minidb.Fault.pp_crash c);
-      Printf.printf "\n%d branches covered\n"
-        (Coverage.Bitmap.count_nonzero cov)
+    let tc = read_testcase file in
+    let cov = Coverage.Bitmap.create () in
+    let engine = Minidb.Engine.create ~profile ~cov () in
+    (try
+       List.iter
+         (fun stmt ->
+            Printf.printf "%s;\n" (Sqlcore.Sql_printer.stmt stmt);
+            match Minidb.Engine.exec_stmt engine stmt with
+            | Minidb.Engine.Ok_result
+                (Minidb.Executor.Rows (headers, rows)) ->
+              Printf.printf "  -> %s\n" (String.concat " | " headers);
+              List.iter
+                (fun row ->
+                   Printf.printf "     %s\n"
+                     (String.concat " | "
+                        (Array.to_list
+                           (Array.map Storage.Value.to_display row))))
+                rows
+            | Minidb.Engine.Ok_result (Minidb.Executor.Affected n) ->
+              Printf.printf "  -> %d row(s)\n" n
+            | Minidb.Engine.Ok_result (Minidb.Executor.Done msg) ->
+              Printf.printf "  -> %s\n" msg
+            | Minidb.Engine.Sql_failed e ->
+              Printf.printf "  !! %s\n" (Minidb.Errors.message e))
+         tc
+     with Minidb.Fault.Crashed c ->
+       Format.printf "@.*** server crash ***@.%a@." Minidb.Fault.pp_crash c);
+    Printf.printf "\n%d branches covered\n"
+      (Coverage.Bitmap.count_nonzero cov)
   in
   let term = Term.(const run $ dialect_arg $ file_arg) in
   Cmd.v
@@ -992,40 +911,30 @@ let reduce_cmd =
     Arg.(value & opt (some string) None & info [ "b"; "bug" ] ~docv:"ID" ~doc)
   in
   let run profile file bug_opt =
-    let sql =
-      if file = "-" then In_channel.input_all In_channel.stdin
-      else In_channel.with_open_text file In_channel.input_all
+    let tc = read_testcase file in
+    let bug_id =
+      match bug_opt with
+      | Some id -> Some id
+      | None -> (
+          let cov = Coverage.Bitmap.create () in
+          let engine = Minidb.Engine.create ~profile ~cov () in
+          match
+            (Minidb.Engine.run_testcase engine tc).Minidb.Engine.rs_crash
+          with
+          | Some c -> Some c.Minidb.Fault.c_bug.Minidb.Fault.bug_id
+          | None -> None)
     in
-    match Sqlparser.Parser.parse_testcase sql with
-    | Error msg ->
-      Printf.eprintf "parse error: %s\n" msg;
-      exit 1
-    | Ok tc ->
-      let bug_id =
-        match bug_opt with
-        | Some id -> Some id
-        | None -> (
-            let cov = Coverage.Bitmap.create () in
-            let engine = Minidb.Engine.create ~profile ~cov () in
-            match
-              (Minidb.Engine.run_testcase engine tc).Minidb.Engine.rs_crash
-            with
-            | Some c -> Some c.Minidb.Fault.c_bug.Minidb.Fault.bug_id
-            | None -> None)
-      in
-      (match bug_id with
-       | None ->
-         Printf.eprintf "the test case does not crash %s\n"
-           (Minidb.Profile.name profile);
-         exit 1
-       | Some bug_id ->
-         let out = Fuzz.Reducer.reduce ~profile ~bug_id tc in
-         Printf.printf
-           "-- reduced for %s: %d -> %d statements (%d oracle runs)\n%s\n"
-           bug_id (List.length tc)
-           (List.length out.Fuzz.Reducer.r_testcase)
-           out.Fuzz.Reducer.r_tries
-           (Sqlcore.Sql_printer.testcase out.Fuzz.Reducer.r_testcase))
+    match bug_id with
+    | None ->
+      die ("the test case does not crash " ^ Minidb.Profile.name profile)
+    | Some bug_id ->
+      let out = Fuzz.Reducer.reduce ~profile ~bug_id tc in
+      Printf.printf
+        "-- reduced for %s: %d -> %d statements (%d oracle runs)\n%s\n"
+        bug_id (List.length tc)
+        (List.length out.Fuzz.Reducer.r_testcase)
+        out.Fuzz.Reducer.r_tries
+        (Sqlcore.Sql_printer.testcase out.Fuzz.Reducer.r_testcase)
   in
   let term = Term.(const run $ dialect_arg $ file_arg $ bug_arg) in
   Cmd.v

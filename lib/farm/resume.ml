@@ -141,7 +141,7 @@ let run ?(jobs = 1) ?execs ?sync_every ?checkpoint_every
           try
             Ok
               (Fuzz.Campaign.run ?sync_every ?checkpoint_every ~sink
-                 ~exchange:Fuzz.Sync.exchange_all ~prime_sync:(prime_sync sn)
+                 ~exchange:true ~prime_sync:(prime_sync sn)
                  ~jobs ~execs:remaining make)
           with Fuzz.Driver.Stalled msg ->
             Error (Printf.sprintf "campaign %S stalled: %s" campaign.sc_id msg)

@@ -67,9 +67,9 @@ val run :
     execs_done]; an error if nothing remains); with [execs] it runs
     that many {e additional} executions and extends the stored budget
     accordingly. [jobs] (default 1) shards the segment via
-    {!Fuzz.Campaign.run} with the exchange on ({!Fuzz.Sync.exchange_all},
-    the CLI default), so a campaign stored by [fuzz --jobs N --store]
-    resumes in the mode it ran in. Telemetry goes to [sink] (default null) —
+    {!Fuzz.Campaign.run} with the exchange on (the CLI default), so a
+    campaign stored by [fuzz --jobs N --store] resumes in the mode it
+    ran in. Telemetry goes to [sink] (default null) —
     pass an append-mode JSONL sink to continue the original run's
     stream; a [Meta] event with [resumed_from] (the source generation)
     marks the boundary. *)

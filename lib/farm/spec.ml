@@ -105,42 +105,26 @@ let epoch_seed ~(campaign : Store.campaign) ~epoch =
 
 let ( let* ) = Result.bind
 
-let field ?default name conv json =
-  match Json.member name json with
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "missing field %S" name))
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "bad field %S" name))
-
-let str_list json =
-  match json with
-  | Json.Arr items ->
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | Json.Str s :: rest -> go (s :: acc) rest
-      | _ -> None
-    in
-    go [] items
-  | _ -> None
-
 let campaign_of_json json =
-  let* id = field "id" Json.to_str json in
+  let* id = Json.field "id" Json.to_str json in
   let ctx msg = Printf.sprintf "campaign %S: %s" id msg in
   let* () =
     if valid_id id then Ok ()
     else Error (Printf.sprintf "campaign id %S is not filesystem-safe" id)
   in
-  let* fuzzer = field "fuzzer" Json.to_str json |> Result.map_error ctx in
-  let* dialect = field "dialect" Json.to_str json |> Result.map_error ctx in
-  let* budget = field "budget" Json.to_int json |> Result.map_error ctx in
+  let* fuzzer = Json.field "fuzzer" Json.to_str json |> Result.map_error ctx in
+  let* dialect =
+    Json.field "dialect" Json.to_str json |> Result.map_error ctx
+  in
+  let* budget = Json.field "budget" Json.to_int json |> Result.map_error ctx in
   let* () = if budget > 0 then Ok () else Error (ctx "budget must be > 0") in
-  let* quirks = field ~default:[] "quirks" str_list json |> Result.map_error ctx in
+  let* quirks =
+    Json.field ~default:[] "quirks" Json.to_str_list json
+    |> Result.map_error ctx
+  in
   let* fb =
-    field ~default:"edges" "feedback" Json.to_str json |> Result.map_error ctx
+    Json.field ~default:"edges" "feedback" Json.to_str json
+    |> Result.map_error ctx
   in
   let* feedback =
     match Fuzz.Harness.feedback_of_string fb with
@@ -148,15 +132,16 @@ let campaign_of_json json =
     | None -> Error (ctx (Printf.sprintf "unknown feedback %S" fb))
   in
   let* oracles =
-    field ~default:false "oracles"
-      (function Json.Bool b -> Some b | _ -> None)
-      json
+    Json.field ~default:false "oracles" Json.to_bool json
     |> Result.map_error ctx
   in
   let* exec_cache =
-    field ~default:0 "exec_cache" Json.to_int json |> Result.map_error ctx
+    Json.field ~default:0 "exec_cache" Json.to_int json
+    |> Result.map_error ctx
   in
-  let* seed = field ~default:1 "seed" Json.to_int json |> Result.map_error ctx in
+  let* seed =
+    Json.field ~default:1 "seed" Json.to_int json |> Result.map_error ctx
+  in
   let campaign =
     { Store.sc_id = id; sc_fuzzer = fuzzer; sc_dialect = dialect;
       sc_quirks = quirks; sc_feedback = feedback; sc_oracles = oracles;
@@ -167,11 +152,7 @@ let campaign_of_json json =
   Ok campaign
 
 let of_json json =
-  let* campaigns_json =
-    field "campaigns"
-      (function Json.Arr items -> Some items | _ -> None)
-      json
-  in
+  let* campaigns_json = Json.field "campaigns" Json.to_list json in
   let* () =
     if campaigns_json = [] then Error "spec has no campaigns" else Ok ()
   in
@@ -198,52 +179,38 @@ let of_json json =
     in
     go campaigns
   in
-  let* total = field "total_execs" Json.to_int json in
+  let* total = Json.field "total_execs" Json.to_int json in
   let* () =
     if total > 0 then Ok () else Error "total_execs must be > 0"
   in
   let* round =
-    field ~default:Fuzz.Sync.default_interval "round_execs" Json.to_int json
+    Json.field ~default:Fuzz.Sync.default_interval "round_execs" Json.to_int
+      json
   in
   let* () =
     if round > 0 then Ok () else Error "round_execs must be > 0"
   in
-  let* workers = field ~default:2 "workers" Json.to_int json in
+  let* workers = Json.field ~default:2 "workers" Json.to_int json in
   let* () = if workers > 0 then Ok () else Error "workers must be > 0" in
-  let* policy_s = field ~default:"bandit" "policy" Json.to_str json in
+  let* policy_s = Json.field ~default:"bandit" "policy" Json.to_str json in
   let* policy =
     match policy_of_string policy_s with
     | Some p -> Ok p
     | None -> Error (Printf.sprintf "unknown policy %S" policy_s)
   in
-  let* ucb_c = field ~default:0.5 "ucb_c" Json.to_float json in
+  let* ucb_c = Json.field ~default:0.5 "ucb_c" Json.to_float json in
   Ok
     { fs_campaigns = campaigns; fs_total_execs = total; fs_round_execs = round;
       fs_workers = workers; fs_policy = policy; fs_ucb_c = ucb_c }
 
-let of_file path =
-  match
-    try Ok (In_channel.with_open_bin path In_channel.input_all)
-    with Sys_error e -> Error e
-  with
-  | Error e -> Error e
-  | Ok content ->
-    let* json = Json.of_string (String.trim content) in
-    of_json json
-
-let campaign_to_json (c : Store.campaign) =
-  Json.Obj
-    [ ("id", Json.Str c.sc_id); ("fuzzer", Json.Str c.sc_fuzzer);
-      ("dialect", Json.Str c.sc_dialect);
-      ("quirks", Json.Arr (List.map (fun q -> Json.Str q) c.sc_quirks));
-      ("feedback", Json.Str (Fuzz.Harness.feedback_to_string c.sc_feedback));
-      ("oracles", Json.Bool c.sc_oracles);
-      ("exec_cache", Json.Int c.sc_exec_cache); ("seed", Json.Int c.sc_seed);
-      ("budget", Json.Int c.sc_budget) ]
+let of_string content =
+  let* json = Json.of_string (String.trim content) in
+  of_json json
 
 let to_json t =
   Json.Obj
-    [ ("campaigns", Json.Arr (List.map campaign_to_json t.fs_campaigns));
+    [ ("campaigns",
+       Json.Arr (List.map Store.campaign_to_json t.fs_campaigns));
       ("total_execs", Json.Int t.fs_total_execs);
       ("round_execs", Json.Int t.fs_round_execs);
       ("workers", Json.Int t.fs_workers);

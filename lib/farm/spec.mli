@@ -34,7 +34,8 @@ val of_json : Telemetry.Json.t -> (t, string) result
     (default 2), [policy] (default bandit), [ucb_c] (default 0.5).
     Unknown fuzzer/dialect names are rejected here, not at run time. *)
 
-val of_file : string -> (t, string) result
+val of_string : string -> (t, string) result
+(** {!of_json} on the JSON text of a spec file. *)
 
 val to_json : t -> Telemetry.Json.t
 (** Inverse of {!of_json} (explicit defaults included). *)

@@ -174,19 +174,24 @@ let parse_hex64 s =
     try Some (Int64.of_string ("0x" ^ s)) with Failure _ -> None
   else None
 
+let campaign_fields c =
+  [ ("id", Json.Str c.sc_id); ("fuzzer", Json.Str c.sc_fuzzer);
+    ("dialect", Json.Str c.sc_dialect);
+    ("quirks", Json.Arr (List.map (fun q -> Json.Str q) c.sc_quirks));
+    ("feedback", Json.Str (Fuzz.Harness.feedback_to_string c.sc_feedback));
+    ("oracles", Json.Bool c.sc_oracles);
+    ("exec_cache", Json.Int c.sc_exec_cache);
+    ("seed", Json.Int c.sc_seed); ("budget", Json.Int c.sc_budget) ]
+
+let campaign_to_json c = Json.Obj (campaign_fields c)
+
 let render_meta sn =
-  let c = sn.sn_campaign and p = sn.sn_progress in
+  let p = sn.sn_progress in
   Json.to_string
     (Json.Obj
-       [ ("id", Json.Str c.sc_id); ("fuzzer", Json.Str c.sc_fuzzer);
-         ("dialect", Json.Str c.sc_dialect);
-         ("quirks", Json.Arr (List.map (fun q -> Json.Str q) c.sc_quirks));
-         ("feedback", Json.Str (Fuzz.Harness.feedback_to_string c.sc_feedback));
-         ("oracles", Json.Bool c.sc_oracles);
-         ("exec_cache", Json.Int c.sc_exec_cache);
-         ("seed", Json.Int c.sc_seed); ("budget", Json.Int c.sc_budget);
-         ("execs_done", Json.Int p.pr_execs_done);
-         ("epoch", Json.Int p.pr_epoch) ])
+       (campaign_fields sn.sn_campaign
+        @ [ ("execs_done", Json.Int p.pr_execs_done);
+            ("epoch", Json.Int p.pr_epoch) ]))
   ^ "\n"
 
 (* One line per grow-only entry. A section is the concatenation of its
@@ -270,25 +275,6 @@ let snapshot_equal a b =
 
 let ( let* ) = Result.bind
 
-let field name conv json =
-  match Json.member name json with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "bad field %S" name))
-
-let str_list json =
-  match json with
-  | Json.Arr items ->
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | Json.Str s :: rest -> go (s :: acc) rest
-      | _ -> None
-    in
-    go [] items
-  | _ -> None
-
 let jsonl_lines content =
   String.split_on_char '\n' content
   |> List.filter (fun l -> String.trim l <> "")
@@ -298,24 +284,22 @@ let parse_meta content =
     Json.of_string (String.trim content)
     |> Result.map_error (fun e -> "meta: " ^ e)
   in
-  let* id = field "id" Json.to_str json in
-  let* fuzzer = field "fuzzer" Json.to_str json in
-  let* dialect = field "dialect" Json.to_str json in
-  let* quirks = field "quirks" str_list json in
-  let* fb = field "feedback" Json.to_str json in
+  let* id = Json.field "id" Json.to_str json in
+  let* fuzzer = Json.field "fuzzer" Json.to_str json in
+  let* dialect = Json.field "dialect" Json.to_str json in
+  let* quirks = Json.field "quirks" Json.to_str_list json in
+  let* fb = Json.field "feedback" Json.to_str json in
   let* feedback =
     match Fuzz.Harness.feedback_of_string fb with
     | Some f -> Ok f
     | None -> Error (Printf.sprintf "meta: unknown feedback %S" fb)
   in
-  let* oracles =
-    field "oracles" (function Json.Bool b -> Some b | _ -> None) json
-  in
-  let* exec_cache = field "exec_cache" Json.to_int json in
-  let* seed = field "seed" Json.to_int json in
-  let* budget = field "budget" Json.to_int json in
-  let* execs_done = field "execs_done" Json.to_int json in
-  let* epoch = field "epoch" Json.to_int json in
+  let* oracles = Json.field "oracles" Json.to_bool json in
+  let* exec_cache = Json.field "exec_cache" Json.to_int json in
+  let* seed = Json.field "seed" Json.to_int json in
+  let* budget = Json.field "budget" Json.to_int json in
+  let* execs_done = Json.field "execs_done" Json.to_int json in
+  let* epoch = Json.field "epoch" Json.to_int json in
   Ok
     ( { sc_id = id; sc_fuzzer = fuzzer; sc_dialect = dialect;
         sc_quirks = quirks; sc_feedback = feedback; sc_oracles = oracles;
@@ -328,17 +312,19 @@ let parse_corpus content =
     | line :: rest ->
       let ctx msg = Printf.sprintf "corpus line %d: %s" n msg in
       let* json = Json.of_string line |> Result.map_error ctx in
-      let* sql = field "sql" Json.to_str json |> Result.map_error ctx in
-      let* hash_s = field "cov_hash" Json.to_str json |> Result.map_error ctx in
+      let* sql = Json.field "sql" Json.to_str json |> Result.map_error ctx in
+      let* hash_s =
+        Json.field "cov_hash" Json.to_str json |> Result.map_error ctx
+      in
       let* cov_hash =
         match parse_hex64 hash_s with
         | Some h -> Ok h
         | None -> Error (ctx "bad cov_hash")
       in
       let* new_branches =
-        field "new_branches" Json.to_int json |> Result.map_error ctx
+        Json.field "new_branches" Json.to_int json |> Result.map_error ctx
       in
-      let* cost = field "cost" Json.to_int json |> Result.map_error ctx in
+      let* cost = Json.field "cost" Json.to_int json |> Result.map_error ctx in
       let* tc = Sqlparser.Parser.parse_testcase sql |> Result.map_error ctx in
       go
         ({ Fuzz.Sync.xs_tc = tc; xs_cov_hash = cov_hash;
@@ -376,7 +362,7 @@ let parse_skeletons content =
     | line :: rest ->
       let ctx msg = Printf.sprintf "skeletons line %d: %s" n msg in
       let* json = Json.of_string line |> Result.map_error ctx in
-      let* sql = field "sql" Json.to_str json |> Result.map_error ctx in
+      let* sql = Json.field "sql" Json.to_str json |> Result.map_error ctx in
       let* st = Sqlparser.Parser.parse_stmt sql |> Result.map_error ctx in
       go (st :: acc) (n + 1) rest
   in
@@ -388,7 +374,7 @@ let parse_bitmap ~name content =
     |> Result.map_error (fun e -> name ^ ": " ^ e)
   in
   let* cells =
-    field "cells"
+    Json.field "cells"
       (fun v ->
          match v with
          | Json.Arr items ->
@@ -411,10 +397,12 @@ let parse_dedup content =
     |> Result.map_error (fun e -> "dedup: " ^ e)
   in
   let* crashes =
-    field "crashes" str_list json |> Result.map_error (fun e -> "dedup: " ^ e)
+    Json.field "crashes" Json.to_str_list json
+    |> Result.map_error (fun e -> "dedup: " ^ e)
   in
   let* logic =
-    field "logic" str_list json |> Result.map_error (fun e -> "dedup: " ^ e)
+    Json.field "logic" Json.to_str_list json
+    |> Result.map_error (fun e -> "dedup: " ^ e)
   in
   Ok (crashes, logic)
 

@@ -31,6 +31,11 @@ type campaign = {
   sc_budget : int;       (** total execution budget across all epochs *)
 }
 
+val campaign_to_json : campaign -> Telemetry.Json.t
+(** The campaign record as JSON, fields in declaration order ([id]
+    first, [budget] last): a farm spec's campaign entry and the head of
+    a store's [meta.json]. *)
+
 type progress = {
   pr_execs_done : int;  (** executions already spent against [sc_budget] *)
   pr_epoch : int;       (** completed run segments; resume derives a fresh

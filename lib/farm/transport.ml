@@ -87,57 +87,36 @@ let message_to_line m = Json.to_string (message_to_json m)
 
 let ( let* ) = Result.bind
 
-let field name conv json =
-  match Json.member name json with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "bad field %S" name))
-
-let str_list json =
-  match json with
-  | Json.Arr items ->
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | Json.Str s :: rest -> go (s :: acc) rest
-      | _ -> None
-    in
-    go [] items
-  | _ -> None
-
-let to_bool = function Json.Bool b -> Some b | _ -> None
-
 let command_of_json json =
-  let* cmd = field "cmd" Json.to_str json in
+  let* cmd = Json.field "cmd" Json.to_str json in
   match cmd with
   | "run" ->
-    let* campaign = field "campaign" Json.to_str json in
-    let* execs = field "execs" Json.to_int json in
-    let* round = field "round" Json.to_int json in
+    let* campaign = Json.field "campaign" Json.to_str json in
+    let* execs = Json.field "execs" Json.to_int json in
+    let* round = Json.field "round" Json.to_int json in
     Ok (Run { rc_campaign = campaign; rc_execs = execs; rc_round = round })
   | "shutdown" -> Ok Shutdown
   | other -> Error (Printf.sprintf "unknown command %S" other)
 
 let round_of_json json =
-  let* campaign = field "campaign" Json.to_str json in
-  let* round = field "round" Json.to_int json in
-  let* allocated = field "allocated" Json.to_int json in
-  let* executed = field "executed" Json.to_int json in
-  let* execs_done = field "execs_done" Json.to_int json in
-  let* branches = field "branches" Json.to_int json in
-  let* coverage_keys = field "coverage_keys" Json.to_int json in
-  let* new_keys = field "new_keys" Json.to_int json in
-  let* crashes_total = field "crashes_total" Json.to_int json in
-  let* crashes_unique = field "crashes_unique" Json.to_int json in
-  let* logic_unique = field "logic_unique" Json.to_int json in
-  let* bugs = field "bugs" str_list json in
-  let* generation = field "generation" Json.to_int json in
-  let* finished = field "finished" to_bool json in
-  let* reloads = field "reloads" Json.to_int json in
-  let* reload_skipped = field "reload_skipped" Json.to_int json in
+  let* campaign = Json.field "campaign" Json.to_str json in
+  let* round = Json.field "round" Json.to_int json in
+  let* allocated = Json.field "allocated" Json.to_int json in
+  let* executed = Json.field "executed" Json.to_int json in
+  let* execs_done = Json.field "execs_done" Json.to_int json in
+  let* branches = Json.field "branches" Json.to_int json in
+  let* coverage_keys = Json.field "coverage_keys" Json.to_int json in
+  let* new_keys = Json.field "new_keys" Json.to_int json in
+  let* crashes_total = Json.field "crashes_total" Json.to_int json in
+  let* crashes_unique = Json.field "crashes_unique" Json.to_int json in
+  let* logic_unique = Json.field "logic_unique" Json.to_int json in
+  let* bugs = Json.field "bugs" Json.to_str_list json in
+  let* generation = Json.field "generation" Json.to_int json in
+  let* finished = Json.field "finished" Json.to_bool json in
+  let* reloads = Json.field "reloads" Json.to_int json in
+  let* reload_skipped = Json.field "reload_skipped" Json.to_int json in
   let* error =
-    field "error"
+    Json.field "error"
       (function
         | Json.Null -> Some None
         | Json.Str e -> Some (Some e)
@@ -156,21 +135,21 @@ let round_of_json json =
       rr_error = error }
 
 let message_of_json json =
-  let* msg = field "msg" Json.to_str json in
+  let* msg = Json.field "msg" Json.to_str json in
   match msg with
   | "hello" ->
-    let* worker = field "worker" Json.to_int json in
-    let* pid = field "pid" Json.to_int json in
+    let* worker = Json.field "worker" Json.to_int json in
+    let* pid = Json.field "pid" Json.to_int json in
     Ok (Hello { h_worker = worker; h_pid = pid })
   | "heartbeat" ->
-    let* worker = field "worker" Json.to_int json in
-    let* execs = field "execs" Json.to_int json in
+    let* worker = Json.field "worker" Json.to_int json in
+    let* execs = Json.field "execs" Json.to_int json in
     Ok (Heartbeat { hb_worker = worker; hb_execs = execs })
   | "round" ->
     let* r = round_of_json json in
     Ok (Round r)
   | "fatal" ->
-    let* e = field "error" Json.to_str json in
+    let* e = Json.field "error" Json.to_str json in
     Ok (Fatal e)
   | other -> Error (Printf.sprintf "unknown message %S" other)
 

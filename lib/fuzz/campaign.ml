@@ -86,9 +86,7 @@ let run_shard ~sync ~exchange ~make ~budget ~rounds_total ~report ~emit
      when something crosses, and the returned fuzzer hands what the
      rounds drained back to its first export after the campaign: a store
      capture still sees every discovery of the shard. *)
-  let port =
-    if Sync.exchange_active exchange then fz.Driver.f_exchange else None
-  in
+  let port = if exchange then fz.Driver.f_exchange else None in
   let drained = ref [] in
   for r = 1 to rounds_total do
     let target = min budget (r * interval) in
@@ -159,7 +157,7 @@ let sequential ?checkpoint_every ?(on_checkpoint = fun _ -> ()) ~sink
       Telemetry.Registry.snapshot (Harness.metrics fz.Driver.f_harness) }
 
 let run ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?sync_every
-    ?(exchange = Sync.exchange_off) ?(sink = Telemetry.Sink.null)
+    ?(exchange = false) ?(sink = Telemetry.Sink.null)
     ?(series_prefix = "") ?(prime_sync = fun _ -> ()) ~jobs ~execs make =
   let jobs = max 1 jobs in
   if jobs = 1 then

@@ -19,11 +19,10 @@
     executions, publishing at each. The only cross-domain state is the
     mutex-guarded {!Sync.t}.
 
-    With an active [exchange] configuration each shard additionally
-    pulls the global virgin map back into its own harness at every round
-    and imports foreign coverage-increasing seeds / type-affinities / AST
-    skeletons through its fuzzer's {!Driver.fuzzer.f_exchange} port
-    (DESIGN.md §10). *)
+    With [exchange] on, each shard additionally pulls the global virgin
+    map back into its own harness at every round and imports foreign
+    coverage-increasing seeds / type-affinities / AST skeletons through
+    its fuzzer's {!Driver.fuzzer.f_exchange} port (DESIGN.md §10). *)
 
 type shard = {
   sh_id : int;
@@ -59,11 +58,15 @@ val shard_seed : seed:int -> shard_id:int -> int
     RNG seeds derived from one campaign seed. Shard 0 keeps the campaign
     seed itself, so [jobs = 1] reproduces unsharded runs exactly. *)
 
+val point_of : series:string -> Driver.snapshot -> Telemetry.Event.point
+(** A snapshot as a telemetry series point: the point of every
+    checkpoint the campaign emits, and of the CLI's summary events. *)
+
 val run :
   ?checkpoint_every:int ->
   ?on_checkpoint:(Driver.checkpoint -> unit) ->
   ?sync_every:int ->
-  ?exchange:Sync.exchange ->
+  ?exchange:bool ->
   ?sink:Telemetry.Sink.t ->
   ?series_prefix:string ->
   ?prime_sync:(Sync.t -> unit) ->
@@ -93,8 +96,8 @@ val run :
     {!Driver.Stalled}), the campaign aborts the remaining shards and
     re-raises that shard's exception.
 
-    [exchange] (default {!Sync.exchange_off}) decides what crosses at
-    the barriers: with it active, shards pull the merged virgin map and
+    [exchange] (default [false]) decides whether discoveries cross at
+    the barriers: with it on, shards pull the merged virgin map and
     import each other's deduplicated discoveries in (round, shard id)
     order; with it off, each shard fuzzes as if alone. Discoveries the
     rounds exported are handed back by each shard fuzzer's first

@@ -2,12 +2,6 @@
    crash dedup, and — when an exchange is enabled — the bidirectional
    seed/affinity/skeleton exchange (deterministic import order). *)
 
-type exchange = { ex_seeds : bool; ex_affinities : bool }
-
-let exchange_off = { ex_seeds = false; ex_affinities = false }
-let exchange_all = { ex_seeds = true; ex_affinities = true }
-let exchange_active x = x.ex_seeds || x.ex_affinities
-
 type xseed = {
   xs_tc : Sqlcore.Ast.testcase;
   xs_cov_hash : int64;
@@ -76,7 +70,7 @@ type t = {
   mutable frozen : tally;
   interval : int;
   metrics : Telemetry.Registry.t;  (* global union of published deltas *)
-  exchange : exchange;
+  exchange : bool;
   parties : int;
   cond : Condition.t;
   mutable arrived : int;
@@ -104,8 +98,7 @@ let default_interval = 4096
 
 let no_tally = { rounds = 0; execs = 0; crashes = 0 }
 
-let create ?(interval = default_interval) ?(exchange = exchange_off) ~parties
-    () =
+let create ?(interval = default_interval) ?(exchange = false) ~parties () =
   { lock = Mutex.create ();
     virgin = Coverage.Bitmap.create ();
     gram_virgin = Coverage.Bitmap.create ();
@@ -171,30 +164,27 @@ let release_round t =
     (fun sp ->
        List.iter (note_unique t) sp.sp_crashes;
        List.iter (note_logic t) sp.sp_logic;
-       if t.exchange.ex_seeds then
-         List.iter
-           (fun s ->
-              if not (Hashtbl.mem t.seen_seeds s.xs_cov_hash) then begin
-                Hashtbl.replace t.seen_seeds s.xs_cov_hash ();
-                Reprutil.Vec.push t.store (sp.sp_shard, Seed s)
-              end)
-           sp.sp_seeds;
-       if t.exchange.ex_affinities then begin
-         List.iter
-           (fun (key, (a, b)) ->
-              if not (Hashtbl.mem t.seen_affinities key) then begin
-                Hashtbl.replace t.seen_affinities key ();
-                Reprutil.Vec.push t.store (sp.sp_shard, Affinity (a, b))
-              end)
-           sp.sp_affinities;
-         List.iter
-           (fun (key, stmt) ->
-              if not (Hashtbl.mem t.seen_skeletons key) then begin
-                Hashtbl.replace t.seen_skeletons key ();
-                Reprutil.Vec.push t.store (sp.sp_shard, Skeleton stmt)
-              end)
-           sp.sp_skeletons
-       end)
+       List.iter
+         (fun s ->
+            if not (Hashtbl.mem t.seen_seeds s.xs_cov_hash) then begin
+              Hashtbl.replace t.seen_seeds s.xs_cov_hash ();
+              Reprutil.Vec.push t.store (sp.sp_shard, Seed s)
+            end)
+         sp.sp_seeds;
+       List.iter
+         (fun (key, (a, b)) ->
+            if not (Hashtbl.mem t.seen_affinities key) then begin
+              Hashtbl.replace t.seen_affinities key ();
+              Reprutil.Vec.push t.store (sp.sp_shard, Affinity (a, b))
+            end)
+         sp.sp_affinities;
+       List.iter
+         (fun (key, stmt) ->
+            if not (Hashtbl.mem t.seen_skeletons key) then begin
+              Hashtbl.replace t.seen_skeletons key ();
+              Reprutil.Vec.push t.store (sp.sp_shard, Skeleton stmt)
+            end)
+         sp.sp_skeletons)
     staged;
   t.pull_map <- Coverage.Bitmap.snapshot t.virgin;
   t.gram_pull <- Coverage.Bitmap.snapshot t.gram_virgin;
@@ -242,9 +232,10 @@ let exchange_round ?metrics ?gram ?(crashes_delta = 0) t ~shard ~virgin
   (* Everything derivable from shard-private state is prepared before
      the lock: the triage reads, the affinity dedup keys and the printed
      skeleton SQL. The barrier's critical section then only merges and
-     pushes. Kinds disabled in the exchange configuration are dropped
-     here too, so their keys are never computed ([t.exchange] is
+     pushes. With the exchange off nothing crosses, so the exports are
+     dropped here and their keys never computed ([t.exchange] is
      immutable — reading it unlocked is safe). *)
+  let crossing = if t.exchange then export else empty_export in
   let staged =
     { sp_shard = shard;
       (* crashes and logic-bug signatures are staged, not folded, so the
@@ -252,22 +243,18 @@ let exchange_round ?metrics ?gram ?(crashes_delta = 0) t ~shard ~virgin
          scheduling-independent too *)
       sp_crashes = Triage.unique_with_cases triage;
       sp_logic = Triage.unique_logic triage;
-      sp_seeds = (if t.exchange.ex_seeds then export.xp_seeds else []);
+      sp_seeds = crossing.xp_seeds;
       sp_affinities =
-        (if t.exchange.ex_affinities then
-           List.map
-             (fun (a, b) ->
-                ( ( Sqlcore.Stmt_type.to_index a,
-                    Sqlcore.Stmt_type.to_index b ),
-                  (a, b) ))
-             export.xp_affinities
-         else []);
+        List.map
+          (fun (a, b) ->
+             ( ( Sqlcore.Stmt_type.to_index a,
+                 Sqlcore.Stmt_type.to_index b ),
+               (a, b) ))
+          crossing.xp_affinities;
       sp_skeletons =
-        (if t.exchange.ex_affinities then
-           List.map
-             (fun stmt -> (Sqlcore.Sql_printer.stmt stmt, stmt))
-             export.xp_skeletons
-         else []) }
+        List.map
+          (fun stmt -> (Sqlcore.Sql_printer.stmt stmt, stmt))
+          crossing.xp_skeletons }
   in
   locked t (fun () ->
       if t.aborted then raise Aborted;
@@ -297,8 +284,7 @@ let exchange_round ?metrics ?gram ?(crashes_delta = 0) t ~shard ~virgin
         done;
         if t.aborted then raise Aborted
       end;
-      if exchange_active t.exchange then pull_locked ?gram t ~shard ~virgin
-      else [])
+      if t.exchange then pull_locked ?gram t ~shard ~virgin else [])
 
 (* Prime a fresh sync with persisted campaign state before any shard
    publishes: merged-in virgin maps stop resurrected coverage counting

@@ -10,8 +10,8 @@
     freezing the campaign's running totals. This is the analogue of
     AFL++'s [-M]/[-S] sync directory.
 
-    The {!exchange} configuration only decides what crosses shards
-    (DESIGN.md §10). With it active each shard also publishes its
+    The exchange flag only decides whether discoveries cross shards
+    (DESIGN.md §10). With it on each shard also publishes its
     coverage-increasing seeds and its discovered type-affinities and AST
     skeletons, then (a) pulls the global virgin map back into its own so
     branches the campaign already knows stop counting as new, and (b)
@@ -19,25 +19,10 @@
     deduplicated (seed cov-hash, affinity pair, printed skeleton SQL) and
     resolved in (round, shard id) order at the barrier, so the canonical
     store — and every shard's import sequence — is a pure function of the
-    campaign seed, independent of domain scheduling. With {!exchange_off}
-    shards publish and never pull: they stay independent.
+    campaign seed, independent of domain scheduling. With it off shards
+    publish and never pull: they stay independent.
 
     All operations take an internal mutex and are safe from any domain. *)
-
-type exchange = { ex_seeds : bool; ex_affinities : bool }
-(** What crosses shards at each round: coverage-increasing seeds
-    ([ex_seeds]) and/or type-affinities + AST skeletons
-    ([ex_affinities]). The virgin-map pull-back is active whenever either
-    is. *)
-
-val exchange_off : exchange
-(** Nothing crosses: shards still meet at every round barrier and
-    publish coverage, crashes and metrics, but never pull or import, so
-    each shard fuzzes as if alone. *)
-
-val exchange_all : exchange
-
-val exchange_active : exchange -> bool
 
 type xseed = {
   xs_tc : Sqlcore.Ast.testcase;
@@ -87,9 +72,13 @@ type t
 val default_interval : int
 (** Executions between syncs when unspecified (4096). *)
 
-val create : ?interval:int -> ?exchange:exchange -> parties:int -> unit -> t
+val create : ?interval:int -> ?exchange:bool -> parties:int -> unit -> t
 (** [parties] is the number of shards meeting at each round barrier
-    (clamped to ≥ 1); [exchange] defaults to {!exchange_off}. *)
+    (clamped to ≥ 1). [exchange] (default [false]) decides whether seeds,
+    affinities and skeletons cross shards; with it off, shards still
+    meet at every round barrier and publish coverage, crashes and
+    metrics, but never pull or import, so each shard fuzzes as if
+    alone. *)
 
 val interval : t -> int
 (** The configured sync interval in executions (clamped to ≥ 1). *)
@@ -118,12 +107,11 @@ val exchange_round :
     {!execs_seen}, {!total_crashes}, {!rounds}). Re-publishing the same
     state is idempotent: no new branches, no duplicate crashes.
 
-    With an active {!exchange}, on wake-up the shard's [virgin] map
-    absorbs the frozen global map (the pull-back) and the call returns
-    the store entries this shard has not imported yet, excluding its own,
-    in canonical order — apply them through the fuzzer's {!port}. With
-    {!exchange_off} it returns [[]] and leaves [virgin] alone; kinds
-    disabled in the configuration are dropped at staging time.
+    With the exchange on, on wake-up the shard's [virgin] map absorbs
+    the frozen global map (the pull-back) and the call returns the store
+    entries this shard has not imported yet, excluding its own, in
+    canonical order — apply them through the fuzzer's {!port}. With it
+    off the call returns [[]], leaves [virgin] alone and drops [export].
 
     [metrics], when given, must be the {e delta} registry since the
     shard's last round ({!Telemetry.Registry.diff}); it is merged into
@@ -133,7 +121,7 @@ val exchange_round :
 
     [gram], when the shard runs grammar feedback, is its grammar virgin
     map: unioned into a global grammar map with the same idempotent
-    merge (see {!grammar_counts}) and, with an active exchange, absorbed
+    merge (see {!grammar_counts}) and, with the exchange on, absorbed
     back from the round-frozen global grammar map at the pull-back.
 
     Every shard must call this the same number of times (the campaign

@@ -254,3 +254,26 @@ let to_float = function
 let to_str = function Str s -> Some s | _ -> None
 
 let to_list = function Arr l -> Some l | _ -> None
+
+let to_bool = function Bool b -> Some b | _ -> None
+
+let to_str_list = function
+  | Arr items ->
+    let rec go acc = function
+      | [] -> Some (List.rev acc)
+      | Str s :: rest -> go (s :: acc) rest
+      | _ -> None
+    in
+    go [] items
+  | _ -> None
+
+let field ?default name conv json =
+  match member name json with
+  | None -> (
+      match default with
+      | Some d -> Ok d
+      | None -> Error (Printf.sprintf "missing field %S" name))
+  | Some v -> (
+      match conv v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "bad field %S" name))

@@ -34,3 +34,14 @@ val to_float : t -> float option
 val to_str : t -> string option
 
 val to_list : t -> t list option
+
+val to_bool : t -> bool option
+
+val to_str_list : t -> string list option
+(** An [Arr] of [Str]s; [None] if any element is not a string. *)
+
+val field :
+  ?default:'a -> string -> (t -> 'a option) -> t -> ('a, string) result
+(** [field name conv obj] decodes member [name] with [conv]. A missing
+    member is [default] when given, else [Error "missing field \"name\""];
+    a member [conv] rejects is [Error "bad field \"name\""]. *)

@@ -10,14 +10,6 @@ let tee sinks =
   { emit = (fun ev -> List.iter (fun s -> s.emit ev) sinks);
     close = (fun () -> List.iter (fun s -> s.close ()) sinks) }
 
-let locked sink =
-  let lock = Mutex.create () in
-  let guarded f x =
-    Mutex.lock lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () -> f x)
-  in
-  { emit = guarded sink.emit; close = (fun () -> guarded sink.close ()) }
-
 let runs_dir () =
   let dir = "runs" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;

@@ -1,8 +1,8 @@
 (** Pluggable telemetry sinks.
 
     A sink consumes {!Event.t}s; campaigns emit into whatever sink stack
-    the caller assembles ({!tee}, {!locked}). Three concrete sinks cover
-    the paper-reproduction needs:
+    the caller assembles with {!tee}. Three concrete sinks cover the
+    paper-reproduction needs:
 
     - {!jsonl}: an AFL-[plot_data]-style machine-readable recorder, one
       JSON object per line, written under the [runs/] artifact directory;
@@ -25,10 +25,6 @@ val null : t
 
 val tee : t list -> t
 (** Emit to every sink, close every sink. *)
-
-val locked : t -> t
-(** Serialize emissions with a mutex — required when shards on multiple
-    domains share one sink. *)
 
 val runs_dir : unit -> string
 (** The run-artifact directory (["runs"]), created on first use; all

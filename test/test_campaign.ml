@@ -297,7 +297,7 @@ let test_exchange_store_dedup () =
      must keep one copy of each entry (lowest shard id wins the tie) and
      hand each shard exactly the foreign entries, exactly once. *)
   let sync =
-    Fuzz.Sync.create ~exchange:Fuzz.Sync.exchange_all ~parties:2 ()
+    Fuzz.Sync.create ~exchange:true ~parties:2 ()
   in
   let aff = (Sqlcore.Stmt_type.Create_table, Sqlcore.Stmt_type.Insert) in
   let export0 =
@@ -346,7 +346,7 @@ let test_exchange_pulls_virgin () =
   (* The bidirectional part: a shard's own virgin map must absorb the
      round-frozen global map, so globally-known branches stop being new. *)
   let sync =
-    Fuzz.Sync.create ~exchange:Fuzz.Sync.exchange_all ~parties:2 ()
+    Fuzz.Sync.create ~exchange:true ~parties:2 ()
   in
   let virgin_of site =
     let exec = Coverage.Bitmap.create () in
@@ -399,8 +399,8 @@ let test_jobs1_exchange_still_sequential () =
     Fuzz.Driver.run_until_execs (lego_factory ~seed:42 0) ~execs:budget
   in
   let res =
-    Fuzz.Campaign.run ~jobs:1 ~exchange:Fuzz.Sync.exchange_all
-      ~execs:budget (lego_factory ~seed:42)
+    Fuzz.Campaign.run ~jobs:1 ~exchange:true ~execs:budget
+      (lego_factory ~seed:42)
   in
   Alcotest.(check bool) "snapshots identical" true
     (sequential = res.Fuzz.Campaign.cg_snapshot)
@@ -437,8 +437,8 @@ let test_exchange_beats_publish_only () =
   (* At equal budget, bidirectional exchange must not cover fewer
      aggregate branches than publish-only sync (deterministic per seed,
      so this is a regression pin, not a statistical claim). *)
-  let on = run_exchange_campaign ~exchange:Fuzz.Sync.exchange_all ~seed:7 in
-  let off = run_exchange_campaign ~exchange:Fuzz.Sync.exchange_off ~seed:7 in
+  let on = run_exchange_campaign ~exchange:true ~seed:7 in
+  let off = run_exchange_campaign ~exchange:false ~seed:7 in
   Alcotest.(check bool) "exchange-on covers at least as many branches" true
     (on.Fuzz.Campaign.cg_snapshot.Fuzz.Driver.st_branches
      >= off.Fuzz.Campaign.cg_snapshot.Fuzz.Driver.st_branches)
@@ -478,9 +478,9 @@ let suite =
     ("seed port never echoes imports", `Quick, test_seed_port_no_echo);
     ("4-shard campaign aggregates", `Slow, test_sharded_campaign_aggregates);
     ("4-shard exchange campaign deterministic", `Slow,
-     test_exchange_campaign_deterministic Fuzz.Sync.exchange_all);
+     test_exchange_campaign_deterministic true);
     ("4-shard exchange-off campaign deterministic", `Slow,
-     test_exchange_campaign_deterministic Fuzz.Sync.exchange_off);
+     test_exchange_campaign_deterministic false);
     ("exchange beats publish-only sync", `Slow,
      test_exchange_beats_publish_only);
     ("sequential metrics are a snapshot", `Quick,

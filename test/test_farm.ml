@@ -1008,8 +1008,8 @@ let test_resume_sharded () =
     | Error m -> Alcotest.failf "factory: %s" m
   in
   let first =
-    Fuzz.Campaign.run ~jobs:2 ~sync_every:500 ~exchange:Fuzz.Sync.exchange_all
-      ~execs:3000 factory
+    Fuzz.Campaign.run ~jobs:2 ~sync_every:500 ~exchange:true ~execs:3000
+      factory
   in
   let sn =
     Resume.capture ~prior:(Store.empty_snapshot campaign) ~campaign
@@ -1329,6 +1329,36 @@ let test_cli_rejects_escaping_ids () =
         ("fuzz --store ..",
          [ "fuzz"; "-n"; "100"; "--store"; "../escaped-campaign" ]) ])
 
+(* Bad CLI input ends in a one-line "path: reason" diagnostic and exit
+   status 1, never an uncaught exception (exit 125); a nested -o
+   directory is created up front instead of failing after the run. *)
+let test_cli_input_errors () =
+  let exe = Filename.concat (Sys.getcwd ()) legofuzz in
+  with_dir "cli-input" (fun root ->
+    let err_path = Filename.concat root "stderr" in
+    let run args =
+      let code =
+        Sys.command
+          (Printf.sprintf "cd %s && %s %s >/dev/null 2>%s"
+             (Filename.quote root) (Filename.quote exe)
+             (String.concat " " (List.map Filename.quote args))
+             (Filename.quote err_path))
+      in
+      (code, read_file err_path)
+    in
+    List.iter
+      (fun (cmd, file) ->
+         let code, err = run [ cmd; file ] in
+         Alcotest.(check int) (cmd ^ ": exit status") 1 code;
+         Alcotest.(check string) (cmd ^ ": diagnostic")
+           (file ^ ": No such file or directory\n") err)
+      [ ("report", "missing.jsonl"); ("exec", "missing.sql");
+        ("reduce", "missing.sql"); ("farm", "missing.json") ];
+    let code, _ = run [ "fuzz"; "-n"; "200"; "-o"; "x/y/z" ] in
+    Alcotest.(check int) "fuzz -o x/y/z: exit status" 0 code;
+    Alcotest.(check bool) "fuzz -o x/y/z: directory created" true
+      (Sys.is_directory (Filename.concat root "x/y/z")))
+
 let counter r name = Telemetry.Registry.counter_value r.Scheduler.fr_metrics name
 
 (* SIGKILL a worker mid-round: the farm must finish the full budget,
@@ -1522,4 +1552,6 @@ let suite =
     Alcotest.test_case "processes: equal-budget parity" `Slow
       test_processes_parity;
     Alcotest.test_case "cli: path-escaping campaign ids rejected" `Quick
-      test_cli_rejects_escaping_ids ]
+      test_cli_rejects_escaping_ids;
+    Alcotest.test_case "cli: input errors are diagnostics" `Quick
+      test_cli_input_errors ]
