@@ -109,8 +109,6 @@ val name_in_use : t -> string -> bool
 
 val indexes_on : t -> string -> index_spec list
 
-val triggers_on : t -> string -> Ast.trig_event -> trigger list
-
 val rules_on : t -> string -> Ast.trig_event -> rule list
 
 val take_snapshot : t -> snapshot

@@ -70,12 +70,14 @@ type ctx = {
   mutable plan_mode : plan_mode;
       (* Plan_force_seq pins every base-table scan to Seq_scan — the
          differential-plan oracle's reference execution *)
+  mutable scalar : Expr_eval.env option;
+      (* the column-free evaluation env, built on first use *)
 }
 
 let create_ctx ~cat ~profile ~limits ~cov =
   { cat; profile; limits; cov; flags = Hashtbl.create 8; query_depth = 0;
     trigger_depth = 0; shape_depth = 0; ctes = []; rows_scanned = 0;
-    plan_mode = Plan_auto }
+    plan_mode = Plan_auto; scalar = None }
 
 let set_plan_mode ctx mode = ctx.plan_mode <- mode
 
@@ -113,7 +115,8 @@ let restore st ~cov =
     shape_depth = 0;
     ctes = [];
     rows_scanned = st.st_rows_scanned;
-    plan_mode = st.st_plan_mode }
+    plan_mode = st.st_plan_mode;
+    scalar = None }
 
 let state_bytes st = Catalog.approx_bytes st.st_cat
 
@@ -264,21 +267,19 @@ let resolve_col (row : env_row) q name =
         in
         loop 0)
   | None ->
-    let hits =
-      List.filter_map
-        (fun b ->
-           let rec loop i =
-             if i >= Array.length b.b_cols then None
-             else if String.equal b.b_cols.(i) name then Some b.b_vals.(i)
-             else loop (i + 1)
-           in
-           loop 0)
-        row
+    (* The first binding holding [name] wins: lax ambiguity resolution,
+       MySQL-style. *)
+    let rec in_binding b i =
+      if i >= Array.length b.b_cols then None
+      else if String.equal b.b_cols.(i) name then Some b.b_vals.(i)
+      else in_binding b (i + 1)
     in
-    (match hits with
-     | [ v ] -> Some v
-     | [] -> None
-     | v :: _ -> Some v (* lax ambiguity resolution, MySQL-style *))
+    let rec first = function
+      | [] -> None
+      | b :: rest -> (
+          match in_binding b 0 with None -> first rest | hit -> hit)
+    in
+    first row
 
 let null_binding b =
   { b with b_vals = Array.map (fun _ -> Value.Null) b.b_vals }
@@ -328,11 +329,18 @@ let proj_exprs projs =
 (* ------------------------------------------------------------------ *)
 
 let rec scalar_env ctx : Expr_eval.env =
-  { cols = (fun _ _ -> None);
-    run_query = (fun q -> run_query ctx q);
-    agg = Expr_eval.no_agg;
-    win = Expr_eval.no_win;
-    probe = (fun ~site ~key -> probe ctx site key) }
+  match ctx.scalar with
+  | Some env -> env
+  | None ->
+    let env : Expr_eval.env =
+      { cols = (fun _ _ -> None);
+        run_query = (fun q -> run_query ctx q);
+        agg = Expr_eval.no_agg;
+        win = Expr_eval.no_win;
+        probe = (fun ~site ~key -> probe ctx site key) }
+    in
+    ctx.scalar <- Some env;
+    env
 
 and row_env ctx (row : env_row) : Expr_eval.env =
   { (scalar_env ctx) with
@@ -457,7 +465,7 @@ and eval_from ctx ~where (f : from_item) : env_row list =
              | Planner.Index_eq (idx_name, key_expr) -> (
                  set_flag ctx "index_scan";
                  match Hashtbl.find_opt ctx.cat.Catalog.indexes idx_name with
-                 | None -> Table.to_rows table |> List.map snd
+                 | None -> Table.rows table
                  | Some spec ->
                    let key = eval_scalar ctx key_expr in
                    let rowids = Index.find (Catalog.index_data spec) [ key ] in
@@ -469,7 +477,7 @@ and eval_from ctx ~where (f : from_item) : env_row list =
                      else rowids
                    in
                    List.filter_map (Table.find_row table) rowids)
-             | Planner.Seq_scan -> Table.to_rows table |> List.map snd
+             | Planner.Seq_scan -> Table.rows table
            in
            ctx.rows_scanned <- ctx.rows_scanned + List.length rows;
            probe ctx s_scan (bucket (List.length rows));
@@ -630,18 +638,7 @@ and run_query ctx (q : query) : Value.t array list =
           + min 7 (bucket (List.length ra + List.length rb)));
        let module RS = Set.Make (struct
            type t = Value.t array
-
-           let compare x y =
-             let nx = Array.length x and ny = Array.length y in
-             if nx <> ny then Int.compare nx ny
-             else
-               let rec loop i =
-                 if i >= nx then 0
-                 else
-                   let c = Value.compare_total x.(i) y.(i) in
-                   if c <> 0 then c else loop (i + 1)
-               in
-               loop 0
+           let compare = Value.compare_rows
          end) in
        (match op with
         | Union_all -> ra @ rb
@@ -677,10 +674,11 @@ and run_select ctx (s : select) : Value.t array list =
         List.filter (fun row -> Expr_eval.eval_bool (row_env ctx row) w)
           base_rows
       in
+      let n = List.length kept in
       probe ctx s_where
-        ((bucket (List.length kept) * 4)
+        ((bucket n * 4)
          lor (if kept = [] && base_rows <> [] then 1 else 0)
-         lor if List.length kept = List.length base_rows then 2 else 0);
+         lor if n = List.length base_rows then 2 else 0);
       kept
   in
   let has_agg =
@@ -688,8 +686,9 @@ and run_select ctx (s : select) : Value.t array list =
     || (match s.having with Some h -> expr_has_agg h | None -> false)
   in
   let has_win = List.exists expr_has_win (proj_exprs s.projs) in
-  (* A (group-env, sort-env) list: each entry produces one output row. *)
-  let output_units =
+  (* Grouped and windowed SELECTs build one (env, row) pair per output
+     row first; a plain SELECT projects straight from [rows]. *)
+  let units =
     if s.group_by <> [] || has_agg then begin
       probe ctx s_group
         ((bucket (List.length rows) * 4)
@@ -709,95 +708,100 @@ and run_select ctx (s : select) : Value.t array list =
           probe ctx s_having (bucket (List.length kept));
           kept
       in
-      List.map (fun (rep, members) -> (group_env ctx rep members, rep)) groups
+      Some
+        (List.map (fun (rep, members) -> (group_env ctx rep members, rep))
+           groups)
     end
     else if has_win then begin
       probe ctx s_window (bucket (List.length rows));
       set_flag ctx "window_executed";
       let arr = Array.of_list rows in
       let plans = ref [] in
-      Array.to_list
-        (Array.mapi (fun i row -> (window_env ctx arr plans i row, row)) arr)
+      Some
+        (Array.to_list
+           (Array.mapi (fun i row -> (window_env ctx arr plans i row, row))
+              arr))
     end
-    else List.map (fun row -> (row_env ctx row, row)) rows
+    else None
   in
-  (* projection + order keys *)
-  let projected =
-    List.map
-      (fun (env, row) ->
-         let out = project ctx env row s.projs in
-         let keys = List.map (fun (e, _) -> Expr_eval.eval env e) s.order_by in
-         (keys, out))
-      output_units
+  let project_all f =
+    match units with
+    | Some units -> List.map (fun (env, row) -> f env row) units
+    | None -> List.map (fun row -> f (row_env ctx row) row) rows
   in
-  probe ctx s_proj (bucket (List.length projected));
-  (match projected with
-   | (_, first) :: _ -> probe ctx s_proj (64 + row_sig first)
-   | [] -> ());
-  (* DISTINCT *)
-  let projected =
-    if s.distinct then begin
-      probe ctx s_distinct (bucket (List.length projected));
+  let probe_projected n first =
+    probe ctx s_proj (bucket n);
+    Option.iter (fun out -> probe ctx s_proj (64 + row_sig out)) first
+  in
+  let dedup out_of l =
+    if not s.distinct then l
+    else begin
+      probe ctx s_distinct (bucket (List.length l));
       let seen = Hashtbl.create 16 in
       List.filter
-        (fun (_, out) ->
+        (fun x ->
+           let out = out_of x in
            let key =
              Array.fold_left
                (fun acc v -> (acc * 31) + Value.hash_value v)
                0 out
            in
-           let candidates = Hashtbl.find_all seen key in
-           let dup =
-             List.exists
-               (fun other ->
-                  Array.length other = Array.length out
-                  && (let ok = ref true in
-                      Array.iteri
-                        (fun i v ->
-                           if Value.compare_total v out.(i) <> 0 then
-                             ok := false)
-                        other;
-                      !ok))
-               candidates
-           in
-           if dup then false
+           if List.exists
+               (fun other -> Value.compare_rows other out = 0)
+               (Hashtbl.find_all seen key)
+           then false
            else begin
              Hashtbl.add seen key out;
              true
            end)
-        projected
+        l
     end
-    else projected
   in
-  (* ORDER BY *)
-  let projected =
-    if s.order_by = [] then projected
+  let rows =
+    if s.order_by = [] then begin
+      let outs = project_all (fun env row -> project ctx env row s.projs) in
+      probe_projected (List.length outs)
+        (match outs with first :: _ -> Some first | [] -> None);
+      dedup Fun.id outs
+    end
     else begin
+      (* projection + order keys, then DISTINCT, then ORDER BY *)
+      let keyed =
+        project_all (fun env row ->
+            let out = project ctx env row s.projs in
+            let keys =
+              List.map (fun (e, _) -> Expr_eval.eval env e) s.order_by
+            in
+            (keys, out))
+      in
+      probe_projected (List.length keyed)
+        (match keyed with (_, first) :: _ -> Some first | [] -> None);
+      let keyed = dedup snd keyed in
       probe ctx s_sort
-        ((bucket (List.length projected) * 2)
+        ((bucket (List.length keyed) * 2)
          lor if List.exists (fun (_, d) -> d = Desc) s.order_by then 1 else 0);
-      (match projected with
+      (match keyed with
        | (k1 :: _, _) :: _ ->
          probe ctx s_sort
            (64 + (vkind_of k1 * 8) + min 7 (List.length s.order_by))
        | _ -> ());
       let dirs = List.map snd s.order_by in
-      List.stable_sort
-        (fun (ka, _) (kb, _) ->
-           let rec cmp ks1 ks2 ds =
-             match (ks1, ks2, ds) with
-             | [], [], _ -> 0
-             | k1 :: t1, k2 :: t2, d :: td ->
-               let c = Value.compare_total k1 k2 in
-               let c = match d with Asc -> c | Desc -> -c in
-               if c <> 0 then c else cmp t1 t2 td
-             | _ -> 0
-           in
-           cmp ka kb dirs)
-        projected
+      List.map snd
+        (List.stable_sort
+           (fun (ka, _) (kb, _) ->
+              let rec cmp ks1 ks2 ds =
+                match (ks1, ks2, ds) with
+                | [], [], _ -> 0
+                | k1 :: t1, k2 :: t2, d :: td ->
+                  let c = Value.compare_total k1 k2 in
+                  let c = match d with Asc -> c | Desc -> -c in
+                  if c <> 0 then c else cmp t1 t2 td
+                | _ -> 0
+              in
+              cmp ka kb dirs)
+           keyed)
     end
   in
-  let rows = List.map snd projected in
   (* OFFSET / LIMIT *)
   let rows =
     match s.offset with
@@ -1183,23 +1187,26 @@ and window_sort ctx all_rows over f cur_idx =
         true)
 
 and project ctx (env : Expr_eval.env) (row : env_row) projs : Value.t array =
-  let out = ref [] in
-  List.iter
-    (fun p ->
-       match p with
-       | Star ->
-         List.iter
-           (fun b -> Array.iter (fun v -> out := v :: !out) b.b_vals)
-           row
-       | Star_of t -> (
-           match List.find_opt (fun b -> String.equal b.b_alias t) row with
-           | Some b -> Array.iter (fun v -> out := v :: !out) b.b_vals
-           | None ->
-             probe ctx s_err 7;
-             Errors.fail (Errors.No_such_table t))
-       | Proj (e, _) -> out := Expr_eval.eval env e :: !out)
-    projs;
-  Array.of_list (List.rev !out)
+  match (projs, row) with
+  | [ Star ], [ b ] -> Array.copy b.b_vals
+  | _ ->
+    let out = ref [] in
+    List.iter
+      (fun p ->
+         match p with
+         | Star ->
+           List.iter
+             (fun b -> Array.iter (fun v -> out := v :: !out) b.b_vals)
+             row
+         | Star_of t -> (
+             match List.find_opt (fun b -> String.equal b.b_alias t) row with
+             | Some b -> Array.iter (fun v -> out := v :: !out) b.b_vals
+             | None ->
+               probe ctx s_err 7;
+               Errors.fail (Errors.No_such_table t))
+         | Proj (e, _) -> out := Expr_eval.eval env e :: !out)
+      projs;
+    Array.of_list (List.rev !out)
 
 (* ------------------------------------------------------------------ *)
 (* Statement execution                                                 *)
@@ -1259,22 +1266,24 @@ let violates_not_null cols row =
 
 let unique_key_sets ctx table_name table =
   (* Column positions whose value sets must be unique: each UNIQUE/PK
-     column by itself, plus every unique index's column list. *)
-  let singles =
-    Array.to_list (Table.cols table)
-    |> List.mapi (fun i c -> (i, c))
-    |> List.filter_map (fun (i, c) ->
-        if c.Table.c_unique then Some [ i ] else None)
-  in
-  let from_indexes =
-    Catalog.indexes_on ctx.cat table_name
-    |> List.filter_map (fun (spec : Catalog.index_spec) ->
-        if not spec.x_unique then None
-        else
-          let ps = List.filter_map (Table.col_index table) spec.x_cols in
-          if List.length ps = List.length spec.x_cols then Some ps else None)
-  in
-  singles @ from_indexes
+     column by itself, plus every unique index's column list (in
+     [Catalog.indexes_on] order). *)
+  let cols = Table.cols table in
+  let singles = ref [] in
+  for i = Array.length cols - 1 downto 0 do
+    if cols.(i).Table.c_unique then singles := [ i ] :: !singles
+  done;
+  if Hashtbl.length ctx.cat.Catalog.indexes = 0 then !singles
+  else
+    !singles
+    @ Hashtbl.fold
+        (fun _ (spec : Catalog.index_spec) acc ->
+           if spec.x_unique && String.equal spec.x_table table_name then
+             let ps = List.filter_map (Table.col_index table) spec.x_cols in
+             if List.length ps = List.length spec.x_cols then ps :: acc
+             else acc
+           else acc)
+        ctx.cat.Catalog.indexes []
 
 let find_conflicts ctx table_name table row ~exclude =
   let key_sets = unique_key_sets ctx table_name table in
@@ -1504,7 +1513,7 @@ let rec exec ctx stmt : result =
         let table = Catalog.find_table ctx.cat t in
         ( Array.to_list
             (Array.map (fun c -> c.Table.c_name) (Table.cols table)),
-          List.map snd (Table.to_rows table) )
+          Table.rows table )
       | Cs_query q -> (headers_of_query ctx q, run_query ctx q)
     in
     probe ctx s_copy
@@ -1529,7 +1538,7 @@ let rec exec ctx stmt : result =
     probe ctx s_scan (32 + bucket (Table.row_count table));
     Rows
       ( Array.to_list (Array.map (fun c -> c.Table.c_name) (Table.cols table)),
-        List.map snd (Table.to_rows table) )
+        Table.rows table )
   | S_explain inner ->
     let lines =
       Planner.explain_lines ctx.cat ~analyzed:(analyzed ctx) inner
@@ -1955,7 +1964,7 @@ let rec exec ctx stmt : result =
       match pk_pos with
       | None -> probe ctx s_util 100
       | Some p ->
-        let rows = List.map snd (Table.to_rows table) in
+        let rows = Table.rows table in
         let sorted =
           List.stable_sort
             (fun a b -> Value.compare_total a.(p) b.(p))
@@ -2218,9 +2227,17 @@ and exec_alter_table ctx table_name action =
   Done "table altered"
 
 and fire_triggers ctx table_name event ~timing =
-  let trs = Catalog.triggers_on ctx.cat table_name event in
+  (* The table's triggers for [event] and [timing], in fold order. *)
   let trs =
-    List.filter (fun (t : Catalog.trigger) -> t.tr_timing = timing) trs
+    if Hashtbl.length ctx.cat.Catalog.triggers = 0 then []
+    else
+      Hashtbl.fold
+        (fun _ (t : Catalog.trigger) acc ->
+           if String.equal t.tr_table table_name && t.tr_event = event
+              && t.tr_timing = timing
+           then t :: acc
+           else acc)
+        ctx.cat.Catalog.triggers []
   in
   if trs <> [] then begin
     if ctx.trigger_depth >= ctx.limits.Limits.max_trigger_depth then begin
@@ -2313,12 +2330,12 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
     match i.i_source with
     | Src_values rows ->
       List.map
-        (fun row -> List.map (fun e -> eval_scalar ctx e) row)
+        (fun row -> Array.of_list (List.map (fun e -> eval_scalar ctx e) row))
         rows
     | Src_query q ->
       probe ctx s_insert 12;
       set_flag ctx "insert_select";
-      List.map Array.to_list (run_query ctx q)
+      run_query ctx q
   in
   let inserted = ref 0 in
   let skip_row reason_key =
@@ -2327,7 +2344,7 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
   in
   List.iter
     (fun src ->
-       if List.length src <> Array.length positions then begin
+       if Array.length src <> Array.length positions then begin
          if i.i_ignore then skip_row 15
          else begin
            probe ctx s_insert 13;
@@ -2344,7 +2361,7 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
                | None -> Value.Null)
          in
          let coerce_err = ref None in
-         List.iteri
+         Array.iteri
            (fun k v ->
               let p = positions.(k) in
               match Value.coerce v cols.(p).Table.c_type with

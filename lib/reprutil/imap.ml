@@ -12,6 +12,8 @@ let add k v t =
   let delta = if M.mem k t.root then 0 else 1 in
   { root = M.add k v t.root; count = t.count + delta }
 
+let add_new k v t = { root = M.add k v t.root; count = t.count + 1 }
+
 let remove k t =
   if M.mem k t.root then { root = M.remove k t.root; count = t.count - 1 }
   else t

@@ -20,6 +20,11 @@ val cardinal : 'a t -> int
 val add : int -> 'a -> 'a t -> 'a t
 (** Insert or replace. *)
 
+val add_new : int -> 'a -> 'a t -> 'a t
+(** [add] for a key known to be unbound, without the membership probe
+    that keeps the count right. Binding a key already present makes the
+    count wrong. *)
+
 val remove : int -> 'a t -> 'a t
 
 val find_opt : int -> 'a t -> 'a option

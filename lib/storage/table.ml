@@ -107,7 +107,7 @@ let insert t row =
   t.next_rowid <- id + 1;
   note_arity t row;
   t.t_keys <- List.map (km_add row id) t.t_keys;
-  t.t_rows <- Imap.add id row t.t_rows;
+  t.t_rows <- Imap.add_new id row t.t_rows;
   id
 
 let last_rowid t = t.next_rowid - 1
@@ -180,6 +180,8 @@ let find_key t positions key =
 let iter f t = Imap.iter f t.t_rows
 
 let to_rows t = Imap.bindings t.t_rows
+
+let rows t = List.rev (Imap.fold (fun _ row acc -> row :: acc) t.t_rows [])
 
 let rows_root_eq a b = Imap.root_eq a.t_rows b.t_rows
 

@@ -75,6 +75,9 @@ val iter : (int -> Value.t array -> unit) -> t -> unit
 
 val to_rows : t -> (int * Value.t array) list
 
+val rows : t -> Value.t array list
+(** The rows of {!to_rows} without their rowids, in insertion order. *)
+
 val add_column : t -> col -> unit
 (** Existing rows get the column's default (or NULL). *)
 
