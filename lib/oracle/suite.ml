@@ -197,9 +197,7 @@ let fingerprint (cat : Minidb.Catalog.t) =
   List.iter
     (fun (name, tbl) ->
        Buffer.add_string buf ("T " ^ name ^ "\n");
-       let rows =
-         List.sort cmp_row (List.map snd (Storage.Table.to_rows tbl))
-       in
+       let rows = List.sort cmp_row (Storage.Table.rows tbl) in
        List.iter
          (fun row ->
             Buffer.add_string buf
