@@ -162,16 +162,17 @@ let sessions_arg =
     "Concurrent sessions for the interleaving-schedule phase: after the \
      single-session campaign, corpus sequences are assigned to SESSIONS \
      sessions of one shared engine and executed under synthesized \
-     interleavings (real OCaml domains, deterministic turnstile order), \
-     hunting concurrency bugs and isolation violations no single-session \
-     campaign can reach. 1 disables the phase."
+     interleavings (one statement at a time, in the schedule's total \
+     order), hunting concurrency bugs and isolation violations no \
+     single-session campaign can reach. 1 disables the phase."
   in
   Arg.(value & opt int 1 & info [ "sessions" ] ~docv:"N" ~doc)
 
 let schedules_arg =
   let doc =
     "Interleaving schedules to synthesize and execute when --sessions > 1 \
-     (each runs live-concurrent, then serially replayed for triage)."
+     (each runs once on a fresh pool; a new finding is replayed from its \
+     full schedule before it is minimized)."
   in
   Arg.(value & opt int 64 & info [ "schedules" ] ~docv:"M" ~doc)
 

@@ -10,11 +10,11 @@
     triage, exec counter and metric registry are all private to the
     owning domain and none of them is locked. Cross-shard coverage union,
     global crash dedup and metric merging live one layer up in {!Sync};
-    campaign orchestration one layer above that in {!Campaign}. At
-    bidirectional sync rounds {!Sync.exchange_harness_round} also folds
-    the frozen global virgin map back into this harness's [virgin] map,
-    so branches any shard has covered stop counting as new here
-    (DESIGN.md §10).
+    campaign orchestration one layer above that in {!Campaign}. With the
+    exchange on, each sync round ({!Sync.exchange_round}) also folds the
+    frozen global virgin map back into this harness's [virgin] map, so
+    branches any shard has covered stop counting as new here; with it
+    off the round never pulls (DESIGN.md §10).
 
     Telemetry: every execution updates the harness registry
     ([harness.execs], [harness.new_branches], [harness.crashes],

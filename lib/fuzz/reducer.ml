@@ -81,15 +81,14 @@ let delta_pass ~pred ~tries ~within_budget current =
   done
 
 let reduce_poly ~pred ?(max_tries = 2048) items =
-  let tries = ref 0 in
-  if not (pred items) then (items, 1)
+  if not (pred items) then None
   else begin
-    tries := 1;
+    let tries = ref 1 in
     let current = ref items in
     delta_pass ~pred ~tries
       ~within_budget:(fun () -> !tries < max_tries)
       current;
-    (!current, !tries)
+    Some !current
   end
 
 let reduce_with ~pred ?(max_tries = 2048) tc =

@@ -26,13 +26,15 @@ val reduce_poly :
   pred:('a list -> bool) ->
   ?max_tries:int ->
   'a list ->
-  'a list * int
+  'a list option
 (** The statement-level delta-reduction core, element-type agnostic:
     shrink any list to 1-minimality under [pred] (greedy repeated
-    single-deletion, back-to-front). Schedule shrinking runs it over
-    [(session * stmt)] steps, which {!reduce_with} cannot carry.
-    Returns the reduced list and predicate executions spent; an input
-    not satisfying [pred] comes back unchanged with 1 try. *)
+    single-deletion, back-to-front, up to [max_tries] predicate
+    executions, default 2048). Schedule shrinking runs it over
+    [(session * stmt)] steps, which {!reduce_with} cannot carry. The
+    first predicate call replays the input itself: [None] when the
+    input does not satisfy [pred], so a caller learns whether its
+    finding reproduces at no extra cost. *)
 
 val reduce_with :
   pred:(Sqlcore.Ast.testcase -> bool) ->

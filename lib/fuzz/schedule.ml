@@ -5,11 +5,11 @@ module Rng = Reprutil.Rng
 
    A schedule assigns K typed sequences (corpus seeds or Algorithm 3
    output) to K sessions and fixes a total order over their statements.
-   Schedules run twice: live across OCaml 5 domains (crash hunting —
-   the turnstile keeps the order deterministic) and serially for
-   triage, where outcomes must be byte-identical
-   (Session_pool.outcome_equal); any divergence is counted in
-   [schedule.replay_mismatch] and must stay 0.
+   Each schedule runs once, serially on a fresh pool; crash triage and
+   the isolation oracle read that one outcome. A new finding whose full
+   schedule, replayed on another fresh pool, does not reproduce the
+   same bug id or violation key is counted in
+   [schedule.replay_mismatch], which must stay 0.
 
    Three generators, cycled per schedule:
    - round_robin: the unbiased baseline, one statement per session in
@@ -230,67 +230,53 @@ let campaign ?limits ?metrics ?(max_tries = 512) ~profile ~sessions
     let steps = sched.sc_steps in
     count metrics "schedule.generated" 1;
     count metrics ("schedule.kind." ^ sched.sc_kind) 1;
-    (* Both pool executions below (live concurrent + serial replay) run
-       through Server.Session_pool, never through the harness's
-       prefix-snapshot cache. Tag them explicitly so cache-rate math
-       (cache.hits / (cache.hits + cache.misses), see bench/exp_common)
-       provably excludes the schedule phase instead of letting its
-       executions masquerade as single-session cache.bypass traffic. *)
-    count metrics "cache.schedule_bypass" 2;
     steps_total := !steps_total + Array.length steps;
     count metrics "schedule.steps" (Array.length steps);
-    (* live concurrent execution (crash hunting) ... *)
-    let live =
-      let pool = fresh_pool ?limits ?metrics ~sessions ~profile ~cov () in
-      Server.Session_pool.run_concurrent pool steps
+    (* One run on a fresh pool, never through the harness's
+       prefix-snapshot cache, so the cache.* counters exclude the
+       schedule phase. *)
+    let out =
+      Server.Session_pool.run_serial
+        (fresh_pool ?limits ?metrics ~sessions ~profile ~cov ())
+        steps
     in
-    (* ... then deterministic serial replay (triage) *)
-    let replay =
-      let pool = fresh_pool ?limits ~sessions ~profile ~cov () in
-      Server.Session_pool.run_serial pool steps
+    (* A new finding is reduced from its full schedule; the reducer's
+       first predicate call replays that schedule on a fresh pool. A
+       finding the replay does not reproduce is a mismatch and keeps
+       its unreduced schedule. *)
+    let shrink pred =
+      match Reducer.reduce_poly ~pred ~max_tries (Array.to_list steps) with
+      | Some reduced -> Array.of_list reduced
+      | None ->
+        incr mismatches;
+        count metrics "schedule.replay_mismatch" 1;
+        steps
     in
-    if not (Server.Session_pool.outcome_equal live replay) then begin
-      incr mismatches;
-      count metrics "schedule.replay_mismatch" 1
-    end;
-    (match replay.o_crash with
-     | Some (_, crash) ->
-       count metrics "schedule.crashes" 1;
-       let tc = List.map snd (Array.to_list steps) in
-       if Triage.record triage ~testcase:tc crash then begin
-         let bug_id = crash.Minidb.Fault.c_bug.Minidb.Fault.bug_id in
-         count metrics ("schedule.found." ^ bug_id) 1;
-         let reduced, _tries =
-           Reducer.reduce_poly
-             ~pred:(crashes_with ?limits ~sessions ~profile ~bug_id)
-             ~max_tries
-             (Array.to_list steps)
-         in
-         crash_repros :=
-           (bug_id, Array.of_list reduced) :: !crash_repros
-       end
-     | None ->
-       count metrics "oracle.isolation.checks" 1;
-       (match
-          Oracle.Isolation.check ?limits ~profile ~steps
-            ~observed:replay.o_fingerprint ()
-        with
-        | Some v ->
-          count metrics "oracle.isolation.violations" 1;
-          count metrics "schedule.violations" 1;
-          let key = Oracle.Violation.key v in
-          let tc = List.map snd (Array.to_list steps) in
-          if Triage.record_logic triage ~testcase:tc v then begin
-            let reduced, _tries =
-              Reducer.reduce_poly
-                ~pred:(violates_with ?limits ~sessions ~profile ~key)
-                ~max_tries
-                (Array.to_list steps)
-            in
-            violation_repros :=
-              (key, Array.of_list reduced) :: !violation_repros
-          end
-        | None -> ()))
+    let tc = List.map snd (Array.to_list steps) in
+    match out.o_crash with
+    | Some (_, crash) ->
+      count metrics "schedule.crashes" 1;
+      if Triage.record triage ~testcase:tc crash then begin
+        let bug_id = crash.Minidb.Fault.c_bug.Minidb.Fault.bug_id in
+        count metrics ("schedule.found." ^ bug_id) 1;
+        let repro = shrink (crashes_with ?limits ~sessions ~profile ~bug_id) in
+        crash_repros := (bug_id, repro) :: !crash_repros
+      end
+    | None ->
+      count metrics "oracle.isolation.checks" 1;
+      (match
+         Oracle.Isolation.check ?limits ~profile ~steps
+           ~observed:out.o_fingerprint ()
+       with
+       | Some v ->
+         count metrics "oracle.isolation.violations" 1;
+         count metrics "schedule.violations" 1;
+         if Triage.record_logic triage ~testcase:tc v then begin
+           let key = Oracle.Violation.key v in
+           let repro = shrink (violates_with ?limits ~sessions ~profile ~key) in
+           violation_repros := (key, repro) :: !violation_repros
+         end
+       | None -> ())
   done;
   { sr_triage = triage;
     sr_schedules = schedules;

@@ -2,14 +2,14 @@
 
     Takes K typed sequences (corpus seeds / Algorithm 3 output),
     assigns them to K sessions and synthesizes a total execution order.
-    Each schedule runs twice with byte-identical outcomes — live across
-    OCaml 5 domains for crash hunting, then serially for deterministic
-    triage — and crash-free schedules are checked against the
-    commit-order serializability oracle ({!Oracle.Isolation}). Crashes
-    dedup by synthetic stack, violations by
-    {!Oracle.Violation.key}; new signatures are 1-minimized at the
-    schedule-step level via {!Reducer.reduce_poly} with a predicate
-    that replays the candidate schedule serially. *)
+    Each schedule runs once, serially on a fresh
+    {!Server.Session_pool}; crashes are triaged from that outcome and
+    crash-free schedules are checked against the commit-order
+    serializability oracle ({!Oracle.Isolation}). Crashes dedup by
+    synthetic stack, violations by {!Oracle.Violation.key}; new
+    signatures are 1-minimized at the schedule-step level via
+    {!Reducer.reduce_poly} with a predicate that replays the candidate
+    schedule on a fresh pool. *)
 
 open Sqlcore
 
@@ -50,12 +50,17 @@ type result = {
   sr_schedules : int;
   sr_steps : int;
   sr_replay_mismatch : int;
-      (** schedules whose concurrent and serial outcomes diverged —
-          must be 0; counted in [schedule.replay_mismatch] *)
+      (** new findings whose full schedule, replayed on a fresh pool,
+          does not reproduce the same bug id or violation key — must be
+          0; counted in [schedule.replay_mismatch]. The replay is the
+          reducer's first predicate call, so the check costs no extra
+          execution. *)
   sr_crash_repros : (string * (int * Ast.stmt) array) list;
-      (** bug id → 1-minimal schedule, first-found order *)
+      (** bug id → 1-minimal schedule, first-found order (the full
+          schedule for a replay mismatch) *)
   sr_violation_repros : (string * (int * Ast.stmt) array) list;
-      (** violation key → shrunk schedule preserving the key *)
+      (** violation key → shrunk schedule preserving the key (the full
+          schedule for a replay mismatch) *)
 }
 
 val campaign :
@@ -74,9 +79,9 @@ val campaign :
     [seed]; fully deterministic). [metrics] receives the [schedule.*]
     counter family ([generated], [steps], [crashes], [violations],
     [replay_mismatch], [found.<bug_id>], [kind.<kind>]) plus
-    [oracle.isolation.checks]/[.violations] and the pools'
-    [session.*] counters. [max_tries] bounds each minimization
-    (default 512 replays). *)
+    [oracle.isolation.checks]/[.violations] and the schedule pools'
+    [session.*] counters (reducer replays are not counted). [max_tries]
+    bounds each minimization (default 512 replays). *)
 
 val render_steps : (int * Ast.stmt) array -> string
 (** Printable schedule: one ["s<id>> SQL"] line per step. *)

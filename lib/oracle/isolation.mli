@@ -11,9 +11,9 @@
     snapshot) these are real lost-update / dirty-read /
     clobbered-commit findings.
 
-    Runs on the deterministic schedule-replay path, never on the live
-    concurrent one, so a violation's key is reproducible by replaying
-    the recorded schedule. *)
+    Reads the outcome of a schedule's single serial run, which is a
+    pure function of its steps, so a violation's key is reproducible by
+    replaying the recorded schedule. *)
 
 open Sqlcore
 

@@ -34,7 +34,7 @@ val oracle_names : string list
 (** [["diff_plan"; "tlp"; "rewrite"; "isolation"]] — the telemetry
     counter namespace ([oracle.<name>.checks] /
     [oracle.<name>.violations]). The isolation oracle runs on the
-    schedule-replay path ({!Isolation}), not in {!check}. *)
+    schedule path ({!Isolation}), not in {!check}. *)
 
 val create : ?limits:Minidb.Limits.t -> Minidb.Profile.t -> t
 

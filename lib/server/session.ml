@@ -4,8 +4,8 @@ open Sqlcore
    hook's cross-session predicates read. The authoritative connection
    state lives in the catalog (attached) or its parked session_view;
    the mirrors exist because predicates about session S are evaluated
-   while a DIFFERENT session is attached — they are updated by the pool
-   after each of S's statements completes, under the pool lock. *)
+   while a DIFFERENT session is attached — the pool updates them after
+   each of S's statements completes. *)
 type t = {
   s_id : int;
   mutable s_window : Stmt_type.t list;
@@ -13,19 +13,15 @@ type t = {
   mutable s_in_txn : bool;
   mutable s_txn_writes : int;   (* write statements since BEGIN *)
   mutable s_last_window : bool; (* last stmt contained a window fn *)
-  mutable s_executed : int;
-  mutable s_errors : int;
 }
 
 let create id =
   { s_id = id; s_window = []; s_in_txn = false; s_txn_writes = 0;
-    s_last_window = false; s_executed = 0; s_errors = 0 }
+    s_last_window = false }
 
 (* Mirror update after one of this session's statements ran. [in_txn]
    is the catalog's post-statement transaction flag. *)
-let note t stmt ~in_txn ~failed =
-  t.s_executed <- t.s_executed + 1;
-  if failed then t.s_errors <- t.s_errors + 1;
+let note t stmt ~in_txn =
   t.s_last_window <- Ast_util.has_window_fn stmt;
   if in_txn then begin
     if Ast_util.tables_written stmt <> [] then

@@ -8,8 +8,8 @@
     into the engine on attach, so bug-registry windows track the
     session, never the shared store), and mirror flags for the fault
     hook's cross-session predicates — readable while a different
-    session is attached. Mirrors are updated under the pool lock after
-    each statement. *)
+    session is attached. The pool updates the mirrors after each of the
+    session's statements. *)
 
 open Sqlcore
 
@@ -19,13 +19,11 @@ type t = {
   mutable s_in_txn : bool;
   mutable s_txn_writes : int;
   mutable s_last_window : bool;
-  mutable s_executed : int;
-  mutable s_errors : int;
 }
 
 val create : int -> t
 
-val note : t -> Ast.stmt -> in_txn:bool -> failed:bool -> unit
+val note : t -> Ast.stmt -> in_txn:bool -> unit
 (** Record that one of this session's statements completed. [in_txn] is
     the catalog's post-statement transaction flag; leaving a
     transaction resets the dirty-write count. *)

@@ -6,20 +6,17 @@ open Sqlcore
    swaps statement-type windows, so bug-registry windows and
    transaction state always track the session, never the store.
 
-   Concurrency model: statements of a schedule execute on OCaml 5
-   domains (one per session), but the schedule dictates a TOTAL order —
-   a turnstile over the shared mutex admits exactly the session whose
-   turn the schedule names next. The engine therefore observes the
-   identical operation sequence whether the schedule runs concurrently
-   or serially, which is what makes live crash hunting and serial
-   triage replay byte-identical (the determinism contract the
+   One executor: [step] runs one statement as one session. The serve
+   REPL calls it per line ([exec]) and a schedule calls it per step in
+   the schedule's total order ([run_serial]), on the calling domain. A
+   schedule is a pure function of its steps, so replaying it on a
+   fresh pool reproduces its outcome (the determinism contract the
    schedule-replay tests pin). *)
 
 type t = {
   p_engine : Minidb.Engine.t;
   p_sessions : Session.t array;
   mutable p_current : int;
-  p_lock : Mutex.t;
   p_metrics : Telemetry.Registry.t option;
 }
 
@@ -55,17 +52,10 @@ let create ?limits ?metrics ~sessions ~profile ~cov () =
     { p_engine = engine;
       p_sessions = Array.init sessions Session.create;
       p_current = 0;
-      p_lock = Mutex.create ();
       p_metrics = metrics }
   in
   Minidb.Engine.set_fault_ext engine (Some (fault_hook t));
   t
-
-let sessions t = Array.length t.p_sessions
-
-let current t = t.p_current
-
-let session t i = t.p_sessions.(i)
 
 let engine t = t.p_engine
 
@@ -102,29 +92,26 @@ let response_of_result t stmt = function
     Wire.Execute_result
       { rows_affected = 0; last_insert_rowid = last_insert_rowid t stmt }
 
-(* Execute one statement for [sid]. Caller holds [p_lock]. Returns the
-   response and, when a fault-registry bug fired, the crash. *)
-let exec_unlocked t sid stmt =
+(* Execute one statement as [sid]. Returns the response and, when a
+   fault-registry bug fired, the crash. *)
+let step t sid stmt =
+  if sid < 0 || sid >= Array.length t.p_sessions then
+    invalid_arg "Session_pool.exec: no such session";
   switch t sid;
-  let sess = t.p_sessions.(sid) in
   let cat = Minidb.Engine.catalog t.p_engine in
-  let resp, failed, crash =
+  let resp, crash =
     match Minidb.Engine.exec_stmt t.p_engine stmt with
-    | Minidb.Engine.Ok_result r -> (response_of_result t stmt r, false, None)
-    | Minidb.Engine.Sql_failed e -> (Wire.of_error e, true, None)
-    | exception Minidb.Fault.Crashed c -> (Wire.of_crash c, false, Some c)
+    | Minidb.Engine.Ok_result r -> (response_of_result t stmt r, None)
+    | Minidb.Engine.Sql_failed e -> (Wire.of_error e, None)
+    | exception Minidb.Fault.Crashed c ->
+      count t "session.crashes" 1;
+      (Wire.of_crash c, Some c)
   in
-  Session.note sess stmt ~in_txn:cat.Minidb.Catalog.in_txn ~failed;
+  Session.note t.p_sessions.(sid) stmt ~in_txn:cat.Minidb.Catalog.in_txn;
   count t "session.statements" 1;
   (resp, crash)
 
-let exec t ~session stmt =
-  if session < 0 || session >= Array.length t.p_sessions then
-    invalid_arg "Session_pool.exec: no such session";
-  Mutex.lock t.p_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.p_lock)
-    (fun () -> fst (exec_unlocked t session stmt))
+let exec t ~session stmt = fst (step t session stmt)
 
 (* --- schedule execution --------------------------------------------- *)
 
@@ -135,28 +122,6 @@ type outcome = {
   o_fingerprint : string;
 }
 
-let crash_key (c : Minidb.Fault.crash) =
-  c.c_bug.bug_id ^ ":" ^ String.concat "<" c.c_stack
-
-let outcome_equal a b =
-  a.o_replies = b.o_replies
-  && a.o_executed = b.o_executed
-  && String.equal a.o_fingerprint b.o_fingerprint
-  && (match a.o_crash, b.o_crash with
-      | None, None -> true
-      | Some (ia, ca), Some (ib, cb) ->
-        ia = ib && String.equal (crash_key ca) (crash_key cb)
-      | _ -> false)
-
-let finish t ~replies ~crash ~executed =
-  (match crash with
-   | Some _ -> count t "session.crashes" 1
-   | None -> ());
-  { o_replies = Array.sub replies 0 executed;
-    o_crash = crash;
-    o_executed = executed;
-    o_fingerprint = Oracle.Suite.fingerprint (Minidb.Engine.catalog t.p_engine) }
-
 let run_serial t steps =
   let n = Array.length steps in
   let replies = Array.make n "" in
@@ -164,53 +129,13 @@ let run_serial t steps =
   let i = ref 0 in
   while !crash = None && !i < n do
     let sid, stmt = steps.(!i) in
-    let resp, cr = exec_unlocked t sid stmt in
+    let resp, cr = step t sid stmt in
     replies.(!i) <- Wire.render resp;
     (match cr with Some c -> crash := Some (!i, c) | None -> ());
     incr i
   done;
-  finish t ~replies ~crash:!crash ~executed:!i
-
-let run_concurrent t steps =
-  let n = Array.length steps in
-  let replies = Array.make n "" in
-  let crash = ref None in
-  let turn = ref 0 in
-  let halted = ref false in
-  let cv = Condition.create () in
-  let m = t.p_lock in
-  let sids =
-    List.sort_uniq compare (List.map fst (Array.to_list steps))
-  in
-  let worker sid =
-    Mutex.lock m;
-    let running = ref true in
-    while !running do
-      while
-        (not !halted) && !turn < n && fst steps.(!turn) <> sid
-      do
-        Condition.wait cv m
-      done;
-      if !halted || !turn >= n then running := false
-      else begin
-        let idx = !turn in
-        let _, stmt = steps.(idx) in
-        let resp, cr = exec_unlocked t sid stmt in
-        replies.(idx) <- Wire.render resp;
-        (match cr with
-         | Some c ->
-           crash := Some (idx, c);
-           halted := true
-         | None -> ());
-        turn := idx + 1;
-        Condition.broadcast cv
-      end
-    done;
-    Condition.broadcast cv;
-    Mutex.unlock m
-  in
-  let domains =
-    List.map (fun sid -> Domain.spawn (fun () -> worker sid)) sids
-  in
-  List.iter Domain.join domains;
-  finish t ~replies ~crash:!crash ~executed:!turn
+  { o_replies = Array.sub replies 0 !i;
+    o_crash = !crash;
+    o_executed = !i;
+    o_fingerprint =
+      Oracle.Suite.fingerprint (Minidb.Engine.catalog t.p_engine) }

@@ -8,11 +8,11 @@
     [other_session_in_txn], [other_session_window]) are answered from
     the other sessions' mirror flags via {!Minidb.Engine.set_fault_ext}.
 
-    Schedules execute in two modes with byte-identical outcomes: live
-    on OCaml 5 domains (one per session, a turnstile admitting the
-    session whose turn the schedule names — real cross-domain execution
-    in a deterministic total order) for crash hunting, and serially on
-    the calling domain for triage replay. *)
+    One executor serves both clients: the [serve] REPL runs one
+    statement at a time through {!exec}, and a schedule runs its steps
+    in their total order through {!run_serial}, on the calling domain.
+    An outcome is a pure function of the steps, so replaying a schedule
+    on a fresh pool reproduces it. *)
 
 open Sqlcore
 
@@ -30,20 +30,13 @@ val create :
     [metrics] receives [session.statements] / [session.switches] /
     [session.crashes] counters. *)
 
-val sessions : t -> int
-
-val current : t -> int
-(** Id of the attached session. *)
-
-val session : t -> int -> Session.t
-
 val engine : t -> Minidb.Engine.t
 (** The shared engine; exposed for oracles and tests. *)
 
 val exec : t -> session:int -> Ast.stmt -> Wire.response
 (** Serve path: execute one statement as [session], context-switching
-    if needed. Takes the pool lock. A fired bug answers
-    {!Wire.Crashed} rather than raising. *)
+    if needed. A fired bug answers {!Wire.Crashed} rather than
+    raising. *)
 
 type outcome = {
   o_replies : string array;
@@ -56,16 +49,7 @@ type outcome = {
       (** {!Oracle.Suite.fingerprint} of the final catalog *)
 }
 
-val outcome_equal : outcome -> outcome -> bool
-(** Replies, executed count, crash identity (bug id + stack) and final
-    fingerprint all agree — the schedule-replay determinism contract. *)
-
 val run_serial : t -> (int * Ast.stmt) array -> outcome
-(** Execute a schedule ([(session, stmt)] steps) on the calling domain,
-    stopping at the first crash. Consumes the pool: run each schedule
-    on a fresh one. *)
-
-val run_concurrent : t -> (int * Ast.stmt) array -> outcome
-(** Execute the same schedule across one domain per participating
-    session under the turnstile. [run_concurrent] and {!run_serial} on
-    fresh pools satisfy {!outcome_equal}. *)
+(** Execute a schedule ([(session, stmt)] steps) through {!exec}'s
+    per-statement step, stopping at the first crash. Consumes the pool:
+    run each schedule on a fresh one. *)

@@ -142,8 +142,22 @@ let test_reduce_respects_budget () =
   Alcotest.(check bool) "result still crashes" true
     (R.crashes_with ~profile ~bug_id:"RED-1" out.R.r_testcase)
 
+(* reduce_poly answers whether its input reproduces: None when the
+   input fails the predicate, and a one-element input that satisfies it
+   comes back as itself (no deletion can apply). *)
+let test_reduce_poly_option () =
+  let has_seven = List.mem 7 in
+  Alcotest.(check (option (list int))) "failing input" None
+    (R.reduce_poly ~pred:has_seven [ 1; 2; 3 ]);
+  Alcotest.(check (option (list int))) "one satisfying element" (Some [ 7 ])
+    (R.reduce_poly ~pred:has_seven [ 7 ]);
+  Alcotest.(check (option (list int))) "shrinks to the witness" (Some [ 7 ])
+    (R.reduce_poly ~pred:has_seven [ 1; 7; 3 ])
+
 let suite =
   [ ("oracle", `Quick, test_oracle);
+    ("reduce_poly: None unless the input reproduces", `Quick,
+     test_reduce_poly_option);
     ("drops junk", `Quick, test_reduce_drops_junk);
     ("one-minimal", `Quick, test_reduce_one_minimal);
     ("non-crashing unchanged", `Quick, test_reduce_non_crashing_unchanged);

@@ -191,7 +191,11 @@ let test_shrink_preserves_violation () =
     | None -> false
   in
   Alcotest.(check bool) "padded schedule still violates" true (pred padded);
-  let reduced, _tries = Fuzz.Reducer.reduce_poly ~pred padded in
+  let reduced =
+    match Fuzz.Reducer.reduce_poly ~pred padded with
+    | Some reduced -> reduced
+    | None -> Alcotest.fail "padded schedule must reproduce"
+  in
   Alcotest.(check bool) "reduced still violates with same key" true
     (pred reduced);
   (* the 6-step witness itself is not 1-minimal: s0's own UPDATE is
@@ -228,12 +232,13 @@ let test_campaign_smoke () =
     (cv "schedule.steps");
   Alcotest.(check int) "replay_mismatch counter" 0
     (cv "schedule.replay_mismatch");
-  (* Schedule executions (live + serial replay per schedule) are tagged
-     with their own counter and must not leak into the single-session
+  (* Schedules run on session pools, never through the harness's
+     prefix-snapshot cache: they must not leak into the single-session
      cache counters, whose hit-rate denominator (hits + misses) they
-     would otherwise skew. *)
-  Alcotest.(check int) "schedule executions tagged" (2 * 24)
-    (cv "cache.schedule_bypass");
+     would otherwise skew, and they carry no counter of their own. *)
+  Alcotest.(check bool) "no cache.schedule_bypass counter" false
+    (List.mem "cache.schedule_bypass"
+       (Telemetry.Registry.counter_names metrics));
   Alcotest.(check int) "cache.bypass untouched by schedules" 0
     (cv "cache.bypass");
   Alcotest.(check int) "cache.hits untouched by schedules" 0

@@ -1,7 +1,8 @@
 (* Server-layer tests: typed wire responses, per-session state and
-   window isolation, cross-session fault predicates, and the
-   schedule-replay determinism contract (serial ≡ concurrent,
-   byte-identical, under both snapshot regimes). *)
+   window isolation, cross-session fault predicates, the
+   schedule-replay determinism contract (a schedule replayed on fresh
+   pools is outcome-equal, under both snapshot regimes) and the serve
+   REPL's transcript. *)
 
 open Sqlcore
 module Pool = Server.Session_pool
@@ -174,11 +175,26 @@ let test_approx_bytes_counts_parked () =
 
 (* --- schedule-replay determinism (1000-case property) ---------------- *)
 
+let crash_key (c : Minidb.Fault.crash) =
+  c.c_bug.bug_id ^ ":" ^ String.concat "<" c.c_stack
+
+(* Replies, executed count, crash identity (bug id + stack) and final
+   fingerprint all agree. *)
+let outcome_equal (a : Pool.outcome) (b : Pool.outcome) =
+  a.o_replies = b.o_replies
+  && a.o_executed = b.o_executed
+  && String.equal a.o_fingerprint b.o_fingerprint
+  && (match a.o_crash, b.o_crash with
+      | None, None -> true
+      | Some (ia, ca), Some (ib, cb) ->
+        ia = ib && String.equal (crash_key ca) (crash_key cb)
+      | _ -> false)
+
 (* Small closed statement pool; programs are lists of (session, stmt
    index) pairs. Crashes, SQL errors and transaction interleavings are
    all reachable, and the seeded concurrency bugs can fire — outcomes
-   (including crash identity) must still agree between the concurrent
-   turnstile run and the serial replay, under both snapshot regimes. *)
+   (including crash identity) must still agree between two runs of the
+   schedule on fresh pools, under both snapshot regimes. *)
 let stmt_pool =
   Array.of_list
     (List.map stmt
@@ -208,25 +224,66 @@ let steps_arb =
     (Prop.list ~max_len:14
        (Prop.pair (Prop.int_range 0 2) (Prop.int_range 0 11)))
 
-let serial_vs_concurrent cow steps =
+let replay_equal cow steps =
   Minidb.Catalog.set_copy_on_write cow;
   Fun.protect
     ~finally:(fun () -> Minidb.Catalog.set_copy_on_write true)
     (fun () ->
        let steps = Array.of_list steps in
-       let run f =
+       let run () =
          let cov = Coverage.Bitmap.create () in
-         f (Pool.create ~sessions:3 ~profile ~cov ()) steps
+         Pool.run_serial (Pool.create ~sessions:3 ~profile ~cov ()) steps
        in
-       Pool.outcome_equal (run Pool.run_serial) (run Pool.run_concurrent))
+       outcome_equal (run ()) (run ()))
 
-let test_serial_eq_concurrent_cow_on () =
-  Prop.check ~count:700 ~name:"serial ≡ concurrent (cow on)" steps_arb
-    (serial_vs_concurrent true)
+let test_replay_equal_cow_on () =
+  Prop.check ~count:700 ~name:"serial replay outcome-equal (cow on)"
+    steps_arb
+    (replay_equal true)
 
-let test_serial_eq_concurrent_cow_off () =
-  Prop.check ~count:300 ~name:"serial ≡ concurrent (cow off)" steps_arb
-    (serial_vs_concurrent false)
+let test_replay_equal_cow_off () =
+  Prop.check ~count:300 ~name:"serial replay outcome-equal (cow off)"
+    steps_arb
+    (replay_equal false)
+
+(* --- serve REPL --------------------------------------------------------- *)
+
+(* dune runs the suite from the build directory, so the binary sits one
+   level up. *)
+let legofuzz = "../bin/legofuzz.exe"
+
+(* One REPL session, pinned line for line: session 1 sees session 0's
+   uncommitted row, an unknown session is refused without running its
+   SQL, and \q quits at the next prompt. *)
+let test_serve_transcript () =
+  let input = Filename.temp_file "serve" ".in" in
+  let output = Filename.temp_file "serve" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove input; Sys.remove output)
+    (fun () ->
+       Out_channel.with_open_text input (fun oc ->
+         List.iter
+           (fun l -> output_string oc (l ^ "\n"))
+           [ "CREATE TABLE t (a INT)"; "BEGIN"; "INSERT INTO t VALUES (1)";
+             "@1 SELECT a FROM t"; "@7 SELECT 1"; "@0 COMMIT"; "\\q" ]);
+       let code =
+         Sys.command
+           (Printf.sprintf "%s serve < %s > %s" (Filename.quote legofuzz)
+              (Filename.quote input) (Filename.quote output))
+       in
+       Alcotest.(check int) "exit status" 0 code;
+       Alcotest.(check (list string)) "transcript"
+         [ "legofuzz serve: PostgreSQL, 4 session(s). \"@N SQL\" runs SQL \
+            on session N, \"@N\" switches; \\q quits.";
+           "s0> ok affected=0 last_rowid=-1";
+           "s0> ok affected=0 last_rowid=-1";
+           "s0> ok affected=1 last_rowid=0";
+           "s0> data 1 [a] 1";
+           "s1> no such session 7 (0..3)";
+           "s1> ok affected=0 last_rowid=-1";
+           "s0> " ]
+         (String.split_on_char '\n'
+            (In_channel.with_open_bin output In_channel.input_all)))
 
 let suite =
   [ Alcotest.test_case "wire responses" `Quick test_wire_responses;
@@ -240,7 +297,8 @@ let suite =
       test_concurrency_bugs_silent_single_session;
     Alcotest.test_case "approx_bytes counts parked sessions" `Quick
       test_approx_bytes_counts_parked;
-    Alcotest.test_case "serial ≡ concurrent, cow on (700 cases)" `Slow
-      test_serial_eq_concurrent_cow_on;
-    Alcotest.test_case "serial ≡ concurrent, cow off (300 cases)" `Slow
-      test_serial_eq_concurrent_cow_off ]
+    Alcotest.test_case "replay outcome-equal, cow on (700 cases)" `Slow
+      test_replay_equal_cow_on;
+    Alcotest.test_case "replay outcome-equal, cow off (300 cases)" `Slow
+      test_replay_equal_cow_off;
+    Alcotest.test_case "serve transcript" `Quick test_serve_transcript ]
