@@ -17,6 +17,10 @@ type t
 val size : int
 (** Number of cells (65536). *)
 
+val dirty_cap : int
+(** Cells a map tracks one by one; past that many it is {e saturated}
+    and scans the whole buffer until the next [reset]. *)
+
 val create : unit -> t
 
 val reset : t -> unit

@@ -51,15 +51,16 @@ type t = {
 }
 
 (* Grammar-rule coverage (DESIGN.md §15): in [Grammar]/[Both] modes each
-   executed testcase is printed and re-parsed with a grammar bitmap
-   attached, recording which productions and (production, parent) rule
-   pairs fired. Recording is orthogonal to the engine and the prefix
-   cache — the parse always covers the whole printed testcase — so
+   executed testcase gets a grammar map recording which productions and
+   (production, parent) rule pairs its printed form fires, built from
+   memoised per-statement traces. Recording is orthogonal to the engine
+   and the prefix cache — the map always covers the whole testcase — so
    enabling it cannot perturb edge coverage or cache accounting. *)
 and grammar_state = {
   gs_exec : Coverage.Bitmap.t;     (* per-execution scratch *)
   gs_virgin : Coverage.Bitmap.t;   (* accumulated rule/pair coverage *)
   gs_scratch : Coverage.Bitmap.t;  (* candidate-ranking scratch *)
+  gs_memo : Grammar_memo.t;        (* per-statement traces, for both *)
   gs_g_rules : Telemetry.Registry.gauge;
   gs_g_pairs : Telemetry.Registry.gauge;
   gs_c_parse_errors : Telemetry.Registry.counter;
@@ -144,7 +145,8 @@ let create ?(limits = Minidb.Limits.default) ?metrics ?oracles
           gs_g_pairs = Telemetry.Registry.gauge m "grammar.pairs";
           gs_c_parse_errors =
             Telemetry.Registry.counter m "grammar.parse_errors";
-          gs_span = Telemetry.Span.stage m "grammar" }
+          gs_span = Telemetry.Span.stage m "grammar";
+          gs_memo = Grammar_memo.create m }
   in
   let cache_state =
     if exec_cache <= 0 then None
@@ -357,24 +359,19 @@ let execute ?hint t tc =
   in
   let news = Coverage.Bitmap.merge_into ~virgin:t.h_virgin t.h_exec_map in
   if news > 0 then Telemetry.Registry.incr ~by:news t.h_c_new_branches;
-  (* Grammar feedback: print and re-parse the whole testcase into the
-     grammar scratch map, then fold it into the grammar virgin map. The
-     parse covers every statement regardless of how much of the engine
-     run came from the prefix cache, so cache hits and grammar coverage
-     never interact. Printed testcases are parseable by construction;
-     a failure is counted, not fatal. *)
+  (* Grammar feedback: fill the grammar scratch map with the whole
+     testcase's grammar coverage, then fold it into the grammar virgin
+     map. The map covers every statement regardless of how much of the
+     engine run came from the prefix cache, so cache hits and grammar
+     coverage never interact. Printed testcases are parseable by
+     construction; a failure is counted, not fatal. *)
   let gram_news =
     match t.h_grammar with
     | None -> 0
     | Some gs ->
       Telemetry.Span.time gs.gs_span (fun () ->
-          Coverage.Bitmap.reset gs.gs_exec;
-          (match
-             Sqlparser.Parser.parse_testcase ~grammar:gs.gs_exec
-               (Sqlcore.Sql_printer.testcase tc)
-           with
-           | Ok _ -> ()
-           | Error _ -> Telemetry.Registry.incr gs.gs_c_parse_errors);
+          if not (Grammar_memo.fill gs.gs_memo gs.gs_exec tc) then
+            Telemetry.Registry.incr gs.gs_c_parse_errors;
           let n =
             Coverage.Bitmap.merge_into ~virgin:gs.gs_virgin gs.gs_exec
           in
@@ -459,20 +456,16 @@ let grammar_feedback t = t.h_feedback <> Edges
 let grammar_virgin t =
   match t.h_grammar with None -> None | Some gs -> Some gs.gs_virgin
 
-(* Rank a candidate without executing it: parse into the ranking scratch
-   map and count the cells the grammar virgin map lacks. Read-only on
-   the virgin map, so probing candidates never claims their coverage. *)
+(* Rank a candidate without executing it: fill the ranking scratch map
+   and count the cells the grammar virgin map lacks. Read-only on the
+   virgin map, so probing candidates never claims their coverage. *)
 let grammar_novelty t tc =
   match t.h_grammar with
   | None -> 0
   | Some gs ->
-    Coverage.Bitmap.reset gs.gs_scratch;
-    (match
-       Sqlparser.Parser.parse_testcase ~grammar:gs.gs_scratch
-         (Sqlcore.Sql_printer.testcase tc)
-     with
-     | Ok _ -> Coverage.Bitmap.count_news ~virgin:gs.gs_virgin gs.gs_scratch
-     | Error _ -> 0)
+    if Grammar_memo.fill gs.gs_memo gs.gs_scratch tc then
+      Coverage.Bitmap.count_news ~virgin:gs.gs_virgin gs.gs_scratch
+    else 0
 
 let execs t = t.h_execs
 

@@ -87,11 +87,13 @@ val create :
     byte-identical to earlier builds.
 
     [feedback] (default {!Edges}) selects the coverage signal. In
-    {!Grammar}/{!Both} modes every executed testcase is printed and
-    re-parsed with a grammar bitmap attached, grammar news is folded
+    {!Grammar}/{!Both} modes every executed testcase gets the grammar
+    map a re-parse of its printed form would record, built from a
+    {!Grammar_memo} of per-statement traces; grammar news is folded
     into a harness-local grammar virgin map, and the registry gains
-    [grammar.rules]/[grammar.pairs] gauges, a [grammar.parse_errors]
-    counter and a [grammar] stage span. {!Edges} registers none of
+    [grammar.rules]/[grammar.pairs] gauges, [grammar.parse_errors],
+    [grammar.memo.hits] and [grammar.memo.misses] counters and a
+    [grammar] stage span. {!Edges} registers none of
     these and is byte-identical to earlier builds. *)
 
 val profile : t -> Minidb.Profile.t
@@ -119,10 +121,11 @@ val grammar_virgin : t -> Coverage.Bitmap.t option
     {!Sync} unions it across shards exactly like the edge virgin map. *)
 
 val grammar_novelty : t -> Sqlcore.Ast.testcase -> int
-(** Rank a candidate without executing it: parse its printed form into a
-    scratch grammar map and count the cells the grammar virgin map
-    lacks. 0 when grammar feedback is off or the candidate fails to
-    parse. Read-only — probing a candidate never claims its coverage. *)
+(** Rank a candidate without executing it: fill the scratch grammar
+    map for its printed form (from the same memo) and count the cells
+    the grammar virgin map lacks. 0 when grammar feedback is off or the
+    candidate fails to parse. Read-only — probing a candidate never
+    claims its coverage. *)
 
 val execs : t -> int
 (** Total executions so far. *)

@@ -1286,43 +1286,44 @@ let unique_key_sets ctx table_name table =
         ctx.cat.Catalog.indexes []
 
 let find_conflicts ctx table_name table row ~exclude =
-  let key_sets = unique_key_sets ctx table_name table in
-  if key_sets <> [] && Hashtbl.length ctx.cat.Catalog.indexes > 0 then
-    probe ctx s_constraint 9;
-  let conflicts = ref [] and seen = ref Iset.empty in
-  let excluded rowid = exclude = Some rowid in
-  let note rowid =
-    if not (excluded rowid || Iset.mem rowid !seen) then begin
-      conflicts := rowid :: !conflicts;
-      seen := Iset.add rowid !seen
-    end
-  in
-  List.iter
-    (fun positions ->
-       let mine = List.map (fun p -> row.(p)) positions in
-       if not (List.exists (fun v -> v = Value.Null) mine) then
-         match Table.find_key table positions mine with
-         | Some rowids -> List.iter note rowids
-         | None ->
-           Table.iter
-             (fun rowid other ->
-                if (not (excluded rowid))
-                   && List.for_all
-                        (fun p -> Value.compare_total row.(p) other.(p) = 0)
-                        positions
-                then note rowid)
-             table)
-    key_sets;
-  !conflicts
+  match unique_key_sets ctx table_name table with
+  | [] -> []
+  | key_sets ->
+    if Hashtbl.length ctx.cat.Catalog.indexes > 0 then probe ctx s_constraint 9;
+    let conflicts = ref [] and seen = ref Iset.empty in
+    let excluded rowid = exclude = Some rowid in
+    let note rowid =
+      if not (excluded rowid || Iset.mem rowid !seen) then begin
+        conflicts := rowid :: !conflicts;
+        seen := Iset.add rowid !seen
+      end
+    in
+    List.iter
+      (fun positions ->
+         let mine = List.map (fun p -> row.(p)) positions in
+         if not (List.exists (fun v -> v = Value.Null) mine) then
+           match Table.find_key table positions mine with
+           | Some rowids -> List.iter note rowids
+           | None ->
+             Table.iter
+               (fun rowid other ->
+                  if (not (excluded rowid))
+                     && List.for_all
+                          (fun p -> Value.compare_total row.(p) other.(p) = 0)
+                          positions
+                  then note rowid)
+               table)
+      key_sets;
+    !conflicts
 
 let rec exec ctx stmt : result =
   let ty = Ast.type_of_stmt stmt in
   (* Real DBMSs share most code between statement types (parser, catalog,
      storage), so executing a new type buys a few branches, not a whole
      compartment: the dispatch key keeps only 3 state bits per type. *)
-  probe ctx s_exec
-    ((Stmt_type.to_index ty * 8) lor (state_shape ctx land 7));
-  probe ctx s_state (state_shape ctx);
+  let shape = state_shape ctx in
+  probe ctx s_exec ((Stmt_type.to_index ty * 8) lor (shape land 7));
+  probe ctx s_state shape;
   check_privs ctx stmt;
   match stmt with
   (* ---------------- DDL ---------------- *)
@@ -2342,6 +2343,13 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
     probe ctx s_constraint reason_key;
     set_flag ctx "row_skipped"
   in
+  (* every row starts from the column defaults *)
+  let defaults =
+    Array.map
+      (fun c ->
+         match c.Table.c_default with Some d -> d | None -> Value.Null)
+      cols
+  in
   List.iter
     (fun src ->
        if Array.length src <> Array.length positions then begin
@@ -2353,24 +2361,16 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
          end
        end
        else begin
-         (* assemble the full row with defaults *)
-         let row =
-           Array.init arity (fun p ->
-               match cols.(p).Table.c_default with
-               | Some d -> d
-               | None -> Value.Null)
-         in
+         let row = Array.copy defaults in
          let coerce_err = ref None in
-         Array.iteri
-           (fun k v ->
-              let p = positions.(k) in
-              match Value.coerce v cols.(p).Table.c_type with
-              | Ok v ->
-                if cols.(p).Table.c_zerofill then
-                  probe ctx s_insert 20;
-                row.(p) <- v
-              | Error msg -> coerce_err := Some msg)
-           src;
+         for k = 0 to Array.length src - 1 do
+           let p = positions.(k) in
+           match Value.coerce src.(k) cols.(p).Table.c_type with
+           | Ok v ->
+             if cols.(p).Table.c_zerofill then probe ctx s_insert 20;
+             row.(p) <- v
+           | Error msg -> coerce_err := Some msg
+         done;
          match !coerce_err with
          | Some msg ->
            if i.i_ignore then skip_row 16

@@ -55,8 +55,14 @@ type state = {
   toks : Lexer.token array;
   mutable pos : int;
   grammar : Coverage.Bitmap.t option;
+  log : Coverage.Grammar.log option;  (** when set, records are traced *)
   mutable parent : int;  (** site of the enclosing production *)
 }
+
+let record log g ~site ~parent =
+  match log with
+  | None -> Coverage.Grammar.record g ~site ~parent
+  | Some log -> Coverage.Grammar.record_logged g log ~site ~parent
 
 (* Production wrapper: a plain passthrough when no grammar bitmap is
    attached (the default, so edge-only parses cost one match), otherwise
@@ -67,7 +73,7 @@ let prod st site f =
   | None -> f ()
   | Some g ->
     let parent = st.parent in
-    Coverage.Grammar.record g ~site ~parent;
+    record st.log g ~site ~parent;
     st.parent <- site;
     let r = f () in
     st.parent <- parent;
@@ -790,7 +796,7 @@ let rec parse_stmt st =
      a site per match arm *)
   (match (st.grammar, peek st) with
    | Some g, (Lexer.KW _ as tok) ->
-     Coverage.Grammar.record g ~site:(Lexer.token_site tok) ~parent:site_stmt
+     record st.log g ~site:(Lexer.token_site tok) ~parent:site_stmt
    | _ -> ());
   parse_stmt_body st
 
@@ -1452,21 +1458,20 @@ and parse_set st =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The lexer's contribution: every token class fired by the input, as
+   children of the root production. *)
+let record_tokens log g toks =
+  Array.iter
+    (fun tok ->
+       if tok <> Lexer.EOF then
+         record log g ~site:(Lexer.token_site tok) ~parent:site_root)
+    toks
+
 let with_state ?grammar input f =
   try
     let toks = Lexer.tokenize input in
-    (* lexer contribution: every token class fired by the input, as
-       children of the root production *)
-    (match grammar with
-     | Some g ->
-       Array.iter
-         (fun tok ->
-            if tok <> Lexer.EOF then
-              Coverage.Grammar.record g ~site:(Lexer.token_site tok)
-                ~parent:site_root)
-         toks
-     | None -> ());
-    let st = { toks; pos = 0; grammar; parent = site_root } in
+    Option.iter (fun g -> record_tokens None g toks) grammar;
+    let st = { toks; pos = 0; grammar; log = None; parent = site_root } in
     Ok (f st)
   with
   | Parse_error msg -> Error msg
@@ -1490,6 +1495,73 @@ let parse_testcase_state st =
     done
   done;
   List.rev !stmts
+
+(* ------------------------------------------------------------------ *)
+(* Grammar coverage from per-statement traces                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [parse_testcase ~grammar] on a printed testcase [s1;\n s2;\n ... sn;]
+   records, in order: the token classes of the whole text under the
+   root, the testcase production under the root, then each statement's
+   productions under the testcase. The token stream of the whole text is
+   the concatenation of the streams of [si ^ ";"]: a [';'] outside a
+   string always ends a token, and a trailing line comment that
+   swallows it ends at the newline that follows in the whole text, just
+   as it ends at the end of [si ^ ";"] alone. A statement that parses
+   alone from its tokens and stops exactly on the final [';'] decides
+   every step as it would in the whole text — no production looks
+   past a [';'] — so its productions are the same too. Each statement's
+   share is therefore a function of its text alone. *)
+
+(* A statement's token-class records, then its productions'. *)
+type stmt_trace = string
+
+let stmt_trace_bytes = String.length
+
+type pending =
+  | Known of stmt_trace
+  | Lexed of string * Lexer.token array * int * int
+      (* text, tokens, and the span of the log holding its token classes *)
+
+let testcase_grammar g log ~find ~add stmts =
+  Coverage.Grammar.log_clear log;
+  (* Phase 1: token classes, statement by statement. A miss tokenizes
+     its text once and keeps the tokens for phase 2. *)
+  let lex text =
+    match find text with
+    | Some tr ->
+      Coverage.Grammar.replay_first g tr;
+      Known tr
+    | None ->
+      let toks = Lexer.tokenize (text ^ ";") in
+      let pos = Coverage.Grammar.log_length log in
+      record_tokens (Some log) g toks;
+      Lexed (text, toks, pos, Coverage.Grammar.log_length log - pos)
+  in
+  (* Phase 2: the productions, each statement parsed (or replayed) as if
+     it sat inside the testcase. *)
+  let parse = function
+    | Known tr -> Coverage.Grammar.replay_second g tr
+    | Lexed (text, toks, lex_pos, lex_len) ->
+      let pos = Coverage.Grammar.log_length log in
+      let st =
+        { toks; pos = 0; grammar = Some g; log = Some log;
+          parent = site_testcase }
+      in
+      ignore (parse_stmt st);
+      let last = Array.length toks - 2 in
+      if st.pos <> last || toks.(last) <> Lexer.SEMI then
+        fail st "statement does not end at its ';'";
+      add text
+        (Coverage.Grammar.trace_of_log log ~first:(lex_pos, lex_len)
+           ~second:(pos, Coverage.Grammar.log_length log - pos))
+  in
+  try
+    let pending = List.map lex stmts in
+    Coverage.Grammar.record g ~site:site_testcase ~parent:site_root;
+    List.iter parse pending;
+    true
+  with Parse_error _ | Lexer.Lex_error _ -> false
 
 let parse_testcase ?grammar input =
   with_state ?grammar input parse_testcase_state

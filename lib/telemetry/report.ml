@@ -283,7 +283,15 @@ let render_grammar buf events =
             (Printf.sprintf "  %-28s %12d\n" "rule pairs fired" pairs);
           Buffer.add_string buf
             (Printf.sprintf "  %-28s %12d\n" "parse errors"
-               (Registry.counter_value registry "grammar.parse_errors"))
+               (Registry.counter_value registry "grammar.parse_errors"));
+          let hits = Registry.counter_value registry "grammar.memo.hits" in
+          let lookups =
+            hits + Registry.counter_value registry "grammar.memo.misses"
+          in
+          if lookups > 0 then
+            Buffer.add_string buf
+              (Printf.sprintf "  %-28s %11.1f%%\n" "statement memo hit rate"
+                 (100.0 *. float_of_int hits /. float_of_int lookups))
         end
       | _ -> ())
     events

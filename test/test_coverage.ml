@@ -302,6 +302,210 @@ let prop_merge_monotone =
             ok)
          hits)
 
+(* --- grammar maps rebuilt from memoised statement traces ------------ *)
+
+module GM = Fuzz.Grammar_memo
+module P = Sqlparser.Parser
+
+(* Everything observable about a grammar map: its cells in touch order
+   (a saturated map compacts to its whole buffer, so saturation shows
+   too), the nonzero count, the hash, and the rule and pair counts. *)
+let grammar_view g =
+  ( B.compact g, B.count_nonzero g, B.hash g, Coverage.Grammar.rules g,
+    Coverage.Grammar.pairs g )
+
+(* The reference: a whole-testcase parse of the printed testcase. *)
+let parsed_view tc =
+  let g = B.create () in
+  let ok =
+    Result.is_ok
+      (P.parse_testcase ~grammar:g (Sqlcore.Sql_printer.testcase tc))
+  in
+  (ok, grammar_view g)
+
+let memo_view memo tc =
+  let g = B.create () in
+  let ok = GM.fill memo g tc in
+  (ok, grammar_view g)
+
+let memo_counts reg =
+  ( Telemetry.Registry.counter_value reg "grammar.memo.hits",
+    Telemetry.Registry.counter_value reg "grammar.memo.misses" )
+
+let generated_testcase ~dialect ~seed =
+  let profile = List.nth Dialects.Registry.all dialect in
+  let types = Array.of_list (Minidb.Profile.types profile) in
+  let rng = Reprutil.Rng.create seed in
+  let schema = Lego.Sym_schema.empty () in
+  let n = 1 + Reprutil.Rng.int rng 8 in
+  let rec go k acc =
+    if k = n then List.rev acc
+    else begin
+      let ty = types.(Reprutil.Rng.int rng (Array.length types)) in
+      let s = Lego.Generator.stmt rng schema ty in
+      Lego.Sym_schema.apply schema s;
+      go (k + 1) (s :: acc)
+    end
+  in
+  go 0 []
+
+let sql_testcase sql = P.parse_testcase_exn sql
+
+(* [n] distinct one-statement testcases. *)
+let distinct_selects ~from n =
+  List.init n (fun i -> sql_testcase (Printf.sprintf "SELECT %d" (from + i)))
+
+let test_memo_equivalence () =
+  Reprutil.Prop.check ~count:300 ~name:"grammar memo = whole-testcase parse"
+    Reprutil.Prop.(
+      pair (int_range 0 (List.length Dialects.Registry.all - 1))
+        (int_range 1 1_000_000))
+    (fun (dialect, seed) ->
+       let tc = generated_testcase ~dialect ~seed in
+       let want = parsed_view tc in
+       let reg = Telemetry.Registry.create () in
+       let memo = GM.create reg in
+       let cold = memo_view memo tc in
+       let _, misses = memo_counts reg in
+       let warm = memo_view memo tc in
+       let hits, misses' = memo_counts reg in
+       fst want
+       && cold = want && warm = want
+       && misses > 0
+       && misses' = misses
+       && hits = List.length tc)
+
+let test_memo_after_eviction () =
+  let cases =
+    List.init 40 (fun i ->
+        generated_testcase ~dialect:(i mod 4) ~seed:(7919 * (i + 1)))
+  in
+  let wants = List.map parsed_view cases in
+  let reg = Telemetry.Registry.create () in
+  let memo = GM.create reg in
+  let check label =
+    List.iter2
+      (fun tc want ->
+         Alcotest.(check bool) label true (memo_view memo tc = want))
+      cases wants
+  in
+  check "cold fills";
+  check "warm fills";
+  (* as many fresh statements as the memo holds evict every case *)
+  List.iter (fun tc -> ignore (memo_view memo tc))
+    (distinct_selects ~from:0 GM.cap);
+  let _, before = memo_counts reg in
+  check "fills after eviction";
+  let _, after = memo_counts reg in
+  (* a statement misses unless an earlier case of this pass put it back *)
+  let seen = Hashtbl.create 64 in
+  let expected =
+    List.fold_left
+      (fun acc tc ->
+         let texts = List.map Sqlcore.Sql_printer.stmt tc in
+         let n = List.length (List.filter (fun s -> not (Hashtbl.mem seen s)) texts) in
+         List.iter (fun s -> Hashtbl.replace seen s ()) texts;
+         acc + n)
+      0 cases
+  in
+  Alcotest.(check int) "evicted statements missed again" expected
+    (after - before)
+
+let test_memo_hand_cases () =
+  let use name = Sqlcore.Ast.S_use name in
+  let cases =
+    [ ("empty testcase", []);
+      ("one statement", sql_testcase "SELECT 1");
+      ( "literals with ';' and '--'",
+        sql_testcase
+          "CREATE TABLE t (a TEXT, b TEXT); \
+           INSERT INTO t VALUES ('x;y', '--z'), (';--', 'a -- b;'); \
+           SELECT a FROM t WHERE b = ';'" );
+      (* [USE x;] prints a second ';': the statement alone stops short of
+         its own end, while the whole testcase parses *)
+      ("stops short alone, parses whole",
+       use "x;" :: sql_testcase "SELECT 1");
+      ("trailing line comment", [ use "x --"; use "y" ]);
+      ("unterminated quote", [ use "a'"; use "'b" ]) ]
+  in
+  List.iter
+    (fun (label, tc) ->
+       let want = parsed_view tc in
+       let memo = GM.create (Telemetry.Registry.create ()) in
+       Alcotest.(check bool) (label ^ ": cold") true (memo_view memo tc = want);
+       Alcotest.(check bool) (label ^ ": warm") true (memo_view memo tc = want))
+    cases;
+  Alcotest.(check bool) "[USE x;] testcase parses" true
+    (fst (parsed_view (use "x;" :: sql_testcase "SELECT 1")));
+  Alcotest.(check bool) "unterminated quote fails" false
+    (fst (parsed_view [ use "a'"; use "'b" ]))
+
+(* A single testcase touches far fewer grammar cells than a map tracks,
+   so saturate through the parser entry itself, which (unlike
+   [Grammar_memo.fill]) does not reset the map: pre-fill two maps alike
+   until the testcase's own cells push them past [dirty_cap] midway. *)
+let test_memo_saturation () =
+  let tc =
+    sql_testcase
+      "CREATE TABLE t (a INT, b TEXT); \
+       INSERT INTO t VALUES (1, 'x'); \
+       SELECT a, COUNT(*) FROM t WHERE a > 0 GROUP BY a ORDER BY a"
+  in
+  let texts = List.map Sqlcore.Sql_printer.stmt tc in
+  let sql = Sqlcore.Sql_printer.testcase tc in
+  let own = B.create () in
+  ignore (P.parse_testcase ~grammar:own sql);
+  let n = B.count_nonzero own in
+  let prefilled () =
+    let g = B.create () in
+    let rec fill i left =
+      if left > 0 then
+        if B.is_set own i then fill (i + 1) left
+        else begin
+          B.hit g i;
+          fill (i + 1) (left - 1)
+        end
+    in
+    fill 0 (B.dirty_cap - (n / 2));
+    g
+  in
+  let want = prefilled () in
+  Alcotest.(check bool) "reference parses" true
+    (Result.is_ok (P.parse_testcase ~grammar:want sql));
+  Alcotest.(check bool) "reference saturated" true
+    (B.compact_bytes (B.compact want) = B.size + 16);
+  let traces = Hashtbl.create 8 in
+  let fill ~find =
+    let g = prefilled () in
+    let ok =
+      P.testcase_grammar g (Coverage.Grammar.log_create ()) ~find
+        ~add:(Hashtbl.replace traces) texts
+    in
+    (ok, grammar_view g)
+  in
+  Alcotest.(check bool) "misses saturate alike" true
+    (fill ~find:(fun _ -> None) = (true, grammar_view want));
+  Alcotest.(check int) "every statement traced" (List.length texts)
+    (Hashtbl.length traces);
+  Alcotest.(check bool) "hits saturate alike" true
+    (fill ~find:(Hashtbl.find_opt traces) = (true, grammar_view want))
+
+(* The memo's one resource: more distinct statements than it holds must
+   leave it at its bound, with every map still equal to a parse. *)
+let test_memo_bound () =
+  let memo = GM.create (Telemetry.Registry.create ()) in
+  let peak = ref 0 in
+  List.iter
+    (fun tc ->
+       Alcotest.(check bool) "map equals a parse" true
+         (memo_view memo tc = parsed_view tc);
+       peak := max !peak (GM.length memo);
+       if GM.length memo > GM.cap then
+         Alcotest.failf "memo holds %d statements, cap %d" (GM.length memo)
+           GM.cap)
+    (distinct_selects ~from:0 (GM.cap + (GM.cap / 2)));
+  Alcotest.(check int) "memo reached its bound" GM.cap !peak
+
 let suite =
   [ ("hit and count", `Quick, test_hit_and_count);
     ("reset", `Quick, test_reset);
@@ -328,4 +532,11 @@ let suite =
     ("sites family limit", `Quick, test_sites_family_limit);
     ("sites families independent", `Quick, test_sites_families_independent);
     ("sites registry", `Quick, test_sites_registry);
+    ("grammar memo = whole parse (300 cases)", `Quick,
+     test_memo_equivalence);
+    ("grammar memo = whole parse after eviction", `Quick,
+     test_memo_after_eviction);
+    ("grammar memo hand cases", `Quick, test_memo_hand_cases);
+    ("grammar memo saturation", `Quick, test_memo_saturation);
+    ("grammar memo bound", `Quick, test_memo_bound);
     QCheck_alcotest.to_alcotest prop_merge_monotone ]

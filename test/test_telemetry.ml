@@ -207,6 +207,16 @@ let test_report_grammar_section () =
          true (mentions out needle))
     [ "grammar coverage [aggregate]"; "rules fired"; "rule pairs fired";
       "parse errors" ];
+  Alcotest.(check bool) "no hit rate without memo lookups" false
+    (mentions out "memo hit rate");
+  T.Registry.incr ~by:3 (T.Registry.counter reg "grammar.memo.hits");
+  T.Registry.incr (T.Registry.counter reg "grammar.memo.misses");
+  let out =
+    T.Report.render
+      [ T.Event.Registry_dump { series = "aggregate"; registry = reg } ]
+  in
+  Alcotest.(check bool) "memo hit rate printed" true
+    (mentions out "statement memo hit rate" && mentions out " 75.0%");
   (* a registry without grammar gauges must not emit the section *)
   let plain = T.Report.render
       [ T.Event.Registry_dump { series = "x"; registry = T.Registry.create () } ]
