@@ -69,7 +69,8 @@ let seed_arg =
 (* Clamped to >= 1 here, once, for every subcommand that shards. *)
 let jobs_arg =
   let doc =
-    "Number of parallel campaign shards (OCaml domains). 1 = the exact \
+    "Number of parallel campaign shards, run in fork-join rounds on at \
+     most as many OCaml domains as the machine has cores. 1 = the exact \
      sequential behaviour; each shard gets a distinct derived seed and \
      1/JOBS of the execution budget."
   in

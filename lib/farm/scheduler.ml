@@ -279,9 +279,10 @@ let farm ~sink ~metrics ~meta ~workers ~warnings (spec : Spec.t) crecs
     fr_warnings = List.rev !warnings }
 
 (* ===================================================================== *)
-(* In-process backend: a domain pool over live campaign states opened at
-   farm start (spec config authoritative, learned state from the store).
-   Each campaign runs entirely on one domain per round. *)
+(* In-process backend: a fork-join domain pool ({!Reprutil.Pool}) over
+   live campaign states opened at farm start (spec config authoritative,
+   learned state from the store). Each campaign runs entirely on one
+   domain per round. *)
 
 let run ?(sink = Telemetry.Sink.null) ?runs_dir (spec : Spec.t) =
   let warnings = ref [] in
@@ -310,24 +311,8 @@ let run ?(sink = Telemetry.Sink.null) ?runs_dir (spec : Spec.t) =
       Worker.run_slice ~dir:crecs.(i).c_dir lives.(i) ~execs ~round
     in
     let dispatch ~round jobs =
-      let reports = Array.make (Array.length jobs) None in
-      let next = Atomic.make 0 in
-      let rec work () =
-        let k = Atomic.fetch_and_add next 1 in
-        if k < Array.length jobs then begin
-          let i, execs = jobs.(k) in
-          reports.(k) <- Some (slice i ~execs ~round);
-          work ()
-        end
-      in
-      let helpers =
-        Array.init
-          (max 0 (min spec.fs_workers (Array.length jobs) - 1))
-          (fun _ -> Domain.spawn work)
-      in
-      work ();
-      Array.iter Domain.join helpers;
-      reports
+      Reprutil.Pool.run ~workers:spec.fs_workers
+        (Array.map (fun (i, execs) () -> Some (slice i ~execs ~round)) jobs)
     in
     let metrics = Telemetry.Registry.create () in
     (* Campaigns that never got a round still deserve a generation (the

@@ -12,12 +12,14 @@
     the per-campaign records, rewards the bandit, bumps the [farm.*]
     counters and emits the checkpoints, so both backends report alike.
 
-    Backends: {!run} is a pool of OCaml 5 domains over live campaign
-    states (each campaign entirely on one domain per round, so campaigns
-    stay single-shard deterministic); {!run_processes} deals jobs to
-    [legofuzz worker] processes and promotes their generations. A farm
-    killed between rounds therefore loses at most one round of work, and
-    [legofuzz resume] (or simply re-running the farm) picks each
+    Backends: {!run} runs each round's jobs as one fork-join
+    ({!Reprutil.Pool.run}) over live campaign states, on at most
+    [fs_workers] domains and never more than the machine's recommended
+    domain count (each campaign entirely on one domain per round, so
+    campaigns stay single-shard deterministic); {!run_processes} deals
+    jobs to [legofuzz worker] processes and promotes their generations. A
+    farm killed between rounds therefore loses at most one round of work,
+    and [legofuzz resume] (or simply re-running the farm) picks each
     campaign up from its last good generation.
 
     Coverage keys: edge branches plus nonzero grammar-virgin cells —

@@ -43,91 +43,100 @@ let checkpoint_event ~series (cp : Driver.checkpoint) =
       wall_s = Some cp.cp_annot.Driver.an_wall_s;
       execs_per_sec = Some cp.cp_annot.an_execs_per_sec }
 
-(* Per-shard round bookkeeping: every published quantity is a delta
-   against the last round, so the global accumulators (exec counts,
-   crash totals, metric registry) never double-count. The first metric
-   delta is against an empty registry: it carries the initial-corpus
-   executions performed during fuzzer construction. *)
-type deltas = {
-  mutable dl_execs : int;
-  mutable dl_crashes : int;
-  mutable dl_metrics : Telemetry.Registry.t;
+(* One shard between rounds: its fuzzer and everything it keeps across
+   rounds. Only the shard's own jobs touch a lane. Every published
+   quantity is a delta against the last round, so the global
+   accumulators (exec counts, crash totals, metric registry) never
+   double-count; the first metric delta is against an empty registry
+   and carries the initial-corpus executions of fuzzer construction. *)
+type lane = {
+  ln_id : int;
+  ln_fz : Driver.fuzzer;
+  ln_port : Sync.port option;  (* the fuzzer's port when exchanging *)
+  ln_series : string;  (* of the shard's checkpoint events *)
+  mutable ln_execs : int;  (* published so far *)
+  mutable ln_crashes : int;  (* published so far *)
+  mutable ln_metrics : Telemetry.Registry.t;  (* as of the last publish *)
+  mutable ln_iterations : int;
+  mutable ln_worked : int;  (* rounds in which the shard fuzzed *)
+  mutable ln_drained : Sync.export list;  (* exports taken, newest first *)
+  mutable ln_events : Telemetry.Event.t list;  (* newest first *)
 }
 
-let deltas_create () =
-  { dl_execs = 0; dl_crashes = 0;
-    dl_metrics = Telemetry.Registry.create () }
+let open_lane ~exchange ~make ~series i =
+  let fz : Driver.fuzzer = make i in
+  { ln_id = i; ln_fz = fz;
+    (* Exports drain the fuzzer's discovery cursors, so they are taken
+       only when something crosses. *)
+    ln_port = (if exchange then fz.Driver.f_exchange else None);
+    ln_series = series; ln_execs = 0; ln_crashes = 0;
+    ln_metrics = Telemetry.Registry.create ();
+    ln_iterations = 0; ln_worked = 0; ln_drained = []; ln_events = [] }
 
-let deltas_take dl (fz : Driver.fuzzer) =
-  let execs = Harness.execs fz.Driver.f_harness in
-  let execs_delta = execs - dl.dl_execs in
-  dl.dl_execs <- execs;
-  let total = Triage.total_crashes (Harness.triage fz.Driver.f_harness) in
-  let crashes_delta = total - dl.dl_crashes in
-  dl.dl_crashes <- total;
-  let m = Harness.metrics fz.Driver.f_harness in
-  let mdelta = Telemetry.Registry.diff m ~since:dl.dl_metrics in
-  dl.dl_metrics <- Telemetry.Registry.snapshot m;
-  (execs_delta, crashes_delta, mdelta)
-
-(* One shard's campaign: a fixed number of barriered rounds, identical
-   for every shard (the barrier needs all parties each round; a shard
-   whose budget is exhausted keeps joining with empty deltas). Round r
-   fuzzes up to [min budget (r * interval)]; [report] runs after each,
-   and [worked] counts the rounds in which the shard fuzzed. *)
-let run_shard ~sync ~exchange ~make ~budget ~rounds_total ~report ~emit
-    ~series ~start ~worked shard_id =
-  let fz : Driver.fuzzer = make shard_id in
+(* The first half of a round's job: fuzz up to [target] and stage the
+   shard's publish. *)
+let fuzz_and_stage ~sync ln ~target =
+  let fz = ln.ln_fz in
   let h = fz.Driver.f_harness in
-  let iterations = ref 0 in
-  let dl = deltas_create () in
-  let interval = Sync.interval sync in
-  (* Exports drain the fuzzer's discovery cursors, so they are taken only
-     when something crosses, and the returned fuzzer hands what the
-     rounds drained back to its first export after the campaign: a store
-     capture still sees every discovery of the shard. *)
-  let port = if exchange then fz.Driver.f_exchange else None in
-  let drained = ref [] in
-  for r = 1 to rounds_total do
-    let target = min budget (r * interval) in
-    if Harness.execs h < target then begin
-      let snap = Driver.run_until_execs fz ~execs:target in
-      Atomic.incr worked;
-      iterations := !iterations + snap.Driver.st_iteration
-    end;
-    let execs_delta, crashes_delta, mdelta = deltas_take dl fz in
-    let export =
-      match port with
-      | Some p ->
-        let x = p.Sync.p_export () in
-        drained := x :: !drained;
-        x
-      | None -> Sync.empty_export
-    in
-    let imports =
-      Sync.exchange_round ~metrics:mdelta ?gram:(Harness.grammar_virgin h)
-        ~crashes_delta sync ~shard:shard_id ~virgin:(Harness.virgin h)
-        ~triage:(Harness.triage h) ~execs_delta ~export
-    in
-    Option.iter (fun p -> List.iter p.Sync.p_import imports) port;
-    emit
-      (checkpoint_event ~series
-         (Driver.checkpoint ~start fz ~iteration:!iterations));
-    report ()
-  done;
+  if Harness.execs h < target then begin
+    let snap = Driver.run_until_execs fz ~execs:target in
+    ln.ln_worked <- ln.ln_worked + 1;
+    ln.ln_iterations <- ln.ln_iterations + snap.Driver.st_iteration
+  end;
+  let execs = Harness.execs h in
+  let execs_delta = execs - ln.ln_execs in
+  ln.ln_execs <- execs;
+  let crashes = Triage.total_crashes (Harness.triage h) in
+  let crashes_delta = crashes - ln.ln_crashes in
+  ln.ln_crashes <- crashes;
+  let m = Harness.metrics h in
+  let metrics = Telemetry.Registry.diff m ~since:ln.ln_metrics in
+  ln.ln_metrics <- Telemetry.Registry.snapshot m;
+  let export =
+    match ln.ln_port with
+    | Some p ->
+      let x = p.Sync.p_export () in
+      ln.ln_drained <- x :: ln.ln_drained;
+      x
+    | None -> Sync.empty_export
+  in
+  Sync.stage ~metrics ?gram:(Harness.grammar_virgin h) ~crashes_delta sync
+    ~shard:ln.ln_id ~virgin:(Harness.virgin h) ~triage:(Harness.triage h)
+    ~execs_delta ~export
+
+(* The rest of a round, run at the start of the shard's next job (or,
+   after the last round, on the calling domain): pull the released round
+   and import it, then record the shard's checkpoint for the round. *)
+let settle ~sync ~start ln =
+  let h = ln.ln_fz.Driver.f_harness in
+  let imports =
+    Sync.pull ?gram:(Harness.grammar_virgin h) sync ~shard:ln.ln_id
+      ~virgin:(Harness.virgin h)
+  in
+  Option.iter (fun p -> List.iter p.Sync.p_import imports) ln.ln_port;
+  ln.ln_events <-
+    checkpoint_event ~series:ln.ln_series
+      (Driver.checkpoint ~start ln.ln_fz ~iteration:ln.ln_iterations)
+    :: ln.ln_events
+
+(* The shard's result. Its fuzzer hands what the rounds drained back to
+   its first export after the campaign, so a store capture still sees
+   every discovery of the shard. *)
+let shard_of_lane ln =
+  let fz = ln.ln_fz in
   let replay (p : Sync.port) () =
-    let xs = List.rev (p.p_export () :: !drained) in
-    drained := [];
+    let xs = List.rev (p.p_export () :: ln.ln_drained) in
+    ln.ln_drained <- [];
     let all f = List.concat_map f xs in
     { Sync.xp_seeds = all (fun x -> x.Sync.xp_seeds);
       xp_affinities = all (fun x -> x.Sync.xp_affinities);
       xp_skeletons = all (fun x -> x.Sync.xp_skeletons) }
   in
-  { sh_id = shard_id;
-    sh_seed_offset = shard_id * seed_stride;
-    sh_snapshot = Driver.snapshot fz ~iteration:!iterations;
+  { sh_id = ln.ln_id;
+    sh_seed_offset = ln.ln_id * seed_stride;
+    sh_snapshot = Driver.snapshot fz ~iteration:ln.ln_iterations;
     sh_fuzzer =
-      (match port with
+      (match ln.ln_port with
        | None -> fz
        | Some p ->
          { fz with f_exchange = Some { p with p_export = replay p } }) }
@@ -169,17 +178,15 @@ let run ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?sync_every
     sequential ~checkpoint_every ~on_checkpoint ~sink ~series_prefix ~execs
       make
   else begin
-    let sync = Sync.create ?interval:sync_every ~exchange ~parties:jobs () in
+    let sync = Sync.create ?interval:sync_every ~exchange () in
     prime_sync sync;
     let start = Telemetry.Span.now_s () in
     (* Spread the total budget over shards; early shards absorb the
        remainder so the sum is exactly [execs]. *)
     let budget_of i = (execs / jobs) + (if i < execs mod jobs then 1 else 0) in
-    (* Aggregate checkpointing: after each round, shard 0 reads the
-       totals the round's release froze and emits one aggregate snapshot
-       per [checkpoint_every] published executions. Every other shard is
-       parked at the next barrier or still fuzzing privately, so the
-       reading is the same whatever the domain scheduling. *)
+    (* Aggregate checkpointing: after each round's release, one aggregate
+       snapshot per [checkpoint_every] published executions, read from
+       the released totals. *)
     let last_cp = ref 0 in
     let aggregate_events = ref [] in
     let report () =
@@ -206,65 +213,47 @@ let run ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?sync_every
           :: !aggregate_events
       end
     in
-    (* Every shard runs the same fixed number of barriered rounds,
-       derived from the largest shard budget. *)
-    let rounds_total =
-      let iv = Sync.interval sync in
-      max 1 ((budget_of 0 + iv - 1) / iv)
-    in
-    (* The campaign's sync rounds: shard rounds that carried fuzzing, not
-       the empty arrivals of a shard whose budget is spent. *)
-    let worked = Atomic.make 0 in
-    (* Shards on other domains never write the sink directly: each keeps
-       its checkpoint events, and after the join they are emitted shard
-       by shard, aggregate checkpoints last, so the event stream is
-       ordered-identical run to run. [on_checkpoint] still fires live.
-       A dying shard (Driver.Stalled, a harness bug …) must not leave the
-       others blocked at the round barrier: trap the exception, abort
-       the sync (waking everyone with Sync.Aborted), join all domains,
-       then re-raise the original error rather than a secondary Aborted. *)
-    let domains =
-      List.init jobs (fun i ->
-          Domain.spawn (fun () ->
-              let series = Printf.sprintf "%sshard-%d" series_prefix i in
-              let events = ref [] in
-              let emit ev = events := ev :: !events in
-              match
-                run_shard ~sync ~exchange ~make ~budget:(budget_of i)
-                  ~rounds_total
-                  ~report:(if i = 0 then report else ignore)
-                  ~emit ~series ~start ~worked i
-              with
-              | sh -> Ok (sh, List.rev !events)
-              | exception e ->
-                Sync.abort sync;
-                Error e))
-    in
-    let results = List.map Domain.join domains in
-    let errors =
-      List.filter_map (function Error e -> Some e | Ok _ -> None) results
-    in
-    (match errors with
-     | [] -> ()
-     | es ->
-       let primary =
-         match
-           List.find_opt (function Sync.Aborted -> false | _ -> true) es
-         with
-         | Some e -> e
-         | None -> List.hd es
-       in
-       raise primary);
-    let shards =
-      List.filter_map
-        (function
-          | Ok (sh, events) ->
-            List.iter (Telemetry.Sink.emit sink) events;
-            Some sh
-          | Error _ -> None)
-        results
-    in
+    (* Every shard takes part in the same number of rounds, derived from
+       the largest shard budget: round r fuzzes up to
+       [min budget (r * interval)], and a shard whose budget is spent
+       publishes empty deltas. *)
+    let iv = Sync.interval sync in
+    let rounds_total = max 1 ((budget_of 0 + iv - 1) / iv) in
+    let settle = settle ~sync ~start in
+    (* A round is one fork-join: each shard's job settles the previous
+       round (round 1 builds the shard's fuzzer instead, so all of its
+       mutable state is made where it runs), fuzzes and stages; then
+       this domain releases the round in shard-id order and reports. A
+       failing job fails the round with the lowest failing shard's
+       exception. *)
+    let lanes = Array.make jobs None in
+    for r = 1 to rounds_total do
+      let job i () =
+        let ln =
+          match lanes.(i) with
+          | None ->
+            open_lane ~exchange ~make
+              ~series:(Printf.sprintf "%sshard-%d" series_prefix i) i
+          | Some ln -> settle ln; ln
+        in
+        (ln, fuzz_and_stage ~sync ln ~target:(min (budget_of i) (r * iv)))
+      in
+      let out = Reprutil.Pool.run ~workers:jobs (Array.init jobs job) in
+      Array.iteri (fun i (ln, _) -> lanes.(i) <- Some ln) out;
+      Sync.release sync (Array.map snd out);
+      report ()
+    done;
+    let lanes = Array.map Option.get lanes in
+    Array.iter settle lanes;
+    (* Shards never write the sink: their checkpoint events are emitted
+       here shard by shard, aggregate checkpoints last, so the event
+       stream is ordered-identical run to run. [on_checkpoint] still
+       fires live. *)
+    Array.iter
+      (fun ln -> List.iter (Telemetry.Sink.emit sink) (List.rev ln.ln_events))
+      lanes;
     List.iter (Telemetry.Sink.emit sink) (List.rev !aggregate_events);
+    let shards = Array.to_list (Array.map shard_of_lane lanes) in
     let sum f = List.fold_left (fun acc sh -> acc + f sh.sh_snapshot) 0 shards in
     let aggregate =
       snapshot_of_sync sync
@@ -288,6 +277,7 @@ let run ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?sync_every
       cg_shards = shards;
       cg_crashes = Sync.unique_crashes sync;
       cg_logic = Sync.unique_logic sync;
-      cg_sync_rounds = Atomic.get worked;
+      cg_sync_rounds =
+        Array.fold_left (fun acc ln -> acc + ln.ln_worked) 0 lanes;
       cg_metrics = metrics }
   end

@@ -4,20 +4,21 @@
     Layering (see DESIGN.md §8):
 
     {v
-      Campaign   one domain per shard, sync rounds, aggregate snapshot
+      Campaign   rounds as fork-joins over shards, aggregate snapshot
         │
-      Sync       global virgin ⊔, cross-shard crash dedup  (mutex)
+      Sync       global virgin ⊔, cross-shard crash dedup  (plain value)
         │
       Harness    per-shard executor: own exec map, virgin map, triage
         │
       Coverage   bitmap merge / snapshot / diff
     v}
 
-    Each shard builds its own fuzzer from the factory (so every piece of
-    mutable fuzzing state — RNG, seed pool, affinity map, harness — is
-    domain-private) and runs in barriered rounds of [sync_every]
-    executions, publishing at each. The only cross-domain state is the
-    mutex-guarded {!Sync.t}.
+    Each shard builds its own fuzzer from the factory inside its first
+    job (so every piece of mutable fuzzing state — RNG, seed pool,
+    affinity map, harness — is touched by that shard's jobs only) and
+    runs in rounds of [sync_every] executions. A round is one
+    {!Reprutil.Pool.run} with a job per shard; between rounds the calling
+    domain alone releases the round into the {!Sync.t}.
 
     With [exchange] on, each shard additionally pulls the global virgin
     map back into its own harness at every round and imports foreign
@@ -29,8 +30,9 @@ type shard = {
   sh_seed_offset : int;  (** [shard_id * stride], what {!shard_seed} adds *)
   sh_snapshot : Driver.snapshot;  (** this shard's private final snapshot *)
   sh_fuzzer : Driver.fuzzer;
-      (** the shard's fuzzer; safe to use after {!run} returns (its domain
-          has been joined) — e.g. for corpus censuses or budget extension *)
+      (** the shard's fuzzer; safe to use after {!run} returns (no job
+          touches it any more) — e.g. for corpus censuses or budget
+          extension *)
 }
 
 type result = {
@@ -77,50 +79,54 @@ val run :
 (** [run ~jobs ~execs make] fuzzes with [jobs] shards sharing a total
     budget of [execs] executions ([execs / jobs] each, remainder to the
     first shards). [make shard_id] is called once per shard, {e inside}
-    the shard's domain — derive per-shard RNG seeds with {!shard_seed}.
+    the shard's first job — derive per-shard RNG seeds with
+    {!shard_seed}.
 
     With [jobs = 1] this is exactly {!Driver.run_until_execs} on
     [make 0] — byte-identical snapshots, no domains, no sync, regardless
     of [exchange] (one shard has nobody to exchange with) — so
     single-job campaigns preserve the repository's determinism guarantee.
 
-    With [jobs > 1], every shard runs the same fixed number of barriered
+    With [jobs > 1], every shard takes part in the same fixed number of
     rounds ([ceil (largest shard budget / sync_every)], [sync_every]
     defaulting to {!Sync.default_interval}), fuzzing up to
-    [min budget (r * sync_every)] executions before round [r]; a shard
-    whose budget is spent keeps joining with empty deltas. At each
-    barrier the shards publish coverage, crashes and metric deltas to a
-    {!Sync}. The result, the checkpoint series and the event stream are
-    a pure function of (seed, jobs, execs, sync_every, exchange): nothing
-    depends on domain scheduling. If a shard dies (e.g.
-    {!Driver.Stalled}), the campaign aborts the remaining shards and
-    re-raises that shard's exception.
+    [min budget (r * sync_every)] executions in round [r]; a shard whose
+    budget is spent publishes empty deltas. Each round is a fork-join
+    with one job per shard, on at most [jobs] domains and never more
+    than the machine's recommended domain count; after it the shards'
+    coverage, crashes and metric deltas are released into a {!Sync} in
+    shard-id order. The result, the checkpoint series and the event
+    stream are a pure function of (seed, jobs, execs, sync_every,
+    exchange): nothing depends on domain scheduling or on the domain
+    count. If shards fail in a round (e.g. {!Driver.Stalled}), the round
+    ends when its running jobs have, and the lowest failing shard's
+    exception is re-raised.
 
-    [exchange] (default [false]) decides whether discoveries cross at
-    the barriers: with it on, shards pull the merged virgin map and
+    [exchange] (default [false]) decides whether discoveries cross
+    between rounds: with it on, shards pull the merged virgin map and
     import each other's deduplicated discoveries in (round, shard id)
     order; with it off, each shard fuzzes as if alone. Discoveries the
     rounds exported are handed back by each shard fuzzer's first
     [p_export] after the run, so a store capture sees them all.
 
-    [on_checkpoint] receives aggregate snapshots at round barriers, at
-    most one per round and once per [checkpoint_every] published
-    executions, read from the totals the round's release froze
-    (including the published crash total).
+    [on_checkpoint] receives aggregate snapshots after round releases,
+    at most one per round and once per [checkpoint_every] published
+    executions, read from the released totals (including the published
+    crash total).
 
     [prime_sync] (default: nothing) is applied to the freshly created
-    {!Sync.t} before any shard domain is spawned — the farm-resume hook
-    that preloads persisted virgin maps and dedup keys
-    ({!Sync.preload}) so a resumed sharded campaign never re-reports
-    pre-interruption findings. Ignored at [jobs = 1] (the sequential
-    path has no sync; resume preloads the harness directly).
+    {!Sync.t} before the first round — the farm-resume hook that
+    preloads persisted virgin maps and dedup keys ({!Sync.preload}) so a
+    resumed sharded campaign never re-reports pre-interruption findings.
+    Ignored at [jobs = 1] (the sequential path has no sync; resume
+    preloads the harness directly).
 
     Telemetry: every aggregate checkpoint, and one per-shard checkpoint
     per round, is emitted into [sink] (default {!Telemetry.Sink.null})
     as a {!Telemetry.Event.Checkpoint} whose series is
     [<series_prefix>aggregate] / [<series_prefix>shard-<i>]. With
     [jobs > 1] the events are kept during the run and written to [sink]
-    after the shards join, shard by shard in emission order with
+    after the last round, shard by shard in emission order with
     aggregate checkpoints last ([on_checkpoint] still fires live).
     Shards publish metric {e deltas} at each round, so
     {!result.cg_metrics} is the campaign-wide registry union, mirroring

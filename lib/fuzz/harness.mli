@@ -8,11 +8,11 @@
 
     A harness is strictly single-shard state — exec map, virgin map,
     triage, exec counter and metric registry are all private to the
-    owning domain and none of them is locked. Cross-shard coverage union,
+    owning shard and none of them is locked. Cross-shard coverage union,
     global crash dedup and metric merging live one layer up in {!Sync};
     campaign orchestration one layer above that in {!Campaign}. With the
-    exchange on, each sync round ({!Sync.exchange_round}) also folds the
-    frozen global virgin map back into this harness's [virgin] map, so
+    exchange on, each sync round's pull ({!Sync.pull}) also folds the
+    released global virgin map back into this harness's [virgin] map, so
     branches any shard has covered stop counting as new here; with it
     off the round never pulls (DESIGN.md §10).
 

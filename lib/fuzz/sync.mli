@@ -1,28 +1,32 @@
 (** Cross-shard coverage, crash and corpus synchronisation.
 
     In a sharded campaign every shard owns a private {!Harness.t} (its own
-    exec map, virgin map, and triage) and meets the other shards at one
-    shared [Sync.t] every [sync_every] executions. A meeting is a
-    barriered round ({!exchange_round}): each shard publishes, the
-    shard's virgin map is unioned into the global virgin map
-    ({!Coverage.Bitmap.merge}), and the last arrival releases the round,
-    deduplicating unique crashes by stack signature in shard-id order and
-    freezing the campaign's running totals. This is the analogue of
-    AFL++'s [-M]/[-S] sync directory.
+    exec map, virgin map, and triage), and the shards meet at one
+    [Sync.t] every [sync_every] executions. A meeting ends a fork-join
+    round: each shard's job {!stage}s what it publishes, and once every
+    job has returned the campaign {!release}s the round on one domain,
+    in shard-id order — unioning each shard's virgin map into the global
+    one ({!Coverage.Bitmap.merge}), deduplicating unique crashes by stack
+    signature and adding up the campaign's running totals. This is the
+    analogue of AFL++'s [-M]/[-S] sync directory.
 
     The exchange flag only decides whether discoveries cross shards
-    (DESIGN.md §10). With it on each shard also publishes its
+    (DESIGN.md §10). With it on each shard also stages its
     coverage-increasing seeds and its discovered type-affinities and AST
-    skeletons, then (a) pulls the global virgin map back into its own so
-    branches the campaign already knows stop counting as new, and (b)
-    imports the foreign entries it has not seen. Entries are globally
-    deduplicated (seed cov-hash, affinity pair, printed skeleton SQL) and
-    resolved in (round, shard id) order at the barrier, so the canonical
-    store — and every shard's import sequence — is a pure function of the
-    campaign seed, independent of domain scheduling. With it off shards
-    publish and never pull: they stay independent.
+    skeletons, and at the start of its next job {!pull}s: (a) the global
+    virgin map back into its own, so branches the campaign already knows
+    stop counting as new, and (b) the foreign entries it has not seen.
+    Entries are globally deduplicated (seed cov-hash, affinity pair,
+    printed skeleton SQL) and resolved in (round, shard id) order at the
+    release, so the canonical store — and every shard's import sequence
+    — is a pure function of the campaign seed, independent of domain
+    scheduling. With it off shards publish and never pull: they stay
+    independent.
 
-    All operations take an internal mutex and are safe from any domain. *)
+    A plain value with no lock: {!release}, {!preload} and the aggregate
+    reads run between rounds; only {!stage} and {!pull} run inside the
+    shards' parallel jobs, and neither writes anything another shard's
+    job reads. *)
 
 type xseed = {
   xs_tc : Sqlcore.Ast.testcase;
@@ -62,28 +66,24 @@ type port = {
     {!Driver.fuzzer.f_exchange}). The four baselines export and import
     seeds only; LEGO exchanges all three kinds. *)
 
-exception Aborted
-(** Raised by {!exchange_round} on every other shard after {!abort} —
-    e.g. when one shard died and would otherwise leave the rest waiting
-    at the barrier forever. *)
-
 type t
 
 val default_interval : int
 (** Executions between syncs when unspecified (4096). *)
 
-val create : ?interval:int -> ?exchange:bool -> parties:int -> unit -> t
-(** [parties] is the number of shards meeting at each round barrier
-    (clamped to ≥ 1). [exchange] (default [false]) decides whether seeds,
-    affinities and skeletons cross shards; with it off, shards still
-    meet at every round barrier and publish coverage, crashes and
-    metrics, but never pull or import, so each shard fuzzes as if
-    alone. *)
+val create : ?interval:int -> ?exchange:bool -> unit -> t
+(** [exchange] (default [false]) decides whether seeds, affinities and
+    skeletons cross shards; with it off, shards still publish coverage,
+    crashes and metrics at every round, but never pull or import, so
+    each shard fuzzes as if alone. *)
 
 val interval : t -> int
 (** The configured sync interval in executions (clamped to ≥ 1). *)
 
-val exchange_round :
+type staged
+(** One shard's contribution to a round, ready for {!release}. *)
+
+val stage :
   ?metrics:Telemetry.Registry.t ->
   ?gram:Coverage.Bitmap.t ->
   ?crashes_delta:int ->
@@ -93,46 +93,42 @@ val exchange_round :
   triage:Triage.t ->
   execs_delta:int ->
   export:export ->
+  staged
+(** Prepare shard [shard]'s publish without touching [t]: reads the
+    shard's unique crashes and logic findings from [triage] and derives
+    the dedup keys of [export] (dropped when the exchange is off).
+    [execs_delta] and [crashes_delta] are the executions and {e total}
+    (not unique) crashes since the shard's last round. [metrics], when
+    given, must be the {e delta} registry since the shard's last round
+    ({!Telemetry.Registry.diff}): deltas — not absolute registries —
+    keep the non-idempotent counter/histogram merge correct across
+    rounds. [virgin] and [gram] (the shard's grammar virgin map, under
+    grammar feedback) are kept by reference and read at {!release}, so
+    the shard must not change them before the release. *)
+
+val release : t -> staged array -> unit
+(** Fold a round's staged publishes into [t] in array order, which the
+    campaign makes shard-id order (so first-finder attribution is
+    deterministic): add the running totals ({!execs_seen},
+    {!total_crashes}, {!rounds}), merge the metric deltas, union the
+    virgin and grammar maps into the global ones, fold the findings into
+    the cross-shard dedup tables and deduplicate the exports into the
+    canonical store. Re-publishing the same state is idempotent: no new
+    branches, no duplicate crashes. *)
+
+val pull :
+  ?gram:Coverage.Bitmap.t ->
+  t ->
+  shard:int ->
+  virgin:Coverage.Bitmap.t ->
   entry list
-(** One barriered round. Unions the shard's [virgin] map into the global
-    map, adds [execs_delta] and [crashes_delta] — the executions and {e
-    total} (not unique) crashes since the shard's last round — to the
-    running totals, stages the shard's unique crashes and logic findings
-    and [export], then blocks until all [parties] shards of this round
-    have arrived. The last arrival releases the round: staged findings
-    are folded into the cross-shard dedup tables in shard-id order (so
-    first-finder attribution is deterministic), staged exports are
-    deduplicated into the canonical store, and the global virgin map and
-    running totals are frozen for this round ({!branches},
-    {!execs_seen}, {!total_crashes}, {!rounds}). Re-publishing the same
-    state is idempotent: no new branches, no duplicate crashes.
-
-    With the exchange on, on wake-up the shard's [virgin] map absorbs
-    the frozen global map (the pull-back) and the call returns the store
-    entries this shard has not imported yet, excluding its own, in
+(** With the exchange on: absorb the global virgin map (and, given
+    [gram], the global grammar map) into the shard's own, and return the
+    store entries this shard has not imported yet, excluding its own, in
     canonical order — apply them through the fuzzer's {!port}. With it
-    off the call returns [[]], leaves [virgin] alone and drops [export].
-
-    [metrics], when given, must be the {e delta} registry since the
-    shard's last round ({!Telemetry.Registry.diff}); it is merged into
-    the global registry under the lock. Deltas — not absolute registries
-    — keep the non-idempotent counter/histogram merge correct across
-    rounds.
-
-    [gram], when the shard runs grammar feedback, is its grammar virgin
-    map: unioned into a global grammar map with the same idempotent
-    merge (see {!grammar_counts}) and, with the exchange on, absorbed
-    back from the round-frozen global grammar map at the pull-back.
-
-    Every shard must call this the same number of times (the campaign
-    derives a fixed round count from the budget); a shard whose budget is
-    exhausted keeps joining with empty deltas.
-    @raise Aborted after {!abort}. *)
-
-val abort : t -> unit
-(** Wake every shard blocked at the round barrier with {!Aborted};
-    idempotent. Called when a shard dies so the campaign can fail instead
-    of hanging. *)
+    off: [[]], and [virgin] is left alone. Nothing changes the global
+    state between releases, so pulls of distinct shards may run at once;
+    [shard] must have taken part in a release. *)
 
 val preload :
   ?virgin:Coverage.Bitmap.compact ->
@@ -165,8 +161,8 @@ val metrics : t -> Telemetry.Registry.t
     shard deltas (stage-time histograms, engine counters). *)
 
 val branches : t -> int
-(** Branches of the merged global virgin map as of the last released
-    round — the aggregate Figure 9 metric across shards. *)
+(** Branches of the merged global virgin map — the aggregate Figure 9
+    metric across shards. *)
 
 val grammar_counts : t -> int * int
 (** [(rules, pairs)] of the merged global grammar virgin map; [(0, 0)]
@@ -201,7 +197,7 @@ val unique_logic :
     deduplicated by {!Oracle.Violation.key} exactly like crashes are by
     stack, each with the test case of the shard that exposed it first.
     Staged from the shard triage and folded in shard-id order at round
-    barriers. *)
+    releases. *)
 
 val bug_ids : t -> string list
 (** Distinct injected-bug ids among the cross-shard unique crashes.

@@ -14,17 +14,17 @@ let fake_crash id =
   let bug = fake_bug id in
   { Minidb.Fault.c_bug = bug; c_stack = Minidb.Fault.stack_of_bug bug }
 
-(* One single-party round: it releases as soon as it arrives, so its
+(* One round of a single shard: staged and released at once, so its
    effects are visible when the call returns. *)
 let publish ?gram ?crashes_delta sync ~virgin ~triage ~execs_delta =
-  ignore
-    (Fuzz.Sync.exchange_round ?gram ?crashes_delta sync ~shard:0 ~virgin
-       ~triage ~execs_delta ~export:Fuzz.Sync.empty_export)
+  Fuzz.Sync.release sync
+    [| Fuzz.Sync.stage ?gram ?crashes_delta sync ~shard:0 ~virgin ~triage
+         ~execs_delta ~export:Fuzz.Sync.empty_export |]
 
 let test_sync_dedupes_across_shards () =
   (* Two shards independently find the same crash signature: the sync
      layer must count it once, keeping the first finder's reproducer. *)
-  let sync = Fuzz.Sync.create ~parties:1 () in
+  let sync = Fuzz.Sync.create () in
   let tri_a = Fuzz.Triage.create () and tri_b = Fuzz.Triage.create () in
   ignore (Fuzz.Triage.record tri_a (fake_crash "B1"));
   ignore (Fuzz.Triage.record tri_b (fake_crash "B1"));
@@ -45,7 +45,7 @@ let test_sync_dedupes_across_shards () =
   Alcotest.(check int) "rounds counted" 3 (Fuzz.Sync.rounds sync)
 
 let test_sync_merges_coverage () =
-  let sync = Fuzz.Sync.create ~parties:1 () in
+  let sync = Fuzz.Sync.create () in
   let exec = Coverage.Bitmap.create () in
   Coverage.Bitmap.hit exec 17;
   let virgin = Coverage.Bitmap.create () in
@@ -130,7 +130,7 @@ let test_sharded_campaign_aggregates () =
 let test_sync_crash_totals () =
   (* Satellite fix: published crash deltas must accumulate into the
      aggregate total instead of being dropped. *)
-  let sync = Fuzz.Sync.create ~parties:1 () in
+  let sync = Fuzz.Sync.create () in
   let virgin = Coverage.Bitmap.create () in
   let tri = Fuzz.Triage.create () in
   publish ~crashes_delta:3 sync ~virgin ~triage:tri ~execs_delta:5;
@@ -180,7 +180,7 @@ let lego_factory_fb ~feedback ~seed shard_id =
   Lego.Lego_fuzzer.fuzzer (Lego.Lego_fuzzer.create ~config ~harness profile)
 
 let test_sync_grammar_union () =
-  let sync = Fuzz.Sync.create ~parties:1 () in
+  let sync = Fuzz.Sync.create () in
   let virgin = Coverage.Bitmap.create () in
   let tri = Fuzz.Triage.create () in
   Alcotest.(check (pair int int)) "empty before any publish" (0, 0)
@@ -282,6 +282,37 @@ let test_driver_stall_aborts () =
   Alcotest.(check bool) "live fuzzer completes" true
     (snap.Fuzz.Driver.st_execs >= 50)
 
+(* A shard whose fuzzer never executes: it stalls in its first round,
+   with its name in the Stalled message. *)
+let stalling_factory ~stalls shard_id =
+  if List.mem shard_id stalls then
+    { Fuzz.Driver.f_name = Printf.sprintf "stall-%d" shard_id;
+      f_step = (fun () -> ());
+      f_harness = Fuzz.Harness.create ~profile ();
+      f_corpus = (fun () -> []);
+      f_exchange = None }
+  else lego_factory ~seed:4 shard_id
+
+let stalled_name ~stalls =
+  match
+    Fuzz.Campaign.run ~jobs:3 ~sync_every:100 ~execs:900
+      (stalling_factory ~stalls)
+  with
+  | _ -> Alcotest.fail "a stalled shard must fail the campaign"
+  | exception Fuzz.Driver.Stalled msg -> List.hd (String.split_on_char ' ' msg)
+
+let test_shard_failure_raises () =
+  (* A dying shard fails the campaign with its own exception, and the
+     other shards are not left waiting: the call returns. *)
+  Alcotest.(check string) "shard 2's Stalled" "stall-2"
+    (stalled_name ~stalls:[ 2 ]);
+  (* two shards dying in the same round: the lower shard id wins,
+     whichever finished first *)
+  for _ = 1 to 5 do
+    Alcotest.(check string) "shard 1's Stalled" "stall-1"
+      (stalled_name ~stalls:[ 1; 2 ])
+  done
+
 (* --- bidirectional exchange ------------------------------------------ *)
 
 let xseed h =
@@ -293,12 +324,10 @@ let seed_hashes entries =
     entries
 
 let test_exchange_store_dedup () =
-  (* Two shards meet at the barrier with overlapping exports: the store
+  (* Two shards release one round with overlapping exports: the store
      must keep one copy of each entry (lowest shard id wins the tie) and
      hand each shard exactly the foreign entries, exactly once. *)
-  let sync =
-    Fuzz.Sync.create ~exchange:true ~parties:2 ()
-  in
+  let sync = Fuzz.Sync.create ~exchange:true () in
   let aff = (Sqlcore.Stmt_type.Create_table, Sqlcore.Stmt_type.Insert) in
   let export0 =
     { Fuzz.Sync.xp_seeds = [ xseed 1L; xseed 2L ];
@@ -310,14 +339,17 @@ let test_exchange_store_dedup () =
       xp_affinities = [ aff ];
       xp_skeletons = [] }
   in
-  let round shard export =
-    Domain.spawn (fun () ->
-        Fuzz.Sync.exchange_round sync ~shard
-          ~virgin:(Coverage.Bitmap.create ())
-          ~triage:(Fuzz.Triage.create ()) ~execs_delta:0 ~export)
+  let round () =
+    let virgins = Array.init 2 (fun _ -> Coverage.Bitmap.create ()) in
+    let stage shard export =
+      Fuzz.Sync.stage sync ~shard ~virgin:virgins.(shard)
+        ~triage:(Fuzz.Triage.create ()) ~execs_delta:0 ~export
+    in
+    Fuzz.Sync.release sync [| stage 0 export0; stage 1 export1 |];
+    let pull shard = Fuzz.Sync.pull sync ~shard ~virgin:virgins.(shard) in
+    (pull 0, pull 1)
   in
-  let d0 = round 0 export0 and d1 = round 1 export1 in
-  let i0 = Domain.join d0 and i1 = Domain.join d1 in
+  let i0, i1 = round () in
   (* canonical store: shard 0's seeds 1,2 + affinity, shard 1's seed 3 *)
   Alcotest.(check int) "store deduplicated" 4 (Fuzz.Sync.exchanged sync);
   Alcotest.(check (list int64)) "shard 0 imports shard 1's fresh seed"
@@ -335,8 +367,7 @@ let test_exchange_store_dedup () =
           (function Fuzz.Sync.Affinity _ -> true | _ -> false)
           i0));
   (* round 2: re-exporting already-known entries imports nothing new *)
-  let d0 = round 0 export0 and d1 = round 1 export1 in
-  let i0 = Domain.join d0 and i1 = Domain.join d1 in
+  let i0, i1 = round () in
   Alcotest.(check int) "round 2 store unchanged" 4
     (Fuzz.Sync.exchanged sync);
   Alcotest.(check int) "round 2 empty for shard 0" 0 (List.length i0);
@@ -344,10 +375,8 @@ let test_exchange_store_dedup () =
 
 let test_exchange_pulls_virgin () =
   (* The bidirectional part: a shard's own virgin map must absorb the
-     round-frozen global map, so globally-known branches stop being new. *)
-  let sync =
-    Fuzz.Sync.create ~exchange:true ~parties:2 ()
-  in
+     released global map, so globally-known branches stop being new. *)
+  let sync = Fuzz.Sync.create ~exchange:true () in
   let virgin_of site =
     let exec = Coverage.Bitmap.create () in
     Coverage.Bitmap.hit exec site;
@@ -356,16 +385,13 @@ let test_exchange_pulls_virgin () =
     virgin
   in
   let va = virgin_of 17 and vb = virgin_of 23 in
-  let round shard virgin =
-    Domain.spawn (fun () ->
-        ignore
-          (Fuzz.Sync.exchange_round sync ~shard ~virgin
-             ~triage:(Fuzz.Triage.create ()) ~execs_delta:0
-             ~export:Fuzz.Sync.empty_export))
+  let stage shard virgin =
+    Fuzz.Sync.stage sync ~shard ~virgin ~triage:(Fuzz.Triage.create ())
+      ~execs_delta:0 ~export:Fuzz.Sync.empty_export
   in
-  let d0 = round 0 va and d1 = round 1 vb in
-  Domain.join d0;
-  Domain.join d1;
+  Fuzz.Sync.release sync [| stage 0 va; stage 1 vb |];
+  ignore (Fuzz.Sync.pull sync ~shard:0 ~virgin:va);
+  ignore (Fuzz.Sync.pull sync ~shard:1 ~virgin:vb);
   Alcotest.(check int) "global map is the union" 2 (Fuzz.Sync.branches sync);
   Alcotest.(check int) "shard 0 pulled shard 1's branch" 2
     (Coverage.Bitmap.count_nonzero va);
@@ -410,7 +436,7 @@ let run_exchange_campaign ~exchange ~seed =
     (lego_factory ~seed)
 
 let test_exchange_campaign_deterministic exchange () =
-  (* The whole point of barriered rounds: at jobs=4, with or without the
+  (* The whole point of fork-join rounds: at jobs=4, with or without the
      exchange, the aggregate checkpoint series, the cross-shard crash
      order and the final snapshot are a pure function of the seed. *)
   let run () =
@@ -466,6 +492,7 @@ let suite =
     ("sync accumulates crash totals", `Quick, test_sync_crash_totals);
     ("checkpoints report crash totals", `Slow, test_checkpoint_crash_totals);
     ("stalled driver aborts", `Quick, test_driver_stall_aborts);
+    ("failing shard fails the campaign", `Quick, test_shard_failure_raises);
     ("jobs=1 is the sequential driver", `Quick,
      test_jobs1_matches_sequential_driver);
     ("jobs=1 ignores exchange flags", `Quick,

@@ -1,7 +1,8 @@
-(* Unit and property tests for the utility substrate (Rng, Vec). *)
+(* Unit and property tests for the utility substrate (Rng, Vec, Pool). *)
 
 module Rng = Reprutil.Rng
 module Vec = Reprutil.Vec
+module Pool = Reprutil.Pool
 
 let test_rng_deterministic () =
   let a = Rng.create 42 in
@@ -124,6 +125,69 @@ let prop_vec_model =
          ops;
        Vec.to_list v = !model)
 
+(* --- Pool ------------------------------------------------------------- *)
+
+let squares n = Array.init n (fun i () -> i * i)
+
+let test_pool_job_order () =
+  let n = 9 in
+  let expected = Array.init n (fun i -> i * i) in
+  List.iter
+    (fun workers ->
+       Alcotest.(check (array int))
+         (Printf.sprintf "workers=%d" workers)
+         expected
+         (Pool.run ~workers (squares n)))
+    [ 1; 2; n; n + 5 ];
+  Alcotest.(check (array int)) "no jobs" [||] (Pool.run ~workers:4 [||])
+
+let test_pool_nonpositive_workers () =
+  (* [workers <= 0] is one worker: every job runs on the caller *)
+  let self = Domain.self () in
+  List.iter
+    (fun workers ->
+       let on_caller =
+         Pool.run ~workers (Array.init 6 (fun _ () -> Domain.self () = self))
+       in
+       Alcotest.(check (array bool))
+         (Printf.sprintf "workers=%d runs on the caller" workers)
+         (Array.make 6 true) on_caller)
+    [ 0; -3 ]
+
+let test_pool_lowest_failure () =
+  (* Job 3 fails at once, job 1 only after some work: job 1's exception
+     is the one raised, every time. *)
+  let spin () =
+    let acc = ref 0 in
+    for i = 1 to 200_000 do
+      acc := !acc + i
+    done;
+    Sys.opaque_identity !acc
+  in
+  let jobs =
+    Array.init 5 (fun i () ->
+        match i with
+        | 1 -> ignore (spin ()); failwith "job 1"
+        | 3 -> failwith "job 3"
+        | _ -> ignore (spin ()); i)
+  in
+  for _ = 1 to 20 do
+    match Pool.run ~workers:4 jobs with
+    | _ -> Alcotest.fail "a failing job must fail the run"
+    | exception Failure msg -> Alcotest.(check string) "lowest index" "job 1" msg
+  done
+
+let test_pool_domain_cap () =
+  (* More workers than the machine recommends: the pool caps itself and
+     still runs every job. *)
+  let cap = Domain.recommended_domain_count () in
+  let n = cap + 8 in
+  let ran = Pool.run ~workers:n (Array.init n (fun _ () -> Domain.self ())) in
+  Alcotest.(check int) "every job ran" n (Array.length ran);
+  let domains = List.sort_uniq compare (Array.to_list ran) in
+  Alcotest.(check bool) "at most the recommended domains" true
+    (List.length domains <= cap)
+
 let suite =
   [ ("rng deterministic", `Quick, test_rng_deterministic);
     ("rng distinct seeds", `Quick, test_rng_distinct_seeds);
@@ -137,4 +201,8 @@ let suite =
     ("vec bounds", `Quick, test_vec_bounds);
     ("vec grow", `Quick, test_vec_grow);
     ("vec copy", `Quick, test_vec_copy_independent);
+    ("pool job order", `Quick, test_pool_job_order);
+    ("pool workers <= 0 is one", `Quick, test_pool_nonpositive_workers);
+    ("pool raises the lowest failure", `Quick, test_pool_lowest_failure);
+    ("pool caps its domains", `Quick, test_pool_domain_cap);
     QCheck_alcotest.to_alcotest prop_vec_model ]
