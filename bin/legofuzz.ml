@@ -668,7 +668,10 @@ let farm_cmd =
         (List.length spec.fs_campaigns) spec.fs_total_execs
         spec.fs_round_execs
         (if workers > 0 then Printf.sprintf "%d worker process(es)" workers
-         else Printf.sprintf "%d domain worker(s)" spec.fs_workers)
+         else
+           Printf.sprintf "up to %d domain(s)"
+             (Reprutil.Pool.domains ~workers:spec.fs_workers
+                ~jobs:(List.length spec.fs_campaigns)))
         (Farm.Spec.policy_to_string spec.fs_policy);
     let result, wall_s =
       timed (fun () ->

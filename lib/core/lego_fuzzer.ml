@@ -249,15 +249,7 @@ let sync_cursors t =
 
 (* Drain everything discovered since the last export. *)
 let export t () =
-  let seeds =
-    List.map
-      (fun s ->
-         { Fuzz.Sync.xs_tc = s.Fuzz.Seed_pool.sd_tc;
-           xs_cov_hash = s.Fuzz.Seed_pool.sd_cov_hash;
-           xs_new_branches = s.Fuzz.Seed_pool.sd_new_branches;
-           xs_cost = s.Fuzz.Seed_pool.sd_cost })
-      (Fuzz.Seed_pool.since t.pool t.xc_pool)
-  in
+  let seeds = Fuzz.Sync.xseeds_since t.pool t.xc_pool in
   let affs = Affinity.log_since t.affinity t.xc_aff in
   let skels = Skeleton_library.journal_since t.skeletons t.xc_skel in
   sync_cursors t;
@@ -269,12 +261,7 @@ let export t () =
    perturb the shard's random stream). *)
 let import t entry =
   (match entry with
-   | Fuzz.Sync.Seed x ->
-     ignore
-       (Fuzz.Seed_pool.add t.pool ~tc:x.Fuzz.Sync.xs_tc
-          ~cov_hash:x.Fuzz.Sync.xs_cov_hash
-          ~new_branches:x.Fuzz.Sync.xs_new_branches
-          ~cost:x.Fuzz.Sync.xs_cost)
+   | Fuzz.Sync.Seed x -> Fuzz.Sync.add_xseed t.pool x
    | Fuzz.Sync.Affinity (a, b) ->
      if t.cfg.sequence_oriented && Affinity.add t.affinity a b then
        Telemetry.Span.time t.sp_synthesize (fun () ->

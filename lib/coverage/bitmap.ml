@@ -284,6 +284,24 @@ let load_compact ~into c =
     into.saturated <- true;
     into.n_dirty <- 0
 
+(* [load_compact] into a scratch map then [merge]: the compact's cells in
+   the same touch order (C_cells' index order, C_full's positional
+   scan), without the scratch map. *)
+let merge_compact ~into c =
+  let news = ref 0 in
+  (match c with
+   | C_cells { idx; vals } ->
+     for k = 0 to Array.length idx - 1 do
+       or_cell ~news into (Array.unsafe_get idx k)
+         (Char.code (Bytes.unsafe_get vals k))
+     done
+   | C_full buf ->
+     for i = 0 to size - 1 do
+       let s = Char.code (Bytes.unsafe_get buf i) in
+       if s <> 0 then or_cell ~news into i s
+     done);
+  !news
+
 let compact_bytes = function
   | C_cells { idx; _ } -> 32 + (9 * Array.length idx)
   | C_full _ -> size + 16

@@ -104,6 +104,11 @@ val load_compact : into:t -> compact -> unit
 (** Make [into] cell-for-cell equal to the map [compact] was taken
     from. *)
 
+val merge_compact : into:t -> compact -> int
+(** [merge ~into] of the map [compact] was taken from: ORs its cells into
+    [into] in the order {!load_compact} would touch them and returns the
+    number of cells whose bucket set grew, without building that map. *)
+
 val compact_bytes : compact -> int
 (** Approximate heap footprint, for cache memory accounting. *)
 

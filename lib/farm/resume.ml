@@ -14,21 +14,15 @@ type outcome = {
   rs_warnings : string list;
 }
 
-let merge_compact_into bitmap compact =
-  let tmp = Coverage.Bitmap.create () in
-  Coverage.Bitmap.load_compact ~into:tmp compact;
-  ignore (Coverage.Bitmap.merge ~into:bitmap tmp)
-
 (* Import order matters: skeletons before affinities, so affinity-driven
    sequence synthesis finds structures to instantiate from the first
    imported pair on. Imports are pure store operations — no executions,
    no RNG draws — so preloading costs nothing against the budget. *)
 let preload_fuzzer (sn : Store.snapshot) (fz : Fuzz.Driver.fuzzer) =
   let h = fz.Fuzz.Driver.f_harness in
-  merge_compact_into (Fuzz.Harness.virgin h) sn.sn_virgin;
-  (match Fuzz.Harness.grammar_virgin h with
-   | Some g -> merge_compact_into g sn.sn_grammar
-   | None -> ());
+  let merge into c = ignore (Coverage.Bitmap.merge_compact ~into c) in
+  merge (Fuzz.Harness.virgin h) sn.sn_virgin;
+  Option.iter (fun g -> merge g sn.sn_grammar) (Fuzz.Harness.grammar_virgin h);
   Fuzz.Triage.preload (Fuzz.Harness.triage h) ~crash_keys:sn.sn_crash_keys
     ~logic_keys:sn.sn_logic_keys;
   match fz.Fuzz.Driver.f_exchange with
@@ -47,14 +41,7 @@ let preload_fuzzer (sn : Store.snapshot) (fz : Fuzz.Driver.fuzzer) =
 let prime_sync (sn : Store.snapshot) sync =
   Fuzz.Sync.preload ~virgin:sn.sn_virgin ~gram:sn.sn_grammar
     ~crash_keys:sn.sn_crash_keys ~logic_keys:sn.sn_logic_keys
-    ~seed_hashes:(List.map (fun (x : Fuzz.Sync.xseed) -> x.xs_cov_hash) sn.sn_seeds)
-    ~affinity_keys:
-      (List.map
-         (fun (a, b) ->
-            (Sqlcore.Stmt_type.to_index a, Sqlcore.Stmt_type.to_index b))
-         sn.sn_affinities)
-    ~skeleton_keys:(List.map Sqlcore.Sql_printer.stmt sn.sn_skeletons)
-    sync
+    ~discoveries:(Store.discoveries sn) sync
 
 (* Fold a finished segment into a new snapshot: prior store entries plus
    every shard's drained exchange exports, union of prior and shard

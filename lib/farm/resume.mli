@@ -37,7 +37,9 @@ val preload_fuzzer : Store.snapshot -> Fuzz.Driver.fuzzer -> unit
 
 val prime_sync : Store.snapshot -> Fuzz.Sync.t -> unit
 (** The {!Fuzz.Campaign.run} [prime_sync] hook for sharded resumes:
-    {!Fuzz.Sync.preload} with the snapshot's maps and keys. *)
+    {!Fuzz.Sync.preload} with the snapshot's maps, its crash and logic
+    keys and its {!Store.discoveries}, whose {!Fuzz.Sync.key}s the sync
+    derives itself. *)
 
 val capture :
   prior:Store.snapshot ->

@@ -617,9 +617,7 @@ type acc = {
   a_seeds : Fuzz.Sync.xseed grow;
   a_affinities : (Sqlcore.Stmt_type.t * Sqlcore.Stmt_type.t) grow;
   a_skeletons : Sqlcore.Ast.stmt grow;
-  seen_seeds : (int64, unit) Hashtbl.t;
-  seen_affinities : (int * int, unit) Hashtbl.t;
-  seen_skeletons : (string, unit) Hashtbl.t;
+  a_seen : (Fuzz.Sync.key, unit) Hashtbl.t;
 }
 
 let grow_create () =
@@ -645,39 +643,32 @@ let grow_section g =
 
 let acc_create () =
   { a_seeds = grow_create (); a_affinities = grow_create ();
-    a_skeletons = grow_create (); seen_seeds = Hashtbl.create 64;
-    seen_affinities = Hashtbl.create 64; seen_skeletons = Hashtbl.create 64 }
+    a_skeletons = grow_create (); a_seen = Hashtbl.create 64 }
 
-let acc_add_seed acc (xs : Fuzz.Sync.xseed) =
-  if not (Hashtbl.mem acc.seen_seeds xs.xs_cov_hash) then begin
-    Hashtbl.replace acc.seen_seeds xs.xs_cov_hash ();
-    grow_add acc.a_seeds xs (corpus_line xs)
+(* A skeleton's key is its printed SQL, which is also its line: printed
+   once per add. *)
+let acc_add acc entry =
+  let key = Fuzz.Sync.key entry in
+  if not (Hashtbl.mem acc.a_seen key) then begin
+    Hashtbl.replace acc.a_seen key ();
+    match (entry, key) with
+    | Fuzz.Sync.Seed xs, _ -> grow_add acc.a_seeds xs (corpus_line xs)
+    | Affinity (a, b), _ ->
+      grow_add acc.a_affinities (a, b) (affinity_line (a, b))
+    | Skeleton st, K_skeleton sql ->
+      grow_add acc.a_skeletons st (skeleton_line sql)
+    | Skeleton _, (K_seed _ | K_affinity _) -> assert false
   end
 
-let acc_add_affinity acc (a, b) =
-  let key = (Sqlcore.Stmt_type.to_index a, Sqlcore.Stmt_type.to_index b) in
-  if not (Hashtbl.mem acc.seen_affinities key) then begin
-    Hashtbl.replace acc.seen_affinities key ();
-    grow_add acc.a_affinities (a, b) (affinity_line (a, b))
-  end
+let acc_add_export acc xp = List.iter (acc_add acc) (Fuzz.Sync.entries xp)
 
-let acc_add_skeleton acc st =
-  let key = Sqlcore.Sql_printer.stmt st in
-  if not (Hashtbl.mem acc.seen_skeletons key) then begin
-    Hashtbl.replace acc.seen_skeletons key ();
-    grow_add acc.a_skeletons st (skeleton_line key)
-  end
-
-let acc_add_export acc (xp : Fuzz.Sync.export) =
-  List.iter (acc_add_seed acc) xp.xp_seeds;
-  List.iter (acc_add_affinity acc) xp.xp_affinities;
-  List.iter (acc_add_skeleton acc) xp.xp_skeletons
+let discoveries sn =
+  { Fuzz.Sync.xp_seeds = sn.sn_seeds; xp_affinities = sn.sn_affinities;
+    xp_skeletons = sn.sn_skeletons }
 
 let acc_of_snapshot sn =
   let acc = acc_create () in
-  List.iter (acc_add_seed acc) sn.sn_seeds;
-  List.iter (acc_add_affinity acc) sn.sn_affinities;
-  List.iter (acc_add_skeleton acc) sn.sn_skeletons;
+  acc_add_export acc (discoveries sn);
   acc
 
 let acc_counts acc =
@@ -702,22 +693,21 @@ let acc_snapshot acc ~campaign ~progress ~virgin ~grammar ~crash_keys
 let bitmap_union x y =
   let m = Coverage.Bitmap.create () in
   Coverage.Bitmap.load_compact ~into:m x;
-  let t = Coverage.Bitmap.create () in
-  Coverage.Bitmap.load_compact ~into:t y;
-  ignore (Coverage.Bitmap.merge ~into:m t);
+  ignore (Coverage.Bitmap.merge_compact ~into:m y);
   Coverage.Bitmap.compact m
-
-(* a's keys first in their stored order, then b's unseen ones — the same
-   extend-never-rewrite discipline resume uses, so preloaded dedup keys
-   stay a prefix through any merge. *)
-let union_keys xs ys =
-  xs @ List.filter (fun k -> not (List.mem k xs)) ys
 
 let merge_snapshots a b =
   let acc = acc_of_snapshot a in
-  List.iter (acc_add_seed acc) b.sn_seeds;
-  List.iter (acc_add_affinity acc) b.sn_affinities;
-  List.iter (acc_add_skeleton acc) b.sn_skeletons;
+  acc_add_export acc (discoveries b);
+  (* a's keys first in their stored order, then b's unseen ones — the
+     same extend-never-rewrite discipline resume uses, so preloaded dedup
+     keys stay a prefix through any merge. *)
+  let keys = Fuzz.Triage.create () in
+  List.iter
+    (fun sn ->
+       Fuzz.Triage.preload keys ~crash_keys:sn.sn_crash_keys
+         ~logic_keys:sn.sn_logic_keys)
+    [ a; b ];
   acc_snapshot acc ~campaign:a.sn_campaign
     ~progress:
       { pr_execs_done =
@@ -725,8 +715,8 @@ let merge_snapshots a b =
         pr_epoch = max a.sn_progress.pr_epoch b.sn_progress.pr_epoch }
     ~virgin:(bitmap_union a.sn_virgin b.sn_virgin)
     ~grammar:(bitmap_union a.sn_grammar b.sn_grammar)
-    ~crash_keys:(union_keys a.sn_crash_keys b.sn_crash_keys)
-    ~logic_keys:(union_keys a.sn_logic_keys b.sn_logic_keys)
+    ~crash_keys:(Fuzz.Triage.crash_keys keys)
+    ~logic_keys:(Fuzz.Triage.logic_keys keys)
 
 let promote ?(keep = 3) ~dir ~worker gen =
   let src = worker_generation_dir ~dir ~worker gen in

@@ -172,11 +172,11 @@ val manifest_digests : string -> (string * string) list option
 
 val merge_snapshots : snapshot -> snapshot -> snapshot
 (** Union two snapshots of the same campaign: seeds / affinities /
-    skeletons deduplicated by their exchange keys (first snapshot's
-    entries keep their order), virgin and grammar maps bitmap-merged,
-    dedup keys extended never rewritten (first snapshot's keys stay a
-    prefix), progress counters taken pointwise-max. Campaign config
-    comes from the first snapshot. *)
+    skeletons deduplicated by {!Fuzz.Sync.key} (first snapshot's entries
+    keep their order), virgin and grammar maps bitmap-merged, dedup keys
+    unioned through a {!Fuzz.Triage.preload} of both (first snapshot's
+    keys stay a prefix), progress counters taken pointwise-max. Campaign
+    config comes from the first snapshot. *)
 
 val promote :
   ?keep:int -> dir:string -> worker:int -> int -> (int, string) result
@@ -200,9 +200,15 @@ val snapshot_equal : snapshot -> snapshot -> bool
 
     Both the farm scheduler and [resume] fold a campaign's exchange-port
     exports into the store; [acc] is that accumulator, deduplicating by
-    the same keys {!Fuzz.Sync} uses (seed cov-hash, affinity pair,
-    printed skeleton SQL) so re-exported entries never bloat the
-    store. *)
+    {!Fuzz.Sync.key} (seed cov-hash, affinity pair, printed skeleton
+    SQL) so re-exported entries never bloat the store. A skeleton's key
+    is its printed SQL, which is also its stored line, so each add
+    prints a skeleton at most once. *)
+
+val discoveries : snapshot -> Fuzz.Sync.export
+(** The snapshot's corpus, affinities and skeletons as one export, in
+    stored order — what {!acc_of_snapshot} and {!Resume.prime_sync}'s
+    {!Fuzz.Sync.preload} fold in. *)
 
 type acc
 

@@ -1,8 +1,9 @@
 (* Cross-shard synchronisation between fork-join rounds: global virgin
-   union, crash dedup, and — when an exchange is enabled — the
-   bidirectional seed/affinity/skeleton exchange (deterministic import
-   order). A plain value: shards stage in their jobs, the campaign
-   releases between rounds, shards pull in their next jobs. *)
+   union, finding dedup (one campaign-level Triage.t), and — when an
+   exchange is enabled — the bidirectional seed/affinity/skeleton
+   exchange (deterministic import order, deduplicated by [key]). A plain
+   value: shards stage in their jobs, the campaign releases between
+   rounds, shards pull in their next jobs. *)
 
 type xseed = {
   xs_tc : Sqlcore.Ast.testcase;
@@ -29,8 +30,23 @@ type port = {
   p_import : entry -> unit;
 }
 
-(* A shard's round contribution with every dedup key precomputed: the
-   affinity index pairs and the printed skeleton SQL are derived inside
+type key =
+  | K_seed of int64
+  | K_affinity of int * int
+  | K_skeleton of string
+
+let key = function
+  | Seed s -> K_seed s.xs_cov_hash
+  | Affinity (a, b) ->
+    K_affinity (Sqlcore.Stmt_type.to_index a, Sqlcore.Stmt_type.to_index b)
+  | Skeleton stmt -> K_skeleton (Sqlcore.Sql_printer.stmt stmt)
+
+let entries xp =
+  List.map (fun s -> Seed s) xp.xp_seeds
+  @ List.map (fun (a, b) -> Affinity (a, b)) xp.xp_affinities
+  @ List.map (fun st -> Skeleton st) xp.xp_skeletons
+
+(* A shard's round contribution with every dedup key precomputed inside
    the shard's job, so {!release} only does hash-table lookups and list
    pushes. The maps are references to the shard's own, read at release. *)
 type staged = {
@@ -42,10 +58,7 @@ type staged = {
   sp_crashes_total : int;
   sp_crashes : (Minidb.Fault.crash * Sqlcore.Ast.testcase option) list;
   sp_logic : (Oracle.Violation.t * Sqlcore.Ast.testcase option) list;
-  sp_seeds : xseed list;
-  sp_affinities :
-    ((int * int) * (Sqlcore.Stmt_type.t * Sqlcore.Stmt_type.t)) list;
-  sp_skeletons : (string * Sqlcore.Ast.stmt) list;
+  sp_entries : (key * entry) list;
 }
 
 type t = {
@@ -53,19 +66,9 @@ type t = {
   gram_virgin : Coverage.Bitmap.t;
       (* cross-shard union of grammar-rule coverage; empty unless shards
          publish grammar maps (feedback grammar/both) *)
-  seen : (string, unit) Hashtbl.t;
-  mutable uniques :
-    (Minidb.Fault.crash * Sqlcore.Ast.testcase option) list;
-      (* reverse first-published order *)
-  mutable n_uniques : int;  (* = List.length uniques, kept O(1) *)
-  lseen : (string, unit) Hashtbl.t;
-      (* logic-bug signatures (Oracle.Violation.key), deduped like crash
-         stacks *)
-  mutable logic_uniques :
-    (Oracle.Violation.t * Sqlcore.Ast.testcase option) list;
-      (* reverse first-published order *)
-  mutable bug_ids_memo : string list option;
-      (* sorted distinct bug ids; invalidated on unique insert *)
+  findings : Triage.t;
+      (* cross-shard unique crashes and logic findings, first-published
+         order; its own totals are unused (see [crashes]) *)
   mutable rounds : int;  (* shard publishes released so far *)
   mutable execs : int;
   mutable crashes : int;
@@ -74,9 +77,7 @@ type t = {
   exchange : bool;
   store : (int * entry) Reprutil.Vec.t;
       (* canonical exchange log in (round, shard id) order *)
-  seen_seeds : (int64, unit) Hashtbl.t;
-  seen_affinities : (int * int, unit) Hashtbl.t;
-  seen_skeletons : (string, unit) Hashtbl.t;
+  discovered : (key, unit) Hashtbl.t;  (* keys of [store] and preloads *)
   mutable cursors : int array;
       (* shard id -> store prefix imported; one slot per shard, so
          concurrent pulls of distinct shards write distinct cells *)
@@ -87,12 +88,7 @@ let default_interval = 4096
 let create ?(interval = default_interval) ?(exchange = false) () =
   { virgin = Coverage.Bitmap.create ();
     gram_virgin = Coverage.Bitmap.create ();
-    seen = Hashtbl.create 32;
-    uniques = [];
-    n_uniques = 0;
-    lseen = Hashtbl.create 16;
-    logic_uniques = [];
-    bug_ids_memo = None;
+    findings = Triage.create ();
     rounds = 0;
     execs = 0;
     crashes = 0;
@@ -100,28 +96,10 @@ let create ?(interval = default_interval) ?(exchange = false) () =
     metrics = Telemetry.Registry.create ();
     exchange;
     store = Reprutil.Vec.create ();
-    seen_seeds = Hashtbl.create 64;
-    seen_affinities = Hashtbl.create 64;
-    seen_skeletons = Hashtbl.create 64;
+    discovered = Hashtbl.create 64;
     cursors = [||] }
 
 let interval t = t.interval
-
-let note_unique t ((crash, _) as u) =
-  let key = Triage.stack_key crash in
-  if not (Hashtbl.mem t.seen key) then begin
-    Hashtbl.replace t.seen key ();
-    t.uniques <- u :: t.uniques;
-    t.n_uniques <- t.n_uniques + 1;
-    t.bug_ids_memo <- None
-  end
-
-let note_logic t ((violation, _) as u) =
-  let key = Oracle.Violation.key violation in
-  if not (Hashtbl.mem t.lseen key) then begin
-    Hashtbl.replace t.lseen key ();
-    t.logic_uniques <- u :: t.logic_uniques
-  end
 
 (* --- rounds ------------------------------------------------------------- *)
 
@@ -139,17 +117,7 @@ let stage ?metrics ?gram ?(crashes_delta = 0) t ~shard ~virgin ~triage
     sp_crashes_total = max 0 crashes_delta;
     sp_crashes = Triage.unique_with_cases triage;
     sp_logic = Triage.unique_logic triage;
-    sp_seeds = crossing.xp_seeds;
-    sp_affinities =
-      List.map
-        (fun (a, b) ->
-           ( (Sqlcore.Stmt_type.to_index a, Sqlcore.Stmt_type.to_index b),
-             (a, b) ))
-        crossing.xp_affinities;
-    sp_skeletons =
-      List.map
-        (fun stmt -> (Sqlcore.Sql_printer.stmt stmt, stmt))
-        crossing.xp_skeletons }
+    sp_entries = List.map (fun e -> (key e, e)) (entries crossing) }
 
 (* Folding in array order is what makes first-finder attribution, the
    canonical store order and hence every shard's import order a function
@@ -174,29 +142,20 @@ let release t staged =
          (fun g -> ignore (Coverage.Bitmap.merge ~into:t.gram_virgin g))
          sp.sp_gram;
        ignore (Coverage.Bitmap.merge ~into:t.virgin sp.sp_virgin);
-       List.iter (note_unique t) sp.sp_crashes;
-       List.iter (note_logic t) sp.sp_logic;
        List.iter
-         (fun s ->
-            if not (Hashtbl.mem t.seen_seeds s.xs_cov_hash) then begin
-              Hashtbl.replace t.seen_seeds s.xs_cov_hash ();
-              Reprutil.Vec.push t.store (sp.sp_shard, Seed s)
-            end)
-         sp.sp_seeds;
+         (fun (c, testcase) -> ignore (Triage.record t.findings ?testcase c))
+         sp.sp_crashes;
        List.iter
-         (fun (key, (a, b)) ->
-            if not (Hashtbl.mem t.seen_affinities key) then begin
-              Hashtbl.replace t.seen_affinities key ();
-              Reprutil.Vec.push t.store (sp.sp_shard, Affinity (a, b))
-            end)
-         sp.sp_affinities;
+         (fun (v, testcase) ->
+            ignore (Triage.record_logic t.findings ?testcase v))
+         sp.sp_logic;
        List.iter
-         (fun (key, stmt) ->
-            if not (Hashtbl.mem t.seen_skeletons key) then begin
-              Hashtbl.replace t.seen_skeletons key ();
-              Reprutil.Vec.push t.store (sp.sp_shard, Skeleton stmt)
+         (fun (k, e) ->
+            if not (Hashtbl.mem t.discovered k) then begin
+              Hashtbl.replace t.discovered k ();
+              Reprutil.Vec.push t.store (sp.sp_shard, e)
             end)
-         sp.sp_skeletons)
+         sp.sp_entries)
     staged
 
 (* Reads the global maps and the store, writes only the shard's own maps
@@ -225,19 +184,26 @@ let pull ?gram t ~shard ~virgin =
    unique lists (a resumed campaign reports only what it finds {e after}
    the interruption). *)
 let preload ?virgin ?gram ?(crash_keys = []) ?(logic_keys = [])
-    ?(seed_hashes = []) ?(affinity_keys = []) ?(skeleton_keys = []) t =
-  let load_merge ~into c =
-    let tmp = Coverage.Bitmap.create () in
-    Coverage.Bitmap.load_compact ~into:tmp c;
-    ignore (Coverage.Bitmap.merge ~into tmp)
-  in
-  Option.iter (load_merge ~into:t.virgin) virgin;
-  Option.iter (load_merge ~into:t.gram_virgin) gram;
-  List.iter (fun k -> Hashtbl.replace t.seen k ()) crash_keys;
-  List.iter (fun k -> Hashtbl.replace t.lseen k ()) logic_keys;
-  List.iter (fun h -> Hashtbl.replace t.seen_seeds h ()) seed_hashes;
-  List.iter (fun k -> Hashtbl.replace t.seen_affinities k ()) affinity_keys;
-  List.iter (fun k -> Hashtbl.replace t.seen_skeletons k ()) skeleton_keys
+    ?(discoveries = empty_export) t =
+  let merge ~into c = ignore (Coverage.Bitmap.merge_compact ~into c) in
+  Option.iter (merge ~into:t.virgin) virgin;
+  Option.iter (merge ~into:t.gram_virgin) gram;
+  Triage.preload t.findings ~crash_keys ~logic_keys;
+  List.iter
+    (fun e -> Hashtbl.replace t.discovered (key e) ())
+    (entries discoveries)
+
+let xseeds_since pool cursor =
+  List.map
+    (fun (s : Seed_pool.seed) ->
+       { xs_tc = s.sd_tc; xs_cov_hash = s.sd_cov_hash;
+         xs_new_branches = s.sd_new_branches; xs_cost = s.sd_cost })
+    (Seed_pool.since pool cursor)
+
+let add_xseed pool x =
+  ignore
+    (Seed_pool.add pool ~tc:x.xs_tc ~cov_hash:x.xs_cov_hash
+       ~new_branches:x.xs_new_branches ~cost:x.xs_cost)
 
 (* Seed-only port over a plain seed pool — the exchange capability of the
    conventional baselines. The cursor lives in the closure: exports drain
@@ -246,23 +212,13 @@ let preload ?virgin ?gram ?(crash_keys = []) ?(logic_keys = [])
 let seed_port pool =
   let cursor = ref 0 in
   let p_export () =
-    let seeds =
-      List.map
-        (fun s ->
-           { xs_tc = s.Seed_pool.sd_tc;
-             xs_cov_hash = s.Seed_pool.sd_cov_hash;
-             xs_new_branches = s.Seed_pool.sd_new_branches;
-             xs_cost = s.Seed_pool.sd_cost })
-        (Seed_pool.since pool !cursor)
-    in
+    let seeds = xseeds_since pool !cursor in
     cursor := Seed_pool.size pool;
     { empty_export with xp_seeds = seeds }
   in
   let p_import = function
     | Seed x ->
-      ignore
-        (Seed_pool.add pool ~tc:x.xs_tc ~cov_hash:x.xs_cov_hash
-           ~new_branches:x.xs_new_branches ~cost:x.xs_cost);
+      add_xseed pool x;
       cursor := Seed_pool.size pool
     | Affinity _ | Skeleton _ -> ()
   in
@@ -285,21 +241,10 @@ let rounds t = t.rounds
 
 let exchanged t = Reprutil.Vec.length t.store
 
-let unique_crashes t = List.rev t.uniques
+let unique_crashes t = Triage.unique_with_cases t.findings
 
-let unique_count t = t.n_uniques
+let unique_count t = Triage.unique_count t.findings
 
-let unique_logic t = List.rev t.logic_uniques
+let unique_logic t = Triage.unique_logic t.findings
 
-let bug_ids t =
-  match t.bug_ids_memo with
-  | Some ids -> ids
-  | None ->
-    let ids =
-      List.sort_uniq String.compare
-        (List.map
-           (fun ((c : Minidb.Fault.crash), _) -> c.c_bug.Minidb.Fault.bug_id)
-           t.uniques)
-    in
-    t.bug_ids_memo <- Some ids;
-    ids
+let bug_ids t = Triage.bug_ids t.findings

@@ -6,9 +6,10 @@
     round: each shard's job {!stage}s what it publishes, and once every
     job has returned the campaign {!release}s the round on one domain,
     in shard-id order — unioning each shard's virgin map into the global
-    one ({!Coverage.Bitmap.merge}), deduplicating unique crashes by stack
-    signature and adding up the campaign's running totals. This is the
-    analogue of AFL++'s [-M]/[-S] sync directory.
+    one ({!Coverage.Bitmap.merge}), recording the shards' unique findings
+    in one campaign-level {!Triage.t} and adding up the campaign's
+    running totals. This is the analogue of AFL++'s [-M]/[-S] sync
+    directory.
 
     The exchange flag only decides whether discoveries cross shards
     (DESIGN.md §10). With it on each shard also stages its
@@ -16,12 +17,11 @@
     skeletons, and at the start of its next job {!pull}s: (a) the global
     virgin map back into its own, so branches the campaign already knows
     stop counting as new, and (b) the foreign entries it has not seen.
-    Entries are globally deduplicated (seed cov-hash, affinity pair,
-    printed skeleton SQL) and resolved in (round, shard id) order at the
-    release, so the canonical store — and every shard's import sequence
-    — is a pure function of the campaign seed, independent of domain
-    scheduling. With it off shards publish and never pull: they stay
-    independent.
+    Entries are globally deduplicated by {!key} (as is the farm store)
+    and resolved in (round, shard id) order at the release, so the
+    canonical store — and every shard's import sequence — is a pure
+    function of the campaign seed, independent of domain scheduling.
+    With it off shards publish and never pull: they stay independent.
 
     A plain value with no lock: {!release}, {!preload} and the aggregate
     reads run between rounds; only {!stage} and {!pull} run inside the
@@ -66,6 +66,23 @@ type port = {
     {!Driver.fuzzer.f_exchange}). The four baselines export and import
     seeds only; LEGO exchanges all three kinds. *)
 
+type key = private
+  | K_seed of int64          (** the seed's coverage hash *)
+  | K_affinity of int * int  (** the pair's {!Sqlcore.Stmt_type.to_index}es *)
+  | K_skeleton of string     (** the skeleton's printed SQL *)
+
+val key : entry -> key
+(** The dedup key of a discovery: entries with equal keys are one. *)
+
+val entries : export -> entry list
+(** Seeds, then affinities, then skeletons, each in export order. *)
+
+val xseeds_since : Seed_pool.t -> int -> xseed list
+(** {!Seed_pool.since} in exchange form. *)
+
+val add_xseed : Seed_pool.t -> xseed -> unit
+(** {!Seed_pool.add} of an exchanged seed. *)
+
 type t
 
 val default_interval : int
@@ -96,7 +113,7 @@ val stage :
   staged
 (** Prepare shard [shard]'s publish without touching [t]: reads the
     shard's unique crashes and logic findings from [triage] and derives
-    the dedup keys of [export] (dropped when the exchange is off).
+    the {!key}s of [export] (dropped when the exchange is off).
     [execs_delta] and [crashes_delta] are the executions and {e total}
     (not unique) crashes since the shard's last round. [metrics], when
     given, must be the {e delta} registry since the shard's last round
@@ -111,10 +128,10 @@ val release : t -> staged array -> unit
     campaign makes shard-id order (so first-finder attribution is
     deterministic): add the running totals ({!execs_seen},
     {!total_crashes}, {!rounds}), merge the metric deltas, union the
-    virgin and grammar maps into the global ones, fold the findings into
-    the cross-shard dedup tables and deduplicate the exports into the
-    canonical store. Re-publishing the same state is idempotent: no new
-    branches, no duplicate crashes. *)
+    virgin and grammar maps into the global ones, record the findings in
+    the campaign's {!Triage.t} and deduplicate the exports into the
+    canonical store by {!key}. Re-publishing the same state is
+    idempotent: no new branches, no duplicate crashes. *)
 
 val pull :
   ?gram:Coverage.Bitmap.t ->
@@ -135,20 +152,18 @@ val preload :
   ?gram:Coverage.Bitmap.compact ->
   ?crash_keys:string list ->
   ?logic_keys:string list ->
-  ?seed_hashes:int64 list ->
-  ?affinity_keys:(int * int) list ->
-  ?skeleton_keys:string list ->
+  ?discoveries:export ->
   t ->
   unit
 (** Prime a fresh sync with persisted campaign state (farm resume,
     DESIGN.md §16) before any shard publishes. [virgin]/[gram] are
     merged into the global virgin maps so resurrected coverage stops
-    counting as news; [crash_keys]/[logic_keys] mark persisted findings
-    as already reported, so a resumed campaign's cross-shard dedup never
-    re-ships a pre-interruption crash or violation (they are excluded
-    from {!unique_crashes}/{!unique_logic} and the counts); the
-    remaining keys prime the exchange-store dedup tables so a
-    re-discovered stored entry is not re-exchanged. Idempotent. *)
+    counting as news; [crash_keys]/[logic_keys] are {!Triage.preload}ed
+    into the campaign's findings, so a pre-interruption crash or
+    violation never reaches {!unique_crashes}, {!unique_logic}, the
+    counts or {!bug_ids}; the {!key}s of [discoveries] (the stored
+    corpus, affinities and skeletons) prime the exchange-store dedup, so
+    a re-discovered stored entry is not re-exchanged. Idempotent. *)
 
 val seed_port : Seed_pool.t -> port
 (** Seed-only exchange over a plain seed pool: export drains seeds
@@ -183,22 +198,17 @@ val rounds : t -> int
 val exchanged : t -> int
 (** Entries in the canonical exchange store (post-dedup). *)
 
+(** {2 Cross-shard findings}
+
+    Reads of the campaign's {!Triage.t}: first-published order, each
+    finding with the test case of the shard that found it first. *)
+
 val unique_crashes :
   t -> (Minidb.Fault.crash * Sqlcore.Ast.testcase option) list
-(** Cross-shard unique crashes in first-published order, each with the
-    reproducer test case of the shard that found it first. *)
 
 val unique_count : t -> int
-(** O(1): maintained on insert, never recomputed from the list. *)
 
 val unique_logic :
   t -> (Oracle.Violation.t * Sqlcore.Ast.testcase option) list
-(** Cross-shard unique logic-bug findings in first-published order,
-    deduplicated by {!Oracle.Violation.key} exactly like crashes are by
-    stack, each with the test case of the shard that exposed it first.
-    Staged from the shard triage and folded in shard-id order at round
-    releases. *)
 
 val bug_ids : t -> string list
-(** Distinct injected-bug ids among the cross-shard unique crashes.
-    Memoized; recomputed only after a new unique crash was inserted. *)

@@ -2,6 +2,9 @@ type t = {
   seen : (string, unit) Hashtbl.t;
   mutable uniques : (Minidb.Fault.crash * Sqlcore.Ast.testcase option) list;
       (* reverse first-seen order *)
+  mutable n_uniques : int;  (* = List.length uniques, kept O(1) *)
+  mutable bug_ids_memo : string list option;
+      (* sorted distinct bug ids; invalidated on unique insert *)
   mutable total : int;
   lseen : (string, unit) Hashtbl.t;
   mutable logic_uniques :
@@ -17,7 +20,8 @@ type t = {
 }
 
 let create () =
-  { seen = Hashtbl.create 32; uniques = []; total = 0;
+  { seen = Hashtbl.create 32; uniques = []; n_uniques = 0;
+    bug_ids_memo = None; total = 0;
     lseen = Hashtbl.create 16; logic_uniques = []; logic_total = 0;
     key_log = []; logic_key_log = [] }
 
@@ -31,6 +35,8 @@ let record t ?testcase crash =
     Hashtbl.replace t.seen key ();
     t.key_log <- key :: t.key_log;
     t.uniques <- (crash, testcase) :: t.uniques;
+    t.n_uniques <- t.n_uniques + 1;
+    t.bug_ids_memo <- None;
     true
   end
 
@@ -51,7 +57,7 @@ let unique_with_cases t = List.rev t.uniques
 
 let unique t = List.map fst (unique_with_cases t)
 
-let unique_count t = List.length t.uniques
+let unique_count t = t.n_uniques
 
 let total_logic t = t.logic_total
 
@@ -84,7 +90,14 @@ let crash_keys t = List.rev t.key_log
 let logic_keys t = List.rev t.logic_key_log
 
 let bug_ids t =
-  let ids =
-    List.map (fun (c : Minidb.Fault.crash) -> c.c_bug.bug_id) (unique t)
-  in
-  List.sort_uniq String.compare ids
+  match t.bug_ids_memo with
+  | Some ids -> ids
+  | None ->
+    let ids =
+      List.sort_uniq String.compare
+        (List.map
+           (fun ((c : Minidb.Fault.crash), _) -> c.c_bug.bug_id)
+           t.uniques)
+    in
+    t.bug_ids_memo <- Some ids;
+    ids

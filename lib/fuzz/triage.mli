@@ -1,6 +1,13 @@
 (** Crash deduplication by synthetic call stack, the analogue of the
     paper's "we first got [unique bugs] from unique crashes by comparing
-    the call stack". *)
+    the call stack", and logic-bug deduplication by
+    {!Oracle.Violation.key}.
+
+    The one finding table of the repository: each harness keeps one for
+    its shard, {!Sync} keeps one for the whole campaign (shards' unique
+    findings recorded in shard-id order at each round release), and the
+    farm store unions persisted dedup keys through {!preload} and
+    {!crash_keys}/{!logic_keys}. *)
 
 type t
 
@@ -8,8 +15,7 @@ val create : unit -> t
 
 val stack_key : Minidb.Fault.crash -> string
 (** The canonical deduplication key of a crash: its synthetic call stack,
-    joined. Two crashes with equal keys are the same bug signature —
-    shared with {!Sync} so cross-shard dedup agrees with local dedup. *)
+    joined. Two crashes with equal keys are the same bug signature. *)
 
 val record :
   t -> ?testcase:Sqlcore.Ast.testcase -> Minidb.Fault.crash -> bool
@@ -24,9 +30,11 @@ val unique : t -> Minidb.Fault.crash list
 (** One representative per distinct stack, in first-seen order. *)
 
 val unique_count : t -> int
+(** O(1): maintained on insert, never recomputed from the list. *)
 
 val bug_ids : t -> string list
-(** Distinct injected-bug ids among the unique crashes. *)
+(** Distinct injected-bug ids among the unique crashes, sorted.
+    Memoised; recomputed only after a new unique crash was recorded. *)
 
 val unique_with_cases :
   t -> (Minidb.Fault.crash * Sqlcore.Ast.testcase option) list

@@ -15,7 +15,7 @@ type t = {
 
 val key : t -> string
 (** Canonical dedup key: [oracle ^ "#" ^ tag]. Two violations with equal
-    keys are the same logic-bug signature — shared with [Fuzz.Sync] so
-    cross-shard dedup agrees with local dedup. *)
+    keys are the same logic-bug signature, in a shard's [Fuzz.Triage]
+    and in the campaign's alike. *)
 
 val pp : Format.formatter -> t -> unit

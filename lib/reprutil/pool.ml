@@ -1,6 +1,9 @@
 (* Fork-join: an atomic claim counter over the calling domain plus a few
    helper domains spawned for this call and joined before it returns. *)
 
+let domains ~workers ~jobs =
+  max 1 (min (min workers jobs) (Domain.recommended_domain_count ()))
+
 let run ~workers jobs =
   let n = Array.length jobs in
   let results = Array.make n None in
@@ -20,9 +23,7 @@ let run ~workers jobs =
       end
     end
   in
-  let wanted =
-    min (min workers n) (Domain.recommended_domain_count ()) - 1
-  in
+  let wanted = domains ~workers ~jobs:n - 1 in
   (* The runtime caps the number of live domains; a refused spawn leaves
      its share of the jobs to the domains already working. *)
   let rec spawn k acc =

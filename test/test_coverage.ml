@@ -302,6 +302,38 @@ let prop_merge_monotone =
             ok)
          hits)
 
+(* [cells] hits over the first [span] cells: past [B.dirty_cap]
+   distinct cells the map saturates (compacts to [C_full]), and a small
+   span makes two maps overlap. *)
+let random_map rng ~cells ~span =
+  let m = B.create () in
+  for _ = 1 to cells do
+    B.hit m (Random.State.int rng span)
+  done;
+  m
+
+(* The reference is a scratch map: [load_compact], then [merge]. Equal
+   compacts of the targets mean equal cells in equal touch order. *)
+let prop_merge_compact =
+  QCheck.Test.make ~name:"merge_compact = load_compact + merge" ~count:300
+    QCheck.(
+      quad small_nat
+        (oneofl [ 0; 40; 600; 6000 ])
+        (oneofl [ 0; 40; 600; 6000 ])
+        (oneofl [ 256; 4096; B.size ]))
+    (fun (seed, src_cells, into_cells, span) ->
+       let rng = Random.State.make [| seed |] in
+       let c = B.compact (random_map rng ~cells:src_cells ~span) in
+       let target () =
+         random_map (Random.State.make [| seed + 1 |]) ~cells:into_cells ~span
+       in
+       let want = target () and got = target () in
+       let scratch = B.create () in
+       B.load_compact ~into:scratch c;
+       let want_news = B.merge ~into:want scratch in
+       B.merge_compact ~into:got c = want_news
+       && B.compact got = B.compact want)
+
 (* --- grammar maps rebuilt from memoised statement traces ------------ *)
 
 module GM = Fuzz.Grammar_memo
@@ -539,4 +571,5 @@ let suite =
     ("grammar memo hand cases", `Quick, test_memo_hand_cases);
     ("grammar memo saturation", `Quick, test_memo_saturation);
     ("grammar memo bound", `Quick, test_memo_bound);
-    QCheck_alcotest.to_alcotest prop_merge_monotone ]
+    QCheck_alcotest.to_alcotest prop_merge_monotone;
+    QCheck_alcotest.to_alcotest prop_merge_compact ]

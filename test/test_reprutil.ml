@@ -186,7 +186,9 @@ let test_pool_domain_cap () =
   Alcotest.(check int) "every job ran" n (Array.length ran);
   let domains = List.sort_uniq compare (Array.to_list ran) in
   Alcotest.(check bool) "at most the recommended domains" true
-    (List.length domains <= cap)
+    (List.length domains <= cap);
+  Alcotest.(check bool) "at most Pool.domains" true
+    (List.length domains <= Pool.domains ~workers:n ~jobs:n)
 
 let suite =
   [ ("rng deterministic", `Quick, test_rng_deterministic);
