@@ -11,6 +11,7 @@ type t = {
   mutable dirty : int array;
   mutable n_dirty : int;
   mutable saturated : bool;
+  mutable order : int array;  (* [hash]'s sort scratch, made on first use *)
 }
 
 let size = 65536
@@ -25,7 +26,8 @@ let create () =
   { buf = Bytes.make size '\000';
     dirty = Array.make dirty_cap 0;
     n_dirty = 0;
-    saturated = false }
+    saturated = false;
+    order = [||] }
 
 let mark t i =
   if not t.saturated then begin
@@ -166,7 +168,8 @@ let snapshot t =
   { buf = Bytes.copy t.buf;
     dirty = Array.copy t.dirty;
     n_dirty = t.n_dirty;
-    saturated = t.saturated }
+    saturated = t.saturated;
+    order = [||] }
 
 let load ~into src =
   reset into;
@@ -224,18 +227,53 @@ let diff t ~since =
 
 let fnv h v = Int64.mul (Int64.logxor h v) 0x100000001b3L
 
-(* The dirty list records insertion order, so sort it before hashing:
-   the digest must match a whole-buffer ascending scan bit for bit. *)
+(* One stable counting-sort pass over the byte of each key at [shift]:
+   [src.(src_off + k)] for [k < n] into [dst] from [dst_off], with the
+   256 bucket cursors kept in [dst] from [c_off]. *)
+let radix_pass ~src ~src_off ~dst ~dst_off ~c_off ~n ~shift =
+  Array.fill dst c_off 256 0;
+  for k = src_off to src_off + n - 1 do
+    let c = c_off + ((Array.unsafe_get src k lsr shift) land 0xff) in
+    Array.unsafe_set dst c (Array.unsafe_get dst c + 1)
+  done;
+  let pos = ref dst_off in
+  for c = c_off to c_off + 255 do
+    let cnt = Array.unsafe_get dst c in
+    Array.unsafe_set dst c !pos;
+    pos := !pos + cnt
+  done;
+  for k = src_off to src_off + n - 1 do
+    let v = Array.unsafe_get src k in
+    let c = c_off + ((v lsr shift) land 0xff) in
+    let p = Array.unsafe_get dst c in
+    Array.unsafe_set dst p v;
+    Array.unsafe_set dst c (p + 1)
+  done
+
+(* The dirty list records insertion order, so it is put in ascending
+   order before hashing: the digest must match a whole-buffer ascending
+   scan bit for bit. Indices are 16-bit and unique, so two radix passes
+   (low byte, then high byte) order them in time linear in the touched
+   cells, through [order]: the low-byte pass fills [n, 2n), the
+   high-byte pass [0, n), and the bucket cursors sit past both. [order]
+   grows by doubling, so it stays near the largest execution hashed. *)
 let hash t =
   let h = ref 0xcbf29ce484222325L in
   if not t.saturated then begin
-    let idx = Array.sub t.dirty 0 t.n_dirty in
-    Array.sort compare idx;
-    Array.iter
-      (fun i ->
-         let c = Char.code (Bytes.unsafe_get t.buf i) in
-         h := fnv !h (Int64.of_int ((i lsl 8) lor bucket c)))
-      idx
+    let n = t.n_dirty in
+    let need = (2 * n) + 256 in
+    if Array.length t.order < need then
+      t.order <- Array.make (max need (2 * Array.length t.order)) 0;
+    let o = t.order in
+    radix_pass ~src:t.dirty ~src_off:0 ~dst:o ~dst_off:n ~c_off:(2 * n) ~n
+      ~shift:0;
+    radix_pass ~src:o ~src_off:n ~dst:o ~dst_off:0 ~c_off:(2 * n) ~n
+      ~shift:8;
+    for k = 0 to n - 1 do
+      let i = Array.unsafe_get o k in
+      let c = Char.code (Bytes.unsafe_get t.buf i) in
+      h := fnv !h (Int64.of_int ((i lsl 8) lor bucket c))
+    done
   end
   else
     for i = 0 to size - 1 do

@@ -87,7 +87,9 @@ val diff : t -> since:t -> int
 
 val hash : t -> int64
 (** Order-insensitive 64-bit digest of the bucketed map, used to
-    deduplicate seeds with identical coverage. *)
+    deduplicate seeds with identical coverage. Linear in the touched
+    cells; it sorts them in scratch space kept in the map, so two
+    domains must not hash one map at the same time. *)
 
 val is_set : t -> int -> bool
 

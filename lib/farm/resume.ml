@@ -38,11 +38,6 @@ let preload_fuzzer (sn : Store.snapshot) (fz : Fuzz.Driver.fuzzer) =
       (fun (a, b) -> port.Fuzz.Sync.p_import (Fuzz.Sync.Affinity (a, b)))
       sn.sn_affinities
 
-let prime_sync (sn : Store.snapshot) sync =
-  Fuzz.Sync.preload ~virgin:sn.sn_virgin ~gram:sn.sn_grammar
-    ~crash_keys:sn.sn_crash_keys ~logic_keys:sn.sn_logic_keys
-    ~discoveries:(Store.discoveries sn) sync
-
 (* Fold a finished segment into a new snapshot: prior store entries plus
    every shard's drained exchange exports, union of prior and shard
    virgin maps, and dedup keys extended by the segment's new findings
@@ -128,8 +123,7 @@ let run ?(jobs = 1) ?execs ?sync_every ?checkpoint_every
           try
             Ok
               (Fuzz.Campaign.run ?sync_every ?checkpoint_every ~sink
-                 ~exchange:true ~prime_sync:(prime_sync sn)
-                 ~jobs ~execs:remaining make)
+                 ~exchange:true ~jobs ~execs:remaining make)
           with Fuzz.Driver.Stalled msg ->
             Error (Printf.sprintf "campaign %S stalled: %s" campaign.sc_id msg)
         with

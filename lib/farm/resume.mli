@@ -4,9 +4,10 @@
     exists for a campaign) reconstructs the fuzzer from the stored
     configuration, preloads everything the interrupted epochs learned —
     virgin maps merged into the fresh harness, crash/violation dedup
-    keys into triage ({!Fuzz.Triage.preload}) and, for sharded resumes,
-    into the sync ({!Fuzz.Sync.preload}), corpus / affinities /
-    skeletons imported through the fuzzer's exchange port — and then
+    keys into triage ({!Fuzz.Triage.preload}), corpus / affinities /
+    skeletons imported through the fuzzer's exchange port, into every
+    shard of a sharded resume (whose sync then never sees a stored
+    finding or discovery, so it starts empty) — and then
     continues the campaign on an epoch-derived RNG stream
     ({!Spec.epoch_seed}). Preloaded findings are never re-reported: the
     resumed run's unique counts cover new discoveries only. A new store
@@ -34,12 +35,6 @@ val preload_fuzzer : Store.snapshot -> Fuzz.Driver.fuzzer -> unit
     seeds and affinities — in that order, so affinity-driven synthesis
     sees the skeleton library — through [f_exchange]. Fuzzers without
     an exchange port still get coverage and dedup preloads. *)
-
-val prime_sync : Store.snapshot -> Fuzz.Sync.t -> unit
-(** The {!Fuzz.Campaign.run} [prime_sync] hook for sharded resumes:
-    {!Fuzz.Sync.preload} with the snapshot's maps, its crash and logic
-    keys and its {!Store.discoveries}, whose {!Fuzz.Sync.key}s the sync
-    derives itself. *)
 
 val capture :
   prior:Store.snapshot ->

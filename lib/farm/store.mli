@@ -207,8 +207,7 @@ val snapshot_equal : snapshot -> snapshot -> bool
 
 val discoveries : snapshot -> Fuzz.Sync.export
 (** The snapshot's corpus, affinities and skeletons as one export, in
-    stored order — what {!acc_of_snapshot} and {!Resume.prime_sync}'s
-    {!Fuzz.Sync.preload} fold in. *)
+    stored order — what {!acc_of_snapshot} folds in. *)
 
 type acc
 

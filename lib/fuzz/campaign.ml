@@ -167,7 +167,7 @@ let sequential ?checkpoint_every ?(on_checkpoint = fun _ -> ()) ~sink
 
 let run ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?sync_every
     ?(exchange = false) ?(sink = Telemetry.Sink.null)
-    ?(series_prefix = "") ?(prime_sync = fun _ -> ()) ~jobs ~execs make =
+    ?(series_prefix = "") ~jobs ~execs make =
   let jobs = max 1 jobs in
   if jobs = 1 then
     (* Bit-for-bit the pre-sharding sequential path: one fuzzer, one
@@ -179,7 +179,6 @@ let run ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?sync_every
       make
   else begin
     let sync = Sync.create ?interval:sync_every ~exchange () in
-    prime_sync sync;
     let start = Telemetry.Span.now_s () in
     (* Spread the total budget over shards; early shards absorb the
        remainder so the sum is exactly [execs]. *)

@@ -71,7 +71,6 @@ val run :
   ?exchange:bool ->
   ?sink:Telemetry.Sink.t ->
   ?series_prefix:string ->
-  ?prime_sync:(Sync.t -> unit) ->
   jobs:int ->
   execs:int ->
   (int -> Driver.fuzzer) ->
@@ -113,13 +112,6 @@ val run :
     at most one per round and once per [checkpoint_every] published
     executions, read from the released totals (including the published
     crash total).
-
-    [prime_sync] (default: nothing) is applied to the freshly created
-    {!Sync.t} before the first round — the farm-resume hook that
-    preloads persisted virgin maps and dedup keys ({!Sync.preload}) so a
-    resumed sharded campaign never re-reports pre-interruption findings.
-    Ignored at [jobs = 1] (the sequential path has no sync; resume
-    preloads the harness directly).
 
     Telemetry: every aggregate checkpoint, and one per-shard checkpoint
     per round, is emitted into [sink] (default {!Telemetry.Sink.null})

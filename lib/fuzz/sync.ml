@@ -178,21 +178,6 @@ let pull ?gram t ~shard ~virgin =
     !acc
   end
 
-(* Prime a fresh sync with persisted campaign state before any shard
-   publishes: merged-in virgin maps stop resurrected coverage counting
-   as news, and pre-marked dedup keys keep persisted findings out of the
-   unique lists (a resumed campaign reports only what it finds {e after}
-   the interruption). *)
-let preload ?virgin ?gram ?(crash_keys = []) ?(logic_keys = [])
-    ?(discoveries = empty_export) t =
-  let merge ~into c = ignore (Coverage.Bitmap.merge_compact ~into c) in
-  Option.iter (merge ~into:t.virgin) virgin;
-  Option.iter (merge ~into:t.gram_virgin) gram;
-  Triage.preload t.findings ~crash_keys ~logic_keys;
-  List.iter
-    (fun e -> Hashtbl.replace t.discovered (key e) ())
-    (entries discoveries)
-
 let xseeds_since pool cursor =
   List.map
     (fun (s : Seed_pool.seed) ->

@@ -23,8 +23,8 @@
     function of the campaign seed, independent of domain scheduling.
     With it off shards publish and never pull: they stay independent.
 
-    A plain value with no lock: {!release}, {!preload} and the aggregate
-    reads run between rounds; only {!stage} and {!pull} run inside the
+    A plain value with no lock: {!release} and the aggregate reads run
+    between rounds; only {!stage} and {!pull} run inside the
     shards' parallel jobs, and neither writes anything another shard's
     job reads. *)
 
@@ -146,24 +146,6 @@ val pull :
     off: [[]], and [virgin] is left alone. Nothing changes the global
     state between releases, so pulls of distinct shards may run at once;
     [shard] must have taken part in a release. *)
-
-val preload :
-  ?virgin:Coverage.Bitmap.compact ->
-  ?gram:Coverage.Bitmap.compact ->
-  ?crash_keys:string list ->
-  ?logic_keys:string list ->
-  ?discoveries:export ->
-  t ->
-  unit
-(** Prime a fresh sync with persisted campaign state (farm resume,
-    DESIGN.md §16) before any shard publishes. [virgin]/[gram] are
-    merged into the global virgin maps so resurrected coverage stops
-    counting as news; [crash_keys]/[logic_keys] are {!Triage.preload}ed
-    into the campaign's findings, so a pre-interruption crash or
-    violation never reaches {!unique_crashes}, {!unique_logic}, the
-    counts or {!bug_ids}; the {!key}s of [discoveries] (the stored
-    corpus, affinities and skeletons) prime the exchange-store dedup, so
-    a re-discovered stored entry is not re-exchanged. Idempotent. *)
 
 val seed_port : Seed_pool.t -> port
 (** Seed-only exchange over a plain seed pool: export drains seeds

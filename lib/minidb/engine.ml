@@ -98,7 +98,7 @@ let exec_stmt t stmt =
        the statement left behind — crashes surface as exceptions even when
        the statement itself reported a SQL error first, like a heap
        corruption detected at the next safepoint. *)
-    Fault.check (Profile.bugs t.profile)
+    Fault.check (Profile.checker t.profile)
       { Fault.window = t.window; stmt;
         state = (fun name -> state_pred t name) };
     status

@@ -65,89 +65,189 @@ type ctx = {
   state : string -> bool;
 }
 
+let all_features =
+  [ F_window; F_subquery; F_aggregate; F_group_by; F_order_by; F_join;
+    F_distinct; F_having; F_ignore; F_compound; F_where; F_offset; F_limit ]
+
+let feature_bit = function
+  | F_window -> 0x1
+  | F_subquery -> 0x2
+  | F_aggregate -> 0x4
+  | F_group_by -> 0x8
+  | F_order_by -> 0x10
+  | F_join -> 0x20
+  | F_distinct -> 0x40
+  | F_having -> 0x80
+  | F_ignore -> 0x100
+  | F_compound -> 0x200
+  | F_where -> 0x400
+  | F_offset -> 0x800
+  | F_limit -> 0x1000
+
+let add_if c f m = if c then m lor feature_bit f else m
+
+(* Expression-level features: anywhere in the statement, nested
+   subqueries and trigger/rule bodies included. *)
+let expr_features m (e : Sqlcore.Ast.expr) =
+  match e with
+  | Win _ -> m lor feature_bit F_window
+  | Subquery _ | Exists _ -> m lor feature_bit F_subquery
+  | Agg _ -> m lor feature_bit F_aggregate
+  | _ -> m
+
+(* Clause-level features: the statement's own select bodies, through
+   FROM subqueries and compound arms, but not expression subqueries. *)
+let rec query_features m (q : Sqlcore.Ast.query) =
+  match q with
+  | Q_select s ->
+    let m =
+      m
+      |> add_if (s.group_by <> []) F_group_by
+      |> add_if (s.order_by <> []) F_order_by
+      |> add_if (s.having <> None) F_having
+      |> add_if s.distinct F_distinct
+      |> add_if (s.where <> None) F_where
+      |> add_if (s.offset <> None) F_offset
+      |> add_if (s.limit <> None) F_limit
+    in
+    (match s.from with
+     | Some (From_join _) -> m lor feature_bit F_join
+     | Some (From_subquery { q; _ }) -> query_features m q
+     | Some (From_table _) | None -> m)
+  | Q_values _ -> m
+  | Q_compound (a, _, b) ->
+    query_features (query_features (m lor feature_bit F_compound) a) b
+
+let with_body_features m (b : Sqlcore.Ast.with_body) =
+  match b with
+  | W_query q | W_insert { i_source = Src_query q; _ } -> query_features m q
+  | W_update { u_where = Some _; _ } | W_delete { d_where = Some _; _ } ->
+    m lor feature_bit F_where
+  | W_insert _ | W_update _ | W_delete _ -> m
+
+(* Every feature of [stmt] as a bit set: one expression fold plus a walk
+   of the statement's own select clauses. *)
+let feature_mask (stmt : Sqlcore.Ast.stmt) =
+  let m = Sqlcore.Ast_util.fold_exprs expr_features 0 stmt in
+  match stmt with
+  | S_select q | S_create_view { query = q; _ }
+  | S_copy_to { src = Cs_query q; _ } -> query_features m q
+  | S_insert { i_ignore; i_source; _ } | S_replace { i_ignore; i_source; _ }
+    ->
+    let m = add_if i_ignore F_ignore m in
+    (match i_source with Src_query q -> query_features m q | Src_values _ -> m)
+  | S_update { u_where = Some _; _ } | S_delete { d_where = Some _; _ } ->
+    m lor feature_bit F_where
+  | S_with { ctes; body } ->
+    List.fold_left
+      (fun m (c : Sqlcore.Ast.cte) -> with_body_features m c.cte_body)
+      (with_body_features m body) ctes
+  | _ -> m
+
 let features_of_stmt stmt =
-  let open Sqlcore in
-  let feats = ref [] in
-  let add f = if not (List.mem f !feats) then feats := f :: !feats in
-  if Ast_util.has_window_fn stmt then add F_window;
-  if Ast_util.has_subquery stmt then add F_subquery;
-  if Ast_util.has_aggregate stmt then add F_aggregate;
-  (* Clause-level features require looking at select bodies. *)
-  let rec check_query (q : Ast.query) =
-    match q with
-    | Ast.Q_select s ->
-      if s.group_by <> [] then add F_group_by;
-      if s.order_by <> [] then add F_order_by;
-      if s.having <> None then add F_having;
-      if s.distinct then add F_distinct;
-      if s.where <> None then add F_where;
-      if s.offset <> None then add F_offset;
-      if s.limit <> None then add F_limit;
-      (match s.from with
-       | Some (Ast.From_join _) -> add F_join
-       | Some (Ast.From_subquery { q; _ }) -> check_query q
-       | Some (Ast.From_table _) | None -> ())
-    | Ast.Q_values _ -> ()
-    | Ast.Q_compound (a, _, b) ->
-      add F_compound;
-      check_query a;
-      check_query b
-  in
-  let check_with_body = function
-    | Ast.W_query q -> check_query q
-    | Ast.W_insert { i_source = Src_query q; _ } -> check_query q
-    | Ast.W_insert _ -> ()
-    | Ast.W_update { u_where = Some _; _ } -> add F_where
-    | Ast.W_update _ -> ()
-    | Ast.W_delete { d_where = Some _; _ } -> add F_where
-    | Ast.W_delete _ -> ()
-  in
-  (match stmt with
-   | Ast.S_select q -> check_query q
-   | Ast.S_create_view { query; _ } -> check_query query
-   | Ast.S_copy_to { src = Cs_query q; _ } -> check_query q
-   | Ast.S_insert { i_ignore; i_source; _ }
-   | Ast.S_replace { i_ignore; i_source; _ } ->
-     if i_ignore then add F_ignore;
-     (match i_source with Src_query q -> check_query q | Src_values _ -> ())
-   | Ast.S_update { u_where = Some _; _ } -> add F_where
-   | Ast.S_delete { d_where = Some _; _ } -> add F_where
-   | Ast.S_with { ctes; body } ->
-     List.iter (fun (c : Ast.cte) -> check_with_body c.cte_body) ctes;
-     check_with_body body
-   | _ -> ());
-  !feats
+  let m = feature_mask stmt in
+  List.filter (fun f -> m land feature_bit f <> 0) all_features
 
-let rec is_prefix eq xs ys =
-  match (xs, ys) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: xs, y :: ys -> eq x y && is_prefix eq xs ys
+(* ------------------------------------------------------------------ *)
+(* Compiled conditions                                                 *)
+(* ------------------------------------------------------------------ *)
 
-let rec contains_contiguous eq xs ys =
-  match ys with
-  | [] -> xs = []
-  | _ :: rest -> is_prefix eq xs ys || contains_contiguous eq xs rest
+(* A condition with its statement types as dense indices. [C_subseq]
+   also carries the presence mask of its types: a window whose mask
+   lacks one of them cannot contain the sequence, and that test is one
+   [land]. The mask folds type indices onto the bits of an [int], so it
+   only ever rules windows out; the sequence scan decides. *)
+type compiled =
+  | C_false
+  | C_subseq of int * int array
+  | C_ends of int array
+  | C_state of string
+  | C_has of int
+  | C_all of compiled list
+  | C_any of compiled list
+  | C_not of compiled
 
-let ends_with eq xs ys =
-  let lx = List.length xs and ly = List.length ys in
-  if lx > ly then false
-  else
-    let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
-    let tail = drop (ly - lx) ys in
-    List.for_all2 eq xs tail
+let type_bit ty = 1 lsl (Sqlcore.Stmt_type.to_index ty mod Sys.int_size)
 
-let rec matches cond ctx =
-  match cond with
+(* Evaluation order within [All]/[Any]: window tests, then engine state,
+   then statement features (a walk of the statement, the first time one
+   is asked for). Every condition is pure, so the order cannot change
+   the outcome. *)
+let rec rank = function
+  | C_false | C_subseq _ | C_ends _ -> 0
+  | C_state _ -> 1
+  | C_has _ -> 2
+  | C_all cs | C_any cs -> List.fold_left (fun r c -> max r (rank c)) 0 cs
+  | C_not c -> rank c
+
+let by_rank cs = List.stable_sort (fun a b -> Int.compare (rank a) (rank b)) cs
+
+let indices types = Array.of_list (List.map Sqlcore.Stmt_type.to_index types)
+
+let rec compile_cond = function
+  | Subseq [] | Ends_with [] -> C_false
   | Subseq types ->
-    types <> [] && contains_contiguous Sqlcore.Stmt_type.equal types ctx.window
-  | Ends_with types ->
-    types <> [] && ends_with Sqlcore.Stmt_type.equal types ctx.window
-  | State name -> ctx.state name
-  | Stmt_has feat -> List.mem feat (features_of_stmt ctx.stmt)
-  | All conds -> List.for_all (fun c -> matches c ctx) conds
-  | Any conds -> List.exists (fun c -> matches c ctx) conds
-  | Not c -> not (matches c ctx)
+    C_subseq (List.fold_left (fun m ty -> m lor type_bit ty) 0 types,
+              indices types)
+  | Ends_with types -> C_ends (indices types)
+  | State name -> C_state name
+  | Stmt_has f -> C_has (feature_bit f)
+  | All cs -> C_all (by_rank (List.map compile_cond cs))
+  | Any cs -> C_any (by_rank (List.map compile_cond cs))
+  | Not c -> C_not (compile_cond c)
+
+(* What one check knows about its context: the window's presence mask
+   and length, and the statement's feature set, computed on first use
+   ([-1] until then). *)
+type env = {
+  e_ctx : ctx;
+  e_wmask : int;
+  e_wlen : int;
+  mutable e_feats : int;
+}
+
+(* [seq.(k..)] is a prefix of the window [w]. *)
+let rec seq_at seq k w =
+  k = Array.length seq
+  ||
+  match w with
+  | [] -> false
+  | ty :: rest ->
+    Sqlcore.Stmt_type.to_index ty = Array.unsafe_get seq k
+    && seq_at seq (k + 1) rest
+
+let rec occurs seq = function
+  | [] -> false
+  | _ :: rest as w -> seq_at seq 0 w || occurs seq rest
+
+let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l)
+
+let rec eval env = function
+  | C_false -> false
+  | C_subseq (mask, seq) ->
+    env.e_wmask land mask = mask && occurs seq env.e_ctx.window
+  | C_ends seq ->
+    let n = Array.length seq in
+    n <= env.e_wlen && seq_at seq 0 (drop (env.e_wlen - n) env.e_ctx.window)
+  | C_state name -> env.e_ctx.state name
+  | C_has bit ->
+    if env.e_feats < 0 then env.e_feats <- feature_mask env.e_ctx.stmt;
+    env.e_feats land bit <> 0
+  | C_all cs -> eval_all env cs
+  | C_any cs -> eval_any env cs
+  | C_not c -> not (eval env c)
+
+and eval_all env = function
+  | [] -> true
+  | c :: cs -> eval env c && eval_all env cs
+
+and eval_any env = function
+  | [] -> false
+  | c :: cs -> eval env c || eval_any env cs
+
+let rec window_mask m = function
+  | [] -> m
+  | ty :: rest -> window_mask (m lor type_bit ty) rest
 
 let frame_pool =
   [| "plan_query"; "rewrite_target_list"; "eval_expr"; "exec_scan";
@@ -172,10 +272,29 @@ let stack_of_bug bug =
     (String.lowercase_ascii (kind_name bug.kind))
   :: !frames
 
-let check bugs ctx =
-  match List.find_opt (fun b -> matches b.cond ctx) bugs with
-  | None -> ()
-  | Some bug -> raise (Crashed { c_bug = bug; c_stack = stack_of_bug bug })
+type checker = { k_bugs : bug array; k_conds : compiled array }
+
+let compile bugs =
+  let k_bugs = Array.of_list bugs in
+  { k_bugs; k_conds = Array.map (fun b -> compile_cond b.cond) k_bugs }
+
+let rec find_from env conds i =
+  if i = Array.length conds then -1
+  else if eval env (Array.unsafe_get conds i) then i
+  else find_from env conds (i + 1)
+
+let check k ctx =
+  if Array.length k.k_conds > 0 then
+    match
+      find_from
+        { e_ctx = ctx; e_wmask = window_mask 0 ctx.window;
+          e_wlen = List.length ctx.window; e_feats = -1 }
+        k.k_conds 0
+    with
+    | -1 -> ()
+    | i ->
+      let bug = k.k_bugs.(i) in
+      raise (Crashed { c_bug = bug; c_stack = stack_of_bug bug })
 
 let pp_crash fmt { c_bug; c_stack } =
   Format.fprintf fmt "%s (%s) in %s [%s]@\n  %a" c_bug.bug_id

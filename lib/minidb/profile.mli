@@ -1,5 +1,6 @@
 (** A DBMS profile: which statement types a simulated DBMS supports, its
-    behavioural flavour, and its seeded bug registry.
+    behavioural flavour, and its seeded bug registry, compiled into a
+    {!Fault.checker} when the profile is made.
 
     Concrete profiles (PostgreSQL-sim, MySQL-sim, MariaDB-sim, Comdb2-sim)
     are defined in the [dialects] library; the engine only needs this
@@ -25,6 +26,10 @@ val types : t -> Sqlcore.Stmt_type.t list
 val type_count : t -> int
 
 val bugs : t -> Fault.bug list
+
+val checker : t -> Fault.checker
+(** {!bugs} compiled once, when the profile is made: the engine's
+    per-statement fault check. *)
 
 val supports : t -> Sqlcore.Stmt_type.t -> bool
 (** O(1); unsupported statement types are rejected by the engine with a

@@ -136,18 +136,129 @@ let rec map_exprs f = function
     | S_handler_read _ | S_handler_close _ | S_alter_system _
     | S_refresh_matview _ | S_kill _ | S_cluster _ ) as s -> s
 
-let iter_exprs f stmt =
-  ignore
-    (map_exprs
-       (fun e ->
-          f e;
-          e)
-       stmt)
+(* ------------------------------------------------------------------ *)
+(* Expression fold: the nodes [map_exprs] rewrites, without rebuilding. *)
+(* ------------------------------------------------------------------ *)
 
-let fold_exprs f acc stmt =
-  let acc = ref acc in
-  iter_exprs (fun e -> acc := f !acc e) stmt;
-  !acc
+(* [fold_exprs f] hands [f] the nodes in exactly the order [map_exprs]
+   does. That order is OCaml's evaluation order for the rebuilt tree:
+   the arguments of a constructor, tuple or record right to left, list
+   elements left to right, every node after its children. So a
+   [Binop]'s right operand comes first and a SELECT's clauses run from
+   ORDER BY back to the projections. *)
+let rec fold_expr f acc e =
+  let acc =
+    match e with
+    | Lit _ | Col _ -> acc
+    | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> fold_expr f acc a
+    | Binop (_, a, b) | Like { e = a; pat = b; _ } ->
+      fold_expr f (fold_expr f acc b) a
+    | Fn (_, args) -> fold_list f acc args
+    | Agg (_, _, arg) -> fold_opt f acc arg
+    | Case (whens, else_) -> fold_arms f (fold_opt f acc else_) whens
+    | In_list { e; items; _ } -> fold_expr f (fold_list f acc items) e
+    | Between { e; lo; hi; _ } ->
+      fold_expr f (fold_expr f (fold_expr f acc hi) lo) e
+    | Exists (q, _) | Subquery q -> fold_query f acc q
+    | Win { args; over; _ } ->
+      fold_list f
+        (fold_list f (fold_keyed f acc over.w_order_by) over.partition_by)
+        args
+  in
+  f acc e
+
+and fold_opt f acc = function None -> acc | Some e -> fold_expr f acc e
+
+and fold_list f acc = function
+  | [] -> acc
+  | e :: rest -> fold_list f (fold_expr f acc e) rest
+
+and fold_rows f acc = function
+  | [] -> acc
+  | row :: rest -> fold_rows f (fold_list f acc row) rest
+
+(* ORDER BY items *)
+and fold_keyed f acc = function
+  | [] -> acc
+  | (e, _) :: rest -> fold_keyed f (fold_expr f acc e) rest
+
+(* CASE arms: each arm's result before its condition *)
+and fold_arms f acc = function
+  | [] -> acc
+  | (c, v) :: rest -> fold_arms f (fold_expr f (fold_expr f acc v) c) rest
+
+and fold_query f acc = function
+  | Q_select s -> fold_select f acc s
+  | Q_values rows -> fold_rows f acc rows
+  | Q_compound (a, _, b) -> fold_query f (fold_query f acc b) a
+
+and fold_select f acc s =
+  let acc = fold_keyed f acc s.order_by in
+  let acc = fold_opt f acc s.having in
+  let acc = fold_list f acc s.group_by in
+  let acc = fold_opt f acc s.where in
+  let acc = match s.from with None -> acc | Some fr -> fold_from f acc fr in
+  fold_projs f acc s.projs
+
+and fold_projs f acc = function
+  | [] -> acc
+  | Proj (e, _) :: rest -> fold_projs f (fold_expr f acc e) rest
+  | (Star | Star_of _) :: rest -> fold_projs f acc rest
+
+and fold_from f acc = function
+  | From_table _ -> acc
+  | From_join { left; right; on; _ } ->
+    fold_from f (fold_from f (fold_opt f acc on) right) left
+  | From_subquery { q; _ } -> fold_query f acc q
+
+let fold_insert f acc (i : insert) =
+  match i.i_source with
+  | Src_values rows -> fold_rows f acc rows
+  | Src_query q -> fold_query f acc q
+
+let fold_update f acc (u : update) =
+  let rec sets acc = function
+    | [] -> acc
+    | (_, e) :: rest -> sets (fold_expr f acc e) rest
+  in
+  sets (fold_opt f acc u.u_where) u.u_sets
+
+let fold_with_body f acc = function
+  | W_query q -> fold_query f acc q
+  | W_insert i -> fold_insert f acc i
+  | W_update u -> fold_update f acc u
+  | W_delete d -> fold_opt f acc d.d_where
+
+let rec fold_exprs f acc = function
+  | S_create_view { query; _ } -> fold_query f acc query
+  | S_create_trigger { body; _ } ->
+    List.fold_left (fun acc s -> fold_exprs f acc s) acc body
+  | S_create_rule { action = Ra_stmt s; _ } | S_explain s
+  | S_prepare { stmt = s; _ } -> fold_exprs f acc s
+  | S_insert i | S_replace i -> fold_insert f acc i
+  | S_update u -> fold_update f acc u
+  | S_delete d -> fold_opt f acc d.d_where
+  | S_copy_to { src = Cs_query q; _ } | S_select q -> fold_query f acc q
+  | S_with { ctes; body } ->
+    List.fold_left
+      (fun acc c -> fold_with_body f acc c.cte_body)
+      (fold_with_body f acc body) ctes
+  | S_do e -> fold_expr f acc e
+  | S_create_rule { action = Ra_nothing | Ra_notify _; _ }
+  | S_create_table _ | S_create_index _ | S_create_sequence _
+  | S_create_schema _ | S_create_database _ | S_create_user _ | S_drop _
+  | S_alter_table _ | S_alter_sequence _ | S_alter_user _ | S_rename_table _
+  | S_truncate _ | S_comment_on _ | S_copy_to { src = Cs_table _; _ }
+  | S_copy_from _ | S_load_data _ | S_table _ | S_describe _ | S_show _
+  | S_grant _ | S_revoke _ | S_set_role _ | S_begin | S_commit | S_rollback
+  | S_savepoint _ | S_release_savepoint _ | S_rollback_to _
+  | S_set_transaction _ | S_lock_tables _ | S_unlock_tables | S_set_var _
+  | S_reset_var _ | S_set_names _ | S_pragma _ | S_vacuum _ | S_analyze _
+  | S_reindex _ | S_checkpoint | S_flush _ | S_optimize _ | S_check_table _
+  | S_repair _ | S_notify _ | S_listen _ | S_unlisten _ | S_discard _
+  | S_execute _ | S_deallocate _ | S_use _ | S_handler_open _
+  | S_handler_read _ | S_handler_close _ | S_alter_system _
+  | S_refresh_matview _ | S_kill _ | S_cluster _ -> acc
 
 (* ------------------------------------------------------------------ *)
 (* Table-reference renaming.                                           *)
@@ -299,80 +410,118 @@ let dedup xs =
        end)
     xs
 
-type collect = { mutable reads : string list; mutable writes : string list }
+(* One walk serves the table sets and [stmt_size]: it reaches exactly the
+   expression nodes [fold_exprs] does, and [c_depth] adds each node's
+   [expr_depth] to [size] while returning it, so sizing a statement sums
+   the depths bottom-up instead of re-measuring every subtree. *)
+type collect = {
+  mutable reads : string list;
+  mutable writes : string list;
+  mutable size : int;
+}
 
 let rec c_query acc = function
   | Q_select s -> c_select acc s
-  | Q_values rows -> List.iter (List.iter (c_expr acc)) rows
+  | Q_values rows -> c_rows acc rows
   | Q_compound (a, _, b) ->
     c_query acc a;
     c_query acc b
 
 and c_select acc s =
-  Option.iter (c_from acc) s.from;
-  List.iter
-    (function Proj (e, _) -> c_expr acc e | Star | Star_of _ -> ())
-    s.projs;
-  Option.iter (c_expr acc) s.where;
-  List.iter (c_expr acc) s.group_by;
-  Option.iter (c_expr acc) s.having;
-  List.iter (fun (e, _) -> c_expr acc e) s.order_by
+  (match s.from with None -> () | Some fr -> c_from acc fr);
+  c_projs acc s.projs;
+  c_opt acc s.where;
+  c_exprs acc s.group_by;
+  c_opt acc s.having;
+  ignore (c_depth_keyed acc 0 s.order_by)
+
+and c_projs acc = function
+  | [] -> ()
+  | Proj (e, _) :: rest ->
+    c_expr acc e;
+    c_projs acc rest
+  | (Star | Star_of _) :: rest -> c_projs acc rest
 
 and c_from acc = function
   | From_table { name; _ } -> acc.reads <- name :: acc.reads
   | From_join { left; right; on; _ } ->
     c_from acc left;
     c_from acc right;
-    Option.iter (c_expr acc) on
+    c_opt acc on
   | From_subquery { q; _ } -> c_query acc q
 
-and c_expr acc = function
-  | Lit _ | Col _ -> ()
-  | Unop (_, a) -> c_expr acc a
-  | Binop (_, a, b) ->
-    c_expr acc a;
-    c_expr acc b
-  | Fn (_, args) -> List.iter (c_expr acc) args
-  | Agg (_, _, arg) -> Option.iter (c_expr acc) arg
-  | Case (whens, else_) ->
-    List.iter
-      (fun (c, v) ->
-         c_expr acc c;
-         c_expr acc v)
-      whens;
-    Option.iter (c_expr acc) else_
-  | Cast (a, _) -> c_expr acc a
-  | In_list { e; items; _ } ->
-    c_expr acc e;
-    List.iter (c_expr acc) items
-  | Between { e; lo; hi; _ } ->
-    c_expr acc e;
-    c_expr acc lo;
-    c_expr acc hi
-  | Is_null (a, _) -> c_expr acc a
-  | Like { e; pat; _ } ->
-    c_expr acc e;
-    c_expr acc pat
-  | Exists (q, _) | Subquery q -> c_query acc q
-  | Win { args; over; _ } ->
-    List.iter (c_expr acc) args;
-    List.iter (c_expr acc) over.partition_by;
-    List.iter (fun (e, _) -> c_expr acc e) over.w_order_by
+and c_expr acc e = ignore (c_depth acc e)
+
+and c_exprs acc l = ignore (c_depth_list acc 0 l)
+
+and c_opt acc = function None -> () | Some e -> c_expr acc e
+
+and c_rows acc = function
+  | [] -> ()
+  | row :: rest ->
+    c_exprs acc row;
+    c_rows acc rest
+
+and c_depth acc e =
+  let d =
+    match e with
+    | Lit _ | Col _ -> 1
+    | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> 1 + c_depth acc a
+    | Binop (_, a, b) | Like { e = a; pat = b; _ } ->
+      let da = c_depth acc a in
+      1 + max da (c_depth acc b)
+    | Fn (_, args) -> 1 + c_depth_list acc 0 args
+    | Agg (_, _, None) -> 1
+    | Agg (_, _, Some a) -> 1 + c_depth acc a
+    | Case (whens, else_) ->
+      let m = c_depth_arms acc 0 whens in
+      1 + (match else_ with None -> m | Some e -> max m (c_depth acc e))
+    | In_list { e; items; _ } ->
+      let de = c_depth acc e in
+      1 + max de (c_depth_list acc 0 items)
+    | Between { e; lo; hi; _ } ->
+      let de = c_depth acc e in
+      let dl = c_depth acc lo in
+      1 + max de (max dl (c_depth acc hi))
+    | Exists (q, _) | Subquery q ->
+      c_query acc q;
+      2
+    | Win { args; over; _ } ->
+      let da = c_depth_list acc 0 args in
+      let dp = c_depth_list acc 0 over.partition_by in
+      1 + max da (max dp (c_depth_keyed acc 0 over.w_order_by))
+  in
+  acc.size <- acc.size + d;
+  d
+
+and c_depth_list acc m = function
+  | [] -> m
+  | e :: rest -> c_depth_list acc (max m (c_depth acc e)) rest
+
+and c_depth_keyed acc m = function
+  | [] -> m
+  | (e, _) :: rest -> c_depth_keyed acc (max m (c_depth acc e)) rest
+
+and c_depth_arms acc m = function
+  | [] -> m
+  | (c, v) :: rest ->
+    let dc = c_depth acc c in
+    c_depth_arms acc (max m (max dc (c_depth acc v))) rest
 
 let c_insert acc (i : insert) =
   acc.writes <- i.i_table :: acc.writes;
   match i.i_source with
-  | Src_values rows -> List.iter (List.iter (c_expr acc)) rows
+  | Src_values rows -> c_rows acc rows
   | Src_query q -> c_query acc q
 
 let c_update acc (u : update) =
   acc.writes <- u.u_table :: acc.writes;
   List.iter (fun (_, e) -> c_expr acc e) u.u_sets;
-  Option.iter (c_expr acc) u.u_where
+  c_opt acc u.u_where
 
 let c_delete acc (d : delete) =
   acc.writes <- d.d_table :: acc.writes;
-  Option.iter (c_expr acc) d.d_where
+  c_opt acc d.d_where
 
 let c_with_body acc = function
   | W_query q -> c_query acc q
@@ -429,7 +578,7 @@ let rec c_stmt acc = function
   | S_cluster None -> ()
 
 let collect stmt =
-  let acc = { reads = []; writes = [] } in
+  let acc = { reads = []; writes = []; size = 0 } in
   c_stmt acc stmt;
   (dedup (List.rev acc.reads), dedup (List.rev acc.writes))
 
@@ -505,8 +654,17 @@ and depth_of_list = function
   | [] -> 0
   | xs -> List.fold_left (fun acc e -> max acc (expr_depth e)) 0 xs
 
+(* Distinct names, without building the deduplicated list: an element
+   counts at its last occurrence. *)
+let rec mem_string x = function
+  | [] -> false
+  | y :: ys -> String.equal x y || mem_string x ys
+
+let rec count_distinct = function
+  | [] -> 0
+  | x :: rest -> (if mem_string x rest then 0 else 1) + count_distinct rest
+
 let stmt_size stmt =
-  let exprs = fold_exprs (fun acc e -> acc + expr_depth e) 1 stmt in
-  let reads = List.length (tables_read stmt) in
-  let writes = List.length (tables_written stmt) in
-  exprs + reads + writes
+  let acc = { reads = []; writes = []; size = 1 } in
+  c_stmt acc stmt;
+  acc.size + count_distinct acc.reads + count_distinct acc.writes

@@ -4,11 +4,15 @@
     dependency repair (which tables/columns does a statement reference),
     the conventional intra-statement mutations (rewrite every expression in
     place), and the fault-injection predicates (e.g. "current statement
-    contains a window function"). *)
+    contains a window function"). Only {!map_exprs} and
+    {!map_table_refs} build a tree; the folds and {!stmt_size} walk the
+    statement once and allocate next to nothing. *)
 
 val fold_exprs : ('a -> Ast.expr -> 'a) -> 'a -> Ast.stmt -> 'a
 (** Fold over every expression occurring anywhere in a statement,
-    including inside subqueries, CTE bodies, and trigger/rule bodies. *)
+    including inside subqueries, CTE bodies, and trigger/rule bodies.
+    It visits the nodes {!map_exprs} rewrites, in the order it rewrites
+    them (children before their parent), without rebuilding anything. *)
 
 val map_exprs : (Ast.expr -> Ast.expr) -> Ast.stmt -> Ast.stmt
 (** Rewrite every expression bottom-up. The function receives each node
@@ -44,6 +48,9 @@ val column_refs : Ast.stmt -> (string option * string) list
 
 val stmt_size : Ast.stmt -> int
 (** Rough node count, used as an execution-cost proxy and a mutation
-    budget. *)
+    budget: 1, plus the sum of {!expr_depth} over every node
+    {!fold_exprs} visits, plus the distinct tables read and written.
+    Computed in one walk that sums the depths bottom-up; the engine
+    sizes every statement it runs. *)
 
 val expr_depth : Ast.expr -> int

@@ -242,11 +242,20 @@ let name = function
   | Kill_query -> "KILL"
   | Cluster -> "CLUSTER"
 
-let index_tbl : (t, int) Hashtbl.t = Hashtbl.create 128
-let arr = Array.of_list all
-let () = Array.iteri (fun i ty -> Hashtbl.replace index_tbl ty i) arr
+(* A constant constructor is represented by its rank in the declaration,
+   so the dense index is the value itself. [of_index] reads [all] by that
+   index, so the check below pins [all] to declaration order when the
+   module loads. *)
+let to_index (ty : t) : int = Obj.magic ty
 
-let to_index ty = Hashtbl.find index_tbl ty
+let arr = Array.of_list all
+
+let () =
+  Array.iteri
+    (fun i ty ->
+       if to_index ty <> i then
+         failwith "Stmt_type.all is not in declaration order")
+    arr
 
 let of_index i =
   if i < 0 || i >= Array.length arr then invalid_arg "Stmt_type.of_index";

@@ -128,7 +128,9 @@ val of_name : string -> t option
 (** Inverse of {!name}. *)
 
 val to_index : t -> int
-(** Dense index in [\[0, count)], stable across runs. *)
+(** Dense index in [\[0, count)], stable across runs: the declaration
+    rank, read in O(1) from the constructor itself. The module checks
+    when it loads that {!all} lists the types in that order. *)
 
 val of_index : int -> t
 (** Inverse of {!to_index}. Raises [Invalid_argument] when out of range. *)

@@ -373,71 +373,6 @@ let test_exchange_store_dedup () =
   Alcotest.(check int) "round 2 empty for shard 0" 0 (List.length i0);
   Alcotest.(check int) "round 2 empty for shard 1" 0 (List.length i1)
 
-let test_sync_preload () =
-  (* A resumed campaign's sync: preloaded findings never count as this
-     run's, and a preloaded discovery is never exchanged again while a
-     fresh one of the same kind is. *)
-  let violation tag =
-    { Oracle.Violation.vi_oracle = "tlp"; vi_tag = tag; vi_detail = "";
-      vi_sql = "" }
-  in
-  let skeleton sql = List.hd (Sqlparser.Parser.parse_testcase_exn sql) in
-  let seeds xp_seeds = { Fuzz.Sync.empty_export with xp_seeds }
-  and affinities xp_affinities =
-    { Fuzz.Sync.empty_export with xp_affinities }
-  and skeletons xp_skeletons = { Fuzz.Sync.empty_export with xp_skeletons } in
-  let stored_aff = (Sqlcore.Stmt_type.Create_table, Sqlcore.Stmt_type.Insert)
-  and fresh_aff = (Sqlcore.Stmt_type.Insert, Sqlcore.Stmt_type.Select) in
-  let kinds =
-    [ ("seed", seeds [ xseed 1L ], seeds [ xseed 2L ]);
-      ("affinity", affinities [ stored_aff ], affinities [ fresh_aff ]);
-      ( "skeleton",
-        skeletons [ skeleton "SELECT 1" ],
-        skeletons [ skeleton "SELECT 2" ] ) ]
-  in
-  let sync = Fuzz.Sync.create ~exchange:true () in
-  Fuzz.Sync.preload sync
-    ~crash_keys:[ Fuzz.Triage.stack_key (fake_crash "B1") ]
-    ~logic_keys:[ Oracle.Violation.key (violation "old") ]
-    ~discoveries:
-      { Fuzz.Sync.xp_seeds = [ xseed 1L ]; xp_affinities = [ stored_aff ];
-        xp_skeletons = [ skeleton "SELECT 1" ] };
-  let triage = Fuzz.Triage.create () in
-  List.iter
-    (fun id -> ignore (Fuzz.Triage.record triage (fake_crash id)))
-    [ "B1"; "B2" ];
-  List.iter
-    (fun tag -> ignore (Fuzz.Triage.record_logic triage (violation tag)))
-    [ "old"; "new" ];
-  let release export =
-    Fuzz.Sync.release sync
-      [| Fuzz.Sync.stage sync ~shard:0 ~virgin:(Coverage.Bitmap.create ())
-           ~triage ~execs_delta:0 ~export |]
-  in
-  release Fuzz.Sync.empty_export;
-  Alcotest.(check (list string)) "preloaded crash not unique" [ "B2" ]
-    (List.map
-       (fun ((c : Minidb.Fault.crash), _) -> c.c_bug.Minidb.Fault.bug_id)
-       (Fuzz.Sync.unique_crashes sync));
-  Alcotest.(check int) "preloaded crash not counted" 1
-    (Fuzz.Sync.unique_count sync);
-  Alcotest.(check (list string)) "preloaded crash has no bug id" [ "B2" ]
-    (Fuzz.Sync.bug_ids sync);
-  Alcotest.(check (list string)) "preloaded violation not unique"
-    [ "tlp#new" ]
-    (List.map
-       (fun (v, _) -> Oracle.Violation.key v)
-       (Fuzz.Sync.unique_logic sync));
-  List.iteri
-    (fun i (kind, stored, fresh) ->
-       release stored;
-       Alcotest.(check int) ("preloaded " ^ kind ^ " not exchanged") i
-         (Fuzz.Sync.exchanged sync);
-       release fresh;
-       Alcotest.(check int) ("fresh " ^ kind ^ " exchanged") (i + 1)
-         (Fuzz.Sync.exchanged sync))
-    kinds
-
 let test_exchange_pulls_virgin () =
   (* The bidirectional part: a shard's own virgin map must absorb the
      released global map, so globally-known branches stop being new. *)
@@ -565,7 +500,6 @@ let suite =
     ("shard seeds distinct", `Quick, test_shard_seed_distinct);
     ("exchange store dedups deterministically", `Quick,
      test_exchange_store_dedup);
-    ("sync preload keeps stored state out", `Quick, test_sync_preload);
     ("exchange pulls the global virgin map", `Quick,
      test_exchange_pulls_virgin);
     ("seed port never echoes imports", `Quick, test_seed_port_no_echo);

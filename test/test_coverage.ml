@@ -334,6 +334,61 @@ let prop_merge_compact =
        B.merge_compact ~into:got c = want_news
        && B.compact got = B.compact want)
 
+(* [hash]'s reference: every cell of the whole buffer in ascending
+   order, counts rebuilt from the hit list. *)
+let scan_hash hits =
+  let counts = Array.make B.size 0 in
+  List.iter
+    (fun i ->
+       let i = i land (B.size - 1) in
+       counts.(i) <- min 255 (counts.(i) + 1))
+    hits;
+  let h = ref 0xcbf29ce484222325L in
+  Array.iteri
+    (fun i c ->
+       if c <> 0 then
+         h :=
+           Int64.mul
+             (Int64.logxor !h (Int64.of_int ((i lsl 8) lor B.bucket c)))
+             0x100000001b3L)
+    counts;
+  !h
+
+let shuffle rng l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+(* Past [B.dirty_cap] distinct cells (6000 hits over the whole map) the
+   map saturates; a small span repeats cells into every count bucket.
+   One map is reused across the orders, so [hash]'s scratch carries
+   over from a different history each time. *)
+let test_prop_hash_order () =
+  Reprutil.Prop.check ~count:1000
+    ~name:"hash = ascending scan, whatever the touch order"
+    Reprutil.Prop.(
+      triple (int_range 0 1_000_000) (int_range 0 4) (int_range 0 2))
+    (fun (seed, c, s) ->
+       let cells = [| 0; 40; 300; 1000; 6000 |].(c) in
+       let span = [| 256; 4096; B.size |].(s) in
+       let rng = Random.State.make [| seed |] in
+       let hits = List.init cells (fun _ -> Random.State.int rng span) in
+       let m = B.create () in
+       let hash_of hs =
+         B.reset m;
+         List.iter (B.hit m) hs;
+         B.hash m
+       in
+       let want = scan_hash hits in
+       hash_of hits = want
+       && hash_of (List.rev hits) = want
+       && hash_of (shuffle rng hits) = want)
+
 (* --- grammar maps rebuilt from memoised statement traces ------------ *)
 
 module GM = Fuzz.Grammar_memo
@@ -572,4 +627,5 @@ let suite =
     ("grammar memo saturation", `Quick, test_memo_saturation);
     ("grammar memo bound", `Quick, test_memo_bound);
     QCheck_alcotest.to_alcotest prop_merge_monotone;
-    QCheck_alcotest.to_alcotest prop_merge_compact ]
+    QCheck_alcotest.to_alcotest prop_merge_compact;
+    ("hash = ascending scan (1000 cases)", `Quick, test_prop_hash_order) ]

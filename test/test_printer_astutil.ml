@@ -160,6 +160,44 @@ let test_prop_print_stable () =
        let twice = Sql_printer.stmt (P.parse_stmt_exn once) in
        once = twice)
 
+(* The traversals as first written, the references the one-pass ones
+   are checked against: [fold_exprs] as a side effect of [map_exprs]
+   rebuilding the tree, and [stmt_size] re-measuring every subtree. *)
+let ref_fold f acc stmt =
+  let acc = ref acc in
+  ignore
+    (Ast_util.map_exprs
+       (fun e ->
+          acc := f !acc e;
+          e)
+       stmt);
+  !acc
+
+let ref_stmt_size stmt =
+  ref_fold (fun acc e -> acc + Ast_util.expr_depth e) 1 stmt
+  + List.length (Ast_util.tables_read stmt)
+  + List.length (Ast_util.tables_written stmt)
+
+let ref_column_refs stmt =
+  List.rev
+    (ref_fold
+       (fun acc e -> match e with Ast.Col (q, c) -> (q, c) :: acc | _ -> acc)
+       [] stmt)
+
+let test_prop_stmt_size () =
+  Reprutil.Prop.check ~count:1000 ~name:"one-pass stmt_size = reference"
+    Stmt_pool.arb (fun s -> Ast_util.stmt_size s = ref_stmt_size s)
+
+(* Stronger than the same node multiset: the same sequence, so
+   [column_refs] keeps its order. *)
+let test_prop_fold_nodes () =
+  let nodes fold s = List.rev (fold (fun acc e -> e :: acc) [] s) in
+  Reprutil.Prop.check ~count:1000
+    ~name:"fold_exprs visits map_exprs' nodes in its order" Stmt_pool.arb
+    (fun s ->
+       nodes Ast_util.fold_exprs s = nodes ref_fold s
+       && Ast_util.column_refs s = ref_column_refs s)
+
 let suite =
   [ ("printer exact forms", `Quick, test_printer_exact_forms);
     ("float literals keep a dot", `Quick, test_float_literals_keep_a_dot);
@@ -176,4 +214,7 @@ let suite =
     ("stmt_size monotone", `Quick, test_stmt_size_monotone);
     ("expr_depth", `Quick, test_expr_depth);
     ("printer is a normal form (1000 cases)", `Quick,
-     test_prop_print_stable) ]
+     test_prop_print_stable);
+    ("stmt_size = reference (1000 cases)", `Quick, test_prop_stmt_size);
+    ("fold_exprs = map_exprs nodes (1000 cases)", `Quick,
+     test_prop_fold_nodes) ]
