@@ -3,11 +3,6 @@ module Rng = Reprutil.Rng
 
 type op = Substitution | Insertion | Deletion
 
-let op_name = function
-  | Substitution -> "substitution"
-  | Insertion -> "insertion"
-  | Deletion -> "deletion"
-
 let schema_before tc pos =
   let schema = Sym_schema.empty () in
   List.iteri (fun i s -> if i < pos then Sym_schema.apply schema s) tc;

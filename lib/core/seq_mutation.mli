@@ -12,8 +12,6 @@ open Sqlcore
 
 type op = Substitution | Insertion | Deletion
 
-val op_name : op -> string
-
 val mutate_at :
   Reprutil.Rng.t ->
   skeletons:Skeleton_library.t ->

@@ -75,7 +75,6 @@ let mix ~site ~key =
   let h = h * 0x27D4EB2F in
   h lxor (h lsr 16)
 
-let probe_mixed t ~site ~key = hit t (mix ~site ~key)
 
 (* Dirty entries are unique (recorded only on 0 -> nonzero) and stay
    nonzero until the next [reset], so when the map is unsaturated the

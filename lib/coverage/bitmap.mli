@@ -43,9 +43,6 @@ val mix : site:int -> key:int -> int
     this; the edge map keeps {!probe} so recorded edge campaigns stay
     comparable. *)
 
-val probe_mixed : t -> site:int -> key:int -> unit
-(** [hit t (mix ~site ~key)]. *)
-
 val count_nonzero : t -> int
 (** Number of cells with a nonzero value — the "branches" metric. *)
 

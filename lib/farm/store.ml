@@ -671,10 +671,6 @@ let acc_of_snapshot sn =
   acc_add_export acc (discoveries sn);
   acc
 
-let acc_counts acc =
-  ( List.length acc.a_seeds.g_rev, List.length acc.a_affinities.g_rev,
-    List.length acc.a_skeletons.g_rev )
-
 let acc_snapshot acc ~campaign ~progress ~virgin ~grammar ~crash_keys
     ~logic_keys =
   let corpus = grow_section acc.a_seeds

@@ -219,9 +219,6 @@ val acc_of_snapshot : snapshot -> acc
 
 val acc_add_export : acc -> Fuzz.Sync.export -> unit
 
-val acc_counts : acc -> int * int * int
-(** [(seeds, affinities, skeletons)] accumulated so far. *)
-
 val acc_snapshot :
   acc ->
   campaign:campaign ->

@@ -127,6 +127,9 @@ type t = {
 
 let default_heartbeat_execs = 500
 
+(* A worker serving slot [worker]; [heartbeat] runs every
+   [heartbeat_execs] executions mid-round with the round's running
+   exec count. *)
 let create ?runs_dir ?(heartbeat_execs = default_heartbeat_execs)
     ?(heartbeat = fun ~execs:_ -> ()) ~worker () =
   { t_worker = worker; t_runs_dir = runs_dir;
@@ -163,6 +166,9 @@ let load_live ~dir =
              (Store.manifest_digests (Store.generation_dir ~dir gen)) ))
       (open_campaign ~snapshot:sn sn.Store.sn_campaign)
 
+(* One Run command: reload-or-reuse the campaign state, then
+   [run_slice] into the worker's namespace. Never raises: load failures
+   come back in [rr_error]. *)
 let run_round t ~campaign ~execs ~round =
   let dir = Store.store_dir ?runs_dir:t.t_runs_dir campaign in
   let live, reloads =

@@ -68,25 +68,6 @@ val run_slice :
     [rr_error]; a failed save reports generation 0. The reload counters
     are 0. *)
 
-type t
-
-val create :
-  ?runs_dir:string ->
-  ?heartbeat_execs:int ->
-  ?heartbeat:(execs:int -> unit) ->
-  worker:int ->
-  unit ->
-  t
-(** A worker serving slot [worker]. [heartbeat] is invoked after every
-    [heartbeat_execs] (default 500) executions mid-round with the
-    round's running exec count. *)
-
-val run_round :
-  t -> campaign:string -> execs:int -> round:int -> Transport.round_report
-(** Serve one Run command: reload-or-reuse the campaign state, then
-    {!run_slice} into the worker's namespace. Never raises: load
-    failures come back in [rr_error]. *)
-
 val serve :
   ?runs_dir:string -> ?heartbeat_execs:int -> worker:int ->
   in_channel -> out_channel -> unit

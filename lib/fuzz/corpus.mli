@@ -8,6 +8,3 @@
 val initial : Minidb.Profile.t -> Sqlcore.Ast.testcase list
 (** Seeds filtered to the profile's supported types (a no-op for the
     shipped corpus, by construction). *)
-
-val raw_sql : string list
-(** The seed texts, for tools and documentation. *)

@@ -447,8 +447,6 @@ let execute ?hint t tc =
     o_new_rules = gram_news;
     o_interesting = interesting }
 
-let cache_enabled t = t.h_cache <> None
-
 let feedback t = t.h_feedback
 
 let grammar_feedback t = t.h_feedback <> Edges

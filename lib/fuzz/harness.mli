@@ -108,8 +108,6 @@ val execute : ?hint:int -> t -> Sqlcore.Ast.testcase -> outcome
     generated case has no prefix worth probing for or capturing.
     Ignored when the cache is off. *)
 
-val cache_enabled : t -> bool
-
 val feedback : t -> feedback
 
 val grammar_feedback : t -> bool

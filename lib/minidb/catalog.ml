@@ -253,6 +253,7 @@ let copy_snapshot sn =
 
 (* ---- per-session connection state (multi-session server layer) ---- *)
 
+(* The connection state a just-connected session starts with. *)
 let fresh_session_view () =
   { sv_in_txn = false;
     sv_iso = Ast.Read_committed;
@@ -275,6 +276,9 @@ let transfer dst src =
   Hashtbl.reset dst;
   Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
 
+(* Captures the attached session's connection state and resets the
+   session-scoped fields to fresh-connection defaults; the shared store
+   is untouched. *)
 let detach_session t =
   let view =
     { sv_in_txn = t.in_txn;
@@ -304,6 +308,9 @@ let detach_session t =
   t.current_db <- "main";
   view
 
+(* Installs a session's connection state. Bucket layouts afterwards are
+   a pure function of the view's contents, so park/unpark cycles with
+   identical histories stay deterministic. *)
 let attach_session t view =
   t.in_txn <- view.sv_in_txn;
   t.iso <- view.sv_iso;

@@ -151,20 +151,6 @@ val deep_copy : t -> t
 val object_count : t -> int
 (** Total number of schema objects, for coverage state keys. *)
 
-val fresh_session_view : unit -> session_view
-(** The connection state a just-connected session starts with. *)
-
-val detach_session : t -> session_view
-(** Capture the currently attached session's connection state and reset
-    the catalog's session-scoped fields to fresh-connection defaults.
-    The shared store is untouched. *)
-
-val attach_session : t -> session_view -> unit
-(** Install a session's connection state into the catalog. Hash-table
-    bucket layouts after an attach are a pure function of the view's
-    contents, so repeated park/unpark cycles with identical statement
-    histories stay deterministic. *)
-
 val park_session : t -> int -> unit
 (** [park_session t id] detaches the current session and stores its view
     under [id] in {!t.parked} (replacing any previous view for [id]).
@@ -173,16 +159,11 @@ val park_session : t -> int -> unit
 
 val unpark_session : t -> int -> unit
 (** Attach the view parked under [id], removing it from the parked list;
-    a never-parked id attaches a {!fresh_session_view} (a new client
-    connecting). *)
+    a never-parked id attaches the state a just-connected session starts
+    with (a new client connecting). *)
 
 val parked_sessions : t -> int list
 (** Ids with parked state, ascending. *)
-
-val session_view_words : session_view -> int
-(** Heap cost of one parked session's connection state, in words —
-    counted per parked session by {!approx_bytes} so the prefix cache's
-    [cache.bytes] stays honest with N sessions live. *)
 
 val set_copy_on_write : bool -> unit
 (** Global snapshot mode. [true] (the default) makes every table copy

@@ -6,11 +6,12 @@ type t = {
   limits : Limits.t;
   cov : Coverage.Bitmap.t;
   metrics : Telemetry.Registry.t option;
-  mutable window : Stmt_type.t list;  (* most recent last *)
+  mutable window : Fault.window;
   mutable stmt_count : int;
   mutable fault_ext : (string -> bool option) option;
       (* cross-session fault predicates (server layer); [None] answers
          fall through to [Executor.state_pred] *)
+  fault_state : string -> bool;  (* [state_pred] of this engine *)
 }
 
 type stmt_status =
@@ -25,27 +26,9 @@ type run_stats = {
   rs_rows_scanned : int;
 }
 
-let window_cap = 8
-
 let s_gate = Coverage.Sites.register "engine.gate"
 let s_seqpair = Coverage.Sites.register "engine.type_transition"
 let s_sqlerr = Coverage.Sites.register "engine.sql_error"
-
-let create ?(limits = Limits.default) ?metrics ~profile ~cov () =
-  let cat = Catalog.create () in
-  { ctx = Executor.create_ctx ~cat ~profile ~limits ~cov;
-    profile; limits; cov; metrics; window = []; stmt_count = 0;
-    fault_ext = None }
-
-let profile t = t.profile
-
-let catalog t = Executor.catalog t.ctx
-
-let window t = t.window
-
-let set_window t w = t.window <- w
-
-let set_fault_ext t f = t.fault_ext <- f
 
 let state_pred t name =
   match t.fault_ext with
@@ -55,11 +38,29 @@ let state_pred t name =
       | Some b -> b
       | None -> Executor.state_pred t.ctx name)
 
-let push_window t ty =
-  let w = t.window @ [ ty ] in
-  let drop = max 0 (List.length w - window_cap) in
-  let rec chop n l = if n = 0 then l else chop (n - 1) (List.tl l) in
-  t.window <- chop drop w
+(* The one constructor: the fault check's state closure is built here,
+   once per engine. *)
+let make ctx ~profile ~limits ~cov ~metrics ~window ~stmt_count =
+  let rec t =
+    { ctx; profile; limits; cov; metrics; window; stmt_count;
+      fault_ext = None; fault_state = (fun name -> state_pred t name) }
+  in
+  t
+
+let create ?(limits = Limits.default) ?metrics ~profile ~cov () =
+  let cat = Catalog.create () in
+  make (Executor.create_ctx ~cat ~profile ~limits ~cov) ~profile ~limits
+    ~cov ~metrics ~window:Fault.empty_window ~stmt_count:0
+
+let profile t = t.profile
+
+let catalog t = Executor.catalog t.ctx
+
+let window t = Fault.window_to_list t.window
+
+let set_window t w = t.window <- Fault.window_of_list w
+
+let set_fault_ext t f = t.fault_ext <- f
 
 let exec_stmt t stmt =
   let ty = Ast.type_of_stmt stmt in
@@ -71,21 +72,18 @@ let exec_stmt t stmt =
     (* Order-sensitive transition coverage: real DBMS code executed for a
        statement depends on what ran before it (caches, catalog state,
        open transactions); this probe is the aggregate of that effect. *)
-    (match t.window with
-     | [] -> ()
-     | w ->
-       (* Hash the pair into a compressed key space: real DBMSs do not
-          have a branch per ordered statement-type pair; order
-          sensitivity shows up through shared state, so distinct pairs
-          partially alias, like AFL edge collisions. *)
-       let prev = List.nth w (List.length w - 1) in
-       let pair =
-         (Stmt_type.to_index prev * Stmt_type.count) + Stmt_type.to_index ty
-       in
-       let mixed = (pair * 0x9E3779B1) lxor (pair lsr 7) in
-       Coverage.Bitmap.probe t.cov ~site:s_seqpair ~key:(mixed land 0x1ff));
+    let prev = Fault.last_index t.window in
+    if prev >= 0 then begin
+      (* Hash the pair into a compressed key space: real DBMSs do not
+         have a branch per ordered statement-type pair; order
+         sensitivity shows up through shared state, so distinct pairs
+         partially alias, like AFL edge collisions. *)
+      let pair = (prev * Stmt_type.count) + Stmt_type.to_index ty in
+      let mixed = (pair * 0x9E3779B1) lxor (pair lsr 7) in
+      Coverage.Bitmap.probe t.cov ~site:s_seqpair ~key:(mixed land 0x1ff)
+    end;
     Executor.reset_transient t.ctx;
-    push_window t ty;
+    t.window <- Fault.push_window t.window ty;
     let status =
       match Executor.exec t.ctx stmt with
       | result -> Ok_result result
@@ -99,8 +97,7 @@ let exec_stmt t stmt =
        the statement itself reported a SQL error first, like a heap
        corruption detected at the next safepoint. *)
     Fault.check (Profile.checker t.profile)
-      { Fault.window = t.window; stmt;
-        state = (fun name -> state_pred t name) };
+      { Fault.window = t.window; stmt; state = t.fault_state };
     status
   end
 
@@ -162,7 +159,7 @@ let run_testcase t tc = run_testcase_from t tc
 
 type snapshot = {
   sn_state : Executor.state;
-  sn_window : Stmt_type.t list;  (* immutable list: safe to share *)
+  sn_window : Fault.window;
   sn_stmt_count : int;
   sn_profile : Profile.t;
   sn_limits : Limits.t;
@@ -176,17 +173,14 @@ let snapshot t =
     sn_limits = t.limits }
 
 let restore ?metrics snap ~cov () =
-  { ctx = Executor.restore snap.sn_state ~cov;
-    profile = snap.sn_profile;
-    limits = snap.sn_limits;
-    cov;
-    metrics;
-    window = snap.sn_window;
-    stmt_count = snap.sn_stmt_count;
-    fault_ext = None }
+  make (Executor.restore snap.sn_state ~cov) ~profile:snap.sn_profile
+    ~limits:snap.sn_limits ~cov ~metrics ~window:snap.sn_window
+    ~stmt_count:snap.sn_stmt_count
 
 let snapshot_bytes snap =
-  Executor.state_bytes snap.sn_state + (16 * List.length snap.sn_window) + 256
+  Executor.state_bytes snap.sn_state
+  + (16 * Fault.window_length snap.sn_window)
+  + 256
 
 let set_plan_mode t mode = Executor.set_plan_mode t.ctx mode
 

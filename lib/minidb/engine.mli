@@ -40,10 +40,12 @@ val profile : t -> Profile.t
 val catalog : t -> Catalog.t
 
 val window : t -> Stmt_type.t list
-(** Recently executed statement types, oldest first. *)
+(** Recently executed statement types, oldest first (at most
+    {!Fault.window_cap}). *)
 
 val set_window : t -> Stmt_type.t list -> unit
-(** Replace the sliding window wholesale. The server layer's session
+(** Replace the sliding window wholesale (its last {!Fault.window_cap}
+    types). The server layer's session
     pool swaps windows on session context switches so the window tracks
     the {e session}, not the shared store — bug-registry triggers must
     never see another session's statement types. *)

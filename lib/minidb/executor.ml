@@ -284,6 +284,11 @@ let resolve_col (row : env_row) q name =
 let null_binding b =
   { b with b_vals = Array.map (fun _ -> Value.Null) b.b_vals }
 
+let col_names table = Array.map (fun c -> c.Table.c_name) (Table.cols table)
+
+(* Where a FROM relation's rows come from (see [bind_rows]). *)
+type rel_source = Rel_table | Rel_subquery | Rel_cte | Rel_view
+
 (* ------------------------------------------------------------------ *)
 (* Aggregate machinery                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -350,220 +355,203 @@ and eval_scalar ctx e = Expr_eval.eval (scalar_env ctx) e
 
 (* --- headers ------------------------------------------------------- *)
 
-and headers_of_query ctx (q : query) : string list =
-  (* Self-referencing or cyclic views would make header computation
-     diverge; bound the recursion like the evaluator does. *)
-  if ctx.shape_depth > ctx.limits.Limits.max_view_depth + 8 then [ "c1" ]
+(* Header and shape computation never evaluates rows, so a
+   self-referencing or cyclic view would make it diverge: past the
+   evaluator's depth bound it answers [over] instead of recursing. *)
+and shape_bounded : 'a 'b. ctx -> over:'b -> (ctx -> 'a -> 'b) -> 'a -> 'b =
+  fun ctx ~over f x ->
+  if ctx.shape_depth > ctx.limits.Limits.max_view_depth + 8 then over
   else begin
     ctx.shape_depth <- ctx.shape_depth + 1;
-    let result = headers_of_query_unguarded ctx q in
+    let result = f ctx x in
     ctx.shape_depth <- ctx.shape_depth - 1;
     result
   end
 
-and headers_of_query_unguarded ctx (q : query) : string list =
-  match q with
-  | Q_values rows ->
-    let n = match rows with [] -> 0 | r :: _ -> List.length r in
-    List.init n (fun i -> Printf.sprintf "column%d" (i + 1))
-  | Q_compound (a, _, _) -> headers_of_query ctx a
-  | Q_select s ->
-    List.concat_map
-      (fun p ->
-         match p with
-         | Star -> (
-             match s.from with
-             | None -> [ "star" ]
-             | Some f -> List.concat_map
-                 (fun b -> Array.to_list b.b_cols)
-                 (shape_of_from ctx f))
-         | Star_of t -> (
-             match s.from with
-             | None -> [ t ^ ".star" ]
-             | Some f ->
-               (match
-                  List.find_opt
-                    (fun b -> String.equal b.b_alias t)
-                    (shape_of_from ctx f)
-                with
-                | None -> [ t ^ ".star" ]
-                | Some b -> Array.to_list b.b_cols))
-         | Proj (_, Some alias) -> [ alias ]
-         | Proj (Col (_, c), None) -> [ c ]
-         | Proj (_, None) -> [ "expr" ])
-      s.projs
+and headers_of_query ctx (q : query) : string list =
+  shape_bounded ctx ~over:[ "c1" ]
+    (fun ctx -> function
+       | Q_values rows ->
+         let n = match rows with [] -> 0 | r :: _ -> List.length r in
+         List.init n (fun i -> Printf.sprintf "column%d" (i + 1))
+       | Q_compound (a, _, _) -> headers_of_query ctx a
+       | Q_select s ->
+         List.concat_map
+           (fun p ->
+              match (p, s.from) with
+              | Star, None -> [ "star" ]
+              | Star, Some f ->
+                List.concat_map
+                  (fun b -> Array.to_list b.b_cols)
+                  (shape_of_from ctx f)
+              | Star_of t, None -> [ t ^ ".star" ]
+              | Star_of t, Some f -> (
+                  match
+                    List.find_opt
+                      (fun b -> String.equal b.b_alias t)
+                      (shape_of_from ctx f)
+                  with
+                  | None -> [ t ^ ".star" ]
+                  | Some b -> Array.to_list b.b_cols)
+              | Proj (_, Some alias), _ -> [ alias ]
+              | Proj (Col (_, c), None), _ -> [ c ]
+              | Proj (_, None), _ -> [ "expr" ])
+           s.projs)
+    q
 
 (* The alias/column shape of a FROM clause, without evaluating rows. *)
 and shape_of_from ctx (f : from_item) : binding list =
-  if ctx.shape_depth > ctx.limits.Limits.max_view_depth + 8 then []
-  else begin
-    ctx.shape_depth <- ctx.shape_depth + 1;
-    let result = shape_of_from_unguarded ctx f in
-    ctx.shape_depth <- ctx.shape_depth - 1;
-    result
-  end
-
-and shape_of_from_unguarded ctx (f : from_item) : binding list =
-  match f with
-  | From_table { name; alias } ->
-    let alias = Option.value ~default:name alias in
-    let cols =
-      match List.assoc_opt name ctx.ctes with
-      | Some rel -> Array.of_list rel.cr_headers
-      | None -> (
-          match Hashtbl.find_opt ctx.cat.Catalog.views name with
-          | Some v -> Array.of_list (headers_of_query ctx v.v_query)
-          | None -> (
-              match Hashtbl.find_opt ctx.cat.Catalog.tables name with
-              | Some t ->
-                Array.map (fun c -> c.Table.c_name) (Table.cols t)
-              | None -> [||]))
-    in
-    [ { b_alias = alias; b_cols = cols; b_vals = Array.map (fun _ -> Value.Null) cols } ]
-  | From_join { left; right; _ } ->
-    shape_of_from ctx left @ shape_of_from ctx right
-  | From_subquery { q; alias } ->
-    let cols = Array.of_list (headers_of_query ctx q) in
+  let shape alias cols =
     [ { b_alias = alias; b_cols = cols;
         b_vals = Array.map (fun _ -> Value.Null) cols } ]
+  in
+  shape_bounded ctx ~over:[]
+    (fun ctx -> function
+       | From_table { name; alias } ->
+         shape (Option.value ~default:name alias)
+           (match List.assoc_opt name ctx.ctes with
+            | Some rel -> Array.of_list rel.cr_headers
+            | None -> (
+                match Hashtbl.find_opt ctx.cat.Catalog.views name with
+                | Some v -> Array.of_list (headers_of_query ctx v.v_query)
+                | None -> (
+                    match Hashtbl.find_opt ctx.cat.Catalog.tables name with
+                    | Some t -> col_names t
+                    | None -> [||])))
+       | From_join { left; right; _ } ->
+         shape_of_from ctx left @ shape_of_from ctx right
+       | From_subquery { q; alias } ->
+         shape alias (Array.of_list (headers_of_query ctx q)))
+    f
 
 (* --- FROM evaluation ------------------------------------------------ *)
 
 and eval_from ctx ~where (f : from_item) : env_row list =
   match f with
-  | From_table { name; alias } ->
-    let alias_name = Option.value ~default:name alias in
-    (* CTE relations shadow everything, then views, then tables. *)
-    (match List.assoc_opt name ctx.ctes with
-     | Some rel ->
-       probe ctx s_cte (bucket (List.length rel.cr_rows));
-       let cols = Array.of_list rel.cr_headers in
-       List.map
-         (fun vals -> [ { b_alias = alias_name; b_cols = cols; b_vals = vals } ])
-         rel.cr_rows
-     | None -> (
-         match Hashtbl.find_opt ctx.cat.Catalog.views name with
-         | Some v -> eval_view ctx v alias_name
-         | None ->
-           let table = Catalog.find_table ctx.cat name in
-           check_lock ctx name `Read;
-           let cols = Array.map (fun c -> c.Table.c_name) (Table.cols table) in
-           let access =
-             match ctx.plan_mode with
-             | Plan_force_seq -> Planner.Seq_scan
-             | Plan_auto ->
-               Planner.choose_access ctx.cat ~analyzed:(analyzed ctx)
-                 ~table:name ~where
-           in
-           probe ctx s_access
-             ((Planner.access_tag access * 8) lor state_shape ctx);
-           let rows =
-             match access with
-             | Planner.Empty_short ->
-               set_flag ctx "empty_scan";
-               []
-             | Planner.Index_eq (idx_name, key_expr) -> (
-                 set_flag ctx "index_scan";
-                 match Hashtbl.find_opt ctx.cat.Catalog.indexes idx_name with
-                 | None -> Table.rows table
-                 | Some spec ->
-                   let key = eval_scalar ctx key_expr in
-                   let rowids = Index.find (Catalog.index_data spec) [ key ] in
-                   let rowids =
-                     (* test-only planted planner bug: the index path
-                        silently loses its first match *)
-                     if Profile.quirk ctx.profile "index_eq_skips_first"
-                     then match rowids with [] -> [] | _ :: tl -> tl
-                     else rowids
-                   in
-                   List.filter_map (Table.find_row table) rowids)
-             | Planner.Seq_scan -> Table.rows table
-           in
-           ctx.rows_scanned <- ctx.rows_scanned + List.length rows;
-           probe ctx s_scan (bucket (List.length rows));
-           List.map
-             (fun vals ->
-                [ { b_alias = alias_name; b_cols = cols; b_vals = vals } ])
-             rows))
+  | From_table { name; alias } -> (
+      let alias = Option.value ~default:name alias in
+      (* CTE relations shadow everything, then views, then tables. *)
+      match List.assoc_opt name ctx.ctes with
+      | Some rel ->
+        bind_rows ctx Rel_cte alias (Array.of_list rel.cr_headers) rel.cr_rows
+      | None -> (
+          match Hashtbl.find_opt ctx.cat.Catalog.views name with
+          | Some v -> eval_view ctx v alias
+          | None ->
+            let table = Catalog.find_table ctx.cat name in
+            check_lock ctx name `Read;
+            let rows = scan_table ctx name table ~where in
+            bind_rows ctx Rel_table alias (col_names table) rows))
   | From_subquery { q; alias } ->
     let rows = run_query ctx q in
-    let cols = Array.of_list (headers_of_query ctx q) in
-    ctx.rows_scanned <- ctx.rows_scanned + List.length rows;
-    probe ctx s_scan (16 + bucket (List.length rows));
-    List.map
-      (fun vals ->
-         let vals =
-           if Array.length vals = Array.length cols then vals
-           else
-             Array.init (Array.length cols) (fun i ->
-                 if i < Array.length vals then vals.(i) else Value.Null)
-         in
-         [ { b_alias = alias; b_cols = cols; b_vals = vals } ])
-      rows
+    bind_rows ctx Rel_subquery alias
+      (Array.of_list (headers_of_query ctx q)) rows
   | From_join { left; kind; right; on } ->
     let lrows = eval_from ctx ~where:None left in
     let rrows = eval_from ctx ~where:None right in
-    let kind_tag =
-      match kind with Inner -> 0 | Left -> 1 | Right -> 2 | Cross -> 3
-    in
-    probe ctx s_join
-      ((kind_tag * 16) lor (bucket (List.length lrows) * 2)
-       lor if rrows = [] then 1 else 0);
-    let total = List.length lrows * List.length rrows in
-    if total > ctx.limits.Limits.max_result_rows * 4 then
-      Errors.fail (Errors.Limit_exceeded "join size");
-    let on_ok combined =
-      match on with
-      | None -> true
-      | Some e -> Expr_eval.eval_bool (row_env ctx combined) e
-    in
-    (match kind with
-     | Inner | Cross ->
-       List.concat_map
-         (fun l ->
-            List.filter_map
-              (fun r ->
-                 let combined = l @ r in
-                 if kind = Cross || on_ok combined then Some combined
-                 else None)
-              rrows)
-         lrows
-     | Left ->
-       let rshape = shape_of_from ctx right in
-       List.concat_map
-         (fun l ->
-            let matches =
-              List.filter_map
-                (fun r ->
-                   let combined = l @ r in
-                   if on_ok combined then Some combined else None)
-                rrows
-            in
-            if matches = [] then begin
-              set_flag ctx "outer_null_row";
-              [ l @ List.map null_binding rshape ]
-            end
-            else matches)
-         lrows
-     | Right ->
-       let lshape = shape_of_from ctx left in
-       List.concat_map
-         (fun r ->
-            let matches =
-              List.filter_map
-                (fun l ->
-                   let combined = l @ r in
-                   if on_ok combined then Some combined else None)
-                lrows
-            in
-            if matches = [] then begin
-              set_flag ctx "outer_null_row";
-              [ List.map null_binding lshape @ r ]
-            end
-            else matches)
-         rrows)
+    join_rows ctx kind on left right lrows rrows
 
-and eval_view ctx (v : Catalog.view) alias_name : env_row list =
+(* A base table's rows through the planner's access path. *)
+and scan_table ctx name table ~where =
+  let access =
+    match ctx.plan_mode with
+    | Plan_force_seq -> Planner.Seq_scan
+    | Plan_auto ->
+      Planner.choose_access ctx.cat ~analyzed:(analyzed ctx) ~table:name
+        ~where
+  in
+  probe ctx s_access ((Planner.access_tag access * 8) lor state_shape ctx);
+  match access with
+  | Planner.Empty_short ->
+    set_flag ctx "empty_scan";
+    []
+  | Planner.Index_eq (idx_name, key_expr) -> (
+      set_flag ctx "index_scan";
+      match Hashtbl.find_opt ctx.cat.Catalog.indexes idx_name with
+      | None -> Table.rows table
+      | Some spec ->
+        let key = eval_scalar ctx key_expr in
+        let rowids = Index.find (Catalog.index_data spec) [ key ] in
+        let rowids =
+          (* test-only planted planner bug: the index path silently
+             loses its first match *)
+          if Profile.quirk ctx.profile "index_eq_skips_first" then
+            match rowids with [] -> [] | _ :: tl -> tl
+          else rowids
+        in
+        List.filter_map (Table.find_row table) rowids)
+  | Planner.Seq_scan -> Table.rows table
+
+(* The one place a FROM relation's rows become bindings. Table and
+   subquery rows count towards [rows_scanned] and fire the scan probe;
+   CTE rows fire the CTE probe. Subquery and view rows are cut or
+   NULL-padded to the header width; CTE rows are bound as they are. *)
+and bind_rows ctx source alias cols rows : env_row list =
+  (match source with
+   | Rel_table | Rel_subquery ->
+     let n = List.length rows in
+     ctx.rows_scanned <- ctx.rows_scanned + n;
+     probe ctx s_scan ((if source = Rel_subquery then 16 else 0) + bucket n)
+   | Rel_cte -> probe ctx s_cte (bucket (List.length rows))
+   | Rel_view -> ());
+  let width = Array.length cols in
+  let pad = source = Rel_subquery || source = Rel_view in
+  List.map
+    (fun vals ->
+       let vals =
+         if (not pad) || Array.length vals = width then vals
+         else
+           Array.init width (fun i ->
+               if i < Array.length vals then vals.(i) else Value.Null)
+       in
+       [ { b_alias = alias; b_cols = cols; b_vals = vals } ])
+    rows
+
+(* The one join loop. Each outer row pairs with every inner row the ON
+   condition keeps (CROSS keeps all); an outer join pads an unmatched
+   outer row with the other side's NULL shape. RIGHT is LEFT mirrored:
+   its outer rows are the right side's, and every pair still binds the
+   left side first. *)
+and join_rows ctx kind on left right lrows rrows : env_row list =
+  let kind_tag =
+    match kind with Inner -> 0 | Left -> 1 | Right -> 2 | Cross -> 3
+  in
+  probe ctx s_join
+    ((kind_tag * 16) lor (bucket (List.length lrows) * 2)
+     lor if rrows = [] then 1 else 0);
+  if List.length lrows * List.length rrows
+     > ctx.limits.Limits.max_result_rows * 4
+  then Errors.fail (Errors.Limit_exceeded "join size");
+  let outer, inner = if kind = Right then (rrows, lrows) else (lrows, rrows) in
+  let pair o i = if kind = Right then i @ o else o @ i in
+  let nulls =
+    match kind with
+    | Inner | Cross -> None
+    | Left -> Some (List.map null_binding (shape_of_from ctx right))
+    | Right -> Some (List.map null_binding (shape_of_from ctx left))
+  in
+  List.concat_map
+    (fun o ->
+       let matches =
+         List.filter_map
+           (fun i ->
+              let combined = pair o i in
+              match on with
+              | Some e when kind <> Cross ->
+                if Expr_eval.eval_bool (row_env ctx combined) e then
+                  Some combined
+                else None
+              | _ -> Some combined)
+           inner
+       in
+       match nulls with
+       | Some nulls when matches = [] ->
+         set_flag ctx "outer_null_row";
+         [ pair o nulls ]
+       | _ -> matches)
+    outer
+
+and eval_view ctx (v : Catalog.view) alias : env_row list =
   if ctx.query_depth > ctx.limits.Limits.max_view_depth then
     Errors.fail (Errors.Limit_exceeded "view nesting depth");
   probe ctx s_view
@@ -582,16 +570,7 @@ and eval_view ctx (v : Catalog.view) alias_name : env_row list =
     end
     else run_query ctx v.v_query
   in
-  List.map
-    (fun vals ->
-       let vals =
-         if Array.length vals = Array.length cols then vals
-         else
-           Array.init (Array.length cols) (fun i ->
-               if i < Array.length vals then vals.(i) else Value.Null)
-       in
-       [ { b_alias = alias_name; b_cols = cols; b_vals = vals } ])
-    rows
+  bind_rows ctx Rel_view alias cols rows
 
 and check_lock ctx table intent =
   match Hashtbl.find_opt ctx.cat.Catalog.locks table with
@@ -1316,6 +1295,70 @@ let find_conflicts ctx table_name table row ~exclude =
       key_sets;
     !conflicts
 
+(* A table's dependent catalog entries (indexes, triggers or rules), as
+   [(name, entry)] pairs in reverse fold order. *)
+let dependents tbl table_of table =
+  Hashtbl.fold
+    (fun k v acc ->
+       if String.equal (table_of v) table then (k, v) :: acc else acc)
+    tbl []
+
+let index_table (x : Catalog.index_spec) = x.x_table
+let trigger_table (t : Catalog.trigger) = t.tr_table
+let rule_table (r : Catalog.rule) = r.r_table
+
+(* The one place trigger nesting deepens: EXECUTE, trigger bodies and
+   rule actions run [f ()] one level down, or [at_limit ctx] once the
+   depth has reached [limit]. [at_limit] takes [ctx] so that it can be
+   a closed function, allocated once rather than per trigger firing. *)
+let nested ctx ~limit ~at_limit f =
+  if ctx.trigger_depth >= limit then at_limit ctx
+  else begin
+    ctx.trigger_depth <- ctx.trigger_depth + 1;
+    match f () with
+    | r ->
+      ctx.trigger_depth <- ctx.trigger_depth - 1;
+      r
+    | exception e ->
+      ctx.trigger_depth <- ctx.trigger_depth - 1;
+      raise e
+  end
+
+(* A named object of [kind] the statement needs: probe and refuse when
+   it is missing. *)
+let find_object ctx site key kind tbl name =
+  match Hashtbl.find_opt tbl name with
+  | Some v -> v
+  | None ->
+    probe ctx site key;
+    Errors.fail (Errors.No_such_object (kind, name))
+
+(* A column the statement names: probe and refuse when it is missing. *)
+let column_pos ctx site key table name =
+  match Table.col_index table name with
+  | Some p -> p
+  | None ->
+    probe ctx site key;
+    Errors.fail (Errors.No_such_column name)
+
+(* COPY FROM and LOAD DATA: an INSERT of literal rows. *)
+let literal_insert table rows ~i_ignore =
+  { i_table = table; i_cols = []; i_ignore;
+    i_source = Src_values (List.map (List.map (fun l -> Lit l)) rows) }
+
+let end_txn ctx =
+  ctx.cat.Catalog.in_txn <- false;
+  ctx.cat.Catalog.txn_snapshot <- None;
+  ctx.cat.Catalog.savepoints <- []
+
+(* A name the statement would create is already [taken]: probe and
+   refuse. *)
+let refuse_duplicate ctx ?(site = s_ddl) key kind name taken =
+  if taken then begin
+    probe ctx site key;
+    Errors.fail (Errors.Duplicate_object (kind, name))
+  end
+
 let rec exec ctx stmt : result =
   let ty = Ast.type_of_stmt stmt in
   (* Real DBMSs share most code between statement types (parser, catalog,
@@ -1328,12 +1371,13 @@ let rec exec ctx stmt : result =
   match stmt with
   (* ---------------- DDL ---------------- *)
   | S_create_table { temp; if_not_exists; name; cols } ->
-    if Catalog.name_in_use ctx.cat name then begin
+    let taken = Catalog.name_in_use ctx.cat name in
+    if taken && if_not_exists then begin
       probe ctx s_ddl 1;
-      if if_not_exists then Done "table exists, skipped"
-      else Errors.fail (Errors.Duplicate_object ("table", name))
+      Done "table exists, skipped"
     end
     else begin
+      refuse_duplicate ctx 1 "table" name taken;
       if cols = [] then Errors.fail (Errors.Semantic "table with no columns");
       let names = List.map (fun c -> c.col_name) cols in
       if List.length (List.sort_uniq String.compare names)
@@ -1348,10 +1392,8 @@ let rec exec ctx stmt : result =
       Done "table created"
     end
   | S_create_index { unique; name; table; cols } ->
-    if Hashtbl.mem ctx.cat.Catalog.indexes name then begin
-      probe ctx s_ddl 3;
-      Errors.fail (Errors.Duplicate_object ("index", name))
-    end;
+    refuse_duplicate ctx 3 "index" name
+      (Hashtbl.mem ctx.cat.Catalog.indexes name);
     let tbl = Catalog.find_table ctx.cat table in
     List.iter
       (fun c ->
@@ -1371,12 +1413,9 @@ let rec exec ctx stmt : result =
     probe ctx s_ddl (if unique then 5 else 4);
     Done "index created"
   | S_create_view { materialized; name; query } ->
-    if Catalog.name_in_use ctx.cat name
-       || Hashtbl.mem ctx.cat.Catalog.views name
-    then begin
-      probe ctx s_ddl 6;
-      Errors.fail (Errors.Duplicate_object ("view", name))
-    end;
+    refuse_duplicate ctx 6 "view" name
+      (Catalog.name_in_use ctx.cat name
+       || Hashtbl.mem ctx.cat.Catalog.views name);
     let cache =
       if materialized then begin
         set_flag ctx "matview_refreshed";
@@ -1391,10 +1430,8 @@ let rec exec ctx stmt : result =
     Done "view created"
   | S_create_trigger { name; timing; event; table; body } ->
     ignore (Catalog.find_table ctx.cat table);
-    if Hashtbl.mem ctx.cat.Catalog.triggers name then begin
-      probe ctx s_ddl 9;
-      Errors.fail (Errors.Duplicate_object ("trigger", name))
-    end;
+    refuse_duplicate ctx 9 "trigger" name
+      (Hashtbl.mem ctx.cat.Catalog.triggers name);
     List.iter
       (fun s ->
          match s with
@@ -1411,10 +1448,8 @@ let rec exec ctx stmt : result =
     Done "trigger created"
   | S_create_rule { name; table; event; instead; action } ->
     ignore (Catalog.find_table ctx.cat table);
-    if Hashtbl.mem ctx.cat.Catalog.rules name then begin
-      probe ctx s_ddl 11;
-      Errors.fail (Errors.Duplicate_object ("rule", name))
-    end;
+    refuse_duplicate ctx 11 "rule" name
+      (Hashtbl.mem ctx.cat.Catalog.rules name);
     Hashtbl.replace ctx.cat.Catalog.rules name
       { Catalog.r_name = name; r_table = table; r_event = event;
         r_instead = instead; r_action = action };
@@ -1422,70 +1457,48 @@ let rec exec ctx stmt : result =
     set_flag ctx "rule_created";
     Done "rule created"
   | S_create_sequence { name; start; step } ->
-    if Hashtbl.mem ctx.cat.Catalog.sequences name then begin
-      probe ctx s_ddl 16;
-      Errors.fail (Errors.Duplicate_object ("sequence", name))
-    end;
+    refuse_duplicate ctx 16 "sequence" name
+      (Hashtbl.mem ctx.cat.Catalog.sequences name);
     if step = 0 then Errors.fail (Errors.Semantic "zero sequence step");
     Hashtbl.replace ctx.cat.Catalog.sequences name
       { Catalog.sq_value = start; sq_step = step; sq_start = start };
     probe ctx s_seq 0;
     Done "sequence created"
   | S_create_schema name ->
-    if Hashtbl.mem ctx.cat.Catalog.schemas name then begin
-      probe ctx s_ddl 17;
-      Errors.fail (Errors.Duplicate_object ("schema", name))
-    end;
+    refuse_duplicate ctx 17 "schema" name
+      (Hashtbl.mem ctx.cat.Catalog.schemas name);
     Hashtbl.replace ctx.cat.Catalog.schemas name ();
     Done "schema created"
   | S_create_database name ->
-    if Hashtbl.mem ctx.cat.Catalog.databases name then begin
-      probe ctx s_ddl 18;
-      Errors.fail (Errors.Duplicate_object ("database", name))
-    end;
+    refuse_duplicate ctx 18 "database" name
+      (Hashtbl.mem ctx.cat.Catalog.databases name);
     Hashtbl.replace ctx.cat.Catalog.databases name ();
     Done "database created"
   | S_create_user { user; password } ->
-    if Hashtbl.mem ctx.cat.Catalog.users user then begin
-      probe ctx s_dcl 1;
-      Errors.fail (Errors.Duplicate_object ("user", user))
-    end;
+    refuse_duplicate ctx ~site:s_dcl 1 "user" user
+      (Hashtbl.mem ctx.cat.Catalog.users user);
     Hashtbl.replace ctx.cat.Catalog.users user
       { Catalog.us_password = password; us_privs = [] };
     probe ctx s_dcl 0;
     Done "user created"
   | S_drop { target; if_exists } -> exec_drop ctx target if_exists
   | S_alter_table (table, action) -> exec_alter_table ctx table action
-  | S_alter_sequence { name; step } -> (
-      match Hashtbl.find_opt ctx.cat.Catalog.sequences name with
-      | None ->
-        probe ctx s_seq 5;
-        Errors.fail (Errors.No_such_object ("sequence", name))
-      | Some sq ->
-        if step = 0 then Errors.fail (Errors.Semantic "zero sequence step");
-        sq.Catalog.sq_step <- step;
-        probe ctx s_seq 1;
-        Done "sequence altered")
-  | S_alter_user { user; password } -> (
-      match Hashtbl.find_opt ctx.cat.Catalog.users user with
-      | None ->
-        probe ctx s_dcl 2;
-        Errors.fail (Errors.No_such_object ("user", user))
-      | Some u ->
-        u.Catalog.us_password <- password;
-        Done "user altered")
+  | S_alter_sequence { name; step } ->
+    let sq =
+      find_object ctx s_seq 5 "sequence" ctx.cat.Catalog.sequences name
+    in
+    if step = 0 then Errors.fail (Errors.Semantic "zero sequence step");
+    sq.Catalog.sq_step <- step;
+    probe ctx s_seq 1;
+    Done "sequence altered"
+  | S_alter_user { user; password } ->
+    let u = find_object ctx s_dcl 2 "user" ctx.cat.Catalog.users user in
+    u.Catalog.us_password <- password;
+    Done "user altered"
   | S_rename_table pairs ->
     List.iter
       (fun (a, b) ->
-         let table = Catalog.find_table ctx.cat a in
-         if Catalog.name_in_use ctx.cat b then begin
-           probe ctx s_ddl 20;
-           Errors.fail (Errors.Duplicate_object ("table", b))
-         end;
-         Hashtbl.remove ctx.cat.Catalog.tables a;
-         Table.set_name table b;
-         Hashtbl.replace ctx.cat.Catalog.tables b table;
-         rename_refs ctx a b)
+         rename_table ctx (Catalog.find_table ctx.cat a) a b ~taken_key:20)
       pairs;
     probe ctx s_ddl 19;
     Done "renamed"
@@ -1512,34 +1525,26 @@ let rec exec ctx stmt : result =
       match src with
       | Cs_table t ->
         let table = Catalog.find_table ctx.cat t in
-        ( Array.to_list
-            (Array.map (fun c -> c.Table.c_name) (Table.cols table)),
-          Table.rows table )
+        (Array.to_list (col_names table), Table.rows table)
       | Cs_query q -> (headers_of_query ctx q, run_query ctx q)
     in
     probe ctx s_copy
       ((bucket (List.length rows) * 2) lor if header then 1 else 0);
     Rows (headers, rows)
   | S_copy_from { table; rows } ->
-    let lit_rows = List.map (List.map (fun l -> Lit l)) rows in
     exec_insert ctx ~replace:false ~in_with:false
-      { i_table = table; i_cols = []; i_source = Src_values lit_rows;
-        i_ignore = false }
+      (literal_insert table rows ~i_ignore:false)
   | S_load_data { table; rows } ->
-    let lit_rows = List.map (List.map (fun l -> Lit l)) rows in
     probe ctx s_copy 8;
     exec_insert ctx ~replace:false ~in_with:false
-      { i_table = table; i_cols = []; i_source = Src_values lit_rows;
-        i_ignore = true }
+      (literal_insert table rows ~i_ignore:true)
   (* ---------------- DQL ---------------- *)
   | S_select q -> Rows (headers_of_query ctx q, run_query ctx q)
   | S_with { ctes; body } -> exec_with ctx ctes body
   | S_table t ->
     let table = Catalog.find_table ctx.cat t in
     probe ctx s_scan (32 + bucket (Table.row_count table));
-    Rows
-      ( Array.to_list (Array.map (fun c -> c.Table.c_name) (Table.cols table)),
-        Table.rows table )
+    Rows (Array.to_list (col_names table), Table.rows table)
   | S_explain inner ->
     let lines =
       Planner.explain_lines ctx.cat ~analyzed:(analyzed ctx) inner
@@ -1591,49 +1596,38 @@ let rec exec ctx stmt : result =
           [| Value.Text "objects"; Value.Int (Catalog.object_count ctx.cat) |];
           [| Value.Text "in_txn"; Value.Bool ctx.cat.Catalog.in_txn |] ] )
   (* ---------------- DCL ---------------- *)
-  | S_grant { privs; table; user } -> (
-      ignore (Catalog.find_table ctx.cat table);
-      match Hashtbl.find_opt ctx.cat.Catalog.users user with
-      | None ->
-        probe ctx s_dcl 4;
-        Errors.fail (Errors.No_such_object ("user", user))
-      | Some u ->
-        let existing =
-          Option.value ~default:[] (List.assoc_opt table u.Catalog.us_privs)
-        in
-        let merged =
-          List.fold_left
-            (fun acc p -> if List.mem p acc then acc else p :: acc)
-            existing privs
-        in
-        u.Catalog.us_privs <-
-          (table, merged) :: List.remove_assoc table u.Catalog.us_privs;
-        probe ctx s_dcl 3;
-        set_flag ctx "granted";
-        Done "granted")
-  | S_revoke { privs; table; user } -> (
-      match Hashtbl.find_opt ctx.cat.Catalog.users user with
-      | None ->
-        probe ctx s_dcl 6;
-        Errors.fail (Errors.No_such_object ("user", user))
-      | Some u ->
-        let existing =
-          Option.value ~default:[] (List.assoc_opt table u.Catalog.us_privs)
-        in
-        let remaining =
-          List.filter
-            (fun p -> not (List.mem p privs || List.mem P_all privs))
-            existing
-        in
-        u.Catalog.us_privs <-
-          (table, remaining) :: List.remove_assoc table u.Catalog.us_privs;
-        probe ctx s_dcl 5;
-        Done "revoked")
+  | S_grant { privs; table; user } ->
+    ignore (Catalog.find_table ctx.cat table);
+    let u = find_object ctx s_dcl 4 "user" ctx.cat.Catalog.users user in
+    let existing =
+      Option.value ~default:[] (List.assoc_opt table u.Catalog.us_privs)
+    in
+    let merged =
+      List.fold_left
+        (fun acc p -> if List.mem p acc then acc else p :: acc)
+        existing privs
+    in
+    u.Catalog.us_privs <-
+      (table, merged) :: List.remove_assoc table u.Catalog.us_privs;
+    probe ctx s_dcl 3;
+    set_flag ctx "granted";
+    Done "granted"
+  | S_revoke { privs; table; user } ->
+    let u = find_object ctx s_dcl 6 "user" ctx.cat.Catalog.users user in
+    let existing =
+      Option.value ~default:[] (List.assoc_opt table u.Catalog.us_privs)
+    in
+    let remaining =
+      List.filter
+        (fun p -> not (List.mem p privs || List.mem P_all privs))
+        existing
+    in
+    u.Catalog.us_privs <-
+      (table, remaining) :: List.remove_assoc table u.Catalog.us_privs;
+    probe ctx s_dcl 5;
+    Done "revoked"
   | S_set_role user ->
-    if not (Hashtbl.mem ctx.cat.Catalog.users user) then begin
-      probe ctx s_dcl 8;
-      Errors.fail (Errors.No_such_object ("user", user))
-    end;
+    ignore (find_object ctx s_dcl 8 "user" ctx.cat.Catalog.users user);
     ctx.cat.Catalog.current_user <- user;
     probe ctx s_dcl 7;
     set_flag ctx "role_changed";
@@ -1650,9 +1644,7 @@ let rec exec ctx stmt : result =
     Done "begin"
   | S_commit ->
     if ctx.cat.Catalog.in_txn then begin
-      ctx.cat.Catalog.in_txn <- false;
-      ctx.cat.Catalog.txn_snapshot <- None;
-      ctx.cat.Catalog.savepoints <- [];
+      end_txn ctx;
       probe ctx s_txn 2;
       Done "commit"
     end
@@ -1664,9 +1656,7 @@ let rec exec ctx stmt : result =
     (match ctx.cat.Catalog.txn_snapshot with
      | Some snap when ctx.cat.Catalog.in_txn ->
        Catalog.restore_snapshot ctx.cat snap;
-       ctx.cat.Catalog.in_txn <- false;
-       ctx.cat.Catalog.txn_snapshot <- None;
-       ctx.cat.Catalog.savepoints <- [];
+       end_txn ctx;
        probe ctx s_txn 4;
        set_flag ctx "rolled_back";
        Done "rollback"
@@ -1757,16 +1747,12 @@ let rec exec ctx stmt : result =
     probe ctx s_util (40 lor (Hashtbl.hash name land 7));
     Done "pragma"
   | S_vacuum target ->
-    (match target with
-     | Some t -> ignore (Catalog.find_table ctx.cat t)
-     | None -> ());
+    Option.iter (fun t -> ignore (Catalog.find_table ctx.cat t)) target;
     set_flag ctx "vacuumed";
     probe ctx s_util (48 lor if target = None then 1 else 0);
     Done "vacuumed"
   | S_analyze target ->
-    (match target with
-     | Some t -> ignore (Catalog.find_table ctx.cat t)
-     | None -> ());
+    Option.iter (fun t -> ignore (Catalog.find_table ctx.cat t)) target;
     Hashtbl.replace ctx.cat.Catalog.global_vars "__analyzed"
       (Value.Bool true);
     set_flag ctx "analyzed_now";
@@ -1816,26 +1802,23 @@ let rec exec ctx stmt : result =
         ctx.cat.Catalog.listening;
     Done "unlistened"
   | S_discard what ->
+    let drop_temps () =
+      let temps =
+        Hashtbl.fold
+          (fun n t acc -> if Table.is_temp t then n :: acc else acc)
+          ctx.cat.Catalog.tables []
+      in
+      List.iter (Hashtbl.remove ctx.cat.Catalog.tables) temps;
+      if temps <> [] then 1 else 0
+    in
     (match what with
      | Disc_all ->
-       let temps =
-         Hashtbl.fold
-           (fun n t acc -> if Table.is_temp t then n :: acc else acc)
-           ctx.cat.Catalog.tables []
-       in
-       List.iter (Hashtbl.remove ctx.cat.Catalog.tables) temps;
+       let dropped = drop_temps () in
        Hashtbl.reset ctx.cat.Catalog.prepared;
        ctx.cat.Catalog.listening <- [];
-       probe ctx s_util (70 lor if temps <> [] then 1 else 0);
+       probe ctx s_util (70 lor dropped);
        set_flag ctx "discarded_all"
-     | Disc_temp ->
-       let temps =
-         Hashtbl.fold
-           (fun n t acc -> if Table.is_temp t then n :: acc else acc)
-           ctx.cat.Catalog.tables []
-       in
-       List.iter (Hashtbl.remove ctx.cat.Catalog.tables) temps;
-       probe ctx s_util (72 lor if temps <> [] then 1 else 0)
+     | Disc_temp -> probe ctx s_util (72 lor drop_temps ())
      | Disc_plans -> probe ctx s_util 74);
     Done "discarded"
   | S_prepare { name; stmt = inner } ->
@@ -1847,39 +1830,25 @@ let rec exec ctx stmt : result =
     Hashtbl.replace ctx.cat.Catalog.prepared name inner;
     probe ctx s_prepare 0;
     Done "prepared"
-  | S_execute name -> (
-      match Hashtbl.find_opt ctx.cat.Catalog.prepared name with
-      | None ->
-        probe ctx s_prepare 2;
-        Errors.fail (Errors.No_such_object ("prepared statement", name))
-      | Some inner ->
-        probe ctx s_prepare 1;
-        if ctx.trigger_depth > ctx.limits.Limits.max_trigger_depth then
-          Errors.fail (Errors.Limit_exceeded "execute recursion")
-        else begin
-          ctx.trigger_depth <- ctx.trigger_depth + 1;
-          let finally () = ctx.trigger_depth <- ctx.trigger_depth - 1 in
-          match exec ctx inner with
-          | r ->
-            finally ();
-            r
-          | exception e ->
-            finally ();
-            raise e
-        end)
+  | S_execute name ->
+    let inner =
+      find_object ctx s_prepare 2 "prepared statement"
+        ctx.cat.Catalog.prepared name
+    in
+    probe ctx s_prepare 1;
+    nested ctx ~limit:(ctx.limits.Limits.max_trigger_depth + 1)
+      ~at_limit:(fun _ ->
+          Errors.fail (Errors.Limit_exceeded "execute recursion"))
+      (fun () -> exec ctx inner)
   | S_deallocate name ->
-    if not (Hashtbl.mem ctx.cat.Catalog.prepared name) then begin
-      probe ctx s_prepare 5;
-      Errors.fail (Errors.No_such_object ("prepared statement", name))
-    end;
+    ignore
+      (find_object ctx s_prepare 5 "prepared statement"
+         ctx.cat.Catalog.prepared name);
     Hashtbl.remove ctx.cat.Catalog.prepared name;
     probe ctx s_prepare 4;
     Done "deallocated"
   | S_use db ->
-    if not (Hashtbl.mem ctx.cat.Catalog.databases db) then begin
-      probe ctx s_util 81;
-      Errors.fail (Errors.No_such_object ("database", db))
-    end;
+    ignore (find_object ctx s_util 81 "database" ctx.cat.Catalog.databases db);
     ctx.cat.Catalog.current_db <- db;
     probe ctx s_util 80;
     Done "database changed"
@@ -1906,19 +1875,12 @@ let rec exec ctx stmt : result =
         let next = match dir with H_first -> 0 | H_next -> pos + 1 in
         Hashtbl.replace ctx.cat.Catalog.handlers table next;
         let rows = Table.to_rows tbl in
-        probe ctx s_handler
-          (if next < List.length rows then 4 else 5);
-        (match List.nth_opt rows next with
-         | Some (_, row) ->
-           Rows
-             ( Array.to_list
-                 (Array.map (fun c -> c.Table.c_name) (Table.cols tbl)),
-               [ row ] )
-         | None ->
-           Rows
-             ( Array.to_list
-                 (Array.map (fun c -> c.Table.c_name) (Table.cols tbl)),
-               [] )))
+        probe ctx s_handler (if next < List.length rows then 4 else 5);
+        Rows
+          ( Array.to_list (col_names tbl),
+            match List.nth_opt rows next with
+            | Some (_, row) -> [ row ]
+            | None -> [] ))
   | S_handler_close t ->
     if not (Hashtbl.mem ctx.cat.Catalog.handlers t) then begin
       probe ctx s_handler 7;
@@ -1992,41 +1954,39 @@ and do_notify ctx channel payload =
   set_flag ctx "notified";
   Done "notified"
 
-and rename_refs ctx old_name new_name =
-  let remap t = if String.equal t old_name then new_name else t in
-  let specs =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.cat.Catalog.indexes []
+(* Moves [table] to [new_name] and retargets the indexes, triggers and
+   rules on it. *)
+and rename_table ctx table old_name new_name ~taken_key =
+  refuse_duplicate ctx taken_key "table" new_name
+    (Catalog.name_in_use ctx.cat new_name);
+  Hashtbl.remove ctx.cat.Catalog.tables old_name;
+  Table.set_name table new_name;
+  Hashtbl.replace ctx.cat.Catalog.tables new_name table;
+  let retarget tbl table_of moved =
+    List.iter
+      (fun (k, v) -> Hashtbl.replace tbl k (moved v))
+      (dependents tbl table_of old_name)
   in
-  List.iter
-    (fun (k, (spec : Catalog.index_spec)) ->
-       if String.equal spec.x_table old_name then
-         Hashtbl.replace ctx.cat.Catalog.indexes k
-           { spec with x_table = new_name })
-    specs;
-  let trs =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.cat.Catalog.triggers []
-  in
-  List.iter
-    (fun (k, (tr : Catalog.trigger)) ->
-       if String.equal tr.tr_table old_name then
-         Hashtbl.replace ctx.cat.Catalog.triggers k
-           { tr with tr_table = new_name })
-    trs;
-  let rls =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.cat.Catalog.rules []
-  in
-  List.iter
-    (fun (k, (r : Catalog.rule)) ->
-       if String.equal r.r_table old_name then
-         Hashtbl.replace ctx.cat.Catalog.rules k
-           { r with r_table = remap r.r_table })
-    rls
+  retarget ctx.cat.Catalog.indexes index_table (fun x ->
+      { x with Catalog.x_table = new_name });
+  retarget ctx.cat.Catalog.triggers trigger_table (fun t ->
+      { t with Catalog.tr_table = new_name });
+  retarget ctx.cat.Catalog.rules rule_table (fun r ->
+      { r with Catalog.r_table = new_name })
 
 and exec_drop ctx target if_exists =
   let missing kind name =
     probe ctx s_ddl 30;
     if if_exists then Done (kind ^ " does not exist, skipped")
     else Errors.fail (Errors.No_such_object (kind, name))
+  in
+  let plain tbl kind key name =
+    if not (Hashtbl.mem tbl name) then missing kind name
+    else begin
+      Hashtbl.remove tbl name;
+      probe ctx s_ddl key;
+      Done (kind ^ " dropped")
+    end
   in
   match target with
   | D_table name ->
@@ -2035,92 +1995,27 @@ and exec_drop ctx target if_exists =
     else begin
       Hashtbl.remove ctx.cat.Catalog.tables name;
       (* cascade: indexes, triggers, rules on the table *)
-      let cascade = ref 0 in
-      let idx =
-        Hashtbl.fold
-          (fun k (s : Catalog.index_spec) acc ->
-             if String.equal s.x_table name then k :: acc else acc)
-          ctx.cat.Catalog.indexes []
+      let drop tbl table_of =
+        let doomed = dependents tbl table_of name in
+        List.iter (fun (k, _) -> Hashtbl.remove tbl k) doomed;
+        List.length doomed
       in
-      List.iter
-        (fun k ->
-           incr cascade;
-           Hashtbl.remove ctx.cat.Catalog.indexes k)
-        idx;
-      let trs =
-        Hashtbl.fold
-          (fun k (t : Catalog.trigger) acc ->
-             if String.equal t.tr_table name then k :: acc else acc)
-          ctx.cat.Catalog.triggers []
-      in
-      List.iter
-        (fun k ->
-           incr cascade;
-           Hashtbl.remove ctx.cat.Catalog.triggers k)
-        trs;
-      let rls =
-        Hashtbl.fold
-          (fun k (r : Catalog.rule) acc ->
-             if String.equal r.r_table name then k :: acc else acc)
-          ctx.cat.Catalog.rules []
-      in
-      List.iter
-        (fun k ->
-           incr cascade;
-           Hashtbl.remove ctx.cat.Catalog.rules k)
-        rls;
+      let indexes = drop ctx.cat.Catalog.indexes index_table in
+      let triggers = drop ctx.cat.Catalog.triggers trigger_table in
+      let rules = drop ctx.cat.Catalog.rules rule_table in
+      let cascade = indexes + triggers + rules in
       Hashtbl.remove ctx.cat.Catalog.handlers name;
       Hashtbl.remove ctx.cat.Catalog.locks name;
-      probe ctx s_ddl (31 + min 2 !cascade);
-      if !cascade > 0 then set_flag ctx "drop_cascaded";
+      probe ctx s_ddl (31 + min 2 cascade);
+      if cascade > 0 then set_flag ctx "drop_cascaded";
       Done "table dropped"
     end
-  | D_index name ->
-    if not (Hashtbl.mem ctx.cat.Catalog.indexes name) then
-      missing "index" name
-    else begin
-      Hashtbl.remove ctx.cat.Catalog.indexes name;
-      probe ctx s_ddl 34;
-      Done "index dropped"
-    end
-  | D_view name ->
-    if not (Hashtbl.mem ctx.cat.Catalog.views name) then missing "view" name
-    else begin
-      Hashtbl.remove ctx.cat.Catalog.views name;
-      probe ctx s_ddl 35;
-      Done "view dropped"
-    end
-  | D_trigger name ->
-    if not (Hashtbl.mem ctx.cat.Catalog.triggers name) then
-      missing "trigger" name
-    else begin
-      Hashtbl.remove ctx.cat.Catalog.triggers name;
-      probe ctx s_ddl 36;
-      Done "trigger dropped"
-    end
-  | D_rule (name, _table) ->
-    if not (Hashtbl.mem ctx.cat.Catalog.rules name) then missing "rule" name
-    else begin
-      Hashtbl.remove ctx.cat.Catalog.rules name;
-      probe ctx s_ddl 37;
-      Done "rule dropped"
-    end
-  | D_sequence name ->
-    if not (Hashtbl.mem ctx.cat.Catalog.sequences name) then
-      missing "sequence" name
-    else begin
-      Hashtbl.remove ctx.cat.Catalog.sequences name;
-      probe ctx s_ddl 38;
-      Done "sequence dropped"
-    end
-  | D_schema name ->
-    if not (Hashtbl.mem ctx.cat.Catalog.schemas name) then
-      missing "schema" name
-    else begin
-      Hashtbl.remove ctx.cat.Catalog.schemas name;
-      probe ctx s_ddl 39;
-      Done "schema dropped"
-    end
+  | D_index name -> plain ctx.cat.Catalog.indexes "index" 34 name
+  | D_view name -> plain ctx.cat.Catalog.views "view" 35 name
+  | D_trigger name -> plain ctx.cat.Catalog.triggers "trigger" 36 name
+  | D_rule (name, _table) -> plain ctx.cat.Catalog.rules "rule" 37 name
+  | D_sequence name -> plain ctx.cat.Catalog.sequences "sequence" 38 name
+  | D_schema name -> plain ctx.cat.Catalog.schemas "schema" 39 name
   | D_database name ->
     if not (Hashtbl.mem ctx.cat.Catalog.databases name) then
       missing "database" name
@@ -2153,10 +2048,8 @@ and exec_alter_table ctx table_name action =
   (match action with
    | Add_column def ->
      let col = Table.col_of_def def in
-     if Table.col_index table col.Table.c_name <> None then begin
-       probe ctx s_ddl 45;
-       Errors.fail (Errors.Duplicate_object ("column", col.Table.c_name))
-     end;
+     refuse_duplicate ctx 45 "column" col.Table.c_name
+       (Table.col_index table col.Table.c_name <> None);
      if
        col.Table.c_not_null && col.Table.c_default = None
        && Table.row_count table > 0
@@ -2168,62 +2061,36 @@ and exec_alter_table ctx table_name action =
      end;
      Table.add_column table col;
      probe ctx s_ddl 44
-   | Drop_column name -> (
-       match Table.col_index table name with
-       | None ->
-         probe ctx s_ddl 48;
-         Errors.fail (Errors.No_such_column name)
-       | Some pos ->
-         if Table.arity table = 1 then begin
-           probe ctx s_ddl 49;
-           Errors.fail (Errors.Semantic "cannot drop the only column")
-         end;
-         (* drop indexes that use the column *)
-         let doomed =
-           Hashtbl.fold
-             (fun k (s : Catalog.index_spec) acc ->
-                if
-                  String.equal s.x_table table_name
-                  && List.mem name s.x_cols
-                then k :: acc
-                else acc)
-             ctx.cat.Catalog.indexes []
-         in
-         List.iter (Hashtbl.remove ctx.cat.Catalog.indexes) doomed;
-         if doomed <> [] then set_flag ctx "index_dropped_with_column";
-         Table.drop_column table pos;
-         probe ctx s_ddl 47)
-   | Rename_to new_name ->
-     if Catalog.name_in_use ctx.cat new_name then begin
-       probe ctx s_ddl 51;
-       Errors.fail (Errors.Duplicate_object ("table", new_name))
+   | Drop_column name ->
+     let pos = column_pos ctx s_ddl 48 table name in
+     if Table.arity table = 1 then begin
+       probe ctx s_ddl 49;
+       Errors.fail (Errors.Semantic "cannot drop the only column")
      end;
-     Hashtbl.remove ctx.cat.Catalog.tables table_name;
-     Table.set_name table new_name;
-     Hashtbl.replace ctx.cat.Catalog.tables new_name table;
-     rename_refs ctx table_name new_name;
+     (* drop indexes that use the column *)
+     let doomed =
+       List.filter
+         (fun (_, (x : Catalog.index_spec)) -> List.mem name x.x_cols)
+         (dependents ctx.cat.Catalog.indexes index_table table_name)
+     in
+     List.iter (fun (k, _) -> Hashtbl.remove ctx.cat.Catalog.indexes k) doomed;
+     if doomed <> [] then set_flag ctx "index_dropped_with_column";
+     Table.drop_column table pos;
+     probe ctx s_ddl 47
+   | Rename_to new_name ->
+     rename_table ctx table table_name new_name ~taken_key:51;
      probe ctx s_ddl 50
-   | Rename_column (old_c, new_c) -> (
-       match Table.col_index table old_c with
-       | None ->
-         probe ctx s_ddl 53;
-         Errors.fail (Errors.No_such_column old_c)
-       | Some pos ->
-         if Table.col_index table new_c <> None then begin
-           probe ctx s_ddl 54;
-           Errors.fail (Errors.Duplicate_object ("column", new_c))
-         end;
-         Table.rename_column table pos new_c;
-         probe ctx s_ddl 52)
-   | Alter_column_type (col, dt) -> (
-       match Table.col_index table col with
-       | None ->
-         probe ctx s_ddl 56;
-         Errors.fail (Errors.No_such_column col)
-       | Some pos ->
-         Table.change_column_type table pos dt;
-         probe ctx s_ddl 55;
-         set_flag ctx "column_retyped"));
+   | Rename_column (old_c, new_c) ->
+     let pos = column_pos ctx s_ddl 53 table old_c in
+     refuse_duplicate ctx 54 "column" new_c
+       (Table.col_index table new_c <> None);
+     Table.rename_column table pos new_c;
+     probe ctx s_ddl 52
+   | Alter_column_type (col, dt) ->
+     let pos = column_pos ctx s_ddl 56 table col in
+     Table.change_column_type table pos dt;
+     probe ctx s_ddl 55;
+     set_flag ctx "column_retyped");
   Catalog.record_index_versions ~table:table_name ctx.cat;
   Done "table altered"
 
@@ -2240,15 +2107,12 @@ and fire_triggers ctx table_name event ~timing =
            else acc)
         ctx.cat.Catalog.triggers []
   in
-  if trs <> [] then begin
-    if ctx.trigger_depth >= ctx.limits.Limits.max_trigger_depth then begin
-      probe ctx s_trigger 15;
-      set_flag ctx "trigger_depth_limit"
-    end
-    else begin
-      ctx.trigger_depth <- ctx.trigger_depth + 1;
-      let finally () = ctx.trigger_depth <- ctx.trigger_depth - 1 in
-      (try
+  if trs <> [] then
+    nested ctx ~limit:ctx.limits.Limits.max_trigger_depth
+      ~at_limit:(fun ctx ->
+          probe ctx s_trigger 15;
+          set_flag ctx "trigger_depth_limit")
+      (fun () ->
          List.iter
            (fun (t : Catalog.trigger) ->
               probe ctx s_trigger
@@ -2256,23 +2120,26 @@ and fire_triggers ctx table_name event ~timing =
                  lor (ctx.trigger_depth land 7));
               set_flag ctx "trigger_fired";
               List.iter (fun s -> ignore (exec ctx s)) t.tr_body)
-           trs
-       with e ->
-         finally ();
-         raise e);
-      finally ()
-    end
-  end
+           trs)
 
-and exec_insert ctx ~replace ~in_with (i : insert) =
-  let table_name = i.i_table in
+(* The one DML prologue: a rule on the target table decides first
+   (INSTEAD rules replace the statement); otherwise [plain] runs on the
+   write-checked table. *)
+and exec_dml ctx ~in_with table_name event plain =
   match
     if Hashtbl.mem ctx.cat.Catalog.tables table_name then
-      Rewriter.rewrite_dml ctx.cat ~table:table_name ~event:Ev_insert
+      Rewriter.rewrite_dml ctx.cat ~table:table_name ~event
     else Rewriter.No_rule
   with
-  | Rewriter.No_rule -> exec_plain_insert ctx ~replace ~in_with i
+  | Rewriter.No_rule ->
+    let table = Catalog.find_table ctx.cat table_name in
+    check_lock ctx table_name `Write;
+    plain table
   | decision -> apply_rule ctx ~in_with decision
+
+and exec_insert ctx ~replace ~in_with (i : insert) =
+  exec_dml ctx ~in_with i.i_table Ev_insert
+    (exec_plain_insert ctx ~replace ~in_with i)
 
 and apply_rule ctx ~in_with decision =
   probe ctx s_rule
@@ -2292,40 +2159,20 @@ and apply_rule ctx ~in_with decision =
          dropped instead of executed *)
       Profile.quirk ctx.profile "rule_rewrite_noop"
     then Affected 0
-    else if ctx.trigger_depth >= ctx.limits.Limits.max_trigger_depth
-    then begin
-      probe ctx s_rule 15;
-      Affected 0
-    end
-    else begin
-      ctx.trigger_depth <- ctx.trigger_depth + 1;
-      let finally () = ctx.trigger_depth <- ctx.trigger_depth - 1 in
-      match exec ctx s with
-      | r ->
-        finally ();
-        (match r with Affected n -> Affected n | _ -> Affected 0)
-      | exception e ->
-        finally ();
-        raise e
-    end
+    else
+      nested ctx ~limit:ctx.limits.Limits.max_trigger_depth
+        ~at_limit:(fun ctx ->
+            probe ctx s_rule 15;
+            Affected 0)
+        (fun () ->
+           match exec ctx s with Affected n -> Affected n | _ -> Affected 0)
 
-and exec_plain_insert ctx ~replace ~in_with (i : insert) =
-  let table = Catalog.find_table ctx.cat i.i_table in
-  check_lock ctx i.i_table `Write;
+and exec_plain_insert ctx ~replace ~in_with (i : insert) table =
   let cols = Table.cols table in
   let arity = Array.length cols in
   let positions =
     if i.i_cols = [] then Array.init arity (fun x -> x)
-    else
-      Array.of_list
-        (List.map
-           (fun c ->
-              match Table.col_index table c with
-              | Some p -> p
-              | None ->
-                probe ctx s_insert 14;
-                Errors.fail (Errors.No_such_column c))
-           i.i_cols)
+    else Array.of_list (List.map (column_pos ctx s_insert 14 table) i.i_cols)
   in
   let src_rows =
     match i.i_source with
@@ -2422,14 +2269,9 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
        | Ra_nothing -> ()
        | Ra_notify chan -> ignore (do_notify ctx chan None)
        | Ra_stmt s ->
-         if ctx.trigger_depth < ctx.limits.Limits.max_trigger_depth then begin
-           ctx.trigger_depth <- ctx.trigger_depth + 1;
-           (try ignore (exec ctx s)
-            with e ->
-              ctx.trigger_depth <- ctx.trigger_depth - 1;
-              raise e);
-           ctx.trigger_depth <- ctx.trigger_depth - 1
-         end)
+         nested ctx ~limit:ctx.limits.Limits.max_trigger_depth
+           ~at_limit:ignore
+           (fun () -> ignore (exec ctx s)))
     (Rewriter.also_rules ctx.cat ~table:i.i_table ~event:Ev_insert);
   probe ctx s_insert (min 7 !inserted);
   Affected !inserted
@@ -2445,130 +2287,98 @@ and do_store ctx table table_name row inserted ~in_with =
   if in_with then set_flag ctx "dml_in_with_executed";
   fire_triggers ctx table_name Ev_insert ~timing:After
 
-and exec_update ctx ~in_with (u : update) =
-  match
-    if Hashtbl.mem ctx.cat.Catalog.tables u.u_table then
-      Rewriter.rewrite_dml ctx.cat ~table:u.u_table ~event:Ev_update
-    else Rewriter.No_rule
-  with
-  | Rewriter.No_rule ->
-    let table = Catalog.find_table ctx.cat u.u_table in
-    check_lock ctx u.u_table `Write;
-    let cols = Table.cols table in
-    let set_positions =
-      List.map
-        (fun (c, e) ->
-           match Table.col_index table c with
-           | Some p -> (p, e)
-           | None ->
-             probe ctx s_update 14;
-             Errors.fail (Errors.No_such_column c))
-        u.u_sets
-    in
-    let col_names = Array.map (fun c -> c.Table.c_name) cols in
-    let matching =
+(* UPDATE's and DELETE's target rows, in rowid order: those WHERE
+   keeps, then the first LIMIT of them. *)
+and dml_targets ctx site table_name table where limit =
+  let matching =
+    match where with
+    | None -> Table.to_rows table
+    | Some w ->
+      let cols = col_names table in
       List.filter
         (fun (_, row) ->
-           match u.u_where with
-           | None -> true
-           | Some w ->
-             let env =
-               row_env ctx
-                 [ { b_alias = u.u_table; b_cols = col_names; b_vals = row } ]
-             in
-             Expr_eval.eval_bool env w)
+           Expr_eval.eval_bool
+             (row_env ctx
+                [ { b_alias = table_name; b_cols = cols; b_vals = row } ])
+             w)
         (Table.to_rows table)
-    in
-    let matching =
-      match u.u_limit with
-      | None -> matching
-      | Some n ->
-        probe ctx s_update 12;
-        List.filteri (fun i _ -> i < n) matching
-    in
-    probe ctx s_update (bucket (List.length matching));
-    let updated = ref 0 in
-    List.iter
-      (fun (rowid, row) ->
-         let env =
-           row_env ctx
-             [ { b_alias = u.u_table; b_cols = col_names; b_vals = row } ]
-         in
-         let row' = Array.copy row in
-         List.iter
-           (fun (p, e) ->
-              let v = Expr_eval.eval env e in
-              match Value.coerce v cols.(p).Table.c_type with
-              | Ok v -> row'.(p) <- v
-              | Error msg ->
-                probe ctx s_update 13;
-                Errors.fail (Errors.Type_error msg))
-           set_positions;
-         if violates_not_null cols row' then begin
-           probe ctx s_constraint 5;
-           set_flag ctx "not_null_violated";
-           Errors.fail (Errors.Constraint_violation "NOT NULL constraint")
-         end;
-         let conflicts =
-           find_conflicts ctx u.u_table table row' ~exclude:(Some rowid)
-         in
-         if conflicts <> [] then begin
-           probe ctx s_constraint 6;
-           set_flag ctx "unique_violated";
-           Errors.fail (Errors.Constraint_violation "UNIQUE constraint")
-         end;
-         fire_triggers ctx u.u_table Ev_update ~timing:Before;
-         Table.update_row table rowid row';
-         incr updated;
-         if in_with then set_flag ctx "dml_in_with_executed";
-         fire_triggers ctx u.u_table Ev_update ~timing:After)
-      matching;
-    Catalog.record_index_versions ~table:u.u_table ctx.cat;
-    Affected !updated
-  | decision -> apply_rule ctx ~in_with decision
+  in
+  let matching =
+    match limit with
+    | None -> matching
+    | Some n ->
+      probe ctx site 12;
+      List.filteri (fun i _ -> i < n) matching
+  in
+  probe ctx site (bucket (List.length matching));
+  matching
+
+and exec_update ctx ~in_with (u : update) =
+  exec_dml ctx ~in_with u.u_table Ev_update (fun table ->
+      let cols = Table.cols table in
+      let set_positions =
+        List.map
+          (fun (c, e) -> (column_pos ctx s_update 14 table c, e))
+          u.u_sets
+      in
+      let matching =
+        dml_targets ctx s_update u.u_table table u.u_where u.u_limit
+      in
+      let col_names = col_names table in
+      let updated = ref 0 in
+      List.iter
+        (fun (rowid, row) ->
+           let env =
+             row_env ctx
+               [ { b_alias = u.u_table; b_cols = col_names; b_vals = row } ]
+           in
+           let row' = Array.copy row in
+           List.iter
+             (fun (p, e) ->
+                let v = Expr_eval.eval env e in
+                match Value.coerce v cols.(p).Table.c_type with
+                | Ok v -> row'.(p) <- v
+                | Error msg ->
+                  probe ctx s_update 13;
+                  Errors.fail (Errors.Type_error msg))
+             set_positions;
+           if violates_not_null cols row' then begin
+             probe ctx s_constraint 5;
+             set_flag ctx "not_null_violated";
+             Errors.fail (Errors.Constraint_violation "NOT NULL constraint")
+           end;
+           let conflicts =
+             find_conflicts ctx u.u_table table row' ~exclude:(Some rowid)
+           in
+           if conflicts <> [] then begin
+             probe ctx s_constraint 6;
+             set_flag ctx "unique_violated";
+             Errors.fail (Errors.Constraint_violation "UNIQUE constraint")
+           end;
+           fire_triggers ctx u.u_table Ev_update ~timing:Before;
+           Table.update_row table rowid row';
+           incr updated;
+           if in_with then set_flag ctx "dml_in_with_executed";
+           fire_triggers ctx u.u_table Ev_update ~timing:After)
+        matching;
+      Catalog.record_index_versions ~table:u.u_table ctx.cat;
+      Affected !updated)
 
 and exec_delete ctx ~in_with (d : delete) =
-  match
-    if Hashtbl.mem ctx.cat.Catalog.tables d.d_table then
-      Rewriter.rewrite_dml ctx.cat ~table:d.d_table ~event:Ev_delete
-    else Rewriter.No_rule
-  with
-  | Rewriter.No_rule ->
-    let table = Catalog.find_table ctx.cat d.d_table in
-    check_lock ctx d.d_table `Write;
-    let col_names = Array.map (fun c -> c.Table.c_name) (Table.cols table) in
-    let matching =
-      List.filter
-        (fun (_, row) ->
-           match d.d_where with
-           | None -> true
-           | Some w ->
-             let env =
-               row_env ctx
-                 [ { b_alias = d.d_table; b_cols = col_names; b_vals = row } ]
-             in
-             Expr_eval.eval_bool env w)
-        (Table.to_rows table)
-    in
-    let matching =
-      match d.d_limit with
-      | None -> matching
-      | Some n ->
-        probe ctx s_delete 12;
-        List.filteri (fun i _ -> i < n) matching
-    in
-    probe ctx s_delete (bucket (List.length matching));
-    let ids = Iset.of_list (List.map fst matching) in
-    if not (Iset.is_empty ids) then
-      fire_triggers ctx d.d_table Ev_delete ~timing:Before;
-    let n = Table.delete_rows table (fun id -> Iset.mem id ids) in
-    if n > 0 then begin
-      if in_with then set_flag ctx "dml_in_with_executed";
-      fire_triggers ctx d.d_table Ev_delete ~timing:After
-    end;
-    Catalog.record_index_versions ~table:d.d_table ctx.cat;
-    Affected n
-  | decision -> apply_rule ctx ~in_with decision
+  exec_dml ctx ~in_with d.d_table Ev_delete (fun table ->
+      let matching =
+        dml_targets ctx s_delete d.d_table table d.d_where d.d_limit
+      in
+      let ids = Iset.of_list (List.map fst matching) in
+      if not (Iset.is_empty ids) then
+        fire_triggers ctx d.d_table Ev_delete ~timing:Before;
+      let n = Table.delete_rows table (fun id -> Iset.mem id ids) in
+      if n > 0 then begin
+        if in_with then set_flag ctx "dml_in_with_executed";
+        fire_triggers ctx d.d_table Ev_delete ~timing:After
+      end;
+      Catalog.record_index_versions ~table:d.d_table ctx.cat;
+      Affected n)
 
 and exec_with ctx ctes body =
   let saved = ctx.ctes in
@@ -2581,36 +2391,27 @@ and exec_with ctx ctes body =
            match cte_body with
            | W_query q ->
              { cr_headers = headers_of_query ctx q; cr_rows = run_query ctx q }
-           | W_insert i ->
-             set_flag ctx "dml_in_with";
-             ignore (exec_insert ctx ~replace:false ~in_with:true i);
-             { cr_headers = []; cr_rows = [] }
-           | W_update u ->
-             set_flag ctx "dml_in_with";
-             ignore (exec_update ctx ~in_with:true u);
-             { cr_headers = []; cr_rows = [] }
-           | W_delete d ->
-             set_flag ctx "dml_in_with";
-             ignore (exec_delete ctx ~in_with:true d);
+           | dml ->
+             ignore (exec_with_body ctx dml);
              { cr_headers = []; cr_rows = [] }
          in
          ctx.ctes <- (cte_name, rel) :: ctx.ctes)
       ctes;
-    let result =
-      match body with
-      | W_query q -> Rows (headers_of_query ctx q, run_query ctx q)
-      | W_insert i ->
-        set_flag ctx "dml_in_with";
-        exec_insert ctx ~replace:false ~in_with:true i
-      | W_update u ->
-        set_flag ctx "dml_in_with";
-        exec_update ctx ~in_with:true u
-      | W_delete d ->
-        set_flag ctx "dml_in_with";
-        exec_delete ctx ~in_with:true d
-    in
+    let result = exec_with_body ctx body in
     restore ();
     result
   with e ->
     restore ();
     raise e
+
+and exec_with_body ctx = function
+  | W_query q -> Rows (headers_of_query ctx q, run_query ctx q)
+  | W_insert i ->
+    set_flag ctx "dml_in_with";
+    exec_insert ctx ~replace:false ~in_with:true i
+  | W_update u ->
+    set_flag ctx "dml_in_with";
+    exec_update ctx ~in_with:true u
+  | W_delete d ->
+    set_flag ctx "dml_in_with";
+    exec_delete ctx ~in_with:true d

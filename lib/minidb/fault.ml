@@ -59,8 +59,40 @@ type crash = { c_bug : bug; c_stack : string list }
 
 exception Crashed of crash
 
+(* Slot [p] (0 = oldest) holds a type index in bits [7p, 7p + 7); the
+   length sits above the eight slots. *)
+type window = int
+
+let window_cap = 8
+let slot_bits = 7
+let slots_mask = (1 lsl (slot_bits * window_cap)) - 1
+let () = assert (Sqlcore.Stmt_type.count < 1 lsl slot_bits)
+
+let empty_window = 0
+let window_length w = w lsr (slot_bits * window_cap)
+let slot w p = (w lsr (slot_bits * p)) land ((1 lsl slot_bits) - 1)
+
+let push_window w ty =
+  let n = window_length w and i = Sqlcore.Stmt_type.to_index ty in
+  if n < window_cap then
+    ((n + 1) lsl (slot_bits * window_cap))
+    lor (w land slots_mask)
+    lor (i lsl (slot_bits * n))
+  else
+    (window_cap lsl (slot_bits * window_cap))
+    lor ((w land slots_mask) lsr slot_bits)
+    lor (i lsl (slot_bits * (window_cap - 1)))
+
+let last_index w =
+  match window_length w with 0 -> -1 | n -> slot w (n - 1)
+
+let window_of_list types = List.fold_left push_window empty_window types
+
+let window_to_list w =
+  List.init (window_length w) (fun p -> Sqlcore.Stmt_type.of_index (slot w p))
+
 type ctx = {
-  window : Sqlcore.Stmt_type.t list;
+  window : window;
   stmt : Sqlcore.Ast.stmt;
   state : string -> bool;
 }
@@ -167,7 +199,8 @@ type compiled =
   | C_any of compiled list
   | C_not of compiled
 
-let type_bit ty = 1 lsl (Sqlcore.Stmt_type.to_index ty mod Sys.int_size)
+(* A type index's bit in a presence mask. *)
+let type_bit i = 1 lsl (i mod Sys.int_size)
 
 (* Evaluation order within [All]/[Any]: window tests, then engine state,
    then statement features (a walk of the statement, the first time one
@@ -187,8 +220,8 @@ let indices types = Array.of_list (List.map Sqlcore.Stmt_type.to_index types)
 let rec compile_cond = function
   | Subseq [] | Ends_with [] -> C_false
   | Subseq types ->
-    C_subseq (List.fold_left (fun m ty -> m lor type_bit ty) 0 types,
-              indices types)
+    let seq = indices types in
+    C_subseq (Array.fold_left (fun m i -> m lor type_bit i) 0 seq, seq)
   | Ends_with types -> C_ends (indices types)
   | State name -> C_state name
   | Stmt_has f -> C_has (feature_bit f)
@@ -206,29 +239,22 @@ type env = {
   mutable e_feats : int;
 }
 
-(* [seq.(k..)] is a prefix of the window [w]. *)
-let rec seq_at seq k w =
+(* [seq.(k..)] matches the window from slot [p] on. *)
+let rec seq_at seq k env p =
   k = Array.length seq
-  ||
-  match w with
-  | [] -> false
-  | ty :: rest ->
-    Sqlcore.Stmt_type.to_index ty = Array.unsafe_get seq k
-    && seq_at seq (k + 1) rest
+  || p < env.e_wlen
+     && slot env.e_ctx.window p = Array.unsafe_get seq k
+     && seq_at seq (k + 1) env (p + 1)
 
-let rec occurs seq = function
-  | [] -> false
-  | _ :: rest as w -> seq_at seq 0 w || occurs seq rest
-
-let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l)
+let rec occurs seq env p =
+  p < env.e_wlen && (seq_at seq 0 env p || occurs seq env (p + 1))
 
 let rec eval env = function
   | C_false -> false
-  | C_subseq (mask, seq) ->
-    env.e_wmask land mask = mask && occurs seq env.e_ctx.window
+  | C_subseq (mask, seq) -> env.e_wmask land mask = mask && occurs seq env 0
   | C_ends seq ->
     let n = Array.length seq in
-    n <= env.e_wlen && seq_at seq 0 (drop (env.e_wlen - n) env.e_ctx.window)
+    n <= env.e_wlen && seq_at seq 0 env (env.e_wlen - n)
   | C_state name -> env.e_ctx.state name
   | C_has bit ->
     if env.e_feats < 0 then env.e_feats <- feature_mask env.e_ctx.stmt;
@@ -245,9 +271,12 @@ and eval_any env = function
   | [] -> false
   | c :: cs -> eval env c || eval_any env cs
 
-let rec window_mask m = function
-  | [] -> m
-  | ty :: rest -> window_mask (m lor type_bit ty) rest
+let window_mask w =
+  let m = ref 0 in
+  for p = 0 to window_length w - 1 do
+    m := !m lor type_bit (slot w p)
+  done;
+  !m
 
 let frame_pool =
   [| "plan_query"; "rewrite_target_list"; "eval_expr"; "exec_scan";
@@ -287,8 +316,8 @@ let check k ctx =
   if Array.length k.k_conds > 0 then
     match
       find_from
-        { e_ctx = ctx; e_wmask = window_mask 0 ctx.window;
-          e_wlen = List.length ctx.window; e_feats = -1 }
+        { e_ctx = ctx; e_wmask = window_mask ctx.window;
+          e_wlen = window_length ctx.window; e_feats = -1 }
         k.k_conds 0
     with
     | -1 -> ()

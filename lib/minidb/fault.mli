@@ -77,10 +77,32 @@ type crash = {
 
 exception Crashed of crash
 
+type window = private int
+(** Recent statement types, oldest first, current last: at most
+    {!window_cap} of them packed into one immediate, so a push and a
+    read of the current type are O(1) and allocate nothing. *)
+
+val window_cap : int
+(** 8 *)
+
+val empty_window : window
+
+val push_window : window -> Sqlcore.Stmt_type.t -> window
+(** Append a type; past {!window_cap} the oldest drops out. *)
+
+val last_index : window -> int
+(** [Stmt_type.to_index] of the current (last) type; [-1] when empty. *)
+
+val window_length : window -> int
+
+val window_of_list : Sqlcore.Stmt_type.t list -> window
+(** The last {!window_cap} types of the list. *)
+
+val window_to_list : window -> Sqlcore.Stmt_type.t list
+
 (** Context a trigger is evaluated against. *)
 type ctx = {
-  window : Sqlcore.Stmt_type.t list;
-      (** recent statement types, oldest first, current last *)
+  window : window;
   stmt : Sqlcore.Ast.stmt;
   state : string -> bool;
 }

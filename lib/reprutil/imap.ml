@@ -4,7 +4,6 @@ type 'a t = { root : 'a M.t; count : int }
 
 let empty = { root = M.empty; count = 0 }
 
-let is_empty t = t.count = 0
 
 let cardinal t = t.count
 

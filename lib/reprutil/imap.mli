@@ -12,8 +12,6 @@ type 'a t
 
 val empty : 'a t
 
-val is_empty : 'a t -> bool
-
 val cardinal : 'a t -> int
 (** O(1): the count is cached alongside the root. *)
 

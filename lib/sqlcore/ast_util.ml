@@ -586,10 +586,6 @@ let tables_read stmt = fst (collect stmt)
 
 let tables_written stmt = snd (collect stmt)
 
-let table_created = function
-  | S_create_table { name; cols; _ } -> Some (name, cols)
-  | _ -> None
-
 let objects_created = function
   | S_create_table { name; temp; _ } ->
     [ ((if temp then "temp_table" else "table"), name) ]

@@ -30,9 +30,6 @@ val tables_written : Ast.stmt -> string list
 (** Tables a statement inserts into / updates / deletes from / truncates,
     including via CTE bodies and trigger bodies. *)
 
-val table_created : Ast.stmt -> (string * Ast.col_def list) option
-(** [Some (name, cols)] when the statement creates a base table. *)
-
 val objects_created : Ast.stmt -> (string * string) list
 (** [(kind, name)] pairs for every schema object the statement creates
     (kind is ["table"], ["view"], ["index"], ...). *)

@@ -460,7 +460,3 @@ and stmt = function
 
 let testcase tc =
   String.concat ";\n" (List.map stmt tc) ^ if tc = [] then "" else ";"
-
-let pp_stmt fmt s = Format.pp_print_string fmt (stmt s)
-
-let pp_testcase fmt tc = Format.pp_print_string fmt (testcase tc)

@@ -19,6 +19,3 @@ val stmt : Ast.stmt -> string
 val testcase : Ast.testcase -> string
 (** Statements joined by [";\n"], with a final [';']. *)
 
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-
-val pp_testcase : Format.formatter -> Ast.testcase -> unit

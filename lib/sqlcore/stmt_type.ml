@@ -269,7 +269,6 @@ let of_name s = Hashtbl.find_opt name_tbl s
 let equal (a : t) (b : t) = a = b
 let compare a b = Int.compare (to_index a) (to_index b)
 let hash = to_index
-let pp fmt ty = Format.pp_print_string fmt (name ty)
 
 let category_name = function
   | Ddl -> "DDL"
@@ -278,5 +277,3 @@ let category_name = function
   | Dcl -> "DCL"
   | Tcl -> "TCL"
   | Util -> "UTIL"
-
-let pp_category fmt c = Format.pp_print_string fmt (category_name c)

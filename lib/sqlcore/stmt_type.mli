@@ -138,6 +138,4 @@ val of_index : int -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
-val pp : Format.formatter -> t -> unit
-val pp_category : Format.formatter -> category -> unit
 val category_name : category -> string

@@ -54,8 +54,6 @@ let keywords =
 let keyword_set : (string, unit) Hashtbl.t = Hashtbl.create 256
 let () = List.iter (fun k -> Hashtbl.replace keyword_set k ()) keywords
 
-let is_keyword s = Hashtbl.mem keyword_set (String.uppercase_ascii s)
-
 (* Token-class coverage sites for the grammar map: one per keyword plus
    one per literal/identifier class. All registration happens here at
    module initialisation — [Sites] is a plain hashtable, so sites must

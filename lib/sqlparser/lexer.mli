@@ -38,9 +38,6 @@ val tokenize : string -> token array
 (** Tokenize a whole input; the array always ends with {!EOF}.
     Raises {!Lex_error} on malformed input. *)
 
-val is_keyword : string -> bool
-(** Case-insensitive membership in the keyword set. *)
-
 val token_site : token -> int
 (** The token's class site for the grammar coverage map — one
     [tok.kw.*] site per keyword, one site per literal/identifier class,

@@ -840,12 +840,15 @@ let test_distinct_numeric_ties () =
 
 (* ---------------- row-path characterisation ---------------- *)
 
-(* The statement shapes whose row paths were rewritten to stop
-   allocating per row, pinned as the engine ran them before: one line
-   per statement (rows, affected count, or error message) plus the
-   coverage cells the shape leaves behind, so a change in results,
-   errors or probe hit counts fails here. Results over eight rows are
-   pinned as a row count and a digest. *)
+(* Statement shapes pinned as the engine ran them before a rewrite of
+   their code path: first the row paths that stopped allocating per
+   row, then one shape per executor stage boundary (depth guards, join
+   loop, FROM row binding, DML prologue, table-driven DDL). One line per
+   statement (rows, affected count, or error message) plus the coverage
+   cells the shape leaves behind, so a change in results, errors, probe
+   keys or hit counts fails here. Results over eight rows are pinned as
+   a row count and a digest. test/golden/exec-shapes.sql holds the
+   stage-boundary shapes for the dialect profiles. *)
 
 let parse_stmts = Sqlparser.Parser.parse_testcase_exn
 
@@ -973,7 +976,378 @@ let row_path_shapes =
          SELECT DISTINCT b FROM d ORDER BY b DESC;\n\
          SELECT DISTINCT a, b FROM d ORDER BY a DESC, b;\n\
          SELECT DISTINCT b FROM d ORDER BY a;\n\
-         SELECT DISTINCT a FROM d;" ) ]
+         SELECT DISTINCT a FROM d;" );
+    ( "CREATE of every kind, twice",
+      parse_stmts
+        "CREATE TABLE ck (a INT PRIMARY KEY, b TEXT);\n\
+         CREATE TABLE ck (a INT);\n\
+         CREATE TABLE IF NOT EXISTS ck (a INT);\n\
+         INSERT INTO ck VALUES (1, 'x'), (2, 'x');\n\
+         CREATE TEMPORARY TABLE ckt (x INT);\n\
+         CREATE TEMPORARY TABLE ckt (x INT);\n\
+         CREATE TABLE ckd (a INT, a INT);\n\
+         CREATE INDEX cki ON ck (b);\n\
+         CREATE INDEX cki ON ck (b);\n\
+         CREATE INDEX ckj ON ck (nosuch);\n\
+         CREATE INDEX ckk ON nosuch (a);\n\
+         CREATE UNIQUE INDEX cku ON ck (a);\n\
+         CREATE UNIQUE INDEX cku ON ck (a);\n\
+         CREATE UNIQUE INDEX ckub ON ck (b);\n\
+         CREATE VIEW ckv AS SELECT a FROM ck;\n\
+         CREATE VIEW ckv AS SELECT a FROM ck;\n\
+         CREATE VIEW ck AS SELECT 1;\n\
+         CREATE TABLE ckv (a INT);\n\
+         CREATE MATERIALIZED VIEW ckm AS SELECT b FROM ck;\n\
+         CREATE MATERIALIZED VIEW ckm AS SELECT b FROM ck;\n\
+         CREATE TRIGGER cktr AFTER INSERT ON ck FOR EACH ROW DELETE FROM \
+         ckt;\n\
+         CREATE TRIGGER cktr AFTER INSERT ON ck FOR EACH ROW DELETE FROM \
+         ckt;\n\
+         CREATE TRIGGER cktr2 AFTER INSERT ON nosuch FOR EACH ROW DELETE \
+         FROM ckt;\n\
+         CREATE TRIGGER cktr3 BEFORE UPDATE ON ck FOR EACH ROW BEGIN DELETE \
+         FROM ckt; SELECT 1; END;\n\
+         CREATE RULE ckr AS ON INSERT TO ck DO NOTHING;\n\
+         CREATE RULE ckr AS ON INSERT TO ck DO NOTHING;\n\
+         CREATE RULE ckr2 AS ON DELETE TO nosuch DO NOTHING;\n\
+         CREATE RULE ckri AS ON DELETE TO ck DO INSTEAD NOTHING;\n\
+         CREATE SEQUENCE cks START WITH 5 INCREMENT BY 2;\n\
+         CREATE SEQUENCE cks START WITH 5 INCREMENT BY 2;\n\
+         CREATE SEQUENCE cks0 START WITH 1 INCREMENT BY 0;\n\
+         CREATE SCHEMA cksc;\n\
+         CREATE SCHEMA cksc;\n\
+         CREATE DATABASE ckdb;\n\
+         CREATE DATABASE ckdb;\n\
+         CREATE USER cku1 IDENTIFIED BY 'p';\n\
+         CREATE USER cku1 IDENTIFIED BY 'p';\n\
+         SHOW TABLES;\n\
+         SHOW STATUS;" );
+    ( "DROP of every kind: present, absent and IF EXISTS",
+      parse_stmts
+        "CREATE TABLE dk (a INT, b INT);\n\
+         CREATE INDEX dki ON dk (a);\n\
+         CREATE VIEW dkv AS SELECT a FROM dk;\n\
+         CREATE TRIGGER dktr AFTER INSERT ON dk FOR EACH ROW DELETE FROM dk \
+         WHERE a < 0;\n\
+         CREATE RULE dkr AS ON UPDATE TO dk DO NOTHING;\n\
+         CREATE SEQUENCE dks START WITH 1 INCREMENT BY 1;\n\
+         CREATE SCHEMA dksc;\n\
+         CREATE DATABASE dkdb;\n\
+         CREATE USER dku IDENTIFIED BY 'p';\n\
+         DROP INDEX dki;\n\
+         DROP INDEX dki;\n\
+         DROP INDEX IF EXISTS dki;\n\
+         DROP VIEW dkv;\n\
+         DROP VIEW dkv;\n\
+         DROP VIEW IF EXISTS dkv;\n\
+         DROP TRIGGER dktr;\n\
+         DROP TRIGGER dktr;\n\
+         DROP TRIGGER IF EXISTS dktr;\n\
+         DROP RULE dkr ON dk;\n\
+         DROP RULE dkr ON dk;\n\
+         DROP RULE IF EXISTS dkr ON dk;\n\
+         DROP SEQUENCE dks;\n\
+         DROP SEQUENCE dks;\n\
+         DROP SEQUENCE IF EXISTS dks;\n\
+         DROP SCHEMA dksc;\n\
+         DROP SCHEMA dksc;\n\
+         DROP SCHEMA IF EXISTS dksc;\n\
+         DROP DATABASE dkdb;\n\
+         DROP DATABASE dkdb;\n\
+         DROP DATABASE IF EXISTS dkdb;\n\
+         DROP USER dku;\n\
+         DROP USER dku;\n\
+         DROP USER IF EXISTS dku;\n\
+         DROP TABLE dk;\n\
+         DROP TABLE dk;\n\
+         DROP TABLE IF EXISTS dk;\n\
+         SHOW TABLES;" );
+    ( "DROP TABLE cascading to an index, a trigger and a rule",
+      parse_stmts
+        "CREATE TABLE ct (a INT, b INT);\n\
+         CREATE TABLE cto (a INT);\n\
+         CREATE INDEX cti ON ct (a);\n\
+         CREATE INDEX cti2 ON ct (b);\n\
+         CREATE INDEX ctoi ON cto (a);\n\
+         CREATE TRIGGER cttr AFTER INSERT ON ct FOR EACH ROW INSERT INTO \
+         cto VALUES (1);\n\
+         CREATE TRIGGER ctotr AFTER INSERT ON cto FOR EACH ROW DELETE FROM \
+         cto WHERE a > 5;\n\
+         CREATE RULE ctr AS ON DELETE TO ct DO INSTEAD NOTHING;\n\
+         CREATE RULE ctor AS ON UPDATE TO cto DO NOTHING;\n\
+         HANDLER ct OPEN;\n\
+         INSERT INTO ct VALUES (1, 2);\n\
+         LOCK TABLES ct READ;\n\
+         DROP TABLE ct;\n\
+         SHOW STATUS;\n\
+         DROP INDEX cti;\n\
+         DROP TRIGGER cttr;\n\
+         DROP RULE ctr ON ct;\n\
+         HANDLER ct READ FIRST;\n\
+         INSERT INTO ct VALUES (1, 2);\n\
+         INSERT INTO cto VALUES (7);\n\
+         SELECT * FROM cto;\n\
+         DROP TABLE cto;\n\
+         CREATE TABLE ctn (a INT);\n\
+         DROP TABLE ctn;\n\
+         UNLOCK TABLES;" );
+    ( "DROP of the current database and of root",
+      parse_stmts
+        "CREATE DATABASE cdb;\n\
+         USE cdb;\n\
+         DROP DATABASE cdb;\n\
+         DROP DATABASE main;\n\
+         USE main;\n\
+         DROP DATABASE cdb;\n\
+         USE cdb;\n\
+         DROP USER root;\n\
+         DROP USER IF EXISTS root;\n\
+         CREATE USER cdu IDENTIFIED BY 'p';\n\
+         SET ROLE cdu;\n\
+         DROP USER cdu;\n\
+         SHOW STATUS;\n\
+         DROP USER cdu;" );
+    ( "RENAME TABLE and ALTER RENAME TO with dependents",
+      parse_stmts
+        "CREATE TABLE ra (x INT UNIQUE, y INT);\n\
+         CREATE TABLE rlog (n INT);\n\
+         CREATE INDEX rai ON ra (y);\n\
+         CREATE TRIGGER rat AFTER INSERT ON ra FOR EACH ROW INSERT INTO \
+         rlog VALUES (1);\n\
+         CREATE TRIGGER rbt BEFORE UPDATE ON ra FOR EACH ROW INSERT INTO \
+         rlog VALUES (2);\n\
+         CREATE RULE rar AS ON DELETE TO ra DO INSTEAD INSERT INTO rlog \
+         VALUES (3);\n\
+         CREATE RULE rau AS ON UPDATE TO ra DO INSERT INTO rlog VALUES \
+         (4);\n\
+         RENAME TABLE ra TO rb;\n\
+         INSERT INTO rb VALUES (1, 10), (2, 20);\n\
+         UPDATE rb SET y = 11 WHERE x = 1;\n\
+         DELETE FROM rb;\n\
+         ANALYZE;\n\
+         SELECT * FROM rb WHERE y = 11;\n\
+         SELECT n, COUNT(*) FROM rlog GROUP BY n ORDER BY n;\n\
+         ALTER TABLE rb RENAME TO rc;\n\
+         INSERT INTO rc VALUES (3, 30);\n\
+         INSERT INTO rc VALUES (3, 31);\n\
+         UPDATE rc SET y = 32 WHERE x = 3;\n\
+         DELETE FROM rc WHERE x = 3;\n\
+         SELECT * FROM rc WHERE y = 32;\n\
+         SELECT n, COUNT(*) FROM rlog GROUP BY n ORDER BY n;\n\
+         RENAME TABLE rc TO rlog;\n\
+         ALTER TABLE rc RENAME TO rlog;\n\
+         RENAME TABLE rc TO rd, rnosuch TO re;\n\
+         SELECT * FROM rd;\n\
+         DROP TRIGGER rat;\n\
+         DROP RULE rar ON rd;\n\
+         DROP INDEX rai;\n\
+         DROP TABLE rd;\n\
+         SHOW TABLES;" );
+    ( "UPDATE and DELETE with WHERE and LIMIT",
+      parse_stmts
+        "CREATE TABLE ul (a INT, b INT NOT NULL, c INT UNIQUE);\n\
+         CREATE TABLE ullog (n INT);\n\
+         CREATE TRIGGER ult BEFORE UPDATE ON ul FOR EACH ROW INSERT INTO \
+         ullog VALUES (1);\n\
+         CREATE TRIGGER uld AFTER DELETE ON ul FOR EACH ROW INSERT INTO \
+         ullog VALUES (2);\n\
+         INSERT INTO ul VALUES (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), \
+         (5, 5, 5), (6, 6, 6);\n\
+         UPDATE ul SET b = b + 10 WHERE a > 1 LIMIT 2;\n\
+         UPDATE ul SET b = 0 LIMIT 0;\n\
+         UPDATE ul SET b = b + 100 LIMIT 3;\n\
+         UPDATE ul SET b = 1 WHERE a > 100 LIMIT 2;\n\
+         UPDATE ul SET b = 1 WHERE nosuch = 1 LIMIT 2;\n\
+         UPDATE ul SET nosuch = 1 WHERE a = 1;\n\
+         UPDATE ul SET b = NULL WHERE a = 6 LIMIT 1;\n\
+         UPDATE ul SET c = 1 WHERE a = 2 LIMIT 1;\n\
+         UPDATE ul SET b = 'x' WHERE a = 2;\n\
+         UPDATE ul SET b = b + 1 WHERE a IN (5, 6);\n\
+         SELECT * FROM ul ORDER BY a;\n\
+         DELETE FROM ul WHERE a > 2 LIMIT 2;\n\
+         DELETE FROM ul LIMIT 0;\n\
+         DELETE FROM ul WHERE a > 100;\n\
+         DELETE FROM ul WHERE nosuch = 1;\n\
+         DELETE FROM ul LIMIT 1;\n\
+         SELECT * FROM ul ORDER BY a;\n\
+         SELECT n, COUNT(*) FROM ullog GROUP BY n ORDER BY n;\n\
+         DELETE FROM ul;\n\
+         DELETE FROM ul;\n\
+         UPDATE nosuch SET a = 1;\n\
+         DELETE FROM nosuch;\n\
+         LOCK TABLES ul READ;\n\
+         UPDATE ul SET a = 1;\n\
+         DELETE FROM ul;\n\
+         INSERT INTO ul VALUES (7, 7, 7);\n\
+         UNLOCK TABLES;" );
+    ( "view and subquery row padding",
+      parse_stmts
+        "CREATE TABLE vp (a INT, b INT);\n\
+         INSERT INTO vp VALUES (1, 2), (3, 4);\n\
+         CREATE VIEW vpn AS SELECT a FROM vp UNION ALL SELECT a, b FROM \
+         vp;\n\
+         CREATE VIEW vpw AS SELECT a, b FROM vp UNION ALL SELECT a FROM \
+         vp;\n\
+         SELECT * FROM vpn;\n\
+         SELECT * FROM vpw;\n\
+         SELECT vpw.b FROM vpw;\n\
+         SELECT * FROM (SELECT a FROM vp UNION ALL SELECT a, b FROM vp) AS \
+         s;\n\
+         SELECT * FROM (SELECT a, b FROM vp UNION ALL SELECT b FROM vp) AS \
+         s;\n\
+         SELECT s.column2 FROM (VALUES (1, 2), (3)) AS s;\n\
+         WITH c AS (SELECT a FROM vp UNION ALL SELECT a, b FROM vp) SELECT \
+         * FROM c;\n\
+         WITH c AS (SELECT a, b FROM vp UNION ALL SELECT b FROM vp) SELECT \
+         * FROM c;\n\
+         CREATE MATERIALIZED VIEW vpm AS SELECT * FROM vp;\n\
+         SELECT * FROM vpm;\n\
+         ALTER TABLE vp ADD COLUMN c INT DEFAULT 7;\n\
+         SELECT * FROM vpm;\n\
+         REFRESH MATERIALIZED VIEW vpm;\n\
+         SELECT * FROM vpm;\n\
+         CREATE MATERIALIZED VIEW vpe AS SELECT * FROM vp WHERE a > 100;\n\
+         SELECT * FROM vpe;\n\
+         CREATE VIEW vps AS SELECT * FROM vps;\n\
+         SELECT * FROM vps;\n\
+         CREATE VIEW vpx AS SELECT * FROM vpy;\n\
+         CREATE VIEW vpy AS SELECT * FROM vpx;\n\
+         SELECT * FROM vpx;\n\
+         SELECT vpx.* FROM vpx;\n\
+         SELECT * FROM vp AS x JOIN vps AS y ON 1 = 1;\n\
+         TABLE vp;\n\
+         COPY vp TO STDOUT;\n\
+         COPY (SELECT * FROM vpn) TO STDOUT;" );
+    ( "LEFT, RIGHT and CROSS joins with an empty side",
+      parse_stmts
+        "CREATE TABLE jl (a INT);\n\
+         CREATE TABLE je (b INT);\n\
+         INSERT INTO jl VALUES (1), (2);\n\
+         SELECT * FROM jl LEFT JOIN je ON jl.a = je.b;\n\
+         SELECT * FROM je LEFT JOIN jl ON jl.a = je.b;\n\
+         SELECT * FROM jl RIGHT JOIN je ON jl.a = je.b;\n\
+         SELECT * FROM je RIGHT JOIN jl ON jl.a = je.b;\n\
+         SELECT * FROM jl CROSS JOIN je;\n\
+         SELECT * FROM je CROSS JOIN jl;\n\
+         SELECT * FROM jl JOIN je ON jl.a = je.b;\n\
+         SELECT * FROM je JOIN jl ON 1 = 1;\n\
+         SELECT * FROM jl AS x CROSS JOIN jl AS y;\n\
+         SELECT * FROM jl AS x JOIN jl AS y ON x.a <= y.a;\n\
+         SELECT * FROM jl AS x LEFT JOIN jl AS y ON x.a < y.a;\n\
+         SELECT * FROM jl AS x RIGHT JOIN jl AS y ON x.a < y.a;\n\
+         SELECT * FROM (jl AS x LEFT JOIN je ON x.a = je.b) RIGHT JOIN jl \
+         AS z ON z.a = x.a;\n\
+         SELECT * FROM jl AS z LEFT JOIN (jl AS x JOIN je ON x.a = je.b) ON \
+         z.a = x.a;\n\
+         SELECT * FROM jl LEFT JOIN (SELECT b, b + 1 AS c FROM je) AS s ON \
+         jl.a = s.b;\n\
+         SELECT * FROM (SELECT a FROM jl) AS s RIGHT JOIN je ON s.a = \
+         je.b;\n\
+         SELECT * FROM jl LEFT JOIN je ON nosuch = 1;\n\
+         SELECT * FROM jl RIGHT JOIN jl AS y ON nosuch = 1;\n\
+         SELECT * FROM jl LEFT JOIN je ON je.b = 1 RIGHT JOIN jl AS w ON \
+         w.a = 2;\n\
+         INSERT INTO jl SELECT a + 2 FROM jl;\n\
+         INSERT INTO jl SELECT a + 4 FROM jl;\n\
+         INSERT INTO jl SELECT a + 8 FROM jl;\n\
+         INSERT INTO jl SELECT a + 16 FROM jl;\n\
+         INSERT INTO jl SELECT a + 32 FROM jl;\n\
+         INSERT INTO jl SELECT a + 64 FROM jl;\n\
+         INSERT INTO jl SELECT a + 128 FROM jl;\n\
+         SELECT COUNT(*) FROM jl AS x CROSS JOIN jl AS y;\n\
+         SELECT COUNT(*) FROM jl AS x LEFT JOIN jl AS y ON x.a = y.a;\n\
+         SELECT COUNT(*) FROM jl AS x RIGHT JOIN je ON x.a = je.b;\n\
+         SELECT COUNT(*) FROM jl AS x JOIN jl AS y ON x.a = y.a;" );
+    ( "DISCARD ALL and DISCARD TEMP",
+      parse_stmts
+        "CREATE TABLE dp (a INT);\n\
+         CREATE TEMPORARY TABLE dpt (a INT);\n\
+         CREATE TEMPORARY TABLE dpu (a INT);\n\
+         PREPARE dpp AS SELECT 1;\n\
+         LISTEN dpch;\n\
+         DISCARD PLANS;\n\
+         DISCARD TEMP;\n\
+         SHOW TABLES;\n\
+         DISCARD TEMP;\n\
+         CREATE TEMPORARY TABLE dpt (a INT);\n\
+         DISCARD ALL;\n\
+         SHOW TABLES;\n\
+         EXECUTE dpp;\n\
+         NOTIFY dpch;\n\
+         DISCARD ALL;" );
+    ( "HANDLER READ past the end",
+      parse_stmts
+        "CREATE TABLE hr (a INT, b TEXT);\n\
+         INSERT INTO hr VALUES (1, 'one'), (2, 'two');\n\
+         HANDLER hr READ FIRST;\n\
+         HANDLER hr OPEN;\n\
+         HANDLER hr OPEN;\n\
+         HANDLER hr READ NEXT;\n\
+         HANDLER hr READ NEXT;\n\
+         HANDLER hr READ NEXT;\n\
+         HANDLER hr READ NEXT;\n\
+         HANDLER hr READ FIRST;\n\
+         DELETE FROM hr WHERE a = 1;\n\
+         HANDLER hr READ NEXT;\n\
+         HANDLER hr CLOSE;\n\
+         HANDLER hr CLOSE;\n\
+         HANDLER hr READ NEXT;\n\
+         HANDLER nosuch OPEN;" );
+    ( "trigger and INSTEAD-rule depth limits",
+      parse_stmts
+        "CREATE TABLE dt (a INT);\n\
+         CREATE TRIGGER dtt AFTER INSERT ON dt FOR EACH ROW INSERT INTO dt \
+         SELECT a + 1 FROM dt WHERE a < 100 LIMIT 1;\n\
+         INSERT INTO dt VALUES (1);\n\
+         SELECT a FROM dt ORDER BY a;\n\
+         CREATE TABLE dr (a INT);\n\
+         CREATE RULE dri AS ON INSERT TO dr DO INSTEAD INSERT INTO dr \
+         VALUES (1);\n\
+         INSERT INTO dr VALUES (0);\n\
+         CREATE RULE dru AS ON UPDATE TO dr DO INSTEAD UPDATE dr SET a = \
+         2;\n\
+         UPDATE dr SET a = 1;\n\
+         CREATE RULE drd AS ON DELETE TO dr DO INSTEAD DELETE FROM dr;\n\
+         DELETE FROM dr;\n\
+         SELECT COUNT(*) FROM dr;" );
+    ( "a self-recursive EXECUTE",
+      parse_stmts
+        "CREATE TABLE xe (a INT);\n\
+         PREPARE xp AS INSERT INTO xe VALUES (1);\n\
+         PREPARE xq AS EXECUTE xp;\n\
+         EXECUTE xnosuch;\n\
+         CREATE RULE xer AS ON INSERT TO xe DO INSTEAD EXECUTE xp;\n\
+         EXECUTE xp;\n\
+         SELECT COUNT(*) FROM xe;\n\
+         DROP RULE xer ON xe;\n\
+         CREATE RULE xea AS ON INSERT TO xe DO EXECUTE xp;\n\
+         EXECUTE xp;\n\
+         INSERT INTO xe VALUES (2);\n\
+         SELECT COUNT(*) FROM xe;\n\
+         DROP RULE xea ON xe;\n\
+         CREATE TRIGGER xet AFTER DELETE ON xe FOR EACH ROW INSERT INTO xe \
+         VALUES (3);\n\
+         PREPARE xd AS DELETE FROM xe WHERE a = 1;\n\
+         EXECUTE xd;\n\
+         SELECT a, COUNT(*) FROM xe GROUP BY a ORDER BY a;\n\
+         DEALLOCATE xd;\n\
+         DEALLOCATE xd;" );
+    ( "rules inside WITH, and non-INSTEAD rules",
+      parse_stmts
+        "CREATE TABLE dn (a INT);\n\
+         CREATE RULE dnr AS ON INSERT TO dn DO INSTEAD NOTIFY dch;\n\
+         LISTEN dch;\n\
+         INSERT INTO dn VALUES (1);\n\
+         WITH w AS (INSERT INTO dn VALUES (2)) SELECT 1;\n\
+         WITH w AS (UPDATE dn SET a = 3) DELETE FROM dn;\n\
+         CREATE TABLE da (a INT);\n\
+         CREATE RULE dar AS ON INSERT TO da DO INSERT INTO da VALUES (9);\n\
+         INSERT INTO da VALUES (1);\n\
+         SELECT a, COUNT(*) FROM da GROUP BY a ORDER BY a;\n\
+         CREATE RULE dan AS ON INSERT TO dn DO NOTIFY dch;\n\
+         CREATE RULE danx AS ON INSERT TO da DO NOTIFY dch;\n\
+         INSERT INTO da VALUES (2);\n\
+         SELECT COUNT(*) FROM da;" ) ]
 
 let row_path_pins =
   [ ( "AFTER self-insert cascade",
@@ -1049,7 +1423,349 @@ let row_path_pins =
         "a,b: 3|'x'; 2|'y'; 2|'z'; 1|'x'; N|'x'";
         "b: 'x'; 'y'; 'z'";
         "a: 1; 2; 3; N";
-        "cells 23 cf040d300eda" ] ) ]
+        "cells 23 cf040d300eda" ] );
+    ( "CREATE of every kind, twice",
+      [ "done table created";
+        "error table already exists: ck";
+        "done table exists, skipped";
+        "affected 2";
+        "done table created";
+        "error table already exists: ckt";
+        "error semantic error: duplicate column name";
+        "done index created";
+        "error index already exists: cki";
+        "error no such column: nosuch";
+        "error no such table: nosuch";
+        "done index created";
+        "error index already exists: cku";
+        "error constraint violation: duplicate key while building index";
+        "done view created";
+        "error view already exists: ckv";
+        "error view already exists: ck";
+        "error table already exists: ckv";
+        "done view created";
+        "error view already exists: ckm";
+        "done trigger created";
+        "error trigger already exists: cktr";
+        "error no such table: nosuch";
+        "error semantic error: trigger body must be DML";
+        "done rule created";
+        "error rule already exists: ckr";
+        "error no such table: nosuch";
+        "done rule created";
+        "done sequence created";
+        "error sequence already exists: cks";
+        "error semantic error: zero sequence step";
+        "done schema created";
+        "error schema already exists: cksc";
+        "done database created";
+        "error database already exists: ckdb";
+        "done user created";
+        "error user already exists: cku1";
+        "Tables: 'ck'; 'ckm'; 'ckt'; 'ckv'";
+        "Variable_name,Value: 'tables'|2; 'objects'|10; 'in_txn'|false";
+        "cells 98 910f8de9c755" ] );
+    ( "DROP of every kind: present, absent and IF EXISTS",
+      [ "done table created";
+        "done index created";
+        "done view created";
+        "done trigger created";
+        "done rule created";
+        "done sequence created";
+        "done schema created";
+        "done database created";
+        "done user created";
+        "done index dropped";
+        "error no such index: dki";
+        "done index does not exist, skipped";
+        "done view dropped";
+        "error no such view: dkv";
+        "done view does not exist, skipped";
+        "done trigger dropped";
+        "error no such trigger: dktr";
+        "done trigger does not exist, skipped";
+        "done rule dropped";
+        "error no such rule: dkr";
+        "done rule does not exist, skipped";
+        "done sequence dropped";
+        "error no such sequence: dks";
+        "done sequence does not exist, skipped";
+        "done schema dropped";
+        "error no such schema: dksc";
+        "done schema does not exist, skipped";
+        "done database dropped";
+        "error no such database: dkdb";
+        "done database does not exist, skipped";
+        "done user dropped";
+        "error no such user: dku";
+        "done user does not exist, skipped";
+        "done table dropped";
+        "error no such table: dk";
+        "done table does not exist, skipped";
+        "Tables: ";
+        "cells 83 dcff72e39af7" ] );
+    ( "DROP TABLE cascading to an index, a trigger and a rule",
+      [ "done table created";
+        "done table created";
+        "done index created";
+        "done index created";
+        "done index created";
+        "done trigger created";
+        "done trigger created";
+        "done rule created";
+        "done rule created";
+        "done handler open";
+        "affected 1";
+        "done locked";
+        "done table dropped";
+        "Variable_name,Value: 'tables'|1; 'objects'|4; 'in_txn'|false";
+        "error no such index: cti";
+        "error no such trigger: cttr";
+        "error no such rule: ctr";
+        "error semantic error: handler not open";
+        "error no such table: ct";
+        "affected 1";
+        "a: 1";
+        "done table dropped";
+        "done table created";
+        "done table dropped";
+        "done unlocked";
+        "cells 75 9c8def562c06" ] );
+    ( "DROP of the current database and of root",
+      [ "done database created";
+        "done database changed";
+        "error semantic error: cannot drop the current database";
+        "done database dropped";
+        "error no such database: main";
+        "error semantic error: cannot drop the current database";
+        "done database changed";
+        "error semantic error: cannot drop root";
+        "error semantic error: cannot drop root";
+        "done user created";
+        "done role set";
+        "done user dropped";
+        "Variable_name,Value: 'tables'|0; 'objects'|0; 'in_txn'|false";
+        "error no such user: cdu";
+        "cells 33 5199a5d09f89" ] );
+    ( "RENAME TABLE and ALTER RENAME TO with dependents",
+      [ "done table created";
+        "done table created";
+        "done index created";
+        "done trigger created";
+        "done trigger created";
+        "done rule created";
+        "done rule created";
+        "done renamed";
+        "affected 2";
+        "affected 1";
+        "affected 1";
+        "done analyzed";
+        "x,y: 1|11";
+        "n,expr: 1|2; 2|1; 3|1";
+        "done table altered";
+        "affected 1";
+        "error constraint violation: UNIQUE constraint";
+        "affected 1";
+        "affected 1";
+        "x,y: 3|32";
+        "n,expr: 1|3; 2|2; 3|2";
+        "error table already exists: rlog";
+        "error table already exists: rlog";
+        "error no such table: rnosuch";
+        "x,y: 1|11; 2|20; 3|32";
+        "done trigger dropped";
+        "done rule dropped";
+        "done index dropped";
+        "done table dropped";
+        "Tables: 'rlog'";
+        "cells 90 b203e8bebe62" ] );
+    ( "UPDATE and DELETE with WHERE and LIMIT",
+      [ "done table created";
+        "done table created";
+        "done trigger created";
+        "done trigger created";
+        "affected 6";
+        "affected 2";
+        "affected 0";
+        "affected 3";
+        "affected 0";
+        "error no such column: nosuch";
+        "error no such column: nosuch";
+        "error constraint violation: NOT NULL constraint";
+        "error constraint violation: UNIQUE constraint";
+        "affected 1";
+        "affected 2";
+        "a,b,c: 1|101|1; 2|0|2; 3|113|3; 4|4|4; 5|6|5; 6|7|6";
+        "affected 2";
+        "affected 0";
+        "affected 0";
+        "error no such column: nosuch";
+        "affected 1";
+        "a,b,c: 2|0|2; 5|6|5; 6|7|6";
+        "n,expr: 1|8; 2|2";
+        "affected 3";
+        "affected 0";
+        "error no such table: nosuch";
+        "error no such table: nosuch";
+        "done locked";
+        "error semantic error: table ul is READ locked";
+        "error semantic error: table ul is READ locked";
+        "error semantic error: table ul is READ locked";
+        "done unlocked";
+        "cells 71 ddb93491956a" ] );
+    ( "view and subquery row padding",
+      [ "done table created";
+        "affected 2";
+        "done view created";
+        "done view created";
+        "a: 1; 3; 1; 3";
+        "a,b: 1|2; 3|4; 1|N; 3|N";
+        "b: 2; 4; N; N";
+        "a: 1; 3; 1; 3";
+        "a,b: 1|2; 3|4; 2|N; 4|N";
+        "column2: 2; N";
+        "a: 1; 3; 1|2; 3|4";
+        "a,b: 1|2; 3|4; 2; 4";
+        "done view created";
+        "a,b: 1|2; 3|4";
+        "done table altered";
+        "a,b,c: 1|2|N; 3|4|N";
+        "done materialized view refreshed";
+        "a,b,c: 1|2|7; 3|4|7";
+        "done view created";
+        "a,b,c: ";
+        "done view created";
+        "error resource limit exceeded: view nesting depth";
+        "done view created";
+        "done view created";
+        "error resource limit exceeded: view nesting depth";
+        "error resource limit exceeded: view nesting depth";
+        "error resource limit exceeded: view nesting depth";
+        "a,b,c: 1|2|7; 3|4|7";
+        "a,b,c: 1|2|7; 3|4|7";
+        "a: 1; 3; 1; 3";
+        "cells 64 0ee50d3687d5" ] );
+    ( "LEFT, RIGHT and CROSS joins with an empty side",
+      [ "done table created";
+        "done table created";
+        "affected 2";
+        "a,b: 1|N; 2|N";
+        "b,a: ";
+        "a,b: ";
+        "b,a: N|1; N|2";
+        "a,b: ";
+        "b,a: ";
+        "a,b: ";
+        "b,a: ";
+        "a,a: 1|1; 1|2; 2|1; 2|2";
+        "a,a: 1|1; 1|2; 2|2";
+        "a,a: 1|2; 2|N";
+        "a,a: N|1; 1|2";
+        "a,b,a: 1|N|1; 2|N|2";
+        "a,a,b: 1|N|N; 2|N|N";
+        "a,b,c: 1|N|N; 2|N|N";
+        "a,b: ";
+        "a,b: 1|N; 2|N";
+        "error no such column: nosuch";
+        "a,b,a: N|N|1; 1|N|2; 2|N|2";
+        "affected 2";
+        "affected 4";
+        "affected 8";
+        "affected 16";
+        "affected 32";
+        "affected 64";
+        "affected 128";
+        "error resource limit exceeded: join size";
+        "error resource limit exceeded: join size";
+        "expr: 0";
+        "error resource limit exceeded: join size";
+        "cells 65 f84eb5e9ee07" ] );
+    ( "DISCARD ALL and DISCARD TEMP",
+      [ "done table created";
+        "done table created";
+        "done table created";
+        "done prepared";
+        "done listening";
+        "done discarded";
+        "done discarded";
+        "Tables: 'dp'";
+        "done discarded";
+        "done table created";
+        "done discarded";
+        "Tables: 'dp'";
+        "error no such prepared statement: dpp";
+        "done notified";
+        "done discarded";
+        "cells 34 a2fef37e7762" ] );
+    ( "HANDLER READ past the end",
+      [ "done table created";
+        "affected 2";
+        "error semantic error: handler not open";
+        "done handler open";
+        "error semantic error: handler already open";
+        "a,b: 1|'one'";
+        "a,b: 2|'two'";
+        "a,b: ";
+        "a,b: ";
+        "a,b: 1|'one'";
+        "affected 1";
+        "a,b: ";
+        "done handler closed";
+        "error semantic error: handler not open";
+        "error semantic error: handler not open";
+        "error no such table: nosuch";
+        "cells 32 d3163f3cfbe6" ] );
+    ( "trigger and INSTEAD-rule depth limits",
+      [ "done table created";
+        "done trigger created";
+        "affected 1";
+        "a: 1; 2; 2; 2; 2";
+        "done table created";
+        "done rule created";
+        "affected 0";
+        "done rule created";
+        "affected 0";
+        "done rule created";
+        "affected 0";
+        "expr: 0";
+        "cells 58 be4c1549ed76" ] );
+    ( "a self-recursive EXECUTE",
+      [ "done table created";
+        "done prepared";
+        "error semantic error: nested PREPARE";
+        "error no such prepared statement: xnosuch";
+        "done rule created";
+        "affected 0";
+        "expr: 0";
+        "done rule dropped";
+        "done rule created";
+        "affected 1";
+        "affected 1";
+        "expr: 6";
+        "done rule dropped";
+        "done trigger created";
+        "done prepared";
+        "affected 5";
+        "a,expr: 2|1; 3|1";
+        "done deallocated";
+        "error no such prepared statement: xd";
+        "cells 72 3b6d658c16bf" ] );
+    ( "rules inside WITH, and non-INSTEAD rules",
+      [ "done table created";
+        "done rule created";
+        "done listening";
+        "affected 0";
+        "expr: 1";
+        "affected 0";
+        "done table created";
+        "done rule created";
+        "affected 1";
+        "a,expr: 1|1; 9|4";
+        "done rule created";
+        "done rule created";
+        "affected 1";
+        "expr: 10";
+        "cells 46 f73608e73016" ] ) ]
 
 let test_row_path_characterisation () =
   List.iter2

@@ -6,7 +6,7 @@ module F = Minidb.Fault
 let sel_stmt = Sqlparser.Parser.parse_stmt_exn "SELECT 1"
 
 let ctx ?(window = []) ?(stmt = sel_stmt) ?(state = fun _ -> false) () =
-  { F.window; stmt; state }
+  { F.window = F.window_of_list window; stmt; state }
 
 (* The bug the compiled checker reports, if any. *)
 let first_match checker ctx =
@@ -197,8 +197,10 @@ module Reference = struct
 
   let rec matches cond (ctx : F.ctx) =
     match cond with
-    | F.Subseq types -> types <> [] && contains types ctx.window
-    | F.Ends_with types -> types <> [] && ends_with types ctx.window
+    | F.Subseq types ->
+      types <> [] && contains types (F.window_to_list ctx.window)
+    | F.Ends_with types ->
+      types <> [] && ends_with types (F.window_to_list ctx.window)
     | F.State name -> ctx.state name
     | F.Stmt_has f -> List.mem f (features ctx.stmt)
     | F.All cs -> List.for_all (fun c -> matches c ctx) cs
@@ -287,6 +289,37 @@ let test_prop_compiled_checker () =
          (!hits > 100 && !cc_hits > 0))
     Dialects.Registry.all
 
+(* The packed window against the list it stands for: every push keeps
+   the last eight types, the current one last. *)
+let test_prop_packed_window () =
+  let arb =
+    Reprutil.Prop.map
+      ~print:(fun ts -> String.concat " > " (List.map Stmt_type.name ts))
+      (List.map Stmt_type.of_index)
+      (Reprutil.Prop.list ~max_len:20
+         (Reprutil.Prop.int_range 0 (Stmt_type.count - 1)))
+  in
+  Reprutil.Prop.check ~count:500 ~name:"packed window = list window" arb
+    (fun types ->
+       let _, ok =
+         List.fold_left
+           (fun (w, ok) ty ->
+              let w = F.push_window w ty in
+              (w, ok && F.last_index w = Stmt_type.to_index ty))
+           (F.empty_window, true) types
+       in
+       let last8 =
+         List.filteri (fun i _ -> i >= List.length types - 8) types
+       in
+       let w = F.window_of_list types in
+       ok
+       && F.window_to_list w = last8
+       && F.window_length w = List.length last8
+       && F.last_index w
+          = (match List.rev types with
+              | [] -> -1
+              | ty :: _ -> Stmt_type.to_index ty))
+
 let suite =
   [ ("subseq matching", `Quick, test_subseq_matching);
     ("ends_with", `Quick, test_ends_with);
@@ -297,4 +330,6 @@ let suite =
     ("kind names", `Quick, test_kind_names);
     ("features = reference (1000 cases)", `Quick, test_prop_features);
     ("compiled checker = interpreter (4 x 1000 cases)", `Quick,
-     test_prop_compiled_checker) ]
+     test_prop_compiled_checker);
+    ("packed window = list window (500 cases)", `Quick,
+     test_prop_packed_window) ]
