@@ -91,8 +91,6 @@ let create ?(max_len = 5) ?(max_total = 200_000) ?(max_per_affinity = 512)
     types;
   t
 
-let max_len t = t.max_len
-
 let total t = Vec.length t.s
 
 let to_types t id =

@@ -39,8 +39,6 @@ val create :
 (** [max_len] defaults to 5 (the paper's best length in the §VI study);
     [max_total] to 200_000 sequences; [max_per_affinity] to 512. *)
 
-val max_len : t -> int
-
 val on_new_affinity :
   t -> Affinity.t -> Stmt_type.t * Stmt_type.t -> id list
 (** Algorithm 3: synthesize and record all new sequences containing the

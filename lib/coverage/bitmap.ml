@@ -170,22 +170,6 @@ let snapshot t =
     saturated = t.saturated;
     order = [||] }
 
-let load ~into src =
-  reset into;
-  if not src.saturated then begin
-    for k = 0 to src.n_dirty - 1 do
-      let i = Array.unsafe_get src.dirty k in
-      Bytes.unsafe_set into.buf i (Bytes.unsafe_get src.buf i);
-      Array.unsafe_set into.dirty k i
-    done;
-    into.n_dirty <- src.n_dirty
-  end
-  else begin
-    Bytes.blit src.buf 0 into.buf 0 size;
-    into.saturated <- true;
-    into.n_dirty <- 0
-  end
-
 (* Like [merge_into] without the mutation: how many cells of the exec
    map [t] hold bucket bits the virgin map lacks. Generation bias ranks
    candidate testcases by this without polluting the virgin map. *)
@@ -282,8 +266,6 @@ let hash t =
   !h
 
 let is_set t i = Bytes.get t.buf (i land mask) <> '\000'
-
-let copy = snapshot
 
 (* Compact frozen form: just the touched cells, for callers that store
    many point-in-time maps (the prefix-snapshot cache keeps one per

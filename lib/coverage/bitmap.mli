@@ -73,11 +73,6 @@ val merge : into:t -> t -> int
 val snapshot : t -> t
 (** Cheap point-in-time copy, for shards to diff against later. *)
 
-val load : into:t -> t -> unit
-(** Make [into] cell-for-cell equal to [src], i.e. [reset] followed by
-    copying [src]'s touched cells. Cost is proportional to the touched
-    cells of both maps. Used to restore a cached execution map. *)
-
 val diff : t -> since:t -> int
 (** Number of cells of [t] holding bucket bits absent from [since] — i.e.
     the new coverage accumulated since [since] was {!snapshot}ed. *)
@@ -89,8 +84,6 @@ val hash : t -> int64
     domains must not hash one map at the same time. *)
 
 val is_set : t -> int -> bool
-
-val copy : t -> t
 
 type compact
 (** Frozen point-in-time copy storing only touched cells; creating,

@@ -13,13 +13,7 @@ let create ?(c = 0.5) ~arms () =
   if arms < 1 then invalid_arg "Bandit.create: arms < 1";
   { n_arms = arms; c; n = Array.make arms 0; sum = Array.make arms 0. }
 
-let arms t = t.n_arms
-
 let mean_of t n arm = if n.(arm) = 0 then 0. else t.sum.(arm) /. float n.(arm)
-
-let mean t ~arm = mean_of t t.n arm
-
-let pulls t = Array.copy t.n
 
 (* Best committed mean across arms with history, as the normalisation
    scale; 1.0 when nothing has a positive mean yet so early scores stay

@@ -20,8 +20,6 @@ val create : ?c:float -> arms:int -> unit -> t
 (** [arms] ≥ 1 arms, exploration constant [c] (default 0.5; 0 = pure
     exploitation after each arm's first pull). *)
 
-val arms : t -> int
-
 val allocate :
   ?slices:int -> t -> budget:int -> active:bool array -> int array * int array
 (** [allocate t ~budget ~active] deals [budget] executions to the active
@@ -44,9 +42,3 @@ val update : t -> arm:int -> pulls:int -> reward:float -> unit
     (the slices the arm was dealt) at mean reward [reward]. Arms that
     were allocated but died before reporting simply never update — mark
     them inactive instead. *)
-
-val pulls : t -> int array
-(** Committed pull counts per arm (copy). *)
-
-val mean : t -> arm:int -> float
-(** Committed mean reward of an arm; 0 before its first update. *)

@@ -56,7 +56,6 @@ type lane = {
   ln_series : string;  (* of the shard's checkpoint events *)
   mutable ln_execs : int;  (* published so far *)
   mutable ln_crashes : int;  (* published so far *)
-  mutable ln_metrics : Telemetry.Registry.t;  (* as of the last publish *)
   mutable ln_iterations : int;
   mutable ln_worked : int;  (* rounds in which the shard fuzzed *)
   mutable ln_drained : Sync.export list;  (* exports taken, newest first *)
@@ -70,7 +69,6 @@ let open_lane ~exchange ~make ~series i =
        only when something crosses. *)
     ln_port = (if exchange then fz.Driver.f_exchange else None);
     ln_series = series; ln_execs = 0; ln_crashes = 0;
-    ln_metrics = Telemetry.Registry.create ();
     ln_iterations = 0; ln_worked = 0; ln_drained = []; ln_events = [] }
 
 (* The first half of a round's job: fuzz up to [target] and stage the
@@ -89,9 +87,6 @@ let fuzz_and_stage ~sync ln ~target =
   let crashes = Triage.total_crashes (Harness.triage h) in
   let crashes_delta = crashes - ln.ln_crashes in
   ln.ln_crashes <- crashes;
-  let m = Harness.metrics h in
-  let metrics = Telemetry.Registry.diff m ~since:ln.ln_metrics in
-  ln.ln_metrics <- Telemetry.Registry.snapshot m;
   let export =
     match ln.ln_port with
     | Some p ->
@@ -100,7 +95,7 @@ let fuzz_and_stage ~sync ln ~target =
       x
     | None -> Sync.empty_export
   in
-  Sync.stage ~metrics ?gram:(Harness.grammar_virgin h) ~crashes_delta sync
+  Sync.stage ?gram:(Harness.grammar_virgin h) ~crashes_delta sync
     ~shard:ln.ln_id ~virgin:(Harness.virgin h) ~triage:(Harness.triage h)
     ~execs_delta ~export
 
@@ -243,6 +238,18 @@ let run ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?sync_every
       report ()
     done;
     let lanes = Array.map Option.get lanes in
+    (* The metrics are merged once, here, before the last settle imports
+       anything: every shard's registry as of its last publish, in shard
+       order. Diffing against an empty registry drops the counters that
+       never moved. *)
+    let metrics = Telemetry.Registry.create () in
+    Array.iter
+      (fun ln ->
+         Telemetry.Registry.merge ~into:metrics
+           (Telemetry.Registry.diff
+              (Harness.metrics ln.ln_fz.Driver.f_harness)
+              ~since:(Telemetry.Registry.create ())))
+      lanes;
     Array.iter settle lanes;
     (* Shards never write the sink: their checkpoint events are emitted
        here shard by shard, aggregate checkpoints last, so the event
@@ -260,7 +267,6 @@ let run ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?sync_every
         ~execs:(sum (fun s -> s.Driver.st_execs))
         ~total_crashes:(sum (fun s -> s.Driver.st_total_crashes))
     in
-    let metrics = Sync.metrics sync in
     (* Per-shard grammar gauges max-merge to the largest single shard;
        the campaign-level truth is the cross-shard union, so overwrite
        from the merged global grammar map. No-op (and no gauge creation)

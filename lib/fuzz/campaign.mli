@@ -51,8 +51,9 @@ type result = {
   cg_metrics : Telemetry.Registry.t;
       (** the campaign's merged metric registry — always a completion-time
           {e snapshot}: with [jobs = 1] a snapshot of the single harness's
-          registry, otherwise the union of every shard's published deltas
-          (see {!Sync.metrics}) *)
+          registry, otherwise every shard's registry as of its last
+          publish, merged once at campaign end in shard order (counters
+          that never moved are left out) *)
 }
 
 val shard_seed : seed:int -> shard_id:int -> int

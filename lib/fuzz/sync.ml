@@ -53,7 +53,6 @@ type staged = {
   sp_shard : int;
   sp_virgin : Coverage.Bitmap.t;
   sp_gram : Coverage.Bitmap.t option;
-  sp_metrics : Telemetry.Registry.t option;
   sp_execs : int;
   sp_crashes_total : int;
   sp_crashes : (Minidb.Fault.crash * Sqlcore.Ast.testcase option) list;
@@ -73,7 +72,6 @@ type t = {
   mutable execs : int;
   mutable crashes : int;
   interval : int;
-  metrics : Telemetry.Registry.t;  (* global union of published deltas *)
   exchange : bool;
   store : (int * entry) Reprutil.Vec.t;
       (* canonical exchange log in (round, shard id) order *)
@@ -93,7 +91,6 @@ let create ?(interval = default_interval) ?(exchange = false) () =
     execs = 0;
     crashes = 0;
     interval = max 1 interval;
-    metrics = Telemetry.Registry.create ();
     exchange;
     store = Reprutil.Vec.create ();
     discovered = Hashtbl.create 64;
@@ -106,13 +103,12 @@ let interval t = t.interval
 (* Reads only shard-private state and the immutable [t.exchange]. With
    the exchange off nothing crosses, so the exports are dropped here and
    their keys never computed. *)
-let stage ?metrics ?gram ?(crashes_delta = 0) t ~shard ~virgin ~triage
+let stage ?gram ?(crashes_delta = 0) t ~shard ~virgin ~triage
     ~execs_delta ~export =
   let crossing = if t.exchange then export else empty_export in
   { sp_shard = shard;
     sp_virgin = virgin;
     sp_gram = gram;
-    sp_metrics = metrics;
     sp_execs = max 0 execs_delta;
     sp_crashes_total = max 0 crashes_delta;
     sp_crashes = Triage.unique_with_cases triage;
@@ -135,9 +131,6 @@ let release t staged =
        t.rounds <- t.rounds + 1;
        t.execs <- t.execs + sp.sp_execs;
        t.crashes <- t.crashes + sp.sp_crashes_total;
-       Option.iter
-         (fun delta -> Telemetry.Registry.merge ~into:t.metrics delta)
-         sp.sp_metrics;
        Option.iter
          (fun g -> ignore (Coverage.Bitmap.merge ~into:t.gram_virgin g))
          sp.sp_gram;
@@ -210,8 +203,6 @@ let seed_port pool =
   { p_export; p_import }
 
 (* --- aggregate reads -------------------------------------------------- *)
-
-let metrics t = Telemetry.Registry.snapshot t.metrics
 
 let branches t = Coverage.Bitmap.count_nonzero t.virgin
 

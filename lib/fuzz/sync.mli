@@ -9,7 +9,8 @@
     one ({!Coverage.Bitmap.merge}), recording the shards' unique findings
     in one campaign-level {!Triage.t} and adding up the campaign's
     running totals. This is the analogue of AFL++'s [-M]/[-S] sync
-    directory.
+    directory. Metrics do not pass through here: the campaign merges
+    each shard's registry once, at campaign end.
 
     The exchange flag only decides whether discoveries cross shards
     (DESIGN.md §10). With it on each shard also stages its
@@ -90,8 +91,8 @@ val default_interval : int
 
 val create : ?interval:int -> ?exchange:bool -> unit -> t
 (** [exchange] (default [false]) decides whether seeds, affinities and
-    skeletons cross shards; with it off, shards still publish coverage,
-    crashes and metrics at every round, but never pull or import, so
+    skeletons cross shards; with it off, shards still publish coverage
+    and crashes at every round, but never pull or import, so
     each shard fuzzes as if alone. *)
 
 val interval : t -> int
@@ -101,7 +102,6 @@ type staged
 (** One shard's contribution to a round, ready for {!release}. *)
 
 val stage :
-  ?metrics:Telemetry.Registry.t ->
   ?gram:Coverage.Bitmap.t ->
   ?crashes_delta:int ->
   t ->
@@ -115,11 +115,7 @@ val stage :
     shard's unique crashes and logic findings from [triage] and derives
     the {!key}s of [export] (dropped when the exchange is off).
     [execs_delta] and [crashes_delta] are the executions and {e total}
-    (not unique) crashes since the shard's last round. [metrics], when
-    given, must be the {e delta} registry since the shard's last round
-    ({!Telemetry.Registry.diff}): deltas — not absolute registries —
-    keep the non-idempotent counter/histogram merge correct across
-    rounds. [virgin] and [gram] (the shard's grammar virgin map, under
+    (not unique) crashes since the shard's last round. [virgin] and [gram] (the shard's grammar virgin map, under
     grammar feedback) are kept by reference and read at {!release}, so
     the shard must not change them before the release. *)
 
@@ -127,7 +123,7 @@ val release : t -> staged array -> unit
 (** Fold a round's staged publishes into [t] in array order, which the
     campaign makes shard-id order (so first-finder attribution is
     deterministic): add the running totals ({!execs_seen},
-    {!total_crashes}, {!rounds}), merge the metric deltas, union the
+    {!total_crashes}, {!rounds}), union the
     virgin and grammar maps into the global ones, record the findings in
     the campaign's {!Triage.t} and deduplicate the exports into the
     canonical store by {!key}. Re-publishing the same state is
@@ -152,10 +148,6 @@ val seed_port : Seed_pool.t -> port
     admitted since the previous export, import folds foreign seeds into
     the pool (affinity/skeleton entries are ignored). The capability the
     four baselines carry. *)
-
-val metrics : t -> Telemetry.Registry.t
-(** Snapshot of the global metric registry — the union of all published
-    shard deltas (stage-time histograms, engine counters). *)
 
 val branches : t -> int
 (** Branches of the merged global virgin map — the aggregate Figure 9

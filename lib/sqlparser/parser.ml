@@ -87,22 +87,13 @@ let peek_at st off =
 
 let advance st = st.pos <- st.pos + 1
 
-let next st =
-  let t = peek st in
-  advance st;
-  t
-
+(* Every parse failure goes through here: the message says what was
+   expected, then the index and text of the token at hand. No production
+   consumes a token it fails on, so that token is the offending one. *)
 let fail st msg =
   let tok = Format.asprintf "%a" Lexer.pp_token (peek st) in
   raise
     (Parse_error (Printf.sprintf "%s (at token %d: %s)" msg st.pos tok))
-
-let expect_kw st k =
-  match next st with
-  | Lexer.KW k' when k' = k -> ()
-  | _ ->
-    st.pos <- st.pos - 1;
-    fail st (Printf.sprintf "expected %s" k)
 
 let accept_kw st k =
   match peek st with
@@ -110,6 +101,18 @@ let accept_kw st k =
     advance st;
     true
   | _ -> false
+
+let expect_kw st k = if not (accept_kw st k) then fail st ("expected " ^ k)
+
+let rec expect_kws st = function
+  | [] -> ()
+  | k :: ks ->
+    expect_kw st k;
+    expect_kws st ks
+
+(* [k ks...]: true, with the whole phrase consumed, when [k] is at hand;
+   past [k] the keywords [ks] are required. *)
+let accept_phrase st k ks = accept_kw st k && (expect_kws st ks; true)
 
 let expect_tok st tok what =
   if peek st = tok then advance st else fail st ("expected " ^ what)
@@ -122,62 +125,167 @@ let accept_tok st tok =
   else false
 
 let ident st =
-  match next st with
-  | Lexer.IDENT i -> i
-  | _ ->
-    st.pos <- st.pos - 1;
-    fail st "expected identifier"
+  match peek st with
+  | Lexer.IDENT i ->
+    advance st;
+    i
+  | _ -> fail st "expected identifier"
+
+let opt_ident st =
+  match peek st with
+  | Lexer.IDENT i ->
+    advance st;
+    Some i
+  | _ -> None
 
 let int_lit st =
-  match next st with
-  | Lexer.INT n -> n
-  | _ ->
-    st.pos <- st.pos - 1;
-    fail st "expected integer"
+  match peek st with
+  | Lexer.INT n ->
+    advance st;
+    n
+  | _ -> fail st "expected integer"
+
+let signed_int st =
+  if accept_tok st Lexer.MINUS then -int_lit st else int_lit st
 
 let string_lit st =
-  match next st with
-  | Lexer.STRING s -> s
-  | _ ->
-    st.pos <- st.pos - 1;
-    fail st "expected string literal"
+  match peek st with
+  | Lexer.STRING s ->
+    advance st;
+    s
+  | _ -> fail st "expected string literal"
+
+(* ------------------------------------------------------------------ *)
+(* Idioms: one helper each                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Consume the token at hand when [of_token] maps it to a value;
+   otherwise fail on it with [msg]. *)
+let take st msg of_token =
+  match of_token (peek st) with
+  | Some v ->
+    advance st;
+    v
+  | None -> fail st msg
+
+let rec find_arm k = function
+  | [] -> None
+  | (k', arm) :: arms ->
+    (* keywords are never empty *)
+    if String.length k = String.length k' && k.[0] = k'.[0] && String.equal k k'
+    then Some arm
+    else find_arm k arms
+
+(* A keyword choice: when the token at hand is a keyword naming one of
+   [arms], consume it and return that arm, to run on what follows. *)
+let take_arm st arms =
+  match peek st with
+  | Lexer.KW k ->
+    let arm = find_arm k arms in
+    if Option.is_some arm then advance st;
+    arm
+  | _ -> None
+
+let accept_choice st arms =
+  match take_arm st arms with Some arm -> Some (arm st) | None -> None
+
+(* [accept_choice], failing on any other token with [msg]. *)
+let choice st msg arms =
+  match take_arm st arms with Some arm -> arm st | None -> fail st msg
+
+let const v _ = v
+
+(* [item (, item)*] *)
+let rec comma_more st item acc =
+  if accept_tok st Lexer.COMMA then comma_more st item (item st :: acc)
+  else List.rev acc
+
+let comma_list st item = comma_more st item [ item st ]
+
+let rparen st x =
+  expect_tok st Lexer.RPAREN ")";
+  x
+
+(* [( body )] *)
+let parens st body =
+  expect_tok st Lexer.LPAREN "(";
+  rparen st (body st)
+
+(* [( item, ... )] *)
+let paren_list st item = parens st (fun st -> comma_list st item)
+
+(* [k x] when [k] is at hand. *)
+let opt_clause st k x = if accept_kw st k then Some (x st) else None
+
+(* [k BY items], or no items when [k] is not at hand. *)
+let by_list st k items = if accept_phrase st k [ "BY" ] then items st else []
+
+(* A left-associative level [operand (op operand)*]: [step st lhs]
+   consumes one operator and its right operand and returns the combined
+   tree, or returns [None] where the level ends. *)
+let rec left_assoc_more st step lhs =
+  match step st lhs with Some lhs -> left_assoc_more st step lhs | None -> lhs
+
+let left_assoc st operand step = left_assoc_more st step (operand st)
+
+(* [left_assoc] for a level of plain binary operators, [op_of] mapping
+   each operator token to its [binop]; written out so that the hot
+   expression levels allocate no step closure. *)
+let rec binop_more st operand op_of lhs =
+  match op_of (peek st) with
+  | Some op ->
+    advance st;
+    binop_more st operand op_of (Binop (op, lhs, operand st))
+  | None -> lhs
+
+let binop_level st operand op_of = binop_more st operand op_of (operand st)
+
+(* [name = value] *)
+let assignment st value =
+  let name = ident st in
+  expect_tok st Lexer.EQ "=";
+  (name, value st)
+
+(* [a TO b] *)
+let rename_pair st =
+  let a = ident st in
+  expect_kw st "TO";
+  (a, ident st)
+
+(* ------------------------------------------------------------------ *)
+(* Literals and types                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let literal_of_token = function
+  | Lexer.INT n -> Some (L_int n)
+  | Lexer.FLOAT f -> Some (L_float f)
+  | Lexer.STRING s -> Some (L_string s)
+  | Lexer.KW "NULL" -> Some L_null
+  | Lexer.KW "TRUE" -> Some (L_bool true)
+  | Lexer.KW "FALSE" -> Some (L_bool false)
+  | _ -> None
+
+(* The number after a '-', negated. *)
+let negative_of_token = function
+  | Lexer.INT n -> Some (L_int (-n))
+  | Lexer.FLOAT f -> Some (L_float (-.f))
+  | _ -> None
 
 let parse_literal st =
   prod st site_literal @@ fun () ->
-  match next st with
-  | Lexer.INT n -> L_int n
-  | Lexer.FLOAT f -> L_float f
-  | Lexer.STRING s -> L_string s
-  | Lexer.KW "NULL" -> L_null
-  | Lexer.KW "TRUE" -> L_bool true
-  | Lexer.KW "FALSE" -> L_bool false
-  | Lexer.MINUS ->
-    (match next st with
-     | Lexer.INT n -> L_int (-n)
-     | Lexer.FLOAT f -> L_float (-.f)
-     | _ ->
-       st.pos <- st.pos - 1;
-       fail st "expected number after '-'")
-  | _ ->
-    st.pos <- st.pos - 1;
-    fail st "expected literal"
+  if accept_tok st Lexer.MINUS then
+    take st "expected number after '-'" negative_of_token
+  else take st "expected literal" literal_of_token
+
+let data_types =
+  [ ("INT", const T_int); ("INTEGER", const T_int);
+    ("FLOAT", const T_float); ("TEXT", const T_text);
+    ("BOOL", const T_bool); ("BOOLEAN", const T_bool);
+    ("YEAR", const T_year);
+    ("VARCHAR", fun st -> T_varchar (parens st int_lit)) ]
 
 let parse_data_type st =
-  prod st site_data_type @@ fun () ->
-  match next st with
-  | Lexer.KW "INT" | Lexer.KW "INTEGER" -> T_int
-  | Lexer.KW "FLOAT" -> T_float
-  | Lexer.KW "TEXT" -> T_text
-  | Lexer.KW "BOOL" | Lexer.KW "BOOLEAN" -> T_bool
-  | Lexer.KW "YEAR" -> T_year
-  | Lexer.KW "VARCHAR" ->
-    expect_tok st Lexer.LPAREN "(";
-    let n = int_lit st in
-    expect_tok st Lexer.RPAREN ")";
-    T_varchar n
-  | _ ->
-    st.pos <- st.pos - 1;
-    fail st "expected data type"
+  prod st site_data_type @@ fun () -> choice st "expected data type" data_types
 
 let agg_of_name = function
   | "count" -> Some Count
@@ -197,6 +305,15 @@ let win_of_name = function
   | "ntile" -> Some Ntile
   | _ -> None
 
+let comparison = function
+  | Lexer.EQ -> Some Eq
+  | Lexer.NEQ -> Some Neq
+  | Lexer.LT -> Some Lt
+  | Lexer.LE -> Some Le
+  | Lexer.GT -> Some Gt
+  | Lexer.GE -> Some Ge
+  | _ -> None
+
 let starts_query st =
   match peek st with
   | Lexer.KW "SELECT" | Lexer.KW "VALUES" -> true
@@ -206,136 +323,91 @@ let starts_query st =
    [elem]s, as in VALUES lists. A row may be empty — the printer renders
    a row for a table with no columns left as [()]. *)
 let parse_rows st elem =
-  let row () =
+  let row st =
     expect_tok st Lexer.LPAREN "(";
-    if accept_tok st Lexer.RPAREN then []
-    else begin
-      let es = ref [ elem st ] in
-      while accept_tok st Lexer.COMMA do
-        es := elem st :: !es
-      done;
-      expect_tok st Lexer.RPAREN ")";
-      List.rev !es
-    end
+    rparen st (if peek st = Lexer.RPAREN then [] else comma_list st elem)
   in
-  let rows = ref [ row () ] in
-  while accept_tok st Lexer.COMMA do
-    rows := row () :: !rows
-  done;
-  List.rev !rows
+  comma_list st row
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let set_ops =
+  [ ("UNION", fun st -> if accept_kw st "ALL" then Union_all else Union);
+    ("INTERSECT", const Intersect); ("EXCEPT", const Except) ]
+
+let join_kinds =
+  let join kind st =
+    expect_kw st "JOIN";
+    kind
+  in
+  [ ("JOIN", const Inner); ("INNER", join Inner); ("LEFT", join Left);
+    ("RIGHT", join Right); ("CROSS", join Cross) ]
+
 let rec parse_expr_top st = parse_or st
+
+and exprs st = comma_list st parse_expr_top
 
 and parse_or st =
   prod st site_or @@ fun () ->
-  let lhs = ref (parse_and st) in
-  while accept_kw st "OR" do
-    let rhs = parse_and st in
-    lhs := Binop (Or, !lhs, rhs)
-  done;
-  !lhs
+  binop_level st parse_and (function Lexer.KW "OR" -> Some Or | _ -> None)
 
 and parse_and st =
   prod st site_and @@ fun () ->
-  let lhs = ref (parse_not st) in
-  while accept_kw st "AND" do
-    let rhs = parse_not st in
-    lhs := Binop (And, !lhs, rhs)
-  done;
-  !lhs
+  binop_level st parse_not (function Lexer.KW "AND" -> Some And | _ -> None)
 
 and parse_not st =
   prod st site_not @@ fun () ->
   if accept_kw st "NOT" then
-    if peek st = Lexer.KW "EXISTS" then begin
-      advance st;
-      expect_tok st Lexer.LPAREN "(";
-      let q = parse_query st in
-      expect_tok st Lexer.RPAREN ")";
-      Exists (q, true)
-    end
+    if accept_kw st "EXISTS" then Exists (parens st parse_query, true)
     else Unop (Not, parse_not st)
   else parse_predicate st
 
 and parse_predicate st =
   prod st site_predicate @@ fun () ->
-  let e = ref (parse_add st) in
-  let continue = ref true in
-  while !continue do
-    match peek st with
-    | Lexer.EQ ->
-      advance st;
-      e := Binop (Eq, !e, parse_add st)
-    | Lexer.NEQ ->
-      advance st;
-      e := Binop (Neq, !e, parse_add st)
-    | Lexer.LT ->
-      advance st;
-      e := Binop (Lt, !e, parse_add st)
-    | Lexer.LE ->
-      advance st;
-      e := Binop (Le, !e, parse_add st)
-    | Lexer.GT ->
-      advance st;
-      e := Binop (Gt, !e, parse_add st)
-    | Lexer.GE ->
-      advance st;
-      e := Binop (Ge, !e, parse_add st)
-    | Lexer.KW "IS" ->
-      advance st;
-      let negated = accept_kw st "NOT" in
-      expect_kw st "NULL";
-      e := Is_null (!e, negated)
-    | Lexer.KW "IN" ->
-      advance st;
-      e := parse_in st !e false
-    | Lexer.KW "BETWEEN" ->
-      advance st;
-      e := parse_between st !e false
-    | Lexer.KW "LIKE" ->
-      advance st;
-      e := Like { e = !e; pat = parse_add st; negated = false }
-    | Lexer.KW "NOT" -> begin
-        match peek_at st 1 with
-        | Lexer.KW "IN" ->
-          advance st;
-          advance st;
-          e := parse_in st !e true
-        | Lexer.KW "BETWEEN" ->
-          advance st;
-          advance st;
-          e := parse_between st !e true
-        | Lexer.KW "LIKE" ->
-          advance st;
-          advance st;
-          e := Like { e = !e; pat = parse_add st; negated = true }
-        | _ -> continue := false
-      end
-    | _ -> continue := false
-  done;
-  !e
+  left_assoc st parse_add predicate_step
+
+(* One comparison or suffix operator after [e], if one is at hand. *)
+and predicate_step st e =
+  match comparison (peek st) with
+  | Some op ->
+    advance st;
+    Some (Binop (op, e, parse_add st))
+  | None -> (
+      match (peek st, peek_at st 1) with
+      | Lexer.KW "IS", _ ->
+        advance st;
+        let negated = accept_kw st "NOT" in
+        expect_kw st "NULL";
+        Some (Is_null (e, negated))
+      | Lexer.KW "NOT", Lexer.KW ("IN" | "BETWEEN" | "LIKE") ->
+        advance st;
+        Some (parse_negatable st e true)
+      | Lexer.KW ("IN" | "BETWEEN" | "LIKE"), _ ->
+        Some (parse_negatable st e false)
+      | _ -> None)
+
+(* [IN (...)], [BETWEEN lo AND hi] or [LIKE pat], keyword at hand. *)
+and parse_negatable st e negated =
+  match peek st with
+  | Lexer.KW "IN" ->
+    advance st;
+    parse_in st e negated
+  | Lexer.KW "BETWEEN" ->
+    advance st;
+    parse_between st e negated
+  | _ ->
+    advance st;
+    Like { e; pat = parse_add st; negated }
 
 and parse_in st e negated =
   prod st site_in @@ fun () ->
-  expect_tok st Lexer.LPAREN "(";
-  if starts_query st then begin
-    (* IN (SELECT ...): the subquery is the single item *)
-    let q = parse_query st in
-    expect_tok st Lexer.RPAREN ")";
-    In_list { e; items = [ Subquery q ]; negated }
-  end
-  else begin
-    let items = ref [ parse_expr_top st ] in
-    while accept_tok st Lexer.COMMA do
-      items := parse_expr_top st :: !items
-    done;
-    expect_tok st Lexer.RPAREN ")";
-    In_list { e; items = List.rev !items; negated }
-  end
+  In_list { e; items = parens st in_items; negated }
+
+(* IN (SELECT ...): the subquery is the single item *)
+and in_items st =
+  if starts_query st then [ Subquery (parse_query st) ] else exprs st
 
 and parse_between st e negated =
   prod st site_between @@ fun () ->
@@ -346,41 +418,19 @@ and parse_between st e negated =
 
 and parse_add st =
   prod st site_add @@ fun () ->
-  let lhs = ref (parse_mul st) in
-  let continue = ref true in
-  while !continue do
-    match peek st with
-    | Lexer.PLUS ->
-      advance st;
-      lhs := Binop (Add, !lhs, parse_mul st)
-    | Lexer.MINUS ->
-      advance st;
-      lhs := Binop (Sub, !lhs, parse_mul st)
-    | Lexer.CONCAT ->
-      advance st;
-      lhs := Binop (Concat, !lhs, parse_mul st)
-    | _ -> continue := false
-  done;
-  !lhs
+  binop_level st parse_mul (function
+    | Lexer.PLUS -> Some Add
+    | Lexer.MINUS -> Some Sub
+    | Lexer.CONCAT -> Some Concat
+    | _ -> None)
 
 and parse_mul st =
   prod st site_mul @@ fun () ->
-  let lhs = ref (parse_unary st) in
-  let continue = ref true in
-  while !continue do
-    match peek st with
-    | Lexer.STAR ->
-      advance st;
-      lhs := Binop (Mul, !lhs, parse_unary st)
-    | Lexer.SLASH ->
-      advance st;
-      lhs := Binop (Div, !lhs, parse_unary st)
-    | Lexer.PERCENT ->
-      advance st;
-      lhs := Binop (Mod, !lhs, parse_unary st)
-    | _ -> continue := false
-  done;
-  !lhs
+  binop_level st parse_unary (function
+    | Lexer.STAR -> Some Mul
+    | Lexer.SLASH -> Some Div
+    | Lexer.PERCENT -> Some Mod
+    | _ -> None)
 
 and parse_unary st =
   prod st site_unary @@ fun () ->
@@ -388,14 +438,11 @@ and parse_unary st =
   | Lexer.MINUS -> (
       advance st;
       (* fold negative numeric literals so that printed values round-trip *)
-      match peek st with
-      | Lexer.INT n ->
+      match negative_of_token (peek st) with
+      | Some l ->
         advance st;
-        Lit (L_int (-n))
-      | Lexer.FLOAT f ->
-        advance st;
-        Lit (L_float (-.f))
-      | _ -> Unop (Neg, parse_unary st))
+        Lit l
+      | None -> Unop (Neg, parse_unary st))
   | Lexer.TILDE ->
     advance st;
     Unop (Bit_not, parse_unary st)
@@ -403,185 +450,112 @@ and parse_unary st =
 
 and parse_primary st =
   prod st site_primary @@ fun () ->
-  match peek st with
-  | Lexer.INT n ->
+  match literal_of_token (peek st) with
+  | Some l ->
     advance st;
-    Lit (L_int n)
-  | Lexer.FLOAT f ->
-    advance st;
-    Lit (L_float f)
-  | Lexer.STRING s ->
-    advance st;
-    Lit (L_string s)
-  | Lexer.KW "NULL" ->
-    advance st;
-    Lit L_null
-  | Lexer.KW "TRUE" ->
-    advance st;
-    Lit (L_bool true)
-  | Lexer.KW "FALSE" ->
-    advance st;
-    Lit (L_bool false)
-  | Lexer.KW "CASE" ->
-    advance st;
-    let whens = ref [] in
-    while accept_kw st "WHEN" do
-      let c = parse_expr_top st in
-      expect_kw st "THEN";
-      let v = parse_expr_top st in
-      whens := (c, v) :: !whens
-    done;
-    let else_ = if accept_kw st "ELSE" then Some (parse_expr_top st) else None in
-    expect_kw st "END";
-    Case (List.rev !whens, else_)
-  | Lexer.KW "CAST" ->
-    advance st;
-    expect_tok st Lexer.LPAREN "(";
-    let e = parse_expr_top st in
-    expect_kw st "AS";
-    let dt = parse_data_type st in
-    expect_tok st Lexer.RPAREN ")";
-    Cast (e, dt)
-  | Lexer.KW "EXISTS" ->
-    advance st;
-    expect_tok st Lexer.LPAREN "(";
-    let q = parse_query st in
-    expect_tok st Lexer.RPAREN ")";
-    Exists (q, false)
-  | Lexer.LPAREN ->
-    advance st;
-    if starts_query st then begin
-      let q = parse_query st in
-      expect_tok st Lexer.RPAREN ")";
-      Subquery q
-    end
-    else begin
-      let e = parse_expr_top st in
-      expect_tok st Lexer.RPAREN ")";
-      e
-    end
-  | Lexer.IDENT name ->
-    advance st;
-    (match peek st with
-     | Lexer.LPAREN -> parse_call st name
-     | Lexer.DOT ->
-       advance st;
-       let col = ident st in
-       Col (Some name, col)
-     | _ -> Col (None, name))
-  | _ -> fail st "expected expression"
+    Lit l
+  | None -> (
+      match peek st with
+      | Lexer.KW "CASE" ->
+        advance st;
+        let whens = ref [] in
+        while accept_kw st "WHEN" do
+          let c = parse_expr_top st in
+          expect_kw st "THEN";
+          whens := (c, parse_expr_top st) :: !whens
+        done;
+        let else_ = opt_clause st "ELSE" parse_expr_top in
+        expect_kw st "END";
+        Case (List.rev !whens, else_)
+      | Lexer.KW "CAST" ->
+        advance st;
+        parens st (fun st ->
+            let e = parse_expr_top st in
+            expect_kw st "AS";
+            Cast (e, parse_data_type st))
+      | Lexer.KW "EXISTS" ->
+        advance st;
+        Exists (parens st parse_query, false)
+      | Lexer.LPAREN -> parens st parenthesised
+      | Lexer.IDENT name -> (
+          advance st;
+          match peek st with
+          | Lexer.LPAREN -> parse_call st name
+          | Lexer.DOT ->
+            advance st;
+            Col (Some name, ident st)
+          | _ -> Col (None, name))
+      | _ -> fail st "expected expression")
 
 and parse_call st name =
   prod st site_call @@ fun () ->
-  expect_tok st Lexer.LPAREN "(";
   match agg_of_name name with
   | Some fn ->
-    if accept_tok st Lexer.STAR then begin
-      expect_tok st Lexer.RPAREN ")";
-      Agg (fn, false, None)
-    end
-    else begin
-      let distinct = accept_kw st "DISTINCT" in
-      let e = parse_expr_top st in
-      expect_tok st Lexer.RPAREN ")";
-      Agg (fn, distinct, Some e)
-    end
-  | None ->
-    let args = ref [] in
-    if peek st <> Lexer.RPAREN then begin
-      args := [ parse_expr_top st ];
-      while accept_tok st Lexer.COMMA do
-        args := parse_expr_top st :: !args
-      done
-    end;
-    expect_tok st Lexer.RPAREN ")";
-    let args = List.rev !args in
-    (match win_of_name name with
-     | Some fn ->
-       expect_kw st "OVER";
-       expect_tok st Lexer.LPAREN "(";
-       let over = parse_over st in
-       expect_tok st Lexer.RPAREN ")";
-       Win { fn; args; over }
-     | None -> Fn (String.uppercase_ascii name, args))
+    expect_tok st Lexer.LPAREN "(";
+    rparen st
+      (if accept_tok st Lexer.STAR then Agg (fn, false, None)
+       else
+         let distinct = accept_kw st "DISTINCT" in
+         Agg (fn, distinct, Some (parse_expr_top st)))
+  | None -> (
+      let args = parens st call_args in
+      match win_of_name name with
+      | Some fn ->
+        expect_kw st "OVER";
+        Win { fn; args; over = parens st parse_over }
+      | None -> Fn (String.uppercase_ascii name, args))
+
+and call_args st = if peek st = Lexer.RPAREN then [] else exprs st
+
+and parenthesised st =
+  if starts_query st then Subquery (parse_query st) else parse_expr_top st
 
 and parse_over st =
   prod st site_over @@ fun () ->
-  let partition_by =
-    if accept_kw st "PARTITION" then begin
-      expect_kw st "BY";
-      let es = ref [ parse_expr_top st ] in
-      while accept_tok st Lexer.COMMA do
-        es := parse_expr_top st :: !es
-      done;
-      List.rev !es
-    end
-    else []
-  in
-  let w_order_by =
-    if accept_kw st "ORDER" then begin
-      expect_kw st "BY";
-      parse_order_list st
-    end
-    else []
+  let partition_by = by_list st "PARTITION" exprs in
+  let w_order_by = by_list st "ORDER" parse_order_list in
+  let frame f_kind st =
+    expect_kw st "BETWEEN";
+    let f_lo = parse_frame_bound st in
+    expect_kw st "AND";
+    { f_kind; f_lo; f_hi = parse_frame_bound st }
   in
   let frame =
-    match peek st with
-    | Lexer.KW "ROWS" | Lexer.KW "RANGE" ->
-      let f_kind =
-        match next st with
-        | Lexer.KW "ROWS" -> F_rows
-        | _ -> F_range
-      in
-      expect_kw st "BETWEEN";
-      let f_lo = parse_frame_bound st in
-      expect_kw st "AND";
-      let f_hi = parse_frame_bound st in
-      Some { f_kind; f_lo; f_hi }
-    | _ -> None
+    accept_choice st [ ("ROWS", frame F_rows); ("RANGE", frame F_range) ]
   in
   { partition_by; w_order_by; frame }
 
 and parse_frame_bound st =
   prod st site_frame_bound @@ fun () ->
-  match next st with
+  let direction preceding following =
+    choice st "expected PRECEDING or FOLLOWING"
+      [ ("PRECEDING", const preceding); ("FOLLOWING", const following) ]
+  in
+  match peek st with
   | Lexer.KW "UNBOUNDED" ->
-    (match next st with
-     | Lexer.KW "PRECEDING" -> Unbounded_preceding
-     | Lexer.KW "FOLLOWING" -> Unbounded_following
-     | _ ->
-       st.pos <- st.pos - 1;
-       fail st "expected PRECEDING or FOLLOWING")
+    advance st;
+    direction Unbounded_preceding Unbounded_following
   | Lexer.KW "CURRENT" ->
+    advance st;
     expect_kw st "ROW";
     Current_row
   | Lexer.INT n ->
-    (match next st with
-     | Lexer.KW "PRECEDING" -> Preceding n
-     | Lexer.KW "FOLLOWING" -> Following n
-     | _ ->
-       st.pos <- st.pos - 1;
-       fail st "expected PRECEDING or FOLLOWING")
-  | _ ->
-    st.pos <- st.pos - 1;
-    fail st "expected frame bound"
+    advance st;
+    direction (Preceding n) (Following n)
+  | _ -> fail st "expected frame bound"
 
 and parse_order_list st =
   prod st site_order_list @@ fun () ->
-  let item () =
-    let e = parse_expr_top st in
-    let dir =
-      if accept_kw st "ASC" then Asc
-      else if accept_kw st "DESC" then Desc
-      else Asc
-    in
-    (e, dir)
+  comma_list st order_item
+
+and order_item st =
+  let e = parse_expr_top st in
+  let dir =
+    if accept_kw st "ASC" then Asc
+    else if accept_kw st "DESC" then Desc
+    else Asc
   in
-  let items = ref [ item () ] in
-  while accept_tok st Lexer.COMMA do
-    items := item () :: !items
-  done;
-  List.rev !items
+  (e, dir)
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -589,23 +563,13 @@ and parse_order_list st =
 
 and parse_query st =
   prod st site_query @@ fun () ->
-  let lhs = ref (parse_query_atom st) in
-  let continue = ref true in
-  while !continue do
-    match peek st with
-    | Lexer.KW "UNION" ->
-      advance st;
-      let op = if accept_kw st "ALL" then Union_all else Union in
-      lhs := Q_compound (!lhs, op, parse_query_atom st)
-    | Lexer.KW "INTERSECT" ->
-      advance st;
-      lhs := Q_compound (!lhs, Intersect, parse_query_atom st)
-    | Lexer.KW "EXCEPT" ->
-      advance st;
-      lhs := Q_compound (!lhs, Except, parse_query_atom st)
-    | _ -> continue := false
-  done;
-  !lhs
+  left_assoc st parse_query_atom set_op_step
+
+(* One set operator and the query after it, if one is at hand. *)
+and set_op_step st lhs =
+  match accept_choice st set_ops with
+  | Some op -> Some (Q_compound (lhs, op, parse_query_atom st))
+  | None -> None
 
 and parse_query_atom st =
   prod st site_query_atom @@ fun () ->
@@ -620,35 +584,15 @@ and parse_select st =
   prod st site_select @@ fun () ->
   expect_kw st "SELECT";
   let distinct = accept_kw st "DISTINCT" in
-  let projs = ref [ parse_proj st ] in
-  while accept_tok st Lexer.COMMA do
-    projs := parse_proj st :: !projs
-  done;
-  let from = if accept_kw st "FROM" then Some (parse_from st) else None in
-  let where = if accept_kw st "WHERE" then Some (parse_expr_top st) else None in
-  let group_by =
-    if accept_kw st "GROUP" then begin
-      expect_kw st "BY";
-      let es = ref [ parse_expr_top st ] in
-      while accept_tok st Lexer.COMMA do
-        es := parse_expr_top st :: !es
-      done;
-      List.rev !es
-    end
-    else []
-  in
-  let having = if accept_kw st "HAVING" then Some (parse_expr_top st) else None in
-  let order_by =
-    if accept_kw st "ORDER" then begin
-      expect_kw st "BY";
-      parse_order_list st
-    end
-    else []
-  in
-  let limit = if accept_kw st "LIMIT" then Some (int_lit st) else None in
-  let offset = if accept_kw st "OFFSET" then Some (int_lit st) else None in
-  { distinct; projs = List.rev !projs; from; where; group_by; having;
-    order_by; limit; offset }
+  let projs = comma_list st parse_proj in
+  let from = opt_clause st "FROM" parse_from in
+  let where = opt_clause st "WHERE" parse_expr_top in
+  let group_by = by_list st "GROUP" exprs in
+  let having = opt_clause st "HAVING" parse_expr_top in
+  let order_by = by_list st "ORDER" parse_order_list in
+  let limit = opt_clause st "LIMIT" int_lit in
+  let offset = opt_clause st "OFFSET" int_lit in
+  { distinct; projs; from; where; group_by; having; order_by; limit; offset }
 
 and parse_proj st =
   prod st site_proj @@ fun () ->
@@ -657,137 +601,439 @@ and parse_proj st =
     advance st;
     Star
   | Lexer.IDENT t, Lexer.DOT, Lexer.STAR ->
-    advance st;
-    advance st;
-    advance st;
+    st.pos <- st.pos + 3;
     Star_of t
   | _ ->
     let e = parse_expr_top st in
-    let alias = if accept_kw st "AS" then Some (ident st) else None in
-    Proj (e, alias)
+    Proj (e, opt_clause st "AS" ident)
 
 and parse_from st =
   prod st site_from @@ fun () ->
-  let lhs = ref (parse_from_atom st) in
-  let continue = ref true in
-  while !continue do
-    let kind =
-      match peek st with
-      | Lexer.KW "JOIN" ->
-        advance st;
-        Some Inner
-      | Lexer.KW "INNER" ->
-        advance st;
-        expect_kw st "JOIN";
-        Some Inner
-      | Lexer.KW "LEFT" ->
-        advance st;
-        expect_kw st "JOIN";
-        Some Left
-      | Lexer.KW "RIGHT" ->
-        advance st;
-        expect_kw st "JOIN";
-        Some Right
-      | Lexer.KW "CROSS" ->
-        advance st;
-        expect_kw st "JOIN";
-        Some Cross
-      | _ -> None
-    in
-    match kind with
-    | None -> continue := false
-    | Some kind ->
-      let right = parse_from_atom st in
-      let on = if accept_kw st "ON" then Some (parse_expr_top st) else None in
-      lhs := From_join { left = !lhs; kind; right; on }
-  done;
-  !lhs
+  left_assoc st parse_from_atom join_step
+
+(* One join and the table reference after it, if one is at hand. *)
+and join_step st left =
+  match accept_choice st join_kinds with
+  | Some kind ->
+    let right = parse_from_atom st in
+    let on = opt_clause st "ON" parse_expr_top in
+    Some (From_join { left; kind; right; on })
+  | None -> None
 
 and parse_from_atom st =
   prod st site_from_atom @@ fun () ->
   match peek st with
   | Lexer.IDENT name ->
     advance st;
-    let alias = if accept_kw st "AS" then Some (ident st) else None in
-    From_table { name; alias }
+    From_table { name; alias = opt_clause st "AS" ident }
   | Lexer.LPAREN ->
     advance st;
     if starts_query st then begin
-      let q = parse_query st in
-      expect_tok st Lexer.RPAREN ")";
+      let q = rparen st (parse_query st) in
       expect_kw st "AS";
-      let alias = ident st in
-      From_subquery { q; alias }
+      From_subquery { q; alias = ident st }
     end
-    else begin
-      let f = parse_from st in
-      expect_tok st Lexer.RPAREN ")";
-      f
-    end
+    else rparen st (parse_from st)
   | _ -> fail st "expected table reference"
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let col_constraints =
+  [ ("ZEROFILL", fun _ c -> { c with zerofill = true });
+    ("NOT", fun st c -> expect_kw st "NULL"; { c with not_null = true });
+    ("PRIMARY", fun st c -> expect_kw st "KEY"; { c with primary_key = true });
+    ("UNIQUE", fun _ c -> { c with unique = true });
+    ("DEFAULT", fun st c -> { c with default = Some (parse_literal st) }) ]
+
+let rec col_constraints_more st c =
+  match take_arm st col_constraints with
+  | Some add -> col_constraints_more st (add st c)
+  | None -> c
+
 let parse_col_def st =
   prod st site_col_def @@ fun () ->
   let col_name = ident st in
   let col_type = parse_data_type st in
-  let not_null = ref false in
-  let primary_key = ref false in
-  let unique = ref false in
-  let default = ref None in
-  let zerofill = ref false in
-  let continue = ref true in
-  while !continue do
-    match peek st with
-    | Lexer.KW "ZEROFILL" ->
-      advance st;
-      zerofill := true
-    | Lexer.KW "NOT" ->
-      advance st;
-      expect_kw st "NULL";
-      not_null := true
-    | Lexer.KW "PRIMARY" ->
-      advance st;
-      expect_kw st "KEY";
-      primary_key := true
-    | Lexer.KW "UNIQUE" ->
-      advance st;
-      unique := true
-    | Lexer.KW "DEFAULT" ->
-      advance st;
-      default := Some (parse_literal st)
-    | _ -> continue := false
-  done;
-  { col_name; col_type; not_null = !not_null; primary_key = !primary_key;
-    unique = !unique; default = !default; zerofill = !zerofill }
+  col_constraints_more st
+    { col_name; col_type; not_null = false; primary_key = false;
+      unique = false; default = None; zerofill = false }
 
 let parse_trig_event st =
   prod st site_trig_event @@ fun () ->
-  match next st with
-  | Lexer.KW "INSERT" -> Ev_insert
-  | Lexer.KW "UPDATE" -> Ev_update
-  | Lexer.KW "DELETE" -> Ev_delete
-  | _ ->
-    st.pos <- st.pos - 1;
-    fail st "expected INSERT, UPDATE or DELETE"
+  choice st "expected INSERT, UPDATE or DELETE"
+    [ ("INSERT", const Ev_insert); ("UPDATE", const Ev_update);
+      ("DELETE", const Ev_delete) ]
 
 let parse_priv st =
   prod st site_priv @@ fun () ->
-  match next st with
-  | Lexer.KW "SELECT" -> P_select
-  | Lexer.KW "INSERT" -> P_insert
-  | Lexer.KW "UPDATE" -> P_update
-  | Lexer.KW "DELETE" -> P_delete
-  | Lexer.KW "ALL" -> P_all
-  | _ ->
-    st.pos <- st.pos - 1;
-    fail st "expected privilege"
+  choice st "expected privilege"
+    [ ("SELECT", const P_select); ("INSERT", const P_insert);
+      ("UPDATE", const P_update); ("DELETE", const P_delete);
+      ("ALL", const P_all) ]
+
+let parse_privs st = prod st site_privs @@ fun () -> comma_list st parse_priv
 
 let parse_literal_rows st =
   prod st site_literal_rows @@ fun () -> parse_rows st parse_literal
+
+(* [privs ON table <user_kw> user] *)
+let privileges st user_kw =
+  let privs = parse_privs st in
+  expect_kw st "ON";
+  let table = ident st in
+  expect_kw st user_kw;
+  (privs, table, ident st)
+
+(* [user IDENTIFIED BY 'password'] *)
+let user_password st =
+  let user = ident st in
+  expect_kws st [ "IDENTIFIED"; "BY" ];
+  (user, string_lit st)
+
+let parse_create_table st ~temp =
+  prod st site_create_table @@ fun () ->
+  let if_not_exists = accept_phrase st "IF" [ "NOT"; "EXISTS" ] in
+  let name = ident st in
+  let cols = paren_list st parse_col_def in
+  S_create_table { temp; if_not_exists; name; cols }
+
+let parse_create_index st ~unique =
+  prod st site_create_index @@ fun () ->
+  let name = ident st in
+  expect_kw st "ON";
+  let table = ident st in
+  S_create_index { unique; name; table; cols = paren_list st ident }
+
+let parse_create_view st ~materialized =
+  prod st site_create_view @@ fun () ->
+  let name = ident st in
+  expect_kw st "AS";
+  S_create_view { materialized; name; query = parse_query st }
+
+(* DROP targets: the object kind picks how the name that follows the
+   optional [IF EXISTS] is read. *)
+let drop_targets =
+  let named kind mk = (kind, const (fun st -> mk (ident st))) in
+  [ named "TABLE" (fun n -> D_table n); named "INDEX" (fun n -> D_index n);
+    named "VIEW" (fun n -> D_view n); named "TRIGGER" (fun n -> D_trigger n);
+    ("RULE",
+     const (fun st ->
+         let name = ident st in
+         expect_kw st "ON";
+         D_rule (name, ident st)));
+    named "SEQUENCE" (fun n -> D_sequence n);
+    named "SCHEMA" (fun n -> D_schema n);
+    named "DATABASE" (fun n -> D_database n); named "USER" (fun n -> D_user n) ]
+
+let parse_drop st =
+  prod st site_drop @@ fun () ->
+  let target = choice st "expected object kind after DROP" drop_targets in
+  let if_exists = accept_phrase st "IF" [ "EXISTS" ] in
+  S_drop { target = target st; if_exists }
+
+let alter_actions =
+  [ ("ADD", fun st -> expect_kw st "COLUMN"; Add_column (parse_col_def st));
+    ("DROP", fun st -> expect_kw st "COLUMN"; Drop_column (ident st));
+    ("RENAME",
+     fun st ->
+       if accept_kw st "TO" then Rename_to (ident st)
+       else begin
+         expect_kw st "COLUMN";
+         let a, b = rename_pair st in
+         Rename_column (a, b)
+       end);
+    ("ALTER",
+     fun st ->
+       expect_kw st "COLUMN";
+       let c = ident st in
+       expect_kw st "TYPE";
+       Alter_column_type (c, parse_data_type st)) ]
+
+let alter_kinds =
+  [ ("TABLE",
+     fun st ->
+       let table = ident st in
+       let action = choice st "expected ALTER TABLE action" alter_actions in
+       S_alter_table (table, action));
+    ("SEQUENCE",
+     fun st ->
+       let name = ident st in
+       expect_kws st [ "INCREMENT"; "BY" ];
+       S_alter_sequence { name; step = signed_int st });
+    ("USER",
+     fun st ->
+       let user, password = user_password st in
+       S_alter_user { user; password });
+    ("SYSTEM", fun st -> S_alter_system (ident st)) ]
+
+let parse_alter st =
+  prod st site_alter @@ fun () ->
+  choice st "expected TABLE, SEQUENCE, USER or SYSTEM after ALTER" alter_kinds
+
+let parse_insert_body st =
+  prod st site_insert @@ fun () ->
+  let i_ignore = accept_kw st "IGNORE" in
+  expect_kw st "INTO";
+  let i_table = ident st in
+  let i_cols =
+    if peek st = Lexer.LPAREN then paren_list st ident else []
+  in
+  let i_source =
+    if accept_kw st "VALUES" then Src_values (parse_rows st parse_expr_top)
+    else Src_query (parse_query st)
+  in
+  { i_table; i_cols; i_source; i_ignore }
+
+let parse_update_body st =
+  prod st site_update @@ fun () ->
+  let u_table = ident st in
+  expect_kw st "SET";
+  let u_sets = comma_list st (fun st -> assignment st parse_expr_top) in
+  let u_where = opt_clause st "WHERE" parse_expr_top in
+  let u_limit = opt_clause st "LIMIT" int_lit in
+  { u_table; u_sets; u_where; u_limit }
+
+let parse_delete_body st =
+  prod st site_delete @@ fun () ->
+  expect_kw st "FROM";
+  let d_table = ident st in
+  let d_where = opt_clause st "WHERE" parse_expr_top in
+  let d_limit = opt_clause st "LIMIT" int_lit in
+  { d_table; d_where; d_limit }
+
+(* [STDOUT [CSV HEADER]], after the TO of a COPY *)
+let copy_to st src =
+  expect_kw st "STDOUT";
+  S_copy_to { src; header = accept_phrase st "CSV" [ "HEADER" ] }
+
+let parse_copy st =
+  prod st site_copy @@ fun () ->
+  if peek st = Lexer.LPAREN then begin
+    let q = parens st parse_query in
+    expect_kw st "TO";
+    copy_to st (Cs_query q)
+  end
+  else begin
+    let table = ident st in
+    choice st "expected TO or FROM in COPY"
+      [ ("TO", fun st -> copy_to st (Cs_table table));
+        ("FROM",
+         fun st ->
+           expect_kw st "STDIN";
+           let rows =
+             if peek st = Lexer.LPAREN then parse_literal_rows st else []
+           in
+           S_copy_from { table; rows }) ]
+  end
+
+let parse_with_body st =
+  prod st site_with_body @@ fun () ->
+  if starts_query st then W_query (parse_query st)
+  else
+    choice st "expected query or DML in WITH body"
+      [ ("INSERT", fun st -> W_insert (parse_insert_body st));
+        ("UPDATE", fun st -> W_update (parse_update_body st));
+        ("DELETE", fun st -> W_delete (parse_delete_body st)) ]
+
+let parse_with st =
+  prod st site_with @@ fun () ->
+  let ctes =
+    comma_list st (fun st ->
+        let cte_name = ident st in
+        expect_kw st "AS";
+        { cte_name; cte_body = parens st parse_with_body })
+  in
+  S_with { ctes; body = parse_with_body st }
+
+let set_var global st =
+  let name, value = assignment st parse_literal in
+  S_set_var { global; name; value }
+
+let set_targets =
+  [ ("ROLE", fun st -> S_set_role (ident st));
+    ("TRANSACTION",
+     fun st ->
+       expect_kws st [ "ISOLATION"; "LEVEL" ];
+       S_set_transaction
+         (choice st "expected isolation level"
+            [ ("READ", fun st -> expect_kw st "COMMITTED"; Read_committed);
+              ("REPEATABLE", fun st -> expect_kw st "READ"; Repeatable_read);
+              ("SERIALIZABLE", const Serializable) ]));
+    ("GLOBAL", set_var true);
+    ("NAMES", fun st -> S_set_names (ident st)) ]
+
+let parse_set st =
+  prod st site_set @@ fun () ->
+  match peek st with
+  | Lexer.IDENT _ -> set_var false st
+  | _ -> choice st "expected SET target" set_targets
+
+let create_kinds =
+  [ ("TEMPORARY",
+     fun st ->
+       expect_kw st "TABLE";
+       parse_create_table st ~temp:true);
+    ("TABLE", parse_create_table ~temp:false);
+    ("UNIQUE",
+     fun st ->
+       expect_kw st "INDEX";
+       parse_create_index st ~unique:true);
+    ("INDEX", parse_create_index ~unique:false);
+    ("MATERIALIZED",
+     fun st ->
+       expect_kw st "VIEW";
+       parse_create_view st ~materialized:true);
+    ("VIEW", parse_create_view ~materialized:false);
+    ("SEQUENCE",
+     fun st ->
+       let name = ident st in
+       let by k then_ =
+         if accept_phrase st k [ then_ ] then signed_int st else 1
+       in
+       let start = by "START" "WITH" in
+       S_create_sequence { name; start; step = by "INCREMENT" "BY" });
+    ("SCHEMA", fun st -> S_create_schema (ident st));
+    ("DATABASE", fun st -> S_create_database (ident st));
+    ("USER",
+     fun st ->
+       let user, password = user_password st in
+       S_create_user { user; password }) ]
+
+(* Statement heads of one fixed shape each: the head keyword, then the
+   keywords [kws], then nothing, a name or an optional name. *)
+let fixed_heads =
+  let bare kws k s = (k, fun st -> expect_kws st kws; s) in
+  let named kws k mk = (k, fun st -> expect_kws st kws; mk (ident st)) in
+  let opt_named k mk = (k, fun st -> mk (opt_ident st)) in
+  [ bare [] "BEGIN" S_begin; bare [] "COMMIT" S_commit;
+    bare [] "CHECKPOINT" S_checkpoint;
+    bare [ "TABLES" ] "UNLOCK" S_unlock_tables;
+    named [] "TABLE" (fun t -> S_table t);
+    named [] "DESCRIBE" (fun t -> S_describe t);
+    named [] "SAVEPOINT" (fun s -> S_savepoint s);
+    named [ "SAVEPOINT" ] "RELEASE" (fun s -> S_release_savepoint s);
+    named [] "RESET" (fun v -> S_reset_var v);
+    named [] "LISTEN" (fun c -> S_listen c);
+    named [] "UNLISTEN" (fun c -> S_unlisten c);
+    named [] "EXECUTE" (fun p -> S_execute p);
+    named [] "DEALLOCATE" (fun p -> S_deallocate p);
+    named [] "USE" (fun d -> S_use d);
+    named [ "TABLE" ] "OPTIMIZE" (fun t -> S_optimize t);
+    named [ "TABLE" ] "CHECK" (fun t -> S_check_table t);
+    named [ "TABLE" ] "REPAIR" (fun t -> S_repair t);
+    named [ "MATERIALIZED"; "VIEW" ] "REFRESH" (fun v -> S_refresh_matview v);
+    opt_named "VACUUM" (fun t -> S_vacuum t);
+    opt_named "ANALYZE" (fun t -> S_analyze t);
+    opt_named "REINDEX" (fun t -> S_reindex t);
+    opt_named "CLUSTER" (fun t -> S_cluster t) ]
+
+(* The heads that need no nested statement, the common ones first. *)
+let stmt_heads =
+  [ ("INSERT", fun st -> S_insert (parse_insert_body st));
+    ("UPDATE", fun st -> S_update (parse_update_body st));
+    ("DELETE", fun st -> S_delete (parse_delete_body st));
+    ("DROP", parse_drop);
+    ("ALTER", parse_alter);
+    ("REPLACE", fun st -> S_replace (parse_insert_body st));
+    ("WITH", parse_with);
+    ("SET", parse_set);
+    ("RENAME",
+     fun st ->
+       expect_kw st "TABLE";
+       S_rename_table (comma_list st rename_pair));
+    ("TRUNCATE",
+     fun st ->
+       ignore (accept_kw st "TABLE");
+       S_truncate (ident st));
+    ("COMMENT",
+     fun st ->
+       expect_kws st [ "ON"; "TABLE" ];
+       let table = ident st in
+       expect_kw st "IS";
+       S_comment_on { table; comment = string_lit st });
+    ("COPY", parse_copy);
+    ("LOAD",
+     fun st ->
+       expect_kws st [ "DATA"; "INTO" ];
+       let table = ident st in
+       let rows = if accept_kw st "VALUES" then parse_literal_rows st else [] in
+       S_load_data { table; rows });
+    ("SHOW",
+     fun st ->
+       S_show
+         (choice st "expected TABLES, COLUMNS, VARIABLES or STATUS"
+            [ ("TABLES", const Sh_tables);
+              ("COLUMNS",
+               fun st ->
+                 expect_kw st "FROM";
+                 Sh_columns (ident st));
+              ("VARIABLES", const Sh_variables); ("STATUS", const Sh_status)
+            ]));
+    ("GRANT",
+     fun st ->
+       let privs, table, user = privileges st "TO" in
+       S_grant { privs; table; user });
+    ("REVOKE",
+     fun st ->
+       let privs, table, user = privileges st "FROM" in
+       S_revoke { privs; table; user });
+    ("ROLLBACK",
+     fun st ->
+       if accept_phrase st "TO" [ "SAVEPOINT" ] then S_rollback_to (ident st)
+       else S_rollback);
+    ("LOCK",
+     fun st ->
+       expect_kw st "TABLES";
+       S_lock_tables
+         (comma_list st (fun st ->
+              let t = ident st in
+              ( t,
+                choice st "expected READ or WRITE"
+                  [ ("READ", const Lk_read); ("WRITE", const Lk_write) ] ))));
+    ("PRAGMA",
+     fun st ->
+       let name = ident st in
+       let value =
+         if accept_tok st Lexer.EQ then Some (parse_literal st) else None
+       in
+       S_pragma { name; value });
+    ("FLUSH",
+     fun st ->
+       S_flush
+         (choice st "expected TABLES, STATUS or PRIVILEGES"
+            [ ("TABLES", const Fl_tables); ("STATUS", const Fl_status);
+              ("PRIVILEGES", const Fl_privileges) ]));
+    ("NOTIFY",
+     fun st ->
+       let channel = ident st in
+       let payload =
+         if accept_tok st Lexer.COMMA then Some (string_lit st) else None
+       in
+       S_notify { channel; payload });
+    ("DISCARD",
+     fun st ->
+       S_discard
+         (choice st "expected ALL, TEMP or PLANS"
+            [ ("ALL", const Disc_all); ("TEMP", const Disc_temp);
+              ("PLANS", const Disc_plans) ]));
+    ("DO", fun st -> S_do (parse_expr_top st));
+    ("HANDLER",
+     fun st ->
+       let table = ident st in
+       choice st "expected OPEN, READ or CLOSE"
+         [ ("OPEN", const (S_handler_open table));
+           ("CLOSE", const (S_handler_close table));
+           ("READ",
+            fun st ->
+              let dir =
+                choice st "expected FIRST or NEXT"
+                  [ ("FIRST", const H_first); ("NEXT", const H_next) ]
+              in
+              S_handler_read { table; dir }) ]);
+    ("KILL", fun st -> S_kill (int_lit st)) ]
+  @ fixed_heads
 
 let rec parse_stmt st =
   prod st site_stmt @@ fun () ->
@@ -798,661 +1044,69 @@ let rec parse_stmt st =
    | Some g, (Lexer.KW _ as tok) ->
      record st.log g ~site:(Lexer.token_site tok) ~parent:site_stmt
    | _ -> ());
-  parse_stmt_body st
+  if starts_query st then S_select (parse_query st)
+  else choice st "expected statement" nested_heads
 
-and parse_stmt_body st =
-  match peek st with
-  | Lexer.KW "CREATE" ->
-    advance st;
-    parse_create st
-  | Lexer.KW "DROP" ->
-    advance st;
-    parse_drop st
-  | Lexer.KW "ALTER" ->
-    advance st;
-    parse_alter st
-  | Lexer.KW "RENAME" ->
-    advance st;
-    expect_kw st "TABLE";
-    let pair () =
-      let a = ident st in
-      expect_kw st "TO";
-      let b = ident st in
-      (a, b)
-    in
-    let pairs = ref [ pair () ] in
-    while accept_tok st Lexer.COMMA do
-      pairs := pair () :: !pairs
-    done;
-    S_rename_table (List.rev !pairs)
-  | Lexer.KW "TRUNCATE" ->
-    advance st;
-    let _ = accept_kw st "TABLE" in
-    S_truncate (ident st)
-  | Lexer.KW "COMMENT" ->
-    advance st;
-    expect_kw st "ON";
-    expect_kw st "TABLE";
-    let table = ident st in
-    expect_kw st "IS";
-    let comment = string_lit st in
-    S_comment_on { table; comment }
-  | Lexer.KW "INSERT" ->
-    advance st;
-    S_insert (parse_insert_body st)
-  | Lexer.KW "REPLACE" ->
-    advance st;
-    S_replace (parse_insert_body st)
-  | Lexer.KW "UPDATE" ->
-    advance st;
-    S_update (parse_update_body st)
-  | Lexer.KW "DELETE" ->
-    advance st;
-    S_delete (parse_delete_body st)
-  | Lexer.KW "COPY" ->
-    advance st;
-    parse_copy st
-  | Lexer.KW "LOAD" ->
-    advance st;
-    expect_kw st "DATA";
-    expect_kw st "INTO";
-    let table = ident st in
-    let rows =
-      if accept_kw st "VALUES" then parse_literal_rows st else []
-    in
-    S_load_data { table; rows }
-  | Lexer.KW "SELECT" | Lexer.KW "VALUES" -> S_select (parse_query st)
-  | Lexer.KW "TABLE" ->
-    advance st;
-    S_table (ident st)
-  | Lexer.KW "WITH" ->
-    advance st;
-    parse_with st
-  | Lexer.KW "EXPLAIN" ->
-    advance st;
-    S_explain (parse_stmt st)
-  | Lexer.KW "DESCRIBE" ->
-    advance st;
-    S_describe (ident st)
-  | Lexer.KW "SHOW" ->
-    advance st;
-    (match next st with
-     | Lexer.KW "TABLES" -> S_show Sh_tables
-     | Lexer.KW "COLUMNS" ->
-       expect_kw st "FROM";
-       S_show (Sh_columns (ident st))
-     | Lexer.KW "VARIABLES" -> S_show Sh_variables
-     | Lexer.KW "STATUS" -> S_show Sh_status
-     | _ ->
-       st.pos <- st.pos - 1;
-       fail st "expected TABLES, COLUMNS, VARIABLES or STATUS")
-  | Lexer.KW "GRANT" ->
-    advance st;
-    let privs = parse_privs st in
-    expect_kw st "ON";
-    let table = ident st in
-    expect_kw st "TO";
-    let user = ident st in
-    S_grant { privs; table; user }
-  | Lexer.KW "REVOKE" ->
-    advance st;
-    let privs = parse_privs st in
-    expect_kw st "ON";
-    let table = ident st in
-    expect_kw st "FROM";
-    let user = ident st in
-    S_revoke { privs; table; user }
-  | Lexer.KW "SET" ->
-    advance st;
-    parse_set st
-  | Lexer.KW "BEGIN" ->
-    advance st;
-    S_begin
-  | Lexer.KW "COMMIT" ->
-    advance st;
-    S_commit
-  | Lexer.KW "ROLLBACK" ->
-    advance st;
-    if accept_kw st "TO" then begin
-      expect_kw st "SAVEPOINT";
-      S_rollback_to (ident st)
-    end
-    else S_rollback
-  | Lexer.KW "SAVEPOINT" ->
-    advance st;
-    S_savepoint (ident st)
-  | Lexer.KW "RELEASE" ->
-    advance st;
-    expect_kw st "SAVEPOINT";
-    S_release_savepoint (ident st)
-  | Lexer.KW "LOCK" ->
-    advance st;
-    expect_kw st "TABLES";
-    let item () =
-      let t = ident st in
-      let mode =
-        match next st with
-        | Lexer.KW "READ" -> Lk_read
-        | Lexer.KW "WRITE" -> Lk_write
-        | _ ->
-          st.pos <- st.pos - 1;
-          fail st "expected READ or WRITE"
-      in
-      (t, mode)
-    in
-    let items = ref [ item () ] in
-    while accept_tok st Lexer.COMMA do
-      items := item () :: !items
-    done;
-    S_lock_tables (List.rev !items)
-  | Lexer.KW "UNLOCK" ->
-    advance st;
-    expect_kw st "TABLES";
-    S_unlock_tables
-  | Lexer.KW "RESET" ->
-    advance st;
-    S_reset_var (ident st)
-  | Lexer.KW "PRAGMA" ->
-    advance st;
-    let name = ident st in
-    let value =
-      if accept_tok st Lexer.EQ then Some (parse_literal st) else None
-    in
-    S_pragma { name; value }
-  | Lexer.KW "VACUUM" ->
-    advance st;
-    S_vacuum (opt_ident st)
-  | Lexer.KW "ANALYZE" ->
-    advance st;
-    S_analyze (opt_ident st)
-  | Lexer.KW "REINDEX" ->
-    advance st;
-    S_reindex (opt_ident st)
-  | Lexer.KW "CHECKPOINT" ->
-    advance st;
-    S_checkpoint
-  | Lexer.KW "FLUSH" ->
-    advance st;
-    (match next st with
-     | Lexer.KW "TABLES" -> S_flush Fl_tables
-     | Lexer.KW "STATUS" -> S_flush Fl_status
-     | Lexer.KW "PRIVILEGES" -> S_flush Fl_privileges
-     | _ ->
-       st.pos <- st.pos - 1;
-       fail st "expected TABLES, STATUS or PRIVILEGES")
-  | Lexer.KW "OPTIMIZE" ->
-    advance st;
-    expect_kw st "TABLE";
-    S_optimize (ident st)
-  | Lexer.KW "CHECK" ->
-    advance st;
-    expect_kw st "TABLE";
-    S_check_table (ident st)
-  | Lexer.KW "REPAIR" ->
-    advance st;
-    expect_kw st "TABLE";
-    S_repair (ident st)
-  | Lexer.KW "NOTIFY" ->
-    advance st;
-    let channel = ident st in
-    let payload =
-      if accept_tok st Lexer.COMMA then Some (string_lit st) else None
-    in
-    S_notify { channel; payload }
-  | Lexer.KW "LISTEN" ->
-    advance st;
-    S_listen (ident st)
-  | Lexer.KW "UNLISTEN" ->
-    advance st;
-    S_unlisten (ident st)
-  | Lexer.KW "DISCARD" ->
-    advance st;
-    (match next st with
-     | Lexer.KW "ALL" -> S_discard Disc_all
-     | Lexer.KW "TEMP" -> S_discard Disc_temp
-     | Lexer.KW "PLANS" -> S_discard Disc_plans
-     | _ ->
-       st.pos <- st.pos - 1;
-       fail st "expected ALL, TEMP or PLANS")
-  | Lexer.KW "PREPARE" ->
-    advance st;
-    let name = ident st in
-    expect_kw st "AS";
-    let stmt = parse_stmt st in
-    S_prepare { name; stmt }
-  | Lexer.KW "EXECUTE" ->
-    advance st;
-    S_execute (ident st)
-  | Lexer.KW "DEALLOCATE" ->
-    advance st;
-    S_deallocate (ident st)
-  | Lexer.KW "USE" ->
-    advance st;
-    S_use (ident st)
-  | Lexer.KW "DO" ->
-    advance st;
-    S_do (parse_expr_top st)
-  | Lexer.KW "HANDLER" ->
-    advance st;
-    let table = ident st in
-    (match next st with
-     | Lexer.KW "OPEN" -> S_handler_open table
-     | Lexer.KW "CLOSE" -> S_handler_close table
-     | Lexer.KW "READ" ->
-       (match next st with
-        | Lexer.KW "FIRST" -> S_handler_read { table; dir = H_first }
-        | Lexer.KW "NEXT" -> S_handler_read { table; dir = H_next }
-        | _ ->
-          st.pos <- st.pos - 1;
-          fail st "expected FIRST or NEXT")
-     | _ ->
-       st.pos <- st.pos - 1;
-       fail st "expected OPEN, READ or CLOSE")
-  | Lexer.KW "KILL" ->
-    advance st;
-    S_kill (int_lit st)
-  | Lexer.KW "CLUSTER" ->
-    advance st;
-    S_cluster (opt_ident st)
-  | Lexer.KW "REFRESH" ->
-    advance st;
-    expect_kw st "MATERIALIZED";
-    expect_kw st "VIEW";
-    S_refresh_matview (ident st)
-  | _ -> fail st "expected statement"
-
-and opt_ident st =
-  match peek st with
-  | Lexer.IDENT i ->
-    advance st;
-    Some i
-  | _ -> None
-
-and parse_privs st =
-  prod st site_privs @@ fun () ->
-  let privs = ref [ parse_priv st ] in
-  while accept_tok st Lexer.COMMA do
-    privs := parse_priv st :: !privs
-  done;
-  List.rev !privs
+(* The heads that nest statements, in front of the others. *)
+and nested_heads =
+  ("CREATE", fun st -> parse_create st)
+  :: ("EXPLAIN", fun st -> S_explain (parse_stmt st))
+  :: ("PREPARE",
+      fun st ->
+        let name = ident st in
+        expect_kw st "AS";
+        S_prepare { name; stmt = parse_stmt st })
+  :: stmt_heads
 
 and parse_create st =
   prod st site_create @@ fun () ->
-  match next st with
-  | Lexer.KW "TEMPORARY" ->
-    expect_kw st "TABLE";
-    parse_create_table st ~temp:true
-  | Lexer.KW "TABLE" -> parse_create_table st ~temp:false
-  | Lexer.KW "UNIQUE" ->
-    expect_kw st "INDEX";
-    parse_create_index st ~unique:true
-  | Lexer.KW "INDEX" -> parse_create_index st ~unique:false
-  | Lexer.KW "MATERIALIZED" ->
-    expect_kw st "VIEW";
-    parse_create_view st ~materialized:true
-  | Lexer.KW "VIEW" -> parse_create_view st ~materialized:false
-  | Lexer.KW "TRIGGER" ->
-    let name = ident st in
-    let timing =
-      match next st with
-      | Lexer.KW "BEFORE" -> Before
-      | Lexer.KW "AFTER" -> After
-      | _ ->
-        st.pos <- st.pos - 1;
-        fail st "expected BEFORE or AFTER"
-    in
-    let event = parse_trig_event st in
-    expect_kw st "ON";
-    let table = ident st in
-    expect_kw st "FOR";
-    expect_kw st "EACH";
-    expect_kw st "ROW";
-    let body =
-      if accept_kw st "BEGIN" then begin
-        let stmts = ref [] in
-        while peek st <> Lexer.KW "END" do
-          stmts := parse_stmt st :: !stmts;
-          expect_tok st Lexer.SEMI ";"
-        done;
-        expect_kw st "END";
-        List.rev !stmts
-      end
-      else [ parse_stmt st ]
-    in
-    S_create_trigger { name; timing; event; table; body }
-  | Lexer.KW "RULE" ->
-    let name = ident st in
-    expect_kw st "AS";
-    expect_kw st "ON";
-    let event = parse_trig_event st in
-    expect_kw st "TO";
-    let table = ident st in
-    expect_kw st "DO";
-    let instead = accept_kw st "INSTEAD" in
-    let action =
-      match peek st with
-      | Lexer.KW "NOTHING" ->
-        advance st;
-        Ra_nothing
-      | Lexer.KW "NOTIFY" ->
-        advance st;
-        Ra_notify (ident st)
-      | _ -> Ra_stmt (parse_stmt st)
-    in
-    S_create_rule { name; table; event; instead; action }
-  | Lexer.KW "SEQUENCE" ->
-    let name = ident st in
-    let start =
-      if accept_kw st "START" then begin
-        expect_kw st "WITH";
-        signed_int st
-      end
-      else 1
-    in
-    let step =
-      if accept_kw st "INCREMENT" then begin
-        expect_kw st "BY";
-        signed_int st
-      end
-      else 1
-    in
-    S_create_sequence { name; start; step }
-  | Lexer.KW "SCHEMA" -> S_create_schema (ident st)
-  | Lexer.KW "DATABASE" -> S_create_database (ident st)
-  | Lexer.KW "USER" ->
-    let user = ident st in
-    expect_kw st "IDENTIFIED";
-    expect_kw st "BY";
-    let password = string_lit st in
-    S_create_user { user; password }
-  | _ ->
-    st.pos <- st.pos - 1;
-    fail st "expected object kind after CREATE"
+  choice st "expected object kind after CREATE" nested_create_kinds
 
-and signed_int st =
-  if accept_tok st Lexer.MINUS then -int_lit st else int_lit st
-
-and parse_create_table st ~temp =
-  prod st site_create_table @@ fun () ->
-  let if_not_exists =
-    if accept_kw st "IF" then begin
-      expect_kw st "NOT";
-      expect_kw st "EXISTS";
-      true
-    end
-    else false
-  in
-  let name = ident st in
-  expect_tok st Lexer.LPAREN "(";
-  let cols = ref [ parse_col_def st ] in
-  while accept_tok st Lexer.COMMA do
-    cols := parse_col_def st :: !cols
-  done;
-  expect_tok st Lexer.RPAREN ")";
-  S_create_table { temp; if_not_exists; name; cols = List.rev !cols }
-
-and parse_create_index st ~unique =
-  prod st site_create_index @@ fun () ->
-  let name = ident st in
-  expect_kw st "ON";
-  let table = ident st in
-  expect_tok st Lexer.LPAREN "(";
-  let cols = ref [ ident st ] in
-  while accept_tok st Lexer.COMMA do
-    cols := ident st :: !cols
-  done;
-  expect_tok st Lexer.RPAREN ")";
-  S_create_index { unique; name; table; cols = List.rev !cols }
-
-and parse_create_view st ~materialized =
-  prod st site_create_view @@ fun () ->
-  let name = ident st in
-  expect_kw st "AS";
-  let query = parse_query st in
-  S_create_view { materialized; name; query }
-
-and parse_drop st =
-  prod st site_drop @@ fun () ->
-  let if_exists_after st =
-    if accept_kw st "IF" then begin
-      expect_kw st "EXISTS";
-      true
-    end
-    else false
-  in
-  match next st with
-  | Lexer.KW "TABLE" ->
-    let ie = if_exists_after st in
-    S_drop { target = D_table (ident st); if_exists = ie }
-  | Lexer.KW "INDEX" ->
-    let ie = if_exists_after st in
-    S_drop { target = D_index (ident st); if_exists = ie }
-  | Lexer.KW "VIEW" ->
-    let ie = if_exists_after st in
-    S_drop { target = D_view (ident st); if_exists = ie }
-  | Lexer.KW "TRIGGER" ->
-    let ie = if_exists_after st in
-    S_drop { target = D_trigger (ident st); if_exists = ie }
-  | Lexer.KW "RULE" ->
-    let ie = if_exists_after st in
-    let name = ident st in
-    expect_kw st "ON";
-    let table = ident st in
-    S_drop { target = D_rule (name, table); if_exists = ie }
-  | Lexer.KW "SEQUENCE" ->
-    let ie = if_exists_after st in
-    S_drop { target = D_sequence (ident st); if_exists = ie }
-  | Lexer.KW "SCHEMA" ->
-    let ie = if_exists_after st in
-    S_drop { target = D_schema (ident st); if_exists = ie }
-  | Lexer.KW "DATABASE" ->
-    let ie = if_exists_after st in
-    S_drop { target = D_database (ident st); if_exists = ie }
-  | Lexer.KW "USER" ->
-    let ie = if_exists_after st in
-    S_drop { target = D_user (ident st); if_exists = ie }
-  | _ ->
-    st.pos <- st.pos - 1;
-    fail st "expected object kind after DROP"
-
-and parse_alter st =
-  prod st site_alter @@ fun () ->
-  match next st with
-  | Lexer.KW "TABLE" ->
-    let table = ident st in
-    let action =
-      match next st with
-      | Lexer.KW "ADD" ->
-        expect_kw st "COLUMN";
-        Add_column (parse_col_def st)
-      | Lexer.KW "DROP" ->
-        expect_kw st "COLUMN";
-        Drop_column (ident st)
-      | Lexer.KW "RENAME" ->
-        if accept_kw st "TO" then Rename_to (ident st)
-        else begin
-          expect_kw st "COLUMN";
-          let a = ident st in
-          expect_kw st "TO";
-          let b = ident st in
-          Rename_column (a, b)
-        end
-      | Lexer.KW "ALTER" ->
-        expect_kw st "COLUMN";
-        let c = ident st in
-        expect_kw st "TYPE";
-        Alter_column_type (c, parse_data_type st)
-      | _ ->
-        st.pos <- st.pos - 1;
-        fail st "expected ALTER TABLE action"
-    in
-    S_alter_table (table, action)
-  | Lexer.KW "SEQUENCE" ->
-    let name = ident st in
-    expect_kw st "INCREMENT";
-    expect_kw st "BY";
-    S_alter_sequence { name; step = signed_int st }
-  | Lexer.KW "USER" ->
-    let user = ident st in
-    expect_kw st "IDENTIFIED";
-    expect_kw st "BY";
-    S_alter_user { user; password = string_lit st }
-  | Lexer.KW "SYSTEM" -> S_alter_system (ident st)
-  | _ ->
-    st.pos <- st.pos - 1;
-    fail st "expected TABLE, SEQUENCE, USER or SYSTEM after ALTER"
-
-and parse_insert_body st =
-  prod st site_insert @@ fun () ->
-  let i_ignore = accept_kw st "IGNORE" in
-  expect_kw st "INTO";
-  let i_table = ident st in
-  let i_cols =
-    if peek st = Lexer.LPAREN then begin
-      advance st;
-      let cols = ref [ ident st ] in
-      while accept_tok st Lexer.COMMA do
-        cols := ident st :: !cols
-      done;
-      expect_tok st Lexer.RPAREN ")";
-      List.rev !cols
-    end
-    else []
-  in
-  let i_source =
-    if accept_kw st "VALUES" then Src_values (parse_rows st parse_expr_top)
-    else Src_query (parse_query st)
-  in
-  { i_table; i_cols; i_source; i_ignore }
-
-and parse_update_body st =
-  prod st site_update @@ fun () ->
-  let u_table = ident st in
-  expect_kw st "SET";
-  let set () =
-    let c = ident st in
-    expect_tok st Lexer.EQ "=";
-    let e = parse_expr_top st in
-    (c, e)
-  in
-  let sets = ref [ set () ] in
-  while accept_tok st Lexer.COMMA do
-    sets := set () :: !sets
-  done;
-  let u_where = if accept_kw st "WHERE" then Some (parse_expr_top st) else None in
-  let u_limit = if accept_kw st "LIMIT" then Some (int_lit st) else None in
-  { u_table; u_sets = List.rev !sets; u_where; u_limit }
-
-and parse_delete_body st =
-  prod st site_delete @@ fun () ->
-  expect_kw st "FROM";
-  let d_table = ident st in
-  let d_where = if accept_kw st "WHERE" then Some (parse_expr_top st) else None in
-  let d_limit = if accept_kw st "LIMIT" then Some (int_lit st) else None in
-  { d_table; d_where; d_limit }
-
-and parse_copy st =
-  prod st site_copy @@ fun () ->
-  if peek st = Lexer.LPAREN then begin
-    advance st;
-    let q = parse_query st in
-    expect_tok st Lexer.RPAREN ")";
-    expect_kw st "TO";
-    expect_kw st "STDOUT";
-    let header = parse_csv_header st in
-    S_copy_to { src = Cs_query q; header }
-  end
-  else begin
-    let table = ident st in
-    match next st with
-    | Lexer.KW "TO" ->
-      expect_kw st "STDOUT";
-      let header = parse_csv_header st in
-      S_copy_to { src = Cs_table table; header }
-    | Lexer.KW "FROM" ->
-      expect_kw st "STDIN";
-      let rows =
-        if peek st = Lexer.LPAREN then parse_literal_rows st else []
-      in
-      S_copy_from { table; rows }
-    | _ ->
-      st.pos <- st.pos - 1;
-      fail st "expected TO or FROM in COPY"
-  end
-
-and parse_csv_header st =
-  if accept_kw st "CSV" then begin
-    expect_kw st "HEADER";
-    true
-  end
-  else false
-
-and parse_with st =
-  prod st site_with @@ fun () ->
-  let cte () =
-    let cte_name = ident st in
-    expect_kw st "AS";
-    expect_tok st Lexer.LPAREN "(";
-    let body = parse_with_body st in
-    expect_tok st Lexer.RPAREN ")";
-    { cte_name; cte_body = body }
-  in
-  let ctes = ref [ cte () ] in
-  while accept_tok st Lexer.COMMA do
-    ctes := cte () :: !ctes
-  done;
-  let body = parse_with_body st in
-  S_with { ctes = List.rev !ctes; body }
-
-and parse_with_body st =
-  prod st site_with_body @@ fun () ->
-  match peek st with
-  | Lexer.KW "SELECT" | Lexer.KW "VALUES" -> W_query (parse_query st)
-  | Lexer.KW "INSERT" ->
-    advance st;
-    W_insert (parse_insert_body st)
-  | Lexer.KW "UPDATE" ->
-    advance st;
-    W_update (parse_update_body st)
-  | Lexer.KW "DELETE" ->
-    advance st;
-    W_delete (parse_delete_body st)
-  | _ -> fail st "expected query or DML in WITH body"
-
-and parse_set st =
-  prod st site_set @@ fun () ->
-  match peek st with
-  | Lexer.KW "ROLE" ->
-    advance st;
-    S_set_role (ident st)
-  | Lexer.KW "TRANSACTION" ->
-    advance st;
-    expect_kw st "ISOLATION";
-    expect_kw st "LEVEL";
-    (match next st with
-     | Lexer.KW "READ" ->
-       expect_kw st "COMMITTED";
-       S_set_transaction Read_committed
-     | Lexer.KW "REPEATABLE" ->
-       expect_kw st "READ";
-       S_set_transaction Repeatable_read
-     | Lexer.KW "SERIALIZABLE" -> S_set_transaction Serializable
-     | _ ->
-       st.pos <- st.pos - 1;
-       fail st "expected isolation level")
-  | Lexer.KW "GLOBAL" ->
-    advance st;
-    let name = ident st in
-    expect_tok st Lexer.EQ "=";
-    S_set_var { global = true; name; value = parse_literal st }
-  | Lexer.KW "NAMES" ->
-    advance st;
-    S_set_names (ident st)
-  | Lexer.IDENT _ ->
-    let name = ident st in
-    expect_tok st Lexer.EQ "=";
-    S_set_var { global = false; name; value = parse_literal st }
-  | _ -> fail st "expected SET target"
+and nested_create_kinds =
+  ("TRIGGER",
+   fun st ->
+     let name = ident st in
+     let timing =
+       choice st "expected BEFORE or AFTER"
+         [ ("BEFORE", const Before); ("AFTER", const After) ]
+     in
+     let event = parse_trig_event st in
+     expect_kw st "ON";
+     let table = ident st in
+     expect_kws st [ "FOR"; "EACH"; "ROW" ];
+     let body =
+       if accept_kw st "BEGIN" then begin
+         let stmts = ref [] in
+         while peek st <> Lexer.KW "END" do
+           stmts := parse_stmt st :: !stmts;
+           expect_tok st Lexer.SEMI ";"
+         done;
+         expect_kw st "END";
+         List.rev !stmts
+       end
+       else [ parse_stmt st ]
+     in
+     S_create_trigger { name; timing; event; table; body })
+  :: ("RULE",
+      fun st ->
+        let name = ident st in
+        expect_kws st [ "AS"; "ON" ];
+        let event = parse_trig_event st in
+        expect_kw st "TO";
+        let table = ident st in
+        expect_kw st "DO";
+        let instead = accept_kw st "INSTEAD" in
+        let action =
+          match
+            accept_choice st
+              [ ("NOTHING", const Ra_nothing);
+                ("NOTIFY", fun st -> Ra_notify (ident st)) ]
+          with
+          | Some action -> action
+          | None -> Ra_stmt (parse_stmt st)
+        in
+        S_create_rule { name; table; event; instead; action })
+  :: create_kinds
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)

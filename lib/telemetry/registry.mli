@@ -2,18 +2,19 @@
 
     A registry is strictly single-domain state — like a shard's virgin
     coverage map, it is updated without locks by the owning domain and
-    {e merged} into a global registry at campaign sync rounds. The merge
-    operation mirrors {!Coverage.Bitmap.merge}'s algebra:
+    {e merged} into a global registry once, at the end of a sharded
+    campaign. The merge operation mirrors {!Coverage.Bitmap.merge}'s
+    algebra:
 
     - counters add (commutative, associative),
     - gauges take the maximum (commutative, associative, idempotent),
     - histograms add bucket-wise (commutative, associative; histograms
       with the same name must share bucket edges).
 
-    Because counter and histogram merges are {e not} idempotent, shards
-    never re-publish absolute values: they publish {!diff}s against their
-    last published snapshot, exactly as AFL secondaries publish only new
-    queue entries. [merge (diff cur ~since:last)] after [merge last] is
+    Because counter and histogram merges are {e not} idempotent, each
+    shard's registry is merged exactly once. A caller that merges the
+    same registry more than once must merge {!diff}s against what it
+    merged before: [merge (diff cur ~since:last)] after [merge last] is
     equivalent to [merge cur].
 
     Updating a registry never performs I/O and never observes the clock,

@@ -486,6 +486,68 @@ let test_sequential_metrics_is_snapshot () =
     (Telemetry.Registry.counter_value res.Fuzz.Campaign.cg_metrics
        "harness.execs")
 
+(* A sharded campaign merges each shard's registry once, at the end: every
+   aggregate histogram is the bucket-wise sum of the shards' (the CI
+   stream checks drop histograms, so this is their only check), and
+   counters add up with the ones that never moved left out. *)
+let test_sharded_metrics_are_shard_sums () =
+  let res =
+    Fuzz.Campaign.run ~jobs:4 ~sync_every:200 ~execs:1200
+      (lego_factory ~seed:5)
+  in
+  let module R = Telemetry.Registry in
+  let agg = res.Fuzz.Campaign.cg_metrics in
+  let shards =
+    List.map
+      (fun (sh : Fuzz.Campaign.shard) ->
+         Fuzz.Harness.metrics sh.sh_fuzzer.Fuzz.Driver.f_harness)
+      res.Fuzz.Campaign.cg_shards
+  in
+  let names f =
+    List.sort_uniq String.compare (List.concat_map f shards)
+  in
+  let observed =
+    List.filter
+      (fun k ->
+         List.exists
+           (fun r ->
+              match R.histogram_stats r k with
+              | Some (_, _, _, n) -> n > 0
+              | None -> false)
+           shards)
+      (names R.histogram_names)
+  in
+  Alcotest.(check bool) "some histograms" true (observed <> []);
+  Alcotest.(check (list string)) "histogram names" observed
+    (R.histogram_names agg);
+  List.iter
+    (fun k ->
+       let edges, counts, sum, n = Option.get (R.histogram_stats agg k) in
+       let counts', sum', n' =
+         List.fold_left
+           (fun (cs, s, n) r ->
+              match R.histogram_stats r k with
+              | Some (_, c, s', n') -> (Array.map2 ( + ) cs c, s + s', n + n')
+              | None -> (cs, s, n))
+           (Array.make (Array.length counts) 0, 0, 0)
+           shards
+       in
+       Alcotest.(check int) (k ^ " buckets") (Array.length edges + 1)
+         (Array.length counts);
+       Alcotest.(check (array int)) (k ^ " counts") counts' counts;
+       Alcotest.(check int) (k ^ " sum") sum' sum;
+       Alcotest.(check int) (k ^ " n") n' n)
+    observed;
+  List.iter
+    (fun k ->
+       let total =
+         List.fold_left (fun acc r -> acc + R.counter_value r k) 0 shards
+       in
+       Alcotest.(check int) k total (R.counter_value agg k);
+       Alcotest.(check bool) (k ^ " listed iff it moved") (total <> 0)
+         (List.mem k (R.counter_names agg)))
+    (names R.counter_names)
+
 let suite =
   [ ("sync dedupes crash signatures", `Quick, test_sync_dedupes_across_shards);
     ("sync merges coverage", `Quick, test_sync_merges_coverage);
@@ -510,6 +572,8 @@ let suite =
      test_exchange_campaign_deterministic false);
     ("exchange beats publish-only sync", `Slow,
      test_exchange_beats_publish_only);
+    ("sharded metrics are the shards' sums", `Slow,
+     test_sharded_metrics_are_shard_sums);
     ("sequential metrics are a snapshot", `Quick,
      test_sequential_metrics_is_snapshot);
     ("sync unions grammar maps", `Quick, test_sync_grammar_union);

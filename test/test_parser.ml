@@ -277,6 +277,33 @@ let test_grammar_off_is_plain_parse () =
   Alcotest.(check bool) "grammar map populated" true
     (Coverage.Bitmap.count_nonzero g > 0)
 
+(* Every outcome [Parse_pin] computes must equal the committed line: the
+   printed testcase or exact error text (with its token index) and the
+   grammar-map digest. On a mismatch the current outcomes are written to
+   parse-outcomes.actual beside the test binary for diffing. *)
+let test_parse_outcomes_pinned () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let actual = Parse_pin.outcomes ~shapes:(read "golden/exec-shapes.sql") in
+  let expected =
+    String.split_on_char '\n' (read "golden/parse-outcomes.txt")
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check bool) "at least 5000 inputs" true
+    (List.length actual >= 5000);
+  if List.map snd actual <> expected then begin
+    Out_channel.with_open_bin "parse-outcomes.actual" (fun oc ->
+        List.iter (fun (_, l) -> output_string oc (l ^ "\n")) actual);
+    let rec first_diff i = function
+      | (input, a) :: xs, e :: ys ->
+        if a = e then first_diff (i + 1) (xs, ys) else (i, input, a, e)
+      | (input, a) :: _, [] -> (i, input, a, "<missing>")
+      | [], _ -> (i, "<none>", "<missing>", "<extra lines>")
+    in
+    let i, input, a, e = first_diff 1 (actual, expected) in
+    Alcotest.failf "line %d differs on input %S\nexpected: %s\nactual:   %s"
+      i input e a
+  end
+
 let suite =
   [ ("lexer tokens", `Quick, test_lexer_tokens);
     ("lexer comments", `Quick, test_lexer_comments);
@@ -294,4 +321,5 @@ let suite =
     ("grammar bitmap deterministic (1000 cases)", `Quick,
      test_grammar_bitmap_deterministic);
     ("grammar off is plain parse", `Quick, test_grammar_off_is_plain_parse);
+    ("parse outcomes pinned", `Quick, test_parse_outcomes_pinned);
     QCheck_alcotest.to_alcotest prop_generator_roundtrip ]
