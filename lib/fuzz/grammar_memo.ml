@@ -58,15 +58,15 @@ let find t text =
        Telemetry.Registry.incr t.m_misses;
        None)
 
-let fill t g tc =
+let fill t g texts =
   Coverage.Bitmap.reset g;
   Sqlparser.Parser.testcase_grammar g t.m_log ~find:(find t) ~add:(add t)
-    (List.map Sqlcore.Sql_printer.stmt tc)
+    texts
   || begin
     Coverage.Bitmap.reset g;
     Result.is_ok
       (Sqlparser.Parser.parse_testcase ~grammar:g
-         (Sqlcore.Sql_printer.testcase tc))
+         (Sqlcore.Sql_printer.join_stmts texts))
   end
 
 let length t = Hashtbl.length t.young + Hashtbl.length t.old

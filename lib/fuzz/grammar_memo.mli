@@ -22,12 +22,13 @@ val create : Telemetry.Registry.t -> t
 (** A fresh memo counting its lookups under [grammar.memo.hits] and
     [grammar.memo.misses] in the given registry. *)
 
-val fill : t -> Coverage.Bitmap.t -> Sqlcore.Ast.testcase -> bool
-(** Reset the map and fill it with the grammar coverage of the testcase:
-    the same map, and the same result ([true] when it parses), as
+val fill : t -> Coverage.Bitmap.t -> string list -> bool
+(** [fill t g texts] resets the map and fills it with the grammar
+    coverage of the testcase whose statements print as [texts]: the
+    same map, and the same result ([true] when it parses), as
     [Sqlparser.Parser.parse_testcase ~grammar] on
-    [Sqlcore.Sql_printer.testcase tc]. A testcase with a statement that
-    does not parse on its own takes that whole-testcase parse. *)
+    [Sqlcore.Sql_printer.join_stmts texts]. A testcase with a statement
+    that does not parse on its own takes that whole-testcase parse. *)
 
 val length : t -> int
 (** Entries in both generations; a statement copied into the young one

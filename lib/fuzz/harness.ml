@@ -48,6 +48,7 @@ type t = {
   h_cache : cache_state option;
   h_feedback : feedback;
   h_grammar : grammar_state option;
+  h_stmts : Stmt_memo.t;  (* printed statements, for the cache and grammar *)
 }
 
 (* Grammar-rule coverage (DESIGN.md §15): in [Grammar]/[Both] modes each
@@ -57,14 +58,27 @@ type t = {
    and the prefix cache — the map always covers the whole testcase — so
    enabling it cannot perturb edge coverage or cache accounting. *)
 and grammar_state = {
-  gs_exec : Coverage.Bitmap.t;     (* per-execution scratch *)
+  mutable gs_exec : Coverage.Bitmap.t;  (* the executed testcase's map *)
   gs_virgin : Coverage.Bitmap.t;   (* accumulated rule/pair coverage *)
-  gs_scratch : Coverage.Bitmap.t;  (* candidate-ranking scratch *)
+  mutable gs_ranked : ranked list;
+      (* the last two ranked candidates, newest first *)
+  mutable gs_spare : Coverage.Bitmap.t list;  (* maps nothing holds *)
   gs_memo : Grammar_memo.t;        (* per-statement traces, for both *)
   gs_g_rules : Telemetry.Registry.gauge;
   gs_g_pairs : Telemetry.Registry.gauge;
   gs_c_parse_errors : Telemetry.Registry.counter;
   gs_span : Telemetry.Span.t;
+}
+
+(* A ranked candidate and the map [grammar_novelty] filled for it. When
+   the fuzzer then executes that very candidate, [execute] swaps the map
+   in as [gs_exec] instead of filling it again: the map is a function of
+   the candidate's printed form alone. Two slots, because either of the
+   two candidates a fuzzer ranks may win. *)
+and ranked = {
+  rk_tc : Sqlcore.Ast.testcase;
+  rk_map : Coverage.Bitmap.t;
+  rk_parsed : bool;
 }
 
 (* Prefix-snapshot execution cache (DESIGN.md §12). Entries are keyed by
@@ -93,13 +107,6 @@ and cache_state = {
   cs_sp_restore : Telemetry.Span.t;
   cs_sp_lookup : Telemetry.Span.t;
   cs_sp_capture : Telemetry.Span.t;
-  (* Physical-identity memo of per-statement text digests. Mutants share
-     their parent seed's prefix statement objects, so the same statements
-     are digested over and over; remembering recent ones turns the common
-     lookup into pointer comparisons instead of print + MD5. A bounded
-     round-robin ring: staleness only costs a recomputation. *)
-  cs_stmt_memo : (Sqlcore.Ast.stmt * string) option array;
-  mutable cs_memo_next : int;
 }
 
 and cache_entry = {
@@ -140,7 +147,9 @@ let create ?(limits = Minidb.Limits.default) ?metrics ?oracles
       Some
         { gs_exec = Coverage.Bitmap.create ();
           gs_virgin = Coverage.Bitmap.create ();
-          gs_scratch = Coverage.Bitmap.create ();
+          gs_ranked = [];
+          (* one ranking map up front; the second slot's on first need *)
+          gs_spare = [ Coverage.Bitmap.create () ];
           gs_g_rules = Telemetry.Registry.gauge m "grammar.rules";
           gs_g_pairs = Telemetry.Registry.gauge m "grammar.pairs";
           gs_c_parse_errors =
@@ -162,9 +171,7 @@ let create ?(limits = Minidb.Limits.default) ?metrics ?oracles
           cs_g_entries = Telemetry.Registry.gauge m "cache.effective_entries";
           cs_sp_restore = Telemetry.Span.stage m "cache_restore";
           cs_sp_lookup = Telemetry.Span.stage m "cache_lookup";
-          cs_sp_capture = Telemetry.Span.stage m "cache_capture";
-          cs_stmt_memo = Array.make 64 None;
-          cs_memo_next = 0 }
+          cs_sp_capture = Telemetry.Span.stage m "cache_capture" }
   in
   let oracle_state =
     match oracles with
@@ -199,43 +206,28 @@ let create ?(limits = Minidb.Limits.default) ?metrics ?oracles
     h_oracles = oracle_state;
     h_cache = cache_state;
     h_feedback = feedback;
-    h_grammar = grammar_state }
+    h_grammar = grammar_state;
+    h_stmts = Stmt_memo.create () }
 
 let profile t = t.h_profile
-
-(* Digest of one statement's printed text, via the physical-identity
-   memo: the common case (a mutant probing its parent's prefix) resolves
-   in a handful of pointer comparisons. *)
-let stmt_digest cs stmt =
-  let memo = cs.cs_stmt_memo in
-  let n = Array.length memo in
-  let rec scan i =
-    if i >= n then begin
-      let d = Digest.string (Sqlcore.Sql_printer.stmt stmt) in
-      memo.(cs.cs_memo_next) <- Some (stmt, d);
-      cs.cs_memo_next <- (cs.cs_memo_next + 1) mod n;
-      d
-    end
-    else
-      match memo.(i) with
-      | Some (s, d) when s == stmt -> d
-      | _ -> scan (i + 1)
-  in
-  scan 0
 
 (* [d.(k-1)] keys the printed prefix of length [k] via a digest chain:
    each boundary digest folds the previous digest with the digest of the
    next statement's printed text, so computing all of them is linear in
-   the number of statements (and mostly memo hits). Keying on the
+   the number of statements. Each statement's digest comes from the
+   harness's physical-identity statement memo: mutants share their
+   parent seed's prefix statement objects (mutation and repair return
+   what they leave alone), so the common case resolves in a handful of
+   pointer comparisons instead of a print and an MD5. Keying on the
    {e printed} statement makes the key exactly as precise as what the
    engine executes — two ASTs that print alike execute alike. *)
-let prefix_digests cs ~up_to tc =
+let prefix_digests stmts ~up_to tc =
   let d = Array.make (max up_to 1) "" in
   let prev = ref "" in
   List.iteri
     (fun i stmt ->
        if i < up_to then begin
-         prev := Digest.string (!prev ^ stmt_digest cs stmt);
+         prev := Digest.string (!prev ^ Stmt_memo.digest stmts stmt);
          d.(i) <- !prev
        end)
     tc;
@@ -253,7 +245,7 @@ let prefix_digests cs ~up_to tc =
    Returns the boundary digests and probe depth alongside the entry so
    [execute] can capture the hinted boundary when the probe fell
    short. *)
-let cache_lookup cs ?hint tc =
+let cache_lookup cs stmts ?hint tc =
   match hint with
   | None -> None
   | Some h ->
@@ -261,7 +253,7 @@ let cache_lookup cs ?hint tc =
     let maxp = min h n in
     if maxp < 1 || n < 2 then None
     else begin
-      let d = prefix_digests cs ~up_to:maxp tc in
+      let d = prefix_digests stmts ~up_to:maxp tc in
       let rec probe k =
         if k < 1 then None
         else
@@ -298,6 +290,19 @@ let cache_capture t cs engine key ~stats ~len =
   Telemetry.Registry.set_max cs.cs_g_bytes (Prefix_cache.bytes cs.cs_cache);
   Telemetry.Registry.set_max cs.cs_g_entries (Prefix_cache.length cs.cs_cache)
 
+let texts t tc = List.map (Stmt_memo.text t.h_stmts) tc
+
+(* The ranked entry for [tc] itself, taken out of its slot. *)
+let take_ranked gs tc =
+  match gs.gs_ranked with
+  | r :: rest when r.rk_tc == tc ->
+    gs.gs_ranked <- rest;
+    Some r
+  | [ newer; r ] when r.rk_tc == tc ->
+    gs.gs_ranked <- [ newer ];
+    Some r
+  | _ -> None
+
 let execute ?hint t tc =
   t.h_execs <- t.h_execs + 1;
   Telemetry.Registry.incr t.h_c_execs;
@@ -307,7 +312,7 @@ let execute ?hint t tc =
     | Some cs ->
       let r =
         Telemetry.Span.time cs.cs_sp_lookup (fun () ->
-            cache_lookup cs ?hint tc)
+            cache_lookup cs t.h_stmts ?hint tc)
       in
       (match r with
        | Some (_, _, Some _) -> Telemetry.Registry.incr cs.cs_c_hits
@@ -363,15 +368,24 @@ let execute ?hint t tc =
      testcase's grammar coverage, then fold it into the grammar virgin
      map. The map covers every statement regardless of how much of the
      engine run came from the prefix cache, so cache hits and grammar
-     coverage never interact. Printed testcases are parseable by
-     construction; a failure is counted, not fatal. *)
+     coverage never interact. A map [grammar_novelty] filled for this
+     very testcase is swapped in instead of filled again, and the old
+     execution map becomes a spare ranking map. Printed testcases are
+     parseable by construction; a failure is counted, not fatal. *)
   let gram_news =
     match t.h_grammar with
     | None -> 0
     | Some gs ->
       Telemetry.Span.time gs.gs_span (fun () ->
-          if not (Grammar_memo.fill gs.gs_memo gs.gs_exec tc) then
-            Telemetry.Registry.incr gs.gs_c_parse_errors;
+          let parsed =
+            match take_ranked gs tc with
+            | Some r ->
+              gs.gs_spare <- gs.gs_exec :: gs.gs_spare;
+              gs.gs_exec <- r.rk_map;
+              r.rk_parsed
+            | None -> Grammar_memo.fill gs.gs_memo gs.gs_exec (texts t tc)
+          in
+          if not parsed then Telemetry.Registry.incr gs.gs_c_parse_errors;
           let n =
             Coverage.Bitmap.merge_into ~virgin:gs.gs_virgin gs.gs_exec
           in
@@ -454,15 +468,33 @@ let grammar_feedback t = t.h_feedback <> Edges
 let grammar_virgin t =
   match t.h_grammar with None -> None | Some gs -> Some gs.gs_virgin
 
-(* Rank a candidate without executing it: fill the ranking scratch map
-   and count the cells the grammar virgin map lacks. Read-only on the
-   virgin map, so probing candidates never claims their coverage. *)
+(* A map for the next ranked candidate: a spare one, else the older
+   slot's, else (the second slot, on first need) a new one. The
+   execution map, the two slots and the spares hold three maps once the
+   second is made, so a spare means at most one slot is taken. *)
+let ranking_map gs =
+  match (gs.gs_spare, gs.gs_ranked) with
+  | map :: rest, _ ->
+    gs.gs_spare <- rest;
+    map
+  | [], newer :: older :: _ ->
+    gs.gs_ranked <- [ newer ];
+    older.rk_map
+  | [], ([] | [ _ ]) -> Coverage.Bitmap.create ()
+
+(* Rank a candidate without executing it: fill a ranking map and count
+   the cells the grammar virgin map lacks. Read-only on the virgin map,
+   so probing candidates never claims their coverage. The map stays in
+   the newest slot for [execute] to take. *)
 let grammar_novelty t tc =
   match t.h_grammar with
   | None -> 0
   | Some gs ->
-    if Grammar_memo.fill gs.gs_memo gs.gs_scratch tc then
-      Coverage.Bitmap.count_news ~virgin:gs.gs_virgin gs.gs_scratch
+    let map = ranking_map gs in
+    let parsed = Grammar_memo.fill gs.gs_memo map (texts t tc) in
+    gs.gs_ranked <- { rk_tc = tc; rk_map = map; rk_parsed = parsed }
+                    :: gs.gs_ranked;
+    if parsed then Coverage.Bitmap.count_news ~virgin:gs.gs_virgin map
     else 0
 
 let execs t = t.h_execs

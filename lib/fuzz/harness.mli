@@ -119,11 +119,13 @@ val grammar_virgin : t -> Coverage.Bitmap.t option
     {!Sync} unions it across shards exactly like the edge virgin map. *)
 
 val grammar_novelty : t -> Sqlcore.Ast.testcase -> int
-(** Rank a candidate without executing it: fill the scratch grammar
-    map for its printed form (from the same memo) and count the cells
-    the grammar virgin map lacks. 0 when grammar feedback is off or the
-    candidate fails to parse. Read-only — probing a candidate never
-    claims its coverage. *)
+(** Rank a candidate without executing it: fill a grammar map for its
+    printed form (from the same memo) and count the cells the grammar
+    virgin map lacks. 0 when grammar feedback is off or the candidate
+    fails to parse. Read-only — probing a candidate never claims its
+    coverage. The map of each of the last two ranked candidates is
+    kept: {!execute} on one of them (the same value, [==]) takes its
+    map instead of filling it again (DESIGN.md §15). *)
 
 val execs : t -> int
 (** Total executions so far. *)

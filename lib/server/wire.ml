@@ -4,7 +4,8 @@
    form — the rendering doubles as the equality the schedule-replay
    determinism contract is stated in, so it must stay float-careful
    (NaN prints as "nan" and compares equal to itself as text, where
-   structural [=] on the tree would diverge). *)
+   structural [=] on the tree would diverge) and exact: a real prints as
+   the shortest decimal that reads back to the same float. *)
 
 type data =
   | Null
@@ -51,12 +52,30 @@ let of_crash (c : Minidb.Fault.crash) =
     { bug_id = c.c_bug.bug_id;
       kind = Minidb.Fault.kind_name c.c_bug.kind }
 
+(* The shortest [%g] form that reads back to [f] bit for bit, kept
+   apart from an integer by a '.' or an exponent ("1.0", "-0.0");
+   "nan", "inf" and "-inf" spelled out. *)
+let render_real f =
+  match Float.classify_float f with
+  | FP_nan -> "nan"
+  | FP_infinite -> if f > 0.0 then "inf" else "-inf"
+  | FP_normal | FP_subnormal | FP_zero ->
+    let bits = Int64.bits_of_float f in
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || Int64.equal (Int64.bits_of_float (float_of_string s)) bits
+      then s
+      else shortest (p + 1)
+    in
+    let s = shortest 1 in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
 let render_data = function
   | Null -> "NULL"
   | Boolean true -> "TRUE"
   | Boolean false -> "FALSE"
   | Int i -> string_of_int i
-  | Real f -> Printf.sprintf "%h" f
+  | Real f -> render_real f
   | Text s -> "'" ^ s ^ "'"
 
 let render = function

@@ -31,7 +31,11 @@ type response =
 val of_value : Storage.Value.t -> data
 
 val render_data : data -> string
-(** One value in the text form ([Real] via [%h], so NaN-safe). *)
+(** One value in the text form. A [Real] prints as the shortest decimal
+    that reads back to the same float, always with a '.' or an exponent
+    so it never reads as an [Int] (["1.5"], ["1.0"], ["-0.0"],
+    ["1e+300"]), or as ["nan"], ["inf"] or ["-inf"]: exact, injective
+    on non-NaN floats, and NaN-safe. *)
 
 val of_error : Minidb.Errors.t -> response
 

@@ -4,137 +4,308 @@ open Ast
 (* Expression map (bottom-up), recursing into nested queries.          *)
 (* ------------------------------------------------------------------ *)
 
+(* The maps share what they leave alone: a node whose children and [f]
+   result are all physically unchanged is returned itself, so a
+   statement no rewrite touches comes back [==] to its input and the
+   physical-identity memos downstream (Harness's statement memo) keep
+   hitting. They hand [f] the nodes in [fold_exprs]' order (see below),
+   which the [let]s spell out: the arguments of a constructor, tuple or
+   record right to left, list elements left to right, every node after
+   its children. *)
+
+let map_opt g o =
+  match o with
+  | None -> o
+  | Some x ->
+    let x' = g x in
+    if x' == x then o else Some x'
+
+let rec map_list g l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+    let x' = g x in
+    let rest' = map_list g rest in
+    if x' == x && rest' == rest then l else x' :: rest'
+
 let rec map_expr f e =
   let e' =
     match e with
     | Lit _ | Col _ -> e
-    | Unop (op, a) -> Unop (op, map_expr f a)
-    | Binop (op, a, b) -> Binop (op, map_expr f a, map_expr f b)
-    | Fn (n, args) -> Fn (n, List.map (map_expr f) args)
-    | Agg (fn, d, arg) -> Agg (fn, d, Option.map (map_expr f) arg)
+    | Unop (op, a) ->
+      let a' = map_expr f a in
+      if a' == a then e else Unop (op, a')
+    | Binop (op, a, b) ->
+      let b' = map_expr f b in
+      let a' = map_expr f a in
+      if a' == a && b' == b then e else Binop (op, a', b')
+    | Fn (n, args) ->
+      let args' = map_exprs_list f args in
+      if args' == args then e else Fn (n, args')
+    | Agg (fn, d, arg) ->
+      let arg' = map_expr_opt f arg in
+      if arg' == arg then e else Agg (fn, d, arg')
     | Case (whens, else_) ->
-      Case
-        ( List.map (fun (c, v) -> (map_expr f c, map_expr f v)) whens,
-          Option.map (map_expr f) else_ )
-    | Cast (a, dt) -> Cast (map_expr f a, dt)
-    | In_list { e; items; negated } ->
-      In_list
-        { e = map_expr f e; items = List.map (map_expr f) items; negated }
-    | Between { e; lo; hi; negated } ->
-      Between
-        { e = map_expr f e; lo = map_expr f lo; hi = map_expr f hi; negated }
-    | Is_null (a, n) -> Is_null (map_expr f a, n)
-    | Like { e; pat; negated } ->
-      Like { e = map_expr f e; pat = map_expr f pat; negated }
-    | Exists (q, n) -> Exists (map_query_exprs f q, n)
-    | Subquery q -> Subquery (map_query_exprs f q)
+      let else' = map_expr_opt f else_ in
+      let whens' = map_arms f whens in
+      if whens' == whens && else' == else_ then e else Case (whens', else')
+    | Cast (a, dt) ->
+      let a' = map_expr f a in
+      if a' == a then e else Cast (a', dt)
+    | In_list { e = a; items; negated } ->
+      let items' = map_exprs_list f items in
+      let a' = map_expr f a in
+      if a' == a && items' == items then e
+      else In_list { e = a'; items = items'; negated }
+    | Between { e = a; lo; hi; negated } ->
+      let hi' = map_expr f hi in
+      let lo' = map_expr f lo in
+      let a' = map_expr f a in
+      if a' == a && lo' == lo && hi' == hi then e
+      else Between { e = a'; lo = lo'; hi = hi'; negated }
+    | Is_null (a, n) ->
+      let a' = map_expr f a in
+      if a' == a then e else Is_null (a', n)
+    | Like { e = a; pat; negated } ->
+      let pat' = map_expr f pat in
+      let a' = map_expr f a in
+      if a' == a && pat' == pat then e else Like { e = a'; pat = pat'; negated }
+    | Exists (q, n) ->
+      let q' = map_query_exprs f q in
+      if q' == q then e else Exists (q', n)
+    | Subquery q ->
+      let q' = map_query_exprs f q in
+      if q' == q then e else Subquery q'
     | Win { fn; args; over } ->
-      Win
-        { fn;
-          args = List.map (map_expr f) args;
-          over =
-            { partition_by = List.map (map_expr f) over.partition_by;
-              w_order_by =
-                List.map (fun (e, d) -> (map_expr f e, d)) over.w_order_by;
-              frame = over.frame } }
+      let order' = map_keyed f over.w_order_by in
+      let part' = map_exprs_list f over.partition_by in
+      let args' = map_exprs_list f args in
+      if args' == args && part' == over.partition_by
+         && order' == over.w_order_by
+      then e
+      else
+        Win
+          { fn; args = args';
+            over =
+              { partition_by = part'; w_order_by = order';
+                frame = over.frame } }
   in
   f e'
 
-and map_query_exprs f = function
-  | Q_select s -> Q_select (map_select_exprs f s)
-  | Q_values rows -> Q_values (List.map (List.map (map_expr f)) rows)
+and map_expr_opt f o =
+  match o with
+  | None -> o
+  | Some x ->
+    let x' = map_expr f x in
+    if x' == x then o else Some x'
+
+and map_exprs_list f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+    let x' = map_expr f x in
+    let rest' = map_exprs_list f rest in
+    if x' == x && rest' == rest then l else x' :: rest'
+
+and map_rows f rows =
+  match rows with
+  | [] -> rows
+  | row :: rest ->
+    let row' = map_exprs_list f row in
+    let rest' = map_rows f rest in
+    if row' == row && rest' == rest then rows else row' :: rest'
+
+(* ORDER BY items *)
+and map_keyed f l =
+  match l with
+  | [] -> l
+  | ((x, d) as item) :: rest ->
+    let x' = map_expr f x in
+    let rest' = map_keyed f rest in
+    if x' == x && rest' == rest then l
+    else (if x' == x then item else (x', d)) :: rest'
+
+(* CASE arms: each arm's result before its condition *)
+and map_arms f l =
+  match l with
+  | [] -> l
+  | ((c, v) as arm) :: rest ->
+    let v' = map_expr f v in
+    let c' = map_expr f c in
+    let rest' = map_arms f rest in
+    if c' == c && v' == v && rest' == rest then l
+    else (if c' == c && v' == v then arm else (c', v')) :: rest'
+
+and map_query_exprs f q =
+  match q with
+  | Q_select s ->
+    let s' = map_select_exprs f s in
+    if s' == s then q else Q_select s'
+  | Q_values rows ->
+    let rows' = map_rows f rows in
+    if rows' == rows then q else Q_values rows'
   | Q_compound (a, op, b) ->
-    Q_compound (map_query_exprs f a, op, map_query_exprs f b)
+    let b' = map_query_exprs f b in
+    let a' = map_query_exprs f a in
+    if a' == a && b' == b then q else Q_compound (a', op, b')
 
 and map_select_exprs f s =
-  { s with
-    projs =
-      List.map
-        (function
-          | Star -> Star
-          | Star_of t -> Star_of t
-          | Proj (e, a) -> Proj (map_expr f e, a))
-        s.projs;
-    from = Option.map (map_from_exprs f) s.from;
-    where = Option.map (map_expr f) s.where;
-    group_by = List.map (map_expr f) s.group_by;
-    having = Option.map (map_expr f) s.having;
-    order_by = List.map (fun (e, d) -> (map_expr f e, d)) s.order_by }
+  let order_by = map_keyed f s.order_by in
+  let having = map_expr_opt f s.having in
+  let group_by = map_exprs_list f s.group_by in
+  let where = map_expr_opt f s.where in
+  let from =
+    match s.from with
+    | None -> s.from
+    | Some fr ->
+      let fr' = map_from_exprs f fr in
+      if fr' == fr then s.from else Some fr'
+  in
+  let projs = map_projs f s.projs in
+  if projs == s.projs && from == s.from && where == s.where
+     && group_by == s.group_by && having == s.having
+     && order_by == s.order_by
+  then s
+  else { s with projs; from; where; group_by; having; order_by }
 
-and map_from_exprs f = function
-  | From_table _ as t -> t
+and map_projs f l =
+  match l with
+  | [] -> l
+  | p :: rest ->
+    let p' =
+      match p with
+      | Star | Star_of _ -> p
+      | Proj (e, a) ->
+        let e' = map_expr f e in
+        if e' == e then p else Proj (e', a)
+    in
+    let rest' = map_projs f rest in
+    if p' == p && rest' == rest then l else p' :: rest'
+
+and map_from_exprs f fr =
+  match fr with
+  | From_table _ -> fr
   | From_join { left; kind; right; on } ->
-    From_join
-      { left = map_from_exprs f left;
-        kind;
-        right = map_from_exprs f right;
-        on = Option.map (map_expr f) on }
+    let on' = map_expr_opt f on in
+    let right' = map_from_exprs f right in
+    let left' = map_from_exprs f left in
+    if left' == left && right' == right && on' == on then fr
+    else From_join { left = left'; kind; right = right'; on = on' }
   | From_subquery { q; alias } ->
-    From_subquery { q = map_query_exprs f q; alias }
+    let q' = map_query_exprs f q in
+    if q' == q then fr else From_subquery { q = q'; alias }
 
 let map_insert_exprs f (i : insert) =
-  { i with
-    i_source =
-      (match i.i_source with
-       | Src_values rows -> Src_values (List.map (List.map (map_expr f)) rows)
-       | Src_query q -> Src_query (map_query_exprs f q)) }
+  match i.i_source with
+  | Src_values rows ->
+    let rows' = map_rows f rows in
+    if rows' == rows then i else { i with i_source = Src_values rows' }
+  | Src_query q ->
+    let q' = map_query_exprs f q in
+    if q' == q then i else { i with i_source = Src_query q' }
 
 let map_update_exprs f (u : update) =
-  { u with
-    u_sets = List.map (fun (c, e) -> (c, map_expr f e)) u.u_sets;
-    u_where = Option.map (map_expr f) u.u_where }
+  let where = map_expr_opt f u.u_where in
+  let sets =
+    map_list
+      (fun ((c, e) as set) ->
+         let e' = map_expr f e in
+         if e' == e then set else (c, e'))
+      u.u_sets
+  in
+  if sets == u.u_sets && where == u.u_where then u
+  else { u with u_sets = sets; u_where = where }
 
 let map_delete_exprs f (d : delete) =
-  { d with d_where = Option.map (map_expr f) d.d_where }
+  let where = map_expr_opt f d.d_where in
+  if where == d.d_where then d else { d with d_where = where }
 
-let map_with_body_exprs f = function
-  | W_query q -> W_query (map_query_exprs f q)
-  | W_insert i -> W_insert (map_insert_exprs f i)
-  | W_update u -> W_update (map_update_exprs f u)
-  | W_delete d -> W_delete (map_delete_exprs f d)
+let map_with_body_exprs f b =
+  match b with
+  | W_query q ->
+    let q' = map_query_exprs f q in
+    if q' == q then b else W_query q'
+  | W_insert i ->
+    let i' = map_insert_exprs f i in
+    if i' == i then b else W_insert i'
+  | W_update u ->
+    let u' = map_update_exprs f u in
+    if u' == u then b else W_update u'
+  | W_delete d ->
+    let d' = map_delete_exprs f d in
+    if d' == d then b else W_delete d'
 
-let rec map_exprs f = function
-  | S_create_view v -> S_create_view { v with query = map_query_exprs f v.query }
-  | S_create_trigger t ->
-    S_create_trigger { t with body = List.map (map_exprs f) t.body }
-  | S_create_rule r ->
-    S_create_rule
-      { r with
-        action =
-          (match r.action with
-           | Ra_nothing | Ra_notify _ -> r.action
-           | Ra_stmt s -> Ra_stmt (map_exprs f s)) }
-  | S_insert i -> S_insert (map_insert_exprs f i)
-  | S_replace i -> S_replace (map_insert_exprs f i)
-  | S_update u -> S_update (map_update_exprs f u)
-  | S_delete d -> S_delete (map_delete_exprs f d)
-  | S_copy_to { src = Cs_query q; header } ->
-    S_copy_to { src = Cs_query (map_query_exprs f q); header }
-  | S_select q -> S_select (map_query_exprs f q)
+(* A WITH statement's body before its CTEs, the CTEs left to right;
+   any other statement as it is. *)
+let map_with_bodies g s =
+  match s with
   | S_with { ctes; body } ->
-    S_with
-      { ctes =
-          List.map
-            (fun c -> { c with cte_body = map_with_body_exprs f c.cte_body })
-            ctes;
-        body = map_with_body_exprs f body }
-  | S_explain s -> S_explain (map_exprs f s)
-  | S_prepare { name; stmt } -> S_prepare { name; stmt = map_exprs f stmt }
-  | S_do e -> S_do (map_expr f e)
-  | ( S_create_table _ | S_create_index _ | S_create_sequence _
-    | S_create_schema _ | S_create_database _ | S_create_user _ | S_drop _
-    | S_alter_table _ | S_alter_sequence _ | S_alter_user _ | S_rename_table _
-    | S_truncate _ | S_comment_on _ | S_copy_to { src = Cs_table _; _ }
-    | S_copy_from _ | S_load_data _ | S_table _ | S_describe _ | S_show _
-    | S_grant _ | S_revoke _ | S_set_role _ | S_begin | S_commit | S_rollback
-    | S_savepoint _ | S_release_savepoint _ | S_rollback_to _
-    | S_set_transaction _ | S_lock_tables _ | S_unlock_tables | S_set_var _
-    | S_reset_var _ | S_set_names _ | S_pragma _ | S_vacuum _ | S_analyze _
-    | S_reindex _ | S_checkpoint | S_flush _ | S_optimize _ | S_check_table _
-    | S_repair _ | S_notify _ | S_listen _ | S_unlisten _ | S_discard _
-    | S_execute _ | S_deallocate _ | S_use _ | S_handler_open _
-    | S_handler_read _ | S_handler_close _ | S_alter_system _
-    | S_refresh_matview _ | S_kill _ | S_cluster _ ) as s -> s
+    let body' = g body in
+    let ctes' =
+      map_list
+        (fun c ->
+           let b = g c.cte_body in
+           if b == c.cte_body then c else { c with cte_body = b })
+        ctes
+    in
+    if ctes' == ctes && body' == body then s
+    else S_with { ctes = ctes'; body = body' }
+  | _ -> s
+
+let rec map_exprs f s =
+  match s with
+  | S_create_view v ->
+    let q = map_query_exprs f v.query in
+    if q == v.query then s else S_create_view { v with query = q }
+  | S_create_trigger t ->
+    let body = map_list (map_exprs f) t.body in
+    if body == t.body then s else S_create_trigger { t with body }
+  | S_create_rule ({ action = Ra_stmt a; _ } as r) ->
+    let a' = map_exprs f a in
+    if a' == a then s else S_create_rule { r with action = Ra_stmt a' }
+  | S_insert i ->
+    let i' = map_insert_exprs f i in
+    if i' == i then s else S_insert i'
+  | S_replace i ->
+    let i' = map_insert_exprs f i in
+    if i' == i then s else S_replace i'
+  | S_update u ->
+    let u' = map_update_exprs f u in
+    if u' == u then s else S_update u'
+  | S_delete d ->
+    let d' = map_delete_exprs f d in
+    if d' == d then s else S_delete d'
+  | S_copy_to { src = Cs_query q; header } ->
+    let q' = map_query_exprs f q in
+    if q' == q then s else S_copy_to { src = Cs_query q'; header }
+  | S_select q ->
+    let q' = map_query_exprs f q in
+    if q' == q then s else S_select q'
+  | S_with _ -> map_with_bodies (map_with_body_exprs f) s
+  | S_explain e ->
+    let e' = map_exprs f e in
+    if e' == e then s else S_explain e'
+  | S_prepare { name; stmt } ->
+    let stmt' = map_exprs f stmt in
+    if stmt' == stmt then s else S_prepare { name; stmt = stmt' }
+  | S_do e ->
+    let e' = map_expr f e in
+    if e' == e then s else S_do e'
+  | S_create_rule { action = Ra_nothing | Ra_notify _; _ }
+  | S_create_table _ | S_create_index _ | S_create_sequence _
+  | S_create_schema _ | S_create_database _ | S_create_user _ | S_drop _
+  | S_alter_table _ | S_alter_sequence _ | S_alter_user _ | S_rename_table _
+  | S_truncate _ | S_comment_on _ | S_copy_to { src = Cs_table _; _ }
+  | S_copy_from _ | S_load_data _ | S_table _ | S_describe _ | S_show _
+  | S_grant _ | S_revoke _ | S_set_role _ | S_begin | S_commit | S_rollback
+  | S_savepoint _ | S_release_savepoint _ | S_rollback_to _
+  | S_set_transaction _ | S_lock_tables _ | S_unlock_tables | S_set_var _
+  | S_reset_var _ | S_set_names _ | S_pragma _ | S_vacuum _ | S_analyze _
+  | S_reindex _ | S_checkpoint | S_flush _ | S_optimize _ | S_check_table _
+  | S_repair _ | S_notify _ | S_listen _ | S_unlisten _ | S_discard _
+  | S_execute _ | S_deallocate _ | S_use _ | S_handler_open _
+  | S_handler_read _ | S_handler_close _ | S_alter_system _
+  | S_refresh_matview _ | S_kill _ | S_cluster _ -> s
 
 (* ------------------------------------------------------------------ *)
 (* Expression fold: the nodes [map_exprs] rewrites, without rebuilding. *)
@@ -264,136 +435,229 @@ let rec fold_exprs f acc = function
 (* Table-reference renaming.                                           *)
 (* ------------------------------------------------------------------ *)
 
-let rec rn_query g = function
-  | Q_select s -> Q_select (rn_select g s)
-  | Q_values rows -> Q_values rows
-  | Q_compound (a, op, b) -> Q_compound (rn_query g a, op, rn_query g b)
+(* Like the expression maps, the renaming shares what [g] leaves alone.
+   Its calls to [g] come in a fixed order, which the RNG draws of
+   dependency repair follow (test/golden/repair-outcomes.txt pins
+   them): a statement's table positions first, right to left as a
+   record's fields are built, then every column qualifier through
+   [map_exprs]. A SELECT's FROM and [t.*] names and qualifiers are
+   renamed inside [rn_select] as well, so qualifiers there meet [g]
+   twice. *)
+
+(* Qualified column references follow the table rename. *)
+let qualify g e =
+  match e with
+  | Col (Some t, c) ->
+    let t' = g t in
+    if t' == t then e else Col (Some t', c)
+  | _ -> e
+
+let rec rn_query g q =
+  match q with
+  | Q_select s ->
+    let s' = rn_select g s in
+    if s' == s then q else Q_select s'
+  | Q_values _ -> q
+  | Q_compound (a, op, b) ->
+    let b' = rn_query g b in
+    let a' = rn_query g a in
+    if a' == a && b' == b then q else Q_compound (a', op, b')
 
 and rn_select g s =
-  let s = { s with from = Option.map (rn_from g) s.from } in
-  (* Qualified column references follow the table rename too. *)
-  map_select_exprs
-    (function Col (Some t, c) -> Col (Some (g t), c) | e -> e)
-    { s with
-      projs =
-        List.map
-          (function Star_of t -> Star_of (g t) | p -> p)
-          s.projs }
+  let from = map_opt (rn_from g) s.from in
+  let projs =
+    map_list
+      (fun p ->
+         match p with
+         | Star_of t ->
+           let t' = g t in
+           if t' == t then p else Star_of t'
+         | Star | Proj _ -> p)
+      s.projs
+  in
+  let s =
+    if from == s.from && projs == s.projs then s else { s with from; projs }
+  in
+  map_select_exprs (qualify g) s
 
-and rn_from g = function
-  | From_table { name; alias } -> From_table { name = g name; alias }
+and rn_from g fr =
+  match fr with
+  | From_table { name; alias } ->
+    let name' = g name in
+    if name' == name then fr else From_table { name = name'; alias }
   | From_join { left; kind; right; on } ->
-    From_join { left = rn_from g left; kind; right = rn_from g right; on }
-  | From_subquery { q; alias } -> From_subquery { q = rn_query g q; alias }
+    let right' = rn_from g right in
+    let left' = rn_from g left in
+    if left' == left && right' == right then fr
+    else From_join { left = left'; kind; right = right'; on }
+  | From_subquery { q; alias } ->
+    let q' = rn_query g q in
+    if q' == q then fr else From_subquery { q = q'; alias }
 
 let rn_insert g (i : insert) =
-  { i with
-    i_table = g i.i_table;
-    i_source =
-      (match i.i_source with
-       | Src_values _ as v -> v
-       | Src_query q -> Src_query (rn_query g q)) }
+  let source =
+    match i.i_source with
+    | Src_values _ -> i.i_source
+    | Src_query q ->
+      let q' = rn_query g q in
+      if q' == q then i.i_source else Src_query q'
+  in
+  let table = g i.i_table in
+  if table == i.i_table && source == i.i_source then i
+  else { i with i_table = table; i_source = source }
 
-let rn_update g (u : update) = { u with u_table = g u.u_table }
+let rn_update g (u : update) =
+  let table = g u.u_table in
+  if table == u.u_table then u else { u with u_table = table }
 
-let rn_delete g (d : delete) = { d with d_table = g d.d_table }
+let rn_delete g (d : delete) =
+  let table = g d.d_table in
+  if table == d.d_table then d else { d with d_table = table }
 
-let rn_with_body g = function
-  | W_query q -> W_query (rn_query g q)
-  | W_insert i -> W_insert (rn_insert g i)
-  | W_update u -> W_update (rn_update g u)
-  | W_delete d -> W_delete (rn_delete g d)
+let rn_with_body g b =
+  match b with
+  | W_query q ->
+    let q' = rn_query g q in
+    if q' == q then b else W_query q'
+  | W_insert i ->
+    let i' = rn_insert g i in
+    if i' == i then b else W_insert i'
+  | W_update u ->
+    let u' = rn_update g u in
+    if u' == u then b else W_update u'
+  | W_delete d ->
+    let d' = rn_delete g d in
+    if d' == d then b else W_delete d'
+
+(* [k] rebuilds the statement around a renamed name. *)
+let rn_name g s name k =
+  let name' = g name in
+  if name' == name then s else k name'
+
+let rn_name_opt g s name k =
+  match name with
+  | None -> s
+  | Some n -> rn_name g s n (fun n -> k (Some n))
 
 let rec map_table_refs g stmt =
-  (* First rename table-position names, then rename column qualifiers and
-     subquery FROMs via the expression rewriter. *)
   let stmt =
     match stmt with
-    | S_create_table c -> S_create_table { c with name = g c.name }
-    | S_create_index i -> S_create_index { i with table = g i.table }
+    | S_create_table c ->
+      rn_name g stmt c.name (fun name -> S_create_table { c with name })
+    | S_create_index i ->
+      rn_name g stmt i.table (fun table -> S_create_index { i with table })
     | S_create_view v ->
-      S_create_view { v with name = g v.name; query = rn_query g v.query }
+      let query = rn_query g v.query in
+      let name = g v.name in
+      if name == v.name && query == v.query then stmt
+      else S_create_view { v with name; query }
     | S_create_trigger t ->
-      S_create_trigger
-        { t with table = g t.table; body = List.map (map_table_refs g) t.body }
+      let body = map_list (map_table_refs g) t.body in
+      let table = g t.table in
+      if table == t.table && body == t.body then stmt
+      else S_create_trigger { t with table; body }
     | S_create_rule r ->
-      S_create_rule
-        { r with
-          table = g r.table;
-          action =
-            (match r.action with
-             | Ra_nothing | Ra_notify _ -> r.action
-             | Ra_stmt s -> Ra_stmt (map_table_refs g s)) }
+      let action =
+        match r.action with
+        | Ra_nothing | Ra_notify _ -> r.action
+        | Ra_stmt a ->
+          let a' = map_table_refs g a in
+          if a' == a then r.action else Ra_stmt a'
+      in
+      let table = g r.table in
+      if table == r.table && action == r.action then stmt
+      else S_create_rule { r with table; action }
     | S_drop { target; if_exists } ->
-      let target =
-        match target with
-        | D_table n -> D_table (g n)
-        | D_view n -> D_view (g n)
-        | D_rule (n, t) -> D_rule (n, g t)
-        | (D_index _ | D_trigger _ | D_sequence _ | D_schema _ | D_database _
-          | D_user _) as t -> t
-      in
-      S_drop { target; if_exists }
-    | S_alter_table (t, a) -> S_alter_table (g t, a)
+      let drop target = S_drop { target; if_exists } in
+      (match target with
+       | D_table n -> rn_name g stmt n (fun n -> drop (D_table n))
+       | D_view n -> rn_name g stmt n (fun n -> drop (D_view n))
+       | D_rule (n, t) -> rn_name g stmt t (fun t -> drop (D_rule (n, t)))
+       | D_index _ | D_trigger _ | D_sequence _ | D_schema _ | D_database _
+       | D_user _ -> stmt)
+    | S_alter_table (t, a) -> rn_name g stmt t (fun t -> S_alter_table (t, a))
     | S_rename_table pairs ->
-      S_rename_table (List.map (fun (a, b) -> (g a, g b)) pairs)
-    | S_truncate t -> S_truncate (g t)
-    | S_comment_on c -> S_comment_on { c with table = g c.table }
-    | S_insert i -> S_insert (rn_insert g i)
-    | S_replace i -> S_replace (rn_insert g i)
-    | S_update u -> S_update (rn_update g u)
-    | S_delete d -> S_delete (rn_delete g d)
-    | S_copy_to { src; header } ->
-      let src =
-        match src with
-        | Cs_table t -> Cs_table (g t)
-        | Cs_query q -> Cs_query (rn_query g q)
+      let pairs' =
+        map_list
+          (fun ((a, b) as pair) ->
+             let b' = g b in
+             let a' = g a in
+             if a' == a && b' == b then pair else (a', b'))
+          pairs
       in
-      S_copy_to { src; header }
-    | S_copy_from c -> S_copy_from { c with table = g c.table }
-    | S_load_data l -> S_load_data { l with table = g l.table }
-    | S_select q -> S_select (rn_query g q)
-    | S_with { ctes; body } ->
-      S_with
-        { ctes =
-            List.map
-              (fun c -> { c with cte_body = rn_with_body g c.cte_body })
-              ctes;
-          body = rn_with_body g body }
-    | S_table t -> S_table (g t)
-    | S_explain s -> S_explain (map_table_refs g s)
-    | S_describe t -> S_describe (g t)
-    | S_show (Sh_columns t) -> S_show (Sh_columns (g t))
-    | S_grant gr -> S_grant { gr with table = g gr.table }
-    | S_revoke r -> S_revoke { r with table = g r.table }
+      if pairs' == pairs then stmt else S_rename_table pairs'
+    | S_truncate t -> rn_name g stmt t (fun t -> S_truncate t)
+    | S_comment_on c ->
+      rn_name g stmt c.table (fun table -> S_comment_on { c with table })
+    | S_insert i ->
+      let i' = rn_insert g i in
+      if i' == i then stmt else S_insert i'
+    | S_replace i ->
+      let i' = rn_insert g i in
+      if i' == i then stmt else S_replace i'
+    | S_update u ->
+      let u' = rn_update g u in
+      if u' == u then stmt else S_update u'
+    | S_delete d ->
+      let d' = rn_delete g d in
+      if d' == d then stmt else S_delete d'
+    | S_copy_to { src = Cs_table t; header } ->
+      rn_name g stmt t (fun t -> S_copy_to { src = Cs_table t; header })
+    | S_copy_to { src = Cs_query q; header } ->
+      let q' = rn_query g q in
+      if q' == q then stmt else S_copy_to { src = Cs_query q'; header }
+    | S_copy_from c ->
+      rn_name g stmt c.table (fun table -> S_copy_from { c with table })
+    | S_load_data l ->
+      rn_name g stmt l.table (fun table -> S_load_data { l with table })
+    | S_select q ->
+      let q' = rn_query g q in
+      if q' == q then stmt else S_select q'
+    | S_with _ -> map_with_bodies (rn_with_body g) stmt
+    | S_table t -> rn_name g stmt t (fun t -> S_table t)
+    | S_explain s ->
+      let s' = map_table_refs g s in
+      if s' == s then stmt else S_explain s'
+    | S_describe t -> rn_name g stmt t (fun t -> S_describe t)
+    | S_show (Sh_columns t) -> rn_name g stmt t (fun t -> S_show (Sh_columns t))
+    | S_grant gr ->
+      rn_name g stmt gr.table (fun table -> S_grant { gr with table })
+    | S_revoke r ->
+      rn_name g stmt r.table (fun table -> S_revoke { r with table })
     | S_lock_tables locks ->
-      S_lock_tables (List.map (fun (t, m) -> (g t, m)) locks)
-    | S_vacuum t -> S_vacuum (Option.map g t)
-    | S_analyze t -> S_analyze (Option.map g t)
-    | S_reindex t -> S_reindex (Option.map g t)
-    | S_optimize t -> S_optimize (g t)
-    | S_check_table t -> S_check_table (g t)
-    | S_repair t -> S_repair (g t)
-    | S_prepare { name; stmt } ->
-      S_prepare { name; stmt = map_table_refs g stmt }
-    | S_handler_open t -> S_handler_open (g t)
-    | S_handler_read { table; dir } -> S_handler_read { table = g table; dir }
-    | S_handler_close t -> S_handler_close (g t)
-    | S_refresh_matview v -> S_refresh_matview (g v)
-    | S_cluster t -> S_cluster (Option.map g t)
-    | ( S_create_sequence _ | S_create_schema _ | S_create_database _
-      | S_create_user _ | S_alter_sequence _ | S_alter_user _
-      | S_show (Sh_tables | Sh_variables | Sh_status) | S_set_role _ | S_begin
-      | S_commit | S_rollback | S_savepoint _ | S_release_savepoint _
-      | S_rollback_to _ | S_set_transaction _ | S_unlock_tables | S_set_var _
-      | S_reset_var _ | S_set_names _ | S_pragma _ | S_checkpoint | S_flush _
-      | S_notify _ | S_listen _ | S_unlisten _ | S_discard _ | S_execute _
-      | S_deallocate _ | S_use _ | S_do _ | S_alter_system _ | S_kill _ ) as s
-      -> s
+      let locks' =
+        map_list
+          (fun ((t, m) as lock) ->
+             let t' = g t in
+             if t' == t then lock else (t', m))
+          locks
+      in
+      if locks' == locks then stmt else S_lock_tables locks'
+    | S_vacuum t -> rn_name_opt g stmt t (fun t -> S_vacuum t)
+    | S_analyze t -> rn_name_opt g stmt t (fun t -> S_analyze t)
+    | S_reindex t -> rn_name_opt g stmt t (fun t -> S_reindex t)
+    | S_optimize t -> rn_name g stmt t (fun t -> S_optimize t)
+    | S_check_table t -> rn_name g stmt t (fun t -> S_check_table t)
+    | S_repair t -> rn_name g stmt t (fun t -> S_repair t)
+    | S_prepare { name; stmt = s } ->
+      let s' = map_table_refs g s in
+      if s' == s then stmt else S_prepare { name; stmt = s' }
+    | S_handler_open t -> rn_name g stmt t (fun t -> S_handler_open t)
+    | S_handler_read { table; dir } ->
+      rn_name g stmt table (fun table -> S_handler_read { table; dir })
+    | S_handler_close t -> rn_name g stmt t (fun t -> S_handler_close t)
+    | S_refresh_matview v -> rn_name g stmt v (fun v -> S_refresh_matview v)
+    | S_cluster t -> rn_name_opt g stmt t (fun t -> S_cluster t)
+    | S_create_sequence _ | S_create_schema _ | S_create_database _
+    | S_create_user _ | S_alter_sequence _ | S_alter_user _
+    | S_show (Sh_tables | Sh_variables | Sh_status) | S_set_role _ | S_begin
+    | S_commit | S_rollback | S_savepoint _ | S_release_savepoint _
+    | S_rollback_to _ | S_set_transaction _ | S_unlock_tables | S_set_var _
+    | S_reset_var _ | S_set_names _ | S_pragma _ | S_checkpoint | S_flush _
+    | S_notify _ | S_listen _ | S_unlisten _ | S_discard _ | S_execute _
+    | S_deallocate _ | S_use _ | S_do _ | S_alter_system _ | S_kill _ -> stmt
   in
-  map_exprs
-    (function Col (Some t, c) -> Col (Some (g t), c) | e -> e)
-    stmt
+  map_exprs (qualify g) stmt
 
 (* ------------------------------------------------------------------ *)
 (* Read / write table collection.                                      *)
@@ -577,14 +841,14 @@ let rec c_stmt acc = function
   | S_handler_close _ | S_alter_system _ | S_refresh_matview _ | S_kill _
   | S_cluster None -> ()
 
-let collect stmt =
+let tables stmt =
   let acc = { reads = []; writes = []; size = 0 } in
   c_stmt acc stmt;
   (dedup (List.rev acc.reads), dedup (List.rev acc.writes))
 
-let tables_read stmt = fst (collect stmt)
+let tables_read stmt = fst (tables stmt)
 
-let tables_written stmt = snd (collect stmt)
+let tables_written stmt = snd (tables stmt)
 
 let objects_created = function
   | S_create_table { name; temp; _ } ->

@@ -16,11 +16,27 @@ val fold_exprs : ('a -> Ast.expr -> 'a) -> 'a -> Ast.stmt -> 'a
 
 val map_exprs : (Ast.expr -> Ast.expr) -> Ast.stmt -> Ast.stmt
 (** Rewrite every expression bottom-up. The function receives each node
-    after its children were rewritten. *)
+    after its children were rewritten. Sharing-preserving: a node whose
+    children and function result are physically unchanged is returned
+    itself, so [map_exprs Fun.id s == s]. *)
 
 val map_table_refs : (string -> string) -> Ast.stmt -> Ast.stmt
 (** Rename every table reference (reads and writes, including qualified
-    column references and DDL targets). *)
+    column references and DDL targets). Sharing-preserving like
+    {!map_exprs}: names the function returns physically unchanged leave
+    their nodes in place. *)
+
+val map_list : ('a -> 'a) -> 'a list -> 'a list
+(** [List.map] (left to right) returning the list itself when every
+    element comes back physically unchanged. *)
+
+val map_with_bodies : (Ast.with_body -> Ast.with_body) -> Ast.stmt -> Ast.stmt
+(** Rewrite a WITH statement's body, then its CTE bodies left to right,
+    sharing what comes back unchanged; any other statement is returned
+    as it is. *)
+
+val tables : Ast.stmt -> string list * string list
+(** [(tables_read, tables_written)] from one walk. *)
 
 val tables_read : Ast.stmt -> string list
 (** Tables a statement reads from (FROM clauses, subqueries, DML

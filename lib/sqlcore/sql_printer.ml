@@ -458,5 +458,7 @@ and stmt = function
   | S_cluster None -> "CLUSTER"
   | S_cluster (Some t) -> "CLUSTER " ^ t
 
-let testcase tc =
-  String.concat ";\n" (List.map stmt tc) ^ if tc = [] then "" else ";"
+let join_stmts texts =
+  String.concat ";\n" texts ^ if texts = [] then "" else ";"
+
+let testcase tc = join_stmts (List.map stmt tc)

@@ -19,3 +19,6 @@ val stmt : Ast.stmt -> string
 val testcase : Ast.testcase -> string
 (** Statements joined by [";\n"], with a final [';']. *)
 
+val join_stmts : string list -> string
+(** {!testcase} from its statements' printed texts. *)
+

@@ -244,12 +244,46 @@ let test_compare_identity_all_fuzzers () =
        check_snapshots_equal (name ^ " identical") (run 0) (run 256))
     baselines
 
+(* ------------------------------------------------------------------ *)
+(* Statement memo *)
+
+(* The memo's one resource: more distinct statements than it holds must
+   leave it at its cap, and every text and digest, held or evicted,
+   must equal a fresh print. The newest [cap] statements answer from
+   the memo itself: the same string, not a reprint. *)
+let test_stmt_memo_bound () =
+  let module M = Fuzz.Stmt_memo in
+  let memo = M.create () in
+  let stmts =
+    List.init (M.cap * 2) (fun i ->
+        Sqlparser.Parser.parse_stmt_exn (Printf.sprintf "SELECT %d" i))
+  in
+  let check s =
+    let text = Sqlcore.Sql_printer.stmt s in
+    Alcotest.(check string) "text" text (M.text memo s);
+    Alcotest.(check string) "digest" (Digest.string text) (M.digest memo s);
+    if M.length memo > M.cap then
+      Alcotest.failf "memo holds %d statements, cap %d" (M.length memo) M.cap
+  in
+  List.iter check stmts;
+  Alcotest.(check int) "memo at its cap" M.cap (M.length memo);
+  let recent = List.filteri (fun i _ -> i >= M.cap) stmts in
+  let held = List.map (M.text memo) recent in
+  List.iter2
+    (fun s t ->
+       Alcotest.(check bool) "held text is shared" true (M.text memo s == t))
+    recent held;
+  (* the oldest went first: re-adding them replaces the newest ones *)
+  List.iter check stmts;
+  Alcotest.(check int) "still at its cap" M.cap (M.length memo)
+
 let suite =
   [ ("lru eviction order", `Quick, test_lru_eviction_order);
     ("lru mem does not refresh", `Quick, test_lru_mem_does_not_refresh);
     ("lru replace updates bytes", `Quick, test_lru_replace_updates_bytes);
     ("lru memory bound", `Quick, test_lru_memory_bound);
     ("lru rejects cap<=0", `Quick, test_lru_rejects_nonpositive_cap);
+    ("statement memo bound", `Quick, test_stmt_memo_bound);
     ("restore ≡ cold replay (1000 cases)", `Quick,
      test_prop_restore_equals_cold);
     ("harness hit outcome identical", `Quick,

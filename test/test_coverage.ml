@@ -412,7 +412,7 @@ let parsed_view tc =
 
 let memo_view memo tc =
   let g = B.create () in
-  let ok = GM.fill memo g tc in
+  let ok = GM.fill memo g (List.map Sqlcore.Sql_printer.stmt tc) in
   (ok, grammar_view g)
 
 let memo_counts reg =
@@ -593,6 +593,69 @@ let test_memo_bound () =
     (distinct_selects ~from:0 (GM.cap + (GM.cap / 2)));
   Alcotest.(check int) "memo reached its bound" GM.cap !peak
 
+(* Ranking a candidate leaves its map for [execute] to take, which must
+   change nothing observable: a harness that ranks pairs before running
+   the winner, the loser, both or neither matches one that never ranks,
+   execution by execution, unparseable candidates included. The ranked
+   harness makes fewer memo lookups than the plain one plus its ranking,
+   so the maps are taken. *)
+let test_ranked_reuse_invisible () =
+  let module H = Fuzz.Harness in
+  let profile = List.hd Dialects.Registry.all in
+  let make () = H.create ~exec_cache:16 ~feedback:H.Both ~profile () in
+  let ranked = make () and plain = make () in
+  let count h name = Telemetry.Registry.counter_value (H.metrics h) name in
+  let lookups h = count h "grammar.memo.hits" + count h "grammar.memo.misses" in
+  let ghash h =
+    match H.grammar_virgin h with Some g -> B.hash g | None -> 0L
+  in
+  let bad = Sqlcore.Ast.[ S_use "a'"; S_use "'b" ] in
+  let ranked_stmts = ref 0 in
+  let rank tc =
+    ranked_stmts := !ranked_stmts + List.length tc;
+    H.grammar_novelty ranked tc
+  in
+  let exec step tc =
+    let a = H.execute ~hint:1 ranked tc in
+    let b = H.execute ~hint:1 plain tc in
+    if a.H.o_new_rules <> b.H.o_new_rules
+    || a.o_interesting <> b.o_interesting
+    || ghash ranked <> ghash plain
+    || count ranked "grammar.parse_errors" <> count plain "grammar.parse_errors"
+    then Alcotest.failf "step %d diverged" step
+  in
+  for step = 0 to 299 do
+    let c1 =
+      if step mod 17 = 5 then bad
+      else generated_testcase ~dialect:(step mod 4) ~seed:(step + 1)
+    in
+    let c2 =
+      if step mod 23 = 7 then bad
+      else Lego.Conventional.mutate_testcase (Reprutil.Rng.create step) c1
+    in
+    let n1, n2 =
+      if step mod 2 = 0 then
+        let n1 = rank c1 in
+        (n1, rank c2)
+      else
+        let n2 = rank c2 in
+        (rank c1, n2)
+    in
+    let winner, loser = if n2 > n1 then (c2, c1) else (c1, c2) in
+    match step mod 4 with
+    | 0 -> exec step winner
+    | 1 -> exec step loser
+    | 2 ->
+      exec step winner;
+      exec step loser;
+      exec step winner
+    | _ -> exec step (generated_testcase ~dialect:0 ~seed:(10_000 + step))
+  done;
+  Alcotest.(check bool) "unparseable candidates counted" true
+    (count plain "grammar.parse_errors" > 0);
+  Alcotest.(check bool) "ranked maps taken" true
+    (lookups ranked < lookups plain + !ranked_stmts)
+
 let suite =
   [ ("hit and count", `Quick, test_hit_and_count);
     ("reset", `Quick, test_reset);
@@ -626,6 +689,7 @@ let suite =
     ("grammar memo hand cases", `Quick, test_memo_hand_cases);
     ("grammar memo saturation", `Quick, test_memo_saturation);
     ("grammar memo bound", `Quick, test_memo_bound);
+    ("ranked-map reuse is invisible", `Quick, test_ranked_reuse_invisible);
     QCheck_alcotest.to_alcotest prop_merge_monotone;
     QCheck_alcotest.to_alcotest prop_merge_compact;
     ("hash = ascending scan (1000 cases)", `Quick, test_prop_hash_order) ]

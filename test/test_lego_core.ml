@@ -107,6 +107,63 @@ let test_repair_clamps_deep_exprs () =
     Alcotest.(check bool) "clamped" true (Ast_util.expr_depth e <= 14)
   | _ -> Alcotest.fail "unexpected repair result"
 
+(* Every outcome [Repair_pin] computes must equal the committed line:
+   the printed repaired testcase and the generator's next draw. On a
+   mismatch the current outcomes are written to repair-outcomes.actual
+   beside the test binary for diffing. *)
+let test_repair_outcomes_pinned () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let actual = Repair_pin.outcomes ~shapes:(read "golden/exec-shapes.sql") in
+  let expected =
+    String.split_on_char '\n' (read "golden/repair-outcomes.txt")
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check bool) "at least 5000 inputs" true
+    (List.length actual >= 5000);
+  if List.map (fun (_, _, l) -> l) actual <> expected then begin
+    Out_channel.with_open_bin "repair-outcomes.actual" (fun oc ->
+        List.iter (fun (_, _, l) -> output_string oc (l ^ "\n")) actual);
+    let rec first_diff i = function
+      | (input, _, a) :: xs, e :: ys ->
+        if a = e then first_diff (i + 1) (xs, ys) else (i, input, a, e)
+      | (input, _, a) :: _, [] -> (i, input, a, "<missing>")
+      | [], _ -> (i, [], "<missing>", "<extra lines>")
+    in
+    let i, input, a, e = first_diff 1 (actual, expected) in
+    Alcotest.failf "line %d differs on input %S\nexpected: %s\nactual:   %s"
+      i (Sql_printer.testcase input) e a
+  end
+
+(* Each witness reaches the branch it stands for, so it comes back
+   changed. *)
+let test_repair_witnesses_change () =
+  let ws = parse Repair_pin.witness_schema in
+  List.iter
+    (fun w ->
+       let tc = ws @ parse w in
+       let out, _ = Repair_pin.repair tc in
+       Alcotest.(check bool) ("repair changes " ^ w) true
+         (Sql_printer.testcase out <> Sql_printer.testcase tc))
+    Repair_pin.witnesses
+
+(* Repair shares what it leaves alone: over every pin input, a statement
+   that comes back structurally equal to its input is the input itself,
+   and an input repair leaves whole comes back as the same list. *)
+let test_repair_shares_unchanged () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  List.iter
+    (fun (tc, out, _) ->
+       List.iter2
+         (fun s s' ->
+            if s = s' && s != s' then
+              Alcotest.failf "rebuilt unchanged statement %s"
+                (Sql_printer.stmt s))
+         tc out;
+       if tc = out && tc != out then
+         Alcotest.failf "rebuilt unchanged testcase %s"
+           (Sql_printer.testcase tc))
+    (Repair_pin.outcomes ~shapes:(read "golden/exec-shapes.sql"))
+
 let prop_instantiate_preserves_type_sequence =
   QCheck.Test.make ~name:"instantiated sequence keeps its type sequence"
     ~count:300
@@ -264,6 +321,10 @@ let suite =
     ("repair clashing create", `Quick, test_repair_freshens_clashing_create);
     ("repair insert arity", `Quick, test_repair_fixes_insert_arity);
     ("repair clamps deep exprs", `Quick, test_repair_clamps_deep_exprs);
+    ("repair outcomes pinned", `Quick, test_repair_outcomes_pinned);
+    ("repair witnesses change", `Quick, test_repair_witnesses_change);
+    ("repair shares unchanged statements", `Quick,
+     test_repair_shares_unchanged);
     QCheck_alcotest.to_alcotest prop_instantiate_preserves_type_sequence;
     ("skeleton harvest/pick", `Quick, test_skeleton_harvest_pick);
     ("skeleton journal/store", `Quick, test_skeleton_journal_and_store);

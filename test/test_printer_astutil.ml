@@ -198,6 +198,20 @@ let test_prop_fold_nodes () =
        nodes Ast_util.fold_exprs s = nodes ref_fold s
        && Ast_util.column_refs s = ref_column_refs s)
 
+(* The maps share what they leave alone: the identity rewrite and the
+   identity renaming return every pool statement itself. *)
+let test_maps_share_unchanged () =
+  let stmts =
+    Array.to_list Stmt_pool.handwritten_stmts @ Array.to_list Stmt_pool.all
+  in
+  List.iter
+    (fun s ->
+       if Ast_util.map_exprs Fun.id s != s then
+         Alcotest.failf "map_exprs rebuilt %s" (Sql_printer.stmt s);
+       if Ast_util.map_table_refs Fun.id s != s then
+         Alcotest.failf "map_table_refs rebuilt %s" (Sql_printer.stmt s))
+    stmts
+
 let suite =
   [ ("printer exact forms", `Quick, test_printer_exact_forms);
     ("float literals keep a dot", `Quick, test_float_literals_keep_a_dot);
@@ -207,6 +221,7 @@ let suite =
     ("tables in WITH", `Quick, test_tables_in_with);
     ("map_table_refs", `Quick, test_map_table_refs);
     ("map_exprs bottom-up", `Quick, test_map_exprs_bottom_up);
+    ("maps share unchanged nodes", `Quick, test_maps_share_unchanged);
     ("fold_exprs counts", `Quick, test_fold_exprs_counts);
     ("feature detectors", `Quick, test_feature_detectors);
     ("objects_created", `Quick, test_objects_created);

@@ -53,6 +53,39 @@ let test_wire_responses () =
   | Wire.Error { code = "NO_SUCH_TABLE"; _ } -> ()
   | r -> Alcotest.failf "error mapping: unexpected %s" (Wire.render r)
 
+(* A real renders exactly: the shortest decimal that reads back to the
+   same float, apart from any integer's text, with NaN and the
+   infinities spelled out. *)
+let test_wire_real_round_trip () =
+  let render f = Wire.render_data (Wire.Real f) in
+  List.iter
+    (fun (f, want) -> Alcotest.(check string) want want (render f))
+    [ (1.5, "1.5"); (6.0, "6.0"); (0.1, "0.1"); (-0.0, "-0.0"); (0.0, "0.0");
+      (1e300, "1e+300"); (Float.nan, "nan"); (Float.infinity, "inf");
+      (Float.neg_infinity, "-inf"); (Float.succ 0.0, "5e-324") ];
+  let values =
+    [ Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0; 0.1; -0.1;
+      1e300; -1e300; Float.succ 0.0; Float.pred Float.min_float;
+      Float.min_float; Float.max_float; 1.0 /. 3.0; 2.0 /. 3.0; 1.5; 100.0;
+      123456789.125; Float.pi; Float.epsilon; 1.0 +. Float.epsilon ]
+  in
+  List.iter
+    (fun f ->
+       let s = render f in
+       let back = float_of_string s in
+       if Float.is_nan f then
+         Alcotest.(check bool) (s ^ " reads back as NaN") true
+           (Float.is_nan back)
+       else if Int64.bits_of_float back <> Int64.bits_of_float f then
+         Alcotest.failf "%s reads back as %h, not %h" s back f;
+       Alcotest.(check bool) (s ^ " is not an integer's text") true
+         (s <> Wire.render_data (Wire.Int (int_of_float f))))
+    values;
+  let texts = List.map render values in
+  Alcotest.(check int) "distinct floats, distinct texts"
+    (List.length values)
+    (List.length (List.sort_uniq compare texts))
+
 (* --- per-session state ---------------------------------------------- *)
 
 let test_txn_state_per_session () =
@@ -287,6 +320,8 @@ let test_serve_transcript () =
 
 let suite =
   [ Alcotest.test_case "wire responses" `Quick test_wire_responses;
+    Alcotest.test_case "wire reals round-trip" `Quick
+      test_wire_real_round_trip;
     Alcotest.test_case "txn state per session" `Quick
       test_txn_state_per_session;
     Alcotest.test_case "window tracks session" `Quick
