@@ -840,10 +840,7 @@ let serve_cmd =
   in
   let run profile sessions =
     let sessions = max 1 sessions in
-    let cov = Coverage.Bitmap.create () in
-    let pool =
-      Server.Session_pool.create ~sessions ~profile ~cov ()
-    in
+    let pool = Server.Session_pool.create ~sessions ~profile () in
     Printf.printf
       "legofuzz serve: %s, %d session(s). \"@N SQL\" runs SQL on session \
        N, \"@N\" switches; \\q quits.\n%!"
@@ -921,8 +918,7 @@ let reduce_cmd =
       match bug_opt with
       | Some id -> Some id
       | None -> (
-          let cov = Coverage.Bitmap.create () in
-          let engine = Minidb.Engine.create ~profile ~cov () in
+          let engine = Minidb.Engine.create ~profile () in
           match
             (Minidb.Engine.run_testcase engine tc).Minidb.Engine.rs_crash
           with

@@ -23,12 +23,20 @@ type campaign = {
 
 type progress = { pr_execs_done : int; pr_epoch : int }
 
-(* A grow-only section as rendered entry by entry: the bytes of exactly
-   [s_src], in order, and their FNV-64 state. The cache is only ever
-   used when the snapshot's list is [s_src] itself (physically), and the
-   entries are immutable, so it cannot describe a list it was not
-   rendered from. *)
-type 'a section = { s_src : 'a list; s_text : string; s_digest : int64 }
+(* A grow-only section as rendered entry by entry: the first [s_len]
+   bytes of [s_bytes] are the lines of exactly [s_src], in order, and
+   [s_digest] is their FNV-64 state. [s_bytes] is an accumulator's
+   append-only buffer or a loaded file's bytes; nothing ever writes
+   below a section's length, so a section is a view that never changes.
+   The cache is only ever used when the snapshot's list is [s_src]
+   itself (physically), and the entries are immutable, so it cannot
+   describe a list it was not rendered from. *)
+type 'a section = {
+  s_src : 'a list;
+  s_bytes : Bytes.t;
+  s_len : int;
+  s_digest : int64;
+}
 
 type render_cache = {
   rc_corpus : Fuzz.Sync.xseed section;
@@ -153,7 +161,8 @@ let fnv64 s = hex64 (fnv_feed fnv_basis s)
 (* The empty lists' sections: valid for every snapshot whose grow-only
    lists are all empty, and for no other ([[] == []], but a fresh list
    is never physically an old one). *)
-let empty_section = { s_src = []; s_text = ""; s_digest = fnv_basis }
+let empty_section =
+  { s_src = []; s_bytes = Bytes.empty; s_len = 0; s_digest = fnv_basis }
 
 let no_render_cache =
   { rc_corpus = empty_section; rc_affinities = empty_section;
@@ -217,15 +226,22 @@ let skeleton_line sql =
 
 let skeleton_stmt_line st = skeleton_line (Sqlcore.Sql_printer.stmt st)
 
+(* A rendered file as [(name, bytes, length, digest)]: its contents are
+   the first [length] bytes, which are never written again. A freshly
+   rendered string is such a view of itself. *)
+let fresh name text =
+  (name, Bytes.unsafe_of_string text, String.length text,
+   fnv_feed fnv_basis text)
+
 (* Section [name] for [src]: the cached rendering when it was made from
    this very list, a fresh one otherwise. *)
 let section_of name line (cached : _ section) src =
-  if cached.s_src == src then (name, cached.s_text, cached.s_digest)
+  if cached.s_src == src then
+    (name, cached.s_bytes, cached.s_len, cached.s_digest)
   else begin
     let buf = Buffer.create 4096 in
     List.iter (fun x -> Buffer.add_string buf (line x)) src;
-    let text = Buffer.contents buf in
-    (name, text, fnv_feed fnv_basis text)
+    fresh name (Buffer.contents buf)
   end
 
 let render_bitmap compact =
@@ -255,7 +271,6 @@ let render_dedup sn =
    Only meta, the bitmaps and dedup are rendered and digested here; the
    grow-only sections come from the render cache when it is valid. *)
 let render sn =
-  let fresh name text = (name, text, fnv_feed fnv_basis text) in
   let rc = sn.sn_rendered in
   [ fresh meta_file (render_meta sn);
     section_of corpus_file corpus_line rc.rc_corpus sn.sn_seeds;
@@ -266,10 +281,14 @@ let render sn =
     fresh grammar_file (render_bitmap sn.sn_grammar);
     fresh dedup_file (render_dedup sn) ]
 
+(* Both sides rendered from their entries, so a render cache (a loaded
+   file's bytes, say) cannot stand in for the entries it came with. *)
 let snapshot_equal a b =
+  let uncached sn = render { sn with sn_rendered = no_render_cache } in
   List.for_all2
-    (fun (_, x, _) (_, y, _) -> String.equal x y)
-    (render a) (render b)
+    (fun (_, x, n, _) (_, y, m, _) ->
+       String.equal (Bytes.sub_string x 0 n) (Bytes.sub_string y 0 m))
+    (uncached a) (uncached b)
 
 (* --- parsing --------------------------------------------------------- *)
 
@@ -408,9 +427,10 @@ let parse_dedup content =
 
 (* --- save ------------------------------------------------------------ *)
 
-let write_atomic gdir name content =
+(* Writes the first [len] bytes of [bytes]. *)
+let write_atomic gdir name bytes len =
   let tmp = Filename.concat gdir (name ^ ".tmp") in
-  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc content);
+  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output oc bytes 0 len);
   Sys.rename tmp (Filename.concat gdir name)
 
 let rec remove_tree path =
@@ -458,8 +478,8 @@ let save ?(keep = 3) ?worker ~dir sn =
   mkdir_p gdir;
   let digests =
     List.map
-      (fun (name, content, digest) ->
-         write_atomic gdir name content;
+      (fun (name, bytes, len, digest) ->
+         write_atomic gdir name bytes len;
          (name, Json.Str (hex64 digest)))
       (render sn)
   in
@@ -470,7 +490,8 @@ let save ?(keep = 3) ?worker ~dir sn =
            ("files", Json.Obj digests) ])
     ^ "\n"
   in
-  write_atomic gdir manifest_file manifest;
+  write_atomic gdir manifest_file (Bytes.unsafe_of_string manifest)
+    (String.length manifest);
   (* Workers never prune: only the coordinator (or a single-process
      saver) retires old generations, and it does so lock-aware. *)
   (match worker with None -> prune ~keep ~dir | Some _ -> ());
@@ -526,13 +547,14 @@ let load_generation_at ~gdir gen =
           | Some c -> Ok c
           | None -> Error (Printf.sprintf "missing section %s" name)
         in
-        if fnv64 content <> digest then
+        let h = fnv_feed fnv_basis content in
+        if hex64 h <> digest then
           Error (Printf.sprintf "digest mismatch in %s" name)
-        else go ((name, content) :: acc) rest
+        else go ((name, (content, h)) :: acc) rest
     in
     go [] section_files
   in
-  let get name = List.assoc name sections in
+  let get name = fst (List.assoc name sections) in
   let* campaign, progress = parse_meta (get meta_file) in
   let* seeds = parse_corpus (get corpus_file) in
   let* affinities = parse_affinities (get affinities_file) in
@@ -540,11 +562,33 @@ let load_generation_at ~gdir gen =
   let* virgin = parse_bitmap ~name:"virgin" (get virgin_file) in
   let* grammar = parse_bitmap ~name:"grammar" (get grammar_file) in
   let* crash_keys, logic_keys = parse_dedup (get dedup_file) in
+  (* A grow-only file the store wrote is the rendering of the entries
+     parsed from it, each line rendering back byte for byte. The parser
+     is more lenient (blank lines, a last line with no newline), so a
+     file is its own cache only when it holds one newline-terminated
+     line per entry: an accumulator appends straight after its bytes.
+     Any other file is re-rendered. *)
+  let cached name src =
+    let content, digest = List.assoc name sections in
+    let len = String.length content in
+    let newlines = ref 0 in
+    String.iter (fun c -> if c = '\n' then incr newlines) content;
+    if (len = 0 || content.[len - 1] = '\n')
+       && !newlines = List.length src
+    then
+      { s_src = src; s_bytes = Bytes.unsafe_of_string content;
+        s_len = len; s_digest = digest }
+    else empty_section
+  in
   Ok
     { sn_campaign = campaign; sn_progress = progress; sn_seeds = seeds;
       sn_affinities = affinities; sn_skeletons = skeletons;
       sn_virgin = virgin; sn_grammar = grammar; sn_crash_keys = crash_keys;
-      sn_logic_keys = logic_keys; sn_rendered = no_render_cache }
+      sn_logic_keys = logic_keys;
+      sn_rendered =
+        { rc_corpus = cached corpus_file seeds;
+          rc_affinities = cached affinities_file affinities;
+          rc_skeletons = cached skeletons_file skeletons } }
 
 let load_generation ~dir gen =
   load_generation_at ~gdir:(generation_dir ~dir gen) gen
@@ -603,12 +647,16 @@ let manifest_digests gdir =
 (* --- discovery accumulation ------------------------------------------ *)
 
 (* A grow-only section under accumulation: entries in reverse discovery
-   order, their lines rendered once on arrival, and the running FNV-64
-   state over those lines. [g_last] is the section the last snapshot
-   got, reused while nothing new arrives. *)
+   order, their lines appended once on arrival to [g_bytes] (the first
+   [g_len] bytes are written; the rest is spare room), and the running
+   FNV-64 state over those lines. Sections handed out are views of
+   [g_bytes]: a full buffer is replaced by a larger copy, never written
+   below [g_len]. [g_last] is the section the last snapshot got, reused
+   while nothing new arrives. *)
 type 'a grow = {
   mutable g_rev : 'a list;
-  g_text : Buffer.t;
+  mutable g_bytes : Bytes.t;
+  mutable g_len : int;
   mutable g_digest : int64;
   mutable g_last : 'a section option;
 }
@@ -621,12 +669,20 @@ type acc = {
 }
 
 let grow_create () =
-  { g_rev = []; g_text = Buffer.create 4096; g_digest = fnv_basis;
+  { g_rev = []; g_bytes = Bytes.empty; g_len = 0; g_digest = fnv_basis;
     g_last = None }
 
 let grow_add g x line =
+  let n = String.length line in
+  if g.g_len + n > Bytes.length g.g_bytes then begin
+    let cap = max (g.g_len + n) (max 4096 (2 * Bytes.length g.g_bytes)) in
+    let bytes = Bytes.create cap in
+    Bytes.blit g.g_bytes 0 bytes 0 g.g_len;
+    g.g_bytes <- bytes
+  end;
+  Bytes.blit_string line 0 g.g_bytes g.g_len n;
+  g.g_len <- g.g_len + n;
   g.g_rev <- x :: g.g_rev;
-  Buffer.add_string g.g_text line;
   g.g_digest <- fnv_feed g.g_digest line;
   g.g_last <- None
 
@@ -635,32 +691,73 @@ let grow_section g =
   | Some s -> s
   | None ->
     let s =
-      { s_src = List.rev g.g_rev; s_text = Buffer.contents g.g_text;
+      { s_src = List.rev g.g_rev; s_bytes = g.g_bytes; s_len = g.g_len;
         s_digest = g.g_digest }
     in
     g.g_last <- Some s;
     s
 
+(* An empty [g] takes section [s] as its state. Bytes past [s]'s length
+   may be another accumulator's to write, so it adopts [s]'s buffer only
+   when [s] fills it (its next add then moves to a buffer of its own) and
+   a copy of [s]'s bytes otherwise. *)
+let grow_adopt g s =
+  g.g_rev <- List.rev s.s_src;
+  g.g_bytes <-
+    (if s.s_len = Bytes.length s.s_bytes then s.s_bytes
+     else Bytes.sub s.s_bytes 0 s.s_len);
+  g.g_len <- s.s_len;
+  g.g_digest <- s.s_digest;
+  g.g_last <- Some s
+
 let acc_create () =
   { a_seeds = grow_create (); a_affinities = grow_create ();
     a_skeletons = grow_create (); a_seen = Hashtbl.create 64 }
 
-(* A skeleton's key is its printed SQL, which is also its line: printed
-   once per add. *)
-let acc_add acc entry =
-  let key = Fuzz.Sync.key entry in
-  if not (Hashtbl.mem acc.a_seen key) then begin
-    Hashtbl.replace acc.a_seen key ();
-    match (entry, key) with
-    | Fuzz.Sync.Seed xs, _ -> grow_add acc.a_seeds xs (corpus_line xs)
-    | Affinity (a, b), _ ->
-      grow_add acc.a_affinities (a, b) (affinity_line (a, b))
-    | Skeleton st, K_skeleton sql ->
-      grow_add acc.a_skeletons st (skeleton_line sql)
-    | Skeleton _, (K_seed _ | K_affinity _) -> assert false
-  end
+(* Fold [xs] into [g]: each entry whose key is new gets its line, which
+   [line] renders from the entry and its key (a skeleton's key is its
+   printed SQL, so each add prints a skeleton at most once). Into an
+   empty [g], a [cached] rendering of [xs] itself stands for those lines
+   when no entry of [xs] is dropped. *)
+let grow_extend acc g ?cached entry line xs =
+  let fresh =
+    List.filter_map
+      (fun x ->
+         let key = Fuzz.Sync.key (entry x) in
+         if Hashtbl.mem acc.a_seen key then None
+         else begin
+           Hashtbl.replace acc.a_seen key ();
+           Some (x, key)
+         end)
+      xs
+  in
+  match cached with
+  | Some c when c.s_src == xs && List.compare_lengths fresh xs = 0 ->
+    grow_adopt g c
+  | _ -> List.iter (fun (x, key) -> grow_add g x (line x key)) fresh
 
-let acc_add_export acc xp = List.iter (acc_add acc) (Fuzz.Sync.entries xp)
+let acc_extend ?rendered acc (xp : Fuzz.Sync.export) =
+  let cached f = Option.map f rendered in
+  grow_extend acc acc.a_seeds
+    ?cached:(cached (fun rc -> rc.rc_corpus))
+    (fun xs -> Fuzz.Sync.Seed xs)
+    (fun xs _ -> corpus_line xs)
+    xp.xp_seeds;
+  grow_extend acc acc.a_affinities
+    ?cached:(cached (fun rc -> rc.rc_affinities))
+    (fun (a, b) -> Fuzz.Sync.Affinity (a, b))
+    (fun pair _ -> affinity_line pair)
+    xp.xp_affinities;
+  grow_extend acc acc.a_skeletons
+    ?cached:(cached (fun rc -> rc.rc_skeletons))
+    (fun st -> Fuzz.Sync.Skeleton st)
+    (fun _ key ->
+       match key with
+       | Fuzz.Sync.K_skeleton sql -> skeleton_line sql
+       | K_seed _ | K_affinity _ -> assert false)
+    xp.xp_skeletons
+
+let acc_add_export acc xp = acc_extend acc xp
 
 let discoveries sn =
   { Fuzz.Sync.xp_seeds = sn.sn_seeds; xp_affinities = sn.sn_affinities;
@@ -668,7 +765,7 @@ let discoveries sn =
 
 let acc_of_snapshot sn =
   let acc = acc_create () in
-  acc_add_export acc (discoveries sn);
+  acc_extend ~rendered:sn.sn_rendered acc (discoveries sn);
   acc
 
 let acc_snapshot acc ~campaign ~progress ~virgin ~grammar ~crash_keys

@@ -46,11 +46,13 @@ type progress = {
 type render_cache
 (** The grow-only sections (corpus, affinities, skeletons) of a snapshot
     as already-rendered bytes with their FNV-64 digests. {!acc_snapshot}
-    fills it, so {!save} writes those sections without re-rendering or
-    re-digesting them (DESIGN.md §16). Each section's cache is used only
+    fills it with views of the accumulator's buffers and {!load} with
+    the files it read, so {!save} writes those sections without
+    re-rendering, re-digesting or copying them, and {!acc_of_snapshot}
+    starts from them (DESIGN.md §16). Each section's cache is used only
     when the snapshot's list is physically the list it was rendered from;
-    a [{ sn with sn_seeds = ... }] update, a loaded or a hand-built
-    snapshot simply renders that section from scratch. *)
+    a [{ sn with sn_seeds = ... }] update or a hand-built snapshot simply
+    renders that section from scratch. *)
 
 val no_render_cache : render_cache
 (** The cache of a snapshot with nothing cached — what hand-built
@@ -192,8 +194,13 @@ val discard_worker_generations : dir:string -> worker:int -> unit
     hygiene after killing or losing that worker, so half-written
     namespaces never accumulate. *)
 
+val load_generation : dir:string -> int -> (snapshot, string) result
+(** Load and validate one plain generation, whatever newer ones hold;
+    [Error] names the first problem found. *)
+
 val snapshot_equal : snapshot -> snapshot -> bool
-(** Structural equality on the serialised form — what the round-trip
+(** Structural equality on the serialised form, both sides rendered
+    from their entries (render caches ignored) — what the round-trip
     property battery checks. *)
 
 (** {2 Discovery accumulation}
@@ -214,8 +221,10 @@ type acc
 val acc_create : unit -> acc
 
 val acc_of_snapshot : snapshot -> acc
-(** Seed the accumulator with a loaded generation's entries (resume
-    path), so only genuinely new discoveries append. *)
+(** Seed the accumulator with a snapshot's entries (resume, worker
+    reload, promotion merge), so only genuinely new discoveries append.
+    A section whose render cache is valid and holds no entry twice is
+    taken as it is rather than rendered again. *)
 
 val acc_add_export : acc -> Fuzz.Sync.export -> unit
 

@@ -7,8 +7,7 @@ type outcome = {
 }
 
 let crashes_with ~profile ?(limits = Minidb.Limits.default) ~bug_id tc =
-  let cov = Coverage.Bitmap.create () in
-  let engine = Minidb.Engine.create ~limits ~profile ~cov () in
+  let engine = Minidb.Engine.create ~limits ~profile () in
   match (Minidb.Engine.run_testcase engine tc).Minidb.Engine.rs_crash with
   | Some crash -> crash.Minidb.Fault.c_bug.Minidb.Fault.bug_id = bug_id
   | None -> false

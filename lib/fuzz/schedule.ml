@@ -176,14 +176,10 @@ let count metrics name by =
     if by > 0 then
       Telemetry.Registry.incr ~by (Telemetry.Registry.counter m name)
 
-let fresh_pool ?limits ?metrics ~sessions ~profile ~cov () =
-  Server.Session_pool.create ?limits ?metrics ~sessions ~profile ~cov ()
-
 (* Serial replay of [steps] on a virgin pool; the interestingness
    oracles for minimization. *)
 let serial_outcome ?limits ~sessions ~profile steps =
-  let cov = Coverage.Bitmap.create () in
-  let pool = fresh_pool ?limits ~sessions ~profile ~cov () in
+  let pool = Server.Session_pool.create ?limits ~sessions ~profile () in
   Server.Session_pool.run_serial pool (Array.of_list steps)
 
 let crashes_with ?limits ~sessions ~profile ~bug_id steps =
@@ -216,7 +212,6 @@ let campaign ?limits ?metrics ?(max_tries = 512) ~profile ~sessions
   if corpus = [] then invalid_arg "Schedule.campaign: empty corpus";
   let triage = Triage.create () in
   let affine = adjacency_affinity corpus in
-  let cov = Coverage.Bitmap.create () in
   let rng = Rng.create seed in
   let steps_total = ref 0 in
   let mismatches = ref 0 in
@@ -237,7 +232,7 @@ let campaign ?limits ?metrics ?(max_tries = 512) ~profile ~sessions
        schedule phase. *)
     let out =
       Server.Session_pool.run_serial
-        (fresh_pool ?limits ?metrics ~sessions ~profile ~cov ())
+        (Server.Session_pool.create ?limits ?metrics ~sessions ~profile ())
         steps
     in
     (* A new finding is reduced from its full schedule; the reducer's

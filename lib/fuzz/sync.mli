@@ -75,9 +75,6 @@ type key = private
 val key : entry -> key
 (** The dedup key of a discovery: entries with equal keys are one. *)
 
-val entries : export -> entry list
-(** Seeds, then affinities, then skeletons, each in export order. *)
-
 val xseeds_since : Seed_pool.t -> int -> xseed list
 (** {!Seed_pool.since} in exchange form. *)
 

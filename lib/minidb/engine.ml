@@ -47,7 +47,16 @@ let make ctx ~profile ~limits ~cov ~metrics ~window ~stmt_count =
   in
   t
 
-let create ?(limits = Limits.default) ?metrics ~profile ~cov () =
+(* What an engine built without a map probes: one map per domain that
+   nothing reads or resets, so its cells and dirty list just saturate.
+   Per domain because [Bitmap.hit] is unsynchronised: two domains
+   marking one map could both write past its dirty list. *)
+let sink = Domain.DLS.new_key Coverage.Bitmap.create
+
+let create ?(limits = Limits.default) ?metrics ~profile ?cov () =
+  let cov =
+    match cov with Some c -> c | None -> Domain.DLS.get sink
+  in
   let cat = Catalog.create () in
   make (Executor.create_ctx ~cat ~profile ~limits ~cov) ~profile ~limits
     ~cov ~metrics ~window:Fault.empty_window ~stmt_count:0

@@ -27,10 +27,13 @@ val create :
   ?limits:Limits.t ->
   ?metrics:Telemetry.Registry.t ->
   profile:Profile.t ->
-  cov:Coverage.Bitmap.t ->
+  ?cov:Coverage.Bitmap.t ->
   unit ->
   t
-(** [metrics], when given, receives the engine's telemetry counters
+(** The engine's coverage probes fire into [cov]. Without it they fire
+    into a write-only map of the calling domain's that nothing reads or
+    resets, so replays that never look at coverage allocate no map.
+    [metrics], when given, receives the engine's telemetry counters
     ([engine.statements_executed], [engine.sql_errors],
     [engine.rows_scanned], [engine.crashes]) after each
     {!run_testcase}. *)

@@ -137,11 +137,9 @@ let diverging_sections fp_a fp_b =
 let check ?(limits = Minidb.Limits.default) ~profile
     ~(steps : (int * Ast.stmt) array) ~observed () =
   let units = commit_order_units steps in
-  let cov = Coverage.Bitmap.create () in
   let engine =
     Minidb.Engine.create ~limits
-      ~profile:(Minidb.Profile.without_bugs profile)
-      ~cov ()
+      ~profile:(Minidb.Profile.without_bugs profile) ()
   in
   let cat = Minidb.Engine.catalog engine in
   let current = ref (-1) in

@@ -7,8 +7,6 @@ open Sqlcore
 type t = {
   s_profile : Minidb.Profile.t;  (* fault-free: crashes can never fire *)
   s_limits : Minidb.Limits.t;
-  s_cov : Coverage.Bitmap.t;     (* private map: replays never pollute the
-                                    caller's virgin coverage *)
 }
 
 type outcome = {
@@ -20,8 +18,7 @@ let oracle_names = [ "diff_plan"; "tlp"; "rewrite"; "isolation" ]
 
 let create ?(limits = Minidb.Limits.default) profile =
   { s_profile = Minidb.Profile.without_bugs profile;
-    s_limits = limits;
-    s_cov = Coverage.Bitmap.create () }
+    s_limits = limits }
 
 (* --- row multisets -------------------------------------------------- *)
 
@@ -267,10 +264,8 @@ let check_rewrite engine stmt (rule : Minidb.Catalog.rule) sub ~sql =
 (* --- driving a whole test case -------------------------------------- *)
 
 let check t tc =
-  Coverage.Bitmap.reset t.s_cov;
   let engine =
-    Minidb.Engine.create ~limits:t.s_limits ~profile:t.s_profile
-      ~cov:t.s_cov ()
+    Minidb.Engine.create ~limits:t.s_limits ~profile:t.s_profile ()
   in
   let cat = Minidb.Engine.catalog engine in
   let n_diff = ref 0 and n_tlp = ref 0 and n_rw = ref 0 in

@@ -17,7 +17,8 @@
       rules or triggers).
 
     A suite replays test cases on a {e fault-free} copy of the profile
-    ({!Minidb.Profile.without_bugs}) with a private coverage bitmap, so
+    ({!Minidb.Profile.without_bugs}) on an engine that probes its
+    domain's write-only coverage sink ({!Minidb.Engine.create}), so
     oracle replays can neither crash nor pollute the fuzzer's virgin
     map. *)
 

@@ -23,10 +23,12 @@ val create :
   ?metrics:Telemetry.Registry.t ->
   sessions:int ->
   profile:Minidb.Profile.t ->
-  cov:Coverage.Bitmap.t ->
   unit ->
   t
 (** A fresh pool: one engine, [sessions] sessions, session 0 attached.
+    Its engine probes the calling domain's write-only coverage sink
+    ({!Minidb.Engine.create} without [?cov]): nothing reads a pool's
+    coverage.
     [metrics] receives [session.statements] / [session.switches] /
     [session.crashes] counters. *)
 

@@ -663,16 +663,18 @@ let rec map_table_refs g stmt =
 (* Read / write table collection.                                      *)
 (* ------------------------------------------------------------------ *)
 
+let rec mem_string x = function
+  | [] -> false
+  | y :: ys -> String.equal x y || mem_string x ys
+
+(* First occurrences in order. The lists are a statement's table names,
+   a handful long, so a scan of the kept ones beats a hash table. *)
 let dedup xs =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun x ->
-       if Hashtbl.mem seen x then false
-       else begin
-         Hashtbl.add seen x ();
-         true
-       end)
-    xs
+  let rec go kept = function
+    | [] -> List.rev kept
+    | x :: rest -> go (if mem_string x kept then kept else x :: kept) rest
+  in
+  go [] xs
 
 (* One walk serves the table sets and [stmt_size]: it reaches exactly the
    expression nodes [fold_exprs] does, and [c_depth] adds each node's
@@ -916,10 +918,6 @@ and depth_of_list = function
 
 (* Distinct names, without building the deduplicated list: an element
    counts at its last occurrence. *)
-let rec mem_string x = function
-  | [] -> false
-  | y :: ys -> String.equal x y || mem_string x ys
-
 let rec count_distinct = function
   | [] -> 0
   | x :: rest -> (if mem_string x rest then 0 else 1) + count_distinct rest

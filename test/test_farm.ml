@@ -30,11 +30,53 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Every valid store generation under [root] must render back from its
+   loaded entries byte for byte: that is what lets a loaded snapshot
+   carry its files as its render cache (DESIGN.md §16). *)
+let check_loaded_renderings root =
+  let rec dirs path =
+    if Sys.is_directory path then
+      path
+      :: List.concat_map
+           (fun e -> dirs (Filename.concat path e))
+           (Array.to_list (Sys.readdir path))
+    else []
+  in
+  let scratch = fresh_dir "rerender" in
+  Fun.protect ~finally:(fun () -> rm_rf scratch) (fun () ->
+    List.iter
+      (fun dir ->
+         List.iter
+           (fun g ->
+              match Store.load_generation ~dir g with
+              | Error _ -> ()  (* a generation a test corrupted *)
+              | Ok sn ->
+                let g' =
+                  Store.save ~keep:1 ~dir:scratch
+                    { sn with Store.sn_rendered = Store.no_render_cache }
+                in
+                List.iter
+                  (fun name ->
+                     let file d gen =
+                       read_file
+                         (Filename.concat
+                            (Store.generation_dir ~dir:d gen) name)
+                     in
+                     if file dir g <> file scratch g' then
+                       Alcotest.failf "%s of %s does not render back"
+                         name (Store.generation_dir ~dir g))
+                  Store.section_files)
+           (Store.generations ~dir))
+      (dirs root))
+
 let with_dir prefix f =
   let dir = fresh_dir prefix in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+    let r = f dir in
+    check_loaded_renderings dir;
+    r)
 
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
@@ -45,6 +87,17 @@ let contains haystack needle =
     i + ln <= lh && (String.sub haystack i ln = needle || scan (i + 1))
   in
   scan 0
+
+(* [s] with the first occurrence of [sub] replaced by [by]. *)
+let replace_once s ~sub ~by =
+  let ls = String.length s and lsub = String.length sub in
+  let rec at i =
+    if i + lsub > ls then invalid_arg "replace_once: not found"
+    else if String.sub s i lsub = sub then i
+    else at (i + 1)
+  in
+  let i = at 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + lsub) (ls - i - lsub)
 
 (* --- generators ------------------------------------------------------- *)
 
@@ -378,6 +431,24 @@ let gen_op =
        match kind with 0 | 1 -> Add xp | 2 -> Snap | _ -> Save k)
     (Prop.pair (Prop.int_range 0 3) (Prop.pair gen_export (Prop.int_range 0 7)))
 
+(* Fresh entries enough to outgrow every section's buffer: each section
+   gains more bytes than the property's exports can have given it, past
+   a first buffer's 4 KiB. *)
+let outgrowing_export =
+  { Sync.xp_seeds =
+      List.init 200 (fun i ->
+          { Sync.xs_tc = testcase_pool.(3);
+            xs_cov_hash = Int64.of_int (100 + i); xs_new_branches = i;
+            xs_cost = i });
+    xp_affinities =
+      List.concat_map
+        (fun a ->
+           List.init Stmt_type.count (fun b ->
+               (Stmt_type.of_index a, Stmt_type.of_index b)))
+        (List.init 8 Fun.id);
+    xp_skeletons =
+      List.init 400 (fun i -> parse_stmt (Printf.sprintf "SELECT %d" i)) }
+
 let test_incremental_sections () =
   with_dir "inc" (fun dir ->
     with_dir "inc-fresh" (fun scratch ->
@@ -414,7 +485,94 @@ let test_incremental_sections () =
                    | None -> false)
                | Save k -> save_held k)
              ops
-           && Option.fold ~none:false ~some:save (snap ()))))
+           && Option.fold ~none:false ~some:save (snap ())
+           (* Held snapshots still save right once the accumulator has
+              moved its bytes to larger buffers. *)
+           && begin
+             Store.acc_add_export acc outgrowing_export;
+             exports := outgrowing_export :: !exports;
+             List.for_all save !held
+             && Option.fold ~none:false ~some:save (snap ())
+           end)))
+
+(* Accumulators seeded from one snapshot, one loaded and one taken from
+   a live accumulator, each grow their own copy: adds to one never reach
+   another's sections. *)
+let test_seeded_accumulators () =
+  with_dir "seeded" (fun dir ->
+    with_dir "seeded-fresh" (fun scratch ->
+      let export lo n =
+        { Sync.xp_seeds =
+            List.init n (fun i ->
+                { Sync.xs_tc = testcase_pool.(i mod 10);
+                  xs_cov_hash = Int64.of_int (lo + i); xs_new_branches = i;
+                  xs_cost = i });
+          xp_affinities = [];
+          xp_skeletons =
+            List.init n (fun i ->
+                parse_stmt (Printf.sprintf "SELECT %d" (lo + i))) }
+      in
+      let a = Store.acc_create () in
+      Store.acc_add_export a (export 0 5);
+      let sn = acc_snap a in
+      let loaded =
+        let g = Store.save ~keep:3 ~dir sn in
+        match Store.load_generation ~dir g with
+        | Ok l -> l
+        | Error e -> Alcotest.fail e
+      in
+      let b = Store.acc_of_snapshot sn and c = Store.acc_of_snapshot loaded in
+      List.iteri
+        (fun i acc -> Store.acc_add_export acc (export (100 * (i + 1)) 3))
+        [ a; b; c ];
+      let save = saves_like_uncached ~dir ~scratch in
+      List.iter
+        (fun (what, sn) -> Alcotest.(check bool) what true (save sn))
+        [ ("the snapshot", sn); ("the loaded snapshot", loaded);
+          ("the first accumulator", acc_snap a);
+          ("the accumulator seeded from it", acc_snap b);
+          ("the accumulator seeded from the load", acc_snap c) ]))
+
+(* A section file that parses but is not one newline-terminated line
+   per entry (here: its last newline cut, its manifest digest fixed up)
+   is no render cache: entries appended after a resume must start on a
+   line of their own. *)
+let test_unterminated_section () =
+  with_dir "unterminated" (fun dir ->
+    let seed i =
+      { Sync.xs_tc = testcase_pool.(i mod 10);
+        xs_cov_hash = Int64.of_int i; xs_new_branches = i; xs_cost = i }
+    in
+    let only_seeds ids =
+      { Sync.xp_seeds = List.map seed ids; xp_affinities = [];
+        xp_skeletons = [] }
+    in
+    let a = Store.acc_create () in
+    Store.acc_add_export a (only_seeds [ 0; 1; 2 ]);
+    let g = Store.save ~dir (acc_snap a) in
+    let gdir = Store.generation_dir ~dir g in
+    let path name = Filename.concat gdir name in
+    let corpus = read_file (path "corpus.jsonl") in
+    let cut = String.sub corpus 0 (String.length corpus - 1) in
+    write_file (path "corpus.jsonl") cut;
+    let manifest = read_file (path Store.manifest_file) in
+    write_file (path Store.manifest_file)
+      (replace_once manifest ~sub:(Store.fnv64 corpus) ~by:(Store.fnv64 cut));
+    let loaded =
+      match Store.load ~dir with
+      | Ok (sn, g', []) when g' = g -> sn
+      | Ok _ -> Alcotest.fail "the cut generation did not load cleanly"
+      | Error ws -> Alcotest.fail (String.concat "; " ws)
+    in
+    let b = Store.acc_of_snapshot loaded in
+    Store.acc_add_export b (only_seeds [ 3 ]);
+    (* keep:1 retires the cut generation, which does not render back *)
+    let g2 = Store.save ~keep:1 ~dir (acc_snap b) in
+    match Store.load ~dir with
+    | Ok (sn, g', _) ->
+      Alcotest.(check int) "the resumed save loads" g2 g';
+      Alcotest.(check int) "every entry kept" 4 (List.length sn.Store.sn_seeds)
+    | Error ws -> Alcotest.fail (String.concat "; " ws))
 
 let test_stale_cache_guard () =
   with_dir "stale" (fun dir ->
@@ -1493,6 +1651,10 @@ let suite =
       test_incremental_sections;
     Alcotest.test_case "store: stale render cache" `Quick
       test_stale_cache_guard;
+    Alcotest.test_case "store: seeded accumulators stay apart" `Quick
+      test_seeded_accumulators;
+    Alcotest.test_case "store: unterminated section is no cache" `Quick
+      test_unterminated_section;
     Alcotest.test_case "store: fnv_feed laws" `Quick test_fnv_feed;
     Alcotest.test_case "store: bitmap sections" `Quick test_bitmap_render;
     Alcotest.test_case "recovery: truncated section" `Quick

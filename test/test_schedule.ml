@@ -121,8 +121,7 @@ let violation_steps =
     (0, stmt "ROLLBACK") ]
 
 let observed_violation steps =
-  let cov = Coverage.Bitmap.create () in
-  let pool = Pool.create ~sessions:2 ~profile:clean_profile ~cov () in
+  let pool = Pool.create ~sessions:2 ~profile:clean_profile () in
   let out = Pool.run_serial pool (Array.of_list steps) in
   if out.Pool.o_crash <> None then None
   else
@@ -250,8 +249,7 @@ let test_campaign_smoke () =
   (* every minimized crash repro replays to its bug on a fresh pool *)
   List.iter
     (fun (bug_id, steps) ->
-       let cov = Coverage.Bitmap.create () in
-       let pool = Pool.create ~sessions:3 ~profile ~cov () in
+       let pool = Pool.create ~sessions:3 ~profile () in
        match (Pool.run_serial pool steps).Pool.o_crash with
        | Some (_, c) ->
          Alcotest.(check string) "repro replays" bug_id
@@ -272,6 +270,92 @@ let test_campaign_deterministic () =
     (List.map fst r1.Schedule.sr_violation_repros)
     (List.map fst r2.Schedule.sr_violation_repros)
 
+(* --- replays without coverage maps ---------------------------------- *)
+
+(* A profile whose one bug fires on VACUUM followed later by
+   CHECKPOINT. *)
+let bug_profile =
+  Minidb.Profile.make ~name:"replay" ~flavor:Minidb.Profile.Pg
+    ~types:Stmt_type.all
+    ~bugs:
+      [ { Minidb.Fault.bug_id = "REP-1"; identifier = "TEST";
+          component = "Storage"; kind = Minidb.Fault.Segv;
+          cond =
+            Minidb.Fault.Subseq [ Stmt_type.Vacuum; Stmt_type.Checkpoint ] } ]
+
+let crash_cases =
+  List.map parse
+    [ "VACUUM; CHECKPOINT"; "CHECKPOINT; VACUUM";
+      "CREATE TABLE t (a INT); VACUUM; SELECT a FROM t; CHECKPOINT";
+      "SELECT 1" ]
+
+let crashes tc =
+  Fuzz.Reducer.crashes_with ~profile:bug_profile ~bug_id:"REP-1" tc
+
+(* The witness schedule and every prefix of it, with the fingerprint
+   each leaves on a pool. *)
+let isolation_cases =
+  List.init (List.length violation_steps) (fun k ->
+      let steps =
+        Array.of_list (List.filteri (fun i _ -> i <= k) violation_steps)
+      in
+      let pool = Pool.create ~sessions:2 ~profile:clean_profile () in
+      (steps, (Pool.run_serial pool steps).Pool.o_fingerprint))
+
+let isolation_key (steps, observed) =
+  Option.map Oracle.Violation.key
+    (Oracle.Isolation.check ~profile:clean_profile ~steps ~observed ())
+
+(* Words allocated straight onto the major heap: a coverage map (a
+   64 KiB buffer and a 4,096-cell dirty list) is one such block. *)
+let direct_major_words () =
+  let s = Gc.quick_stat () in
+  s.Gc.major_words -. s.Gc.promoted_words
+
+let test_replays_allocate_no_map () =
+  let replays = 50 in
+  let replay i =
+    if i mod 2 = 0 then ignore (crashes (List.nth crash_cases (i / 2 mod 4)))
+    else
+      ignore
+        (isolation_key
+           (List.nth isolation_cases (i / 2 mod List.length isolation_cases)))
+  in
+  replay 0;
+  replay 1;
+  let before = direct_major_words () in
+  for i = 0 to replays - 1 do
+    replay i
+  done;
+  let per_replay = (direct_major_words () -. before) /. float_of_int replays in
+  if per_replay >= 12_288. then
+    Alcotest.failf "%.0f words straight onto the major heap per replay"
+      per_replay
+
+(* Replays on two domains give what they give on one. This checks
+   outcomes only: replay outcomes never read coverage, so it would pass
+   with one sink shared by both domains too. The sink is per domain for
+   memory safety (two domains marking one map could write past its
+   dirty list), which no outcome shows. *)
+let test_replays_on_two_domains () =
+  let jobs =
+    Array.concat
+      (List.init 8 (fun _ ->
+           Array.of_list
+             (List.map (fun tc () -> `Crash (crashes tc)) crash_cases
+              @ List.map
+                  (fun case () -> `Isolation (isolation_key case))
+                  isolation_cases)))
+  in
+  let serial = Array.map (fun job -> job ()) jobs in
+  Alcotest.(check bool) "some replays crash, some violate" true
+    (Array.mem (`Crash true) serial
+     && Array.exists
+          (function `Isolation (Some _) -> true | _ -> false)
+          serial);
+  Alcotest.(check bool) "two domains give the serial outcomes" true
+    (Reprutil.Pool.run ~workers:2 jobs = serial)
+
 let suite =
   [ Alcotest.test_case "round robin" `Quick test_round_robin;
     Alcotest.test_case "txn biased wraps bare sequences" `Quick
@@ -285,6 +369,10 @@ let suite =
       test_isolation_clean_schedule;
     Alcotest.test_case "shrink preserves violation" `Quick
       test_shrink_preserves_violation;
+    Alcotest.test_case "replays allocate no coverage map" `Quick
+      test_replays_allocate_no_map;
+    Alcotest.test_case "replays on two domains match serial" `Quick
+      test_replays_on_two_domains;
     Alcotest.test_case "campaign smoke" `Slow test_campaign_smoke;
     Alcotest.test_case "campaign deterministic" `Slow
       test_campaign_deterministic ]

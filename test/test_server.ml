@@ -20,8 +20,7 @@ let profile = Dialects.Registry.pg_sim
 let clean_profile = Minidb.Profile.without_bugs profile
 
 let mk_pool ?(profile = profile) ?metrics n =
-  let cov = Coverage.Bitmap.create () in
-  Pool.create ?metrics ~sessions:n ~profile ~cov ()
+  Pool.create ?metrics ~sessions:n ~profile ()
 
 (* --- wire protocol -------------------------------------------------- *)
 
@@ -124,10 +123,7 @@ let window_profile =
 
 let test_window_tracks_session () =
   let fires steps =
-    let cov = Coverage.Bitmap.create () in
-    let pool =
-      Pool.create ~sessions:2 ~profile:window_profile ~cov ()
-    in
+    let pool = Pool.create ~sessions:2 ~profile:window_profile () in
     (Pool.run_serial pool steps).Pool.o_crash <> None
   in
   let create = stmt "CREATE TABLE t (a INT)" in
@@ -140,8 +136,7 @@ let test_window_tracks_session () =
 (* --- cross-session fault predicates ---------------------------------- *)
 
 let run_steps ?(sessions = 2) ?(profile = profile) steps =
-  let cov = Coverage.Bitmap.create () in
-  let pool = Pool.create ~sessions ~profile ~cov () in
+  let pool = Pool.create ~sessions ~profile () in
   Pool.run_serial pool (Array.of_list steps)
 
 let dirty_read_steps =
@@ -178,8 +173,7 @@ let test_concurrency_bugs_silent_single_session () =
     ((run_steps ~sessions:1 (collapse dirty_read_steps)).Pool.o_crash = None);
   (* and a plain engine (no pool, no fault hook) answers false to the
      other_* predicates by construction *)
-  let cov = Coverage.Bitmap.create () in
-  let engine = Minidb.Engine.create ~profile ~cov () in
+  let engine = Minidb.Engine.create ~profile () in
   let stats =
     Minidb.Engine.run_testcase engine (List.map snd dirty_read_steps)
   in
@@ -264,8 +258,7 @@ let replay_equal cow steps =
     (fun () ->
        let steps = Array.of_list steps in
        let run () =
-         let cov = Coverage.Bitmap.create () in
-         Pool.run_serial (Pool.create ~sessions:3 ~profile ~cov ()) steps
+         Pool.run_serial (Pool.create ~sessions:3 ~profile ()) steps
        in
        outcome_equal (run ()) (run ()))
 
