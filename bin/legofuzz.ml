@@ -113,9 +113,11 @@ let exec_cache_arg =
   let doc =
     "Prefix-snapshot execution cache: seed statement prefixes are \
      captured as engine snapshots and mutants sharing a prefix resume \
-     from the snapshot instead of replaying it. Outcomes — coverage, \
-     crashes, oracle verdicts — are identical to cold replays; only \
-     wall-clock changes. $(b,on) (1024 entries) or $(b,off)."
+     from the snapshot instead of replaying it, and a mutant that \
+     prints like one run before is answered from memory. Outcomes — \
+     coverage, crashes, oracle verdicts — are identical to cold \
+     replays; only wall-clock changes. $(b,on) (1024 entries) or \
+     $(b,off)."
   in
   Arg.(
     value

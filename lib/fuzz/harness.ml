@@ -41,6 +41,7 @@ type t = {
   h_c_new_branches : Telemetry.Registry.counter;
   h_c_crashes : Telemetry.Registry.counter;
   h_c_unique_crashes : Telemetry.Registry.counter;
+  h_engine : Minidb.Engine.counters;
   h_h_cost : Telemetry.Registry.histogram;
   h_sp_execute : Telemetry.Span.t;
   h_sp_triage : Telemetry.Span.t;
@@ -92,13 +93,21 @@ and ranked = {
    hinted lookup that misses (or hits short of the hint) snapshots the
    hinted boundary as the run passes it, so the first mutant of a batch
    pays one deep-copy and its siblings hit. There is no separate priming
-   replay — capture rides on work the harness was doing anyway. *)
+   replay — capture rides on work the harness was doing anyway.
+
+   The repeat memo answers a hinted testcase that prints byte for byte
+   like one run before, keyed by the digest chain over all of it:
+   the engine is a function of the printed testcase, so the rerun
+   would reproduce the stored coverage hash and stats, and the virgin
+   map only gains bits, so it would add no branch. *)
 and cache_state = {
   cs_cache : (string, cache_entry) Prefix_cache.t;
+  cs_repeats : (string, repeat) Generations.t;
   cs_c_hits : Telemetry.Registry.counter;
   cs_c_misses : Telemetry.Registry.counter;
   cs_c_bypass : Telemetry.Registry.counter;  (* unhinted: never probed *)
   cs_c_evictions : Telemetry.Registry.counter;
+  cs_c_repeats : Telemetry.Registry.counter;  (* answered from the memo *)
   cs_g_bytes : Telemetry.Registry.gauge;  (* peak estimated bytes *)
   cs_g_entries : Telemetry.Registry.gauge;
       (* peak live entries; "effective" because byte accounting reflects
@@ -116,6 +125,11 @@ and cache_entry = {
   e_len : int;  (* statements the prefix covers *)
 }
 
+and repeat = {
+  r_cov_hash : int64;
+  r_stats : Minidb.Engine.run_stats;
+}
+
 and oracle_state = {
   os_suite : Oracle.Suite.t;
   (* per-oracle (checks, violations) counters, in Suite.oracle_names
@@ -131,6 +145,9 @@ and oracle_state = {
    byte bound keeps a pathological dialect (huge tables in every
    snapshot) from eating the heap even when the entry cap is generous. *)
 let cache_max_bytes = 256 * 1024 * 1024
+
+(* Entries per repeat-memo generation: ~1.5 MiB over both when full. *)
+let repeat_generation = 8192
 
 let create ?(limits = Minidb.Limits.default) ?metrics ?oracles
     ?(exec_cache = 0) ?(feedback = Edges) ~profile () =
@@ -163,10 +180,12 @@ let create ?(limits = Minidb.Limits.default) ?metrics ?oracles
       Some
         { cs_cache =
             Prefix_cache.create ~cap:exec_cache ~max_bytes:cache_max_bytes ();
+          cs_repeats = Generations.create ~generation:repeat_generation ();
           cs_c_hits = Telemetry.Registry.counter m "cache.hits";
           cs_c_misses = Telemetry.Registry.counter m "cache.misses";
           cs_c_bypass = Telemetry.Registry.counter m "cache.bypass";
           cs_c_evictions = Telemetry.Registry.counter m "cache.evictions";
+          cs_c_repeats = Telemetry.Registry.counter m "cache.repeats";
           cs_g_bytes = Telemetry.Registry.gauge m "cache.bytes";
           cs_g_entries = Telemetry.Registry.gauge m "cache.effective_entries";
           cs_sp_restore = Telemetry.Span.stage m "cache_restore";
@@ -200,6 +219,7 @@ let create ?(limits = Minidb.Limits.default) ?metrics ?oracles
     h_c_crashes = Telemetry.Registry.counter m "harness.crashes";
     h_c_unique_crashes =
       Telemetry.Registry.counter m "harness.unique_crashes";
+    h_engine = Minidb.Engine.counters m;
     h_h_cost = Telemetry.Registry.histogram m "harness.exec_cost";
     h_sp_execute = Telemetry.Span.stage m "execute";
     h_sp_triage = Telemetry.Span.stage m "triage";
@@ -214,55 +234,72 @@ let profile t = t.h_profile
 (* [d.(k-1)] keys the printed prefix of length [k] via a digest chain:
    each boundary digest folds the previous digest with the digest of the
    next statement's printed text, so computing all of them is linear in
-   the number of statements. Each statement's digest comes from the
-   harness's physical-identity statement memo: mutants share their
-   parent seed's prefix statement objects (mutation and repair return
-   what they leave alone), so the common case resolves in a handful of
-   pointer comparisons instead of a print and an MD5. Keying on the
-   {e printed} statement makes the key exactly as precise as what the
-   engine executes — two ASTs that print alike execute alike. *)
-let prefix_digests stmts ~up_to tc =
-  let d = Array.make (max up_to 1) "" in
+   the number of statements, and the last keys the whole testcase. Each
+   statement's digest comes from the harness's physical-identity
+   statement memo: mutants share their parent seed's prefix statement
+   objects (mutation and repair return what they leave alone), so the
+   common case resolves in a handful of pointer comparisons instead of
+   a print and an MD5. Keying on the {e printed} statement makes the
+   key exactly as precise as what the engine executes — two ASTs that
+   print alike execute alike. *)
+let digest_chain stmts tc =
+  let d = Array.make (List.length tc) "" in
   let prev = ref "" in
   List.iteri
     (fun i stmt ->
-       if i < up_to then begin
-         prev := Digest.string (!prev ^ Stmt_memo.digest stmts stmt);
-         d.(i) <- !prev
-       end)
+       prev := Digest.string (!prev ^ Stmt_memo.digest stmts stmt);
+       d.(i) <- !prev)
     tc;
   d
 
-(* Probe for the longest cached prefix of [tc], from [hint] — the
-   statements the candidate shares with its parent — downwards. Unhinted
-   executions (freshly generated one-shot cases) skip the cache
-   entirely: digesting a never-seen prefix costs more than the certain
-   miss saves, and their fresh statements would pollute the digest memo.
-   Any hinted key match is sound regardless of provenance: the digest
-   covers the full printed prefix, so a stale hint degrades to a miss,
-   never a wrong hit.
+(* What the cache knows about a testcase before it runs. *)
+type lookup =
+  | Bypass  (* cache off, unhinted or empty: run cold, remember nothing *)
+  | Repeat of repeat
+  | Probed of {
+      cs : cache_state;
+      d : string array;  (* [digest_chain] *)
+      maxp : int;  (* hinted prefix depth; 0 when not probed *)
+      hit : cache_entry option;  (* the longest cached prefix *)
+    }
 
-   Returns the boundary digests and probe depth alongside the entry so
-   [execute] can capture the hinted boundary when the probe fell
-   short. *)
+(* Look a hinted testcase up: first as a whole in the repeat memo, then
+   for its longest cached prefix from [hint] — the statements the
+   candidate shares with its parent — downwards. Unhinted executions
+   (freshly generated one-shot cases) skip the cache entirely:
+   digesting a never-seen testcase costs more than the near-certain
+   miss saves, and their fresh statements would pollute the digest
+   memo. Any hinted key match is sound regardless of provenance: the
+   digest covers the full printed prefix, so a stale hint degrades to a
+   miss, never a wrong hit. A one-statement testcase has no prefix to
+   probe. *)
 let cache_lookup cs stmts ?hint tc =
   match hint with
-  | None -> None
-  | Some h ->
-    let n = List.length tc in
-    let maxp = min h n in
-    if maxp < 1 || n < 2 then None
-    else begin
-      let d = prefix_digests stmts ~up_to:maxp tc in
-      let rec probe k =
-        if k < 1 then None
-        else
-          match Prefix_cache.find cs.cs_cache d.(k - 1) with
-          | Some e -> Some e
-          | None -> probe (k - 1)
-      in
-      Some (d, maxp, probe maxp)
-    end
+  | Some h when tc <> [] ->
+    let d = digest_chain stmts tc in
+    let n = Array.length d in
+    (match Generations.find cs.cs_repeats d.(n - 1) with
+     | Some r ->
+       Telemetry.Registry.incr cs.cs_c_repeats;
+       Repeat r
+     | None ->
+       let maxp = if n < 2 then 0 else max 0 (min h n) in
+       let rec probe k =
+         if k < 1 then None
+         else
+           match Prefix_cache.find cs.cs_cache d.(k - 1) with
+           | Some e -> Some e
+           | None -> probe (k - 1)
+       in
+       let hit = probe maxp in
+       Telemetry.Registry.incr
+         (if maxp < 1 then cs.cs_c_bypass
+          else if Option.is_some hit then cs.cs_c_hits
+          else cs.cs_c_misses);
+       Probed { cs; d; maxp; hit })
+  | _ ->
+    Telemetry.Registry.incr cs.cs_c_bypass;
+    Bypass
 
 let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
 
@@ -303,42 +340,29 @@ let take_ranked gs tc =
     Some r
   | _ -> None
 
-let execute ?hint t tc =
-  t.h_execs <- t.h_execs + 1;
-  Telemetry.Registry.incr t.h_c_execs;
-  let probed =
-    match t.h_cache with
-    | None -> None
-    | Some cs ->
-      let r =
-        Telemetry.Span.time cs.cs_sp_lookup (fun () ->
-            cache_lookup cs t.h_stmts ?hint tc)
-      in
-      (match r with
-       | Some (_, _, Some _) -> Telemetry.Registry.incr cs.cs_c_hits
-       | Some (_, _, None) -> Telemetry.Registry.incr cs.cs_c_misses
-       | None -> Telemetry.Registry.incr cs.cs_c_bypass);
-      Some (cs, r)
-  in
+(* Run [tc] on an engine, from the cached prefix [lookup] found if any,
+   and fold its coverage into the virgin map: the new branches, the
+   coverage hash and the run stats. A probed testcase's outcome goes
+   into the repeat memo. *)
+let run t lookup tc =
   (* Choose the start. On a hit, restore the cached boundary: exec map
      first (the prefix's coverage contribution), then an engine
      continuing from the snapshot. Running the remaining suffix with the
      prefix stats carried over reproduces a cold full replay bit for
      bit. Otherwise start cold at statement 0. *)
   let engine, carry, k =
-    match probed with
-    | Some (cs, Some (_, _, Some e)) ->
+    match lookup with
+    | Probed { cs; hit = Some e; _ } ->
       let engine =
         Telemetry.Span.time cs.cs_sp_restore (fun () ->
             Coverage.Bitmap.load_compact ~into:t.h_exec_map e.e_map;
-            Minidb.Engine.restore ~metrics:t.h_metrics e.e_snapshot
-              ~cov:t.h_exec_map ())
+            Minidb.Engine.restore e.e_snapshot ~cov:t.h_exec_map ())
       in
       (engine, Some e.e_stats, e.e_len)
-    | Some (_, (None | Some (_, _, None))) | None ->
+    | Probed { hit = None; _ } | Bypass | Repeat _ ->
       Coverage.Bitmap.reset t.h_exec_map;
-      ( Minidb.Engine.create ~limits:t.h_limits ~metrics:t.h_metrics
-          ~profile:t.h_profile ~cov:t.h_exec_map (),
+      ( Minidb.Engine.create ~limits:t.h_limits ~profile:t.h_profile
+          ~cov:t.h_exec_map (),
         None,
         0 )
   in
@@ -348,8 +372,8 @@ let execute ?hint t tc =
      [mem] (no LRU reorder): an existing entry is identical by
      determinism, so keep it and its recency. *)
   let on_boundary =
-    match probed with
-    | Some (cs, Some (d, maxp, _)) when k < maxp ->
+    match lookup with
+    | Probed { cs; d; maxp; _ } when k < maxp ->
       Some
         (fun consumed stats ->
            if k + consumed = maxp
@@ -363,6 +387,32 @@ let execute ?hint t tc =
           (drop k tc))
   in
   let news = Coverage.Bitmap.merge_into ~virgin:t.h_virgin t.h_exec_map in
+  let cov_hash = Coverage.Bitmap.hash t.h_exec_map in
+  (match lookup with
+   | Probed { cs; d; _ } ->
+     Generations.add cs.cs_repeats d.(Array.length d - 1)
+       { r_cov_hash = cov_hash; r_stats = stats }
+   | Bypass | Repeat _ -> ());
+  (news, cov_hash, stats)
+
+let execute ?hint t tc =
+  t.h_execs <- t.h_execs + 1;
+  Telemetry.Registry.incr t.h_c_execs;
+  let lookup =
+    match t.h_cache with
+    | None -> Bypass
+    | Some cs ->
+      Telemetry.Span.time cs.cs_sp_lookup (fun () ->
+          cache_lookup cs t.h_stmts ?hint tc)
+  in
+  (* A repeat reruns nothing: its exec map would equal one already
+     merged into the virgin map, so it has no news. *)
+  let news, cov_hash, stats =
+    match lookup with
+    | Repeat r -> (0, r.r_cov_hash, r.r_stats)
+    | Bypass | Probed _ -> run t lookup tc
+  in
+  Minidb.Engine.count_run t.h_engine stats;
   if news > 0 then Telemetry.Registry.incr ~by:news t.h_c_new_branches;
   (* Grammar feedback: fill the grammar scratch map with the whole
      testcase's grammar coverage, then fold it into the grammar virgin
@@ -451,7 +501,7 @@ let execute ?hint t tc =
     | _ -> 0
   in
   { o_new_branches = news;
-    o_cov_hash = Coverage.Bitmap.hash t.h_exec_map;
+    o_cov_hash = cov_hash;
     o_crash = crash;
     o_crash_is_new = crash_is_new;
     o_errors = stats.rs_errors;

@@ -19,8 +19,9 @@
     Telemetry: every execution updates the harness registry
     ([harness.execs], [harness.new_branches], [harness.crashes],
     [harness.unique_crashes], the [harness.exec_cost] histogram, and the
-    [execute]/[triage] stage spans) and hands the registry to the engine
-    for [engine.*] counters. Updates are pure in-memory increments, so
+    [execute]/[triage] stage spans) and counts the engine's run under
+    [engine.*] ({!Minidb.Engine.count_run}), also for a run answered
+    from the repeat memo. Updates are pure in-memory increments, so
     runs with no sink attached behave byte-identically to runs recorded
     to a sink. *)
 
@@ -69,13 +70,15 @@ val create :
     [exec_cache] > 0 enables the prefix-snapshot execution cache with
     that many LRU entries (DESIGN.md §12): hinted executions restore the
     longest cached statement prefix instead of replaying it, and capture
-    the hinted boundary on a miss so siblings sharing the prefix hit.
-    Outcomes — coverage, crashes, oracle verdicts, stats — are provably
-    identical to cold replays. Adds
-    [cache.hits]/[cache.misses]/[cache.bypass]/[cache.evictions] counters, a
-    [cache.bytes] peak gauge and [cache_restore]/[cache_lookup]/
-    [cache_capture] stage spans. Default 0: off, byte-identical to
-    earlier builds.
+    the hinted boundary on a miss so siblings sharing the prefix hit. It
+    also enables the repeat memo: a hinted execution that prints byte
+    for byte like one run before ({!repeat_generation}) is answered from
+    memory without running. Outcomes — coverage, crashes, oracle
+    verdicts, stats — are provably identical to cold replays. Adds
+    [cache.hits]/[cache.misses]/[cache.bypass]/[cache.evictions]/
+    [cache.repeats] counters, a [cache.bytes] peak gauge and
+    [cache_restore]/[cache_lookup]/[cache_capture] stage spans. Default
+    0: off, byte-identical to earlier builds.
 
     [oracles], when given, replays every coverage-increasing non-crashing
     execution through the logic-bug oracle suite: violations are
@@ -96,17 +99,23 @@ val create :
     [grammar] stage span. {!Edges} registers none of
     these and is byte-identical to earlier builds. *)
 
+val repeat_generation : int
+(** Entries per generation of the repeat memo, which keeps two: a
+    testcase not repeated within the last two generations of hinted
+    executions runs again. *)
+
 val profile : t -> Minidb.Profile.t
 
 val execute : ?hint:int -> t -> Sqlcore.Ast.testcase -> outcome
 (** Never raises. [hint], when the fuzzer knows it, is the number of
     leading statements the candidate shares with its parent seed (e.g.
-    the mutation position); the cache probes prefix lengths from there
-    downwards, and on a miss captures the hinted boundary during the
-    run so the next candidate sharing the prefix restores instead of
-    replaying. Unhinted executions bypass the cache — a freshly
-    generated case has no prefix worth probing for or capturing.
-    Ignored when the cache is off. *)
+    the mutation position); a repeat of a hinted testcase is answered
+    from the repeat memo, and otherwise the cache probes prefix lengths
+    from there downwards, and on a miss captures the hinted boundary
+    during the run so the next candidate sharing the prefix restores
+    instead of replaying. Unhinted executions bypass the cache — a
+    freshly generated case has no prefix worth probing for or
+    capturing. Ignored when the cache is off. *)
 
 val feedback : t -> feedback
 

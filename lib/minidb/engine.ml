@@ -5,7 +5,6 @@ type t = {
   profile : Profile.t;
   limits : Limits.t;
   cov : Coverage.Bitmap.t;
-  metrics : Telemetry.Registry.t option;
   mutable window : Fault.window;
   mutable stmt_count : int;
   mutable fault_ext : (string -> bool option) option;
@@ -40,9 +39,9 @@ let state_pred t name =
 
 (* The one constructor: the fault check's state closure is built here,
    once per engine. *)
-let make ctx ~profile ~limits ~cov ~metrics ~window ~stmt_count =
+let make ctx ~profile ~limits ~cov ~window ~stmt_count =
   let rec t =
-    { ctx; profile; limits; cov; metrics; window; stmt_count;
+    { ctx; profile; limits; cov; window; stmt_count;
       fault_ext = None; fault_state = (fun name -> state_pred t name) }
   in
   t
@@ -53,13 +52,13 @@ let make ctx ~profile ~limits ~cov ~metrics ~window ~stmt_count =
    marking one map could both write past its dirty list. *)
 let sink = Domain.DLS.new_key Coverage.Bitmap.create
 
-let create ?(limits = Limits.default) ?metrics ~profile ?cov () =
+let create ?(limits = Limits.default) ~profile ?cov () =
   let cov =
     match cov with Some c -> c | None -> Domain.DLS.get sink
   in
   let cat = Catalog.create () in
   make (Executor.create_ctx ~cat ~profile ~limits ~cov) ~profile ~limits
-    ~cov ~metrics ~window:Fault.empty_window ~stmt_count:0
+    ~cov ~window:Fault.empty_window ~stmt_count:0
 
 let profile t = t.profile
 
@@ -115,12 +114,12 @@ let empty_stats =
     rs_rows_scanned = 0 }
 
 (* [carry] holds the stats of a prefix already replayed into this engine
-   (by the harness's snapshot cache): the returned stats and the metric
-   counters report prefix + suffix combined, exactly what one cold run
-   of the full test case would have reported. [on_boundary n stats]
-   fires after each completed, non-crashing statement ([n] = statements
-   consumed from [tc] so far) — the snapshot cache captures entries
-   there, so crashing statements are never cached as boundaries. *)
+   (by the harness's snapshot cache): the returned stats report prefix +
+   suffix combined, exactly what one cold run of the full test case
+   would have reported. [on_boundary n stats] fires after each
+   completed, non-crashing statement ([n] = statements consumed from
+   [tc] so far) — the snapshot cache captures entries there, so
+   crashing statements are never cached as boundaries. *)
 let run_testcase_from ?(carry = empty_stats) ?on_boundary t tc =
   let executed = ref carry.rs_executed in
   let errors = ref carry.rs_errors in
@@ -150,19 +149,32 @@ let run_testcase_from ?(carry = empty_stats) ?on_boundary t tc =
    with
    | Exit -> ()
    | Fault.Crashed c -> crash := Some c);
-  let res = stats () in
-  (match t.metrics with
-   | None -> ()
-   | Some m ->
-     let count name by =
-       if by > 0 then
-         Telemetry.Registry.incr ~by (Telemetry.Registry.counter m name)
-     in
-     count "engine.statements_executed" res.rs_executed;
-     count "engine.sql_errors" res.rs_errors;
-     count "engine.rows_scanned" res.rs_rows_scanned;
-     count "engine.crashes" (if res.rs_crash = None then 0 else 1));
-  res
+  stats ()
+
+(* Each counter is registered on its first nonzero count, so a registry
+   shows [engine.crashes] only once something crashed. *)
+type counters = {
+  c_statements : Telemetry.Registry.counter Lazy.t;
+  c_errors : Telemetry.Registry.counter Lazy.t;
+  c_rows : Telemetry.Registry.counter Lazy.t;
+  c_crashes : Telemetry.Registry.counter Lazy.t;
+}
+
+let counters m =
+  let c name = lazy (Telemetry.Registry.counter m name) in
+  { c_statements = c "engine.statements_executed";
+    c_errors = c "engine.sql_errors";
+    c_rows = c "engine.rows_scanned";
+    c_crashes = c "engine.crashes" }
+
+let count_run c rs =
+  let count c by =
+    if by > 0 then Telemetry.Registry.incr ~by (Lazy.force c)
+  in
+  count c.c_statements rs.rs_executed;
+  count c.c_errors rs.rs_errors;
+  count c.c_rows rs.rs_rows_scanned;
+  count c.c_crashes (if rs.rs_crash = None then 0 else 1)
 
 let run_testcase t tc = run_testcase_from t tc
 
@@ -181,9 +193,9 @@ let snapshot t =
     sn_profile = t.profile;
     sn_limits = t.limits }
 
-let restore ?metrics snap ~cov () =
+let restore snap ~cov () =
   make (Executor.restore snap.sn_state ~cov) ~profile:snap.sn_profile
-    ~limits:snap.sn_limits ~cov ~metrics ~window:snap.sn_window
+    ~limits:snap.sn_limits ~cov ~window:snap.sn_window
     ~stmt_count:snap.sn_stmt_count
 
 let snapshot_bytes snap =

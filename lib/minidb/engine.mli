@@ -25,18 +25,13 @@ type run_stats = {
 
 val create :
   ?limits:Limits.t ->
-  ?metrics:Telemetry.Registry.t ->
   profile:Profile.t ->
   ?cov:Coverage.Bitmap.t ->
   unit ->
   t
 (** The engine's coverage probes fire into [cov]. Without it they fire
     into a write-only map of the calling domain's that nothing reads or
-    resets, so replays that never look at coverage allocate no map.
-    [metrics], when given, receives the engine's telemetry counters
-    ([engine.statements_executed], [engine.sql_errors],
-    [engine.rows_scanned], [engine.crashes]) after each
-    {!run_testcase}. *)
+    resets, so replays that never look at coverage allocate no map. *)
 
 val profile : t -> Profile.t
 
@@ -79,12 +74,23 @@ val run_testcase_from :
   run_stats
 (** Like {!run_testcase}, but [carry] (stats of a prefix already
     replayed into this engine by the snapshot cache) is folded into the
-    returned stats and the metric counters, so a restored-prefix +
-    suffix run reports exactly what one cold run of the whole test case
-    would. [on_boundary n stats] fires after each completed,
-    non-crashing statement with [n] = statements consumed so far and the
-    cumulative stats — the safe points at which the engine may be
-    {!snapshot}ted. *)
+    returned stats, so a restored-prefix + suffix run reports exactly
+    what one cold run of the whole test case would. [on_boundary n
+    stats] fires after each completed, non-crashing statement with [n]
+    = statements consumed so far and the cumulative stats — the safe
+    points at which the engine may be {!snapshot}ted. *)
+
+type counters
+(** A registry's [engine.statements_executed], [engine.sql_errors],
+    [engine.rows_scanned] and [engine.crashes] counters, resolved once.
+    Each is registered on its first nonzero count. *)
+
+val counters : Telemetry.Registry.t -> counters
+
+val count_run : counters -> run_stats -> unit
+(** Count one test case's run: its statements, SQL errors, scanned rows
+    and crash (0 or 1). The harness calls it after every execution,
+    including one whose outcome it answers from memory. *)
 
 type snapshot
 (** Frozen engine at a statement boundary: executor state (catalog deep
@@ -96,7 +102,6 @@ val snapshot : t -> snapshot
     {!run_testcase} calls or inside [on_boundary]). *)
 
 val restore :
-  ?metrics:Telemetry.Registry.t ->
   snapshot ->
   cov:Coverage.Bitmap.t ->
   unit ->

@@ -72,12 +72,21 @@ type ctx = {
          differential-plan oracle's reference execution *)
   mutable scalar : Expr_eval.env option;
       (* the column-free evaluation env, built on first use *)
+  mutable trigger_lists : trigger_list list;
+      (* [fire_triggers]'s folds, kept for the statement (see there) *)
+}
+
+and trigger_list = {
+  tl_table : string;
+  tl_event : trig_event;
+  tl_timing : trig_timing;
+  tl_triggers : Catalog.trigger list;
 }
 
 let create_ctx ~cat ~profile ~limits ~cov =
   { cat; profile; limits; cov; flags = Hashtbl.create 8; query_depth = 0;
     trigger_depth = 0; shape_depth = 0; ctes = []; rows_scanned = 0;
-    plan_mode = Plan_auto; scalar = None }
+    plan_mode = Plan_auto; scalar = None; trigger_lists = [] }
 
 let set_plan_mode ctx mode = ctx.plan_mode <- mode
 
@@ -116,7 +125,8 @@ let restore st ~cov =
     ctes = [];
     rows_scanned = st.st_rows_scanned;
     plan_mode = st.st_plan_mode;
-    scalar = None }
+    scalar = None;
+    trigger_lists = [] }
 
 let state_bytes st = Catalog.approx_bytes st.st_cat
 
@@ -132,7 +142,44 @@ let flag ctx name = Hashtbl.mem ctx.flags name
 
 let reset_transient ctx =
   Hashtbl.reset ctx.flags;
-  ctx.ctes <- []
+  ctx.ctes <- [];
+  ctx.trigger_lists <- []
+
+(* The table's triggers for [event] and [timing], in fold order. A
+   statement fires the same few (table, event, timing) keys once per
+   row, so each fold is kept until the statement ends ([reset_transient])
+   or [exec] starts a statement other than DML or a query: every change
+   to the trigger table (CREATE/DROP TRIGGER, DROP TABLE's cascade,
+   RENAME TABLE and ALTER ... RENAME TO) is such a statement, wherever
+   it runs from — a rule action, EXECUTE or a top-level statement. An
+   unchanged table folds in the same order, so a kept list equals a
+   fresh fold. *)
+let triggers_for ctx table event timing =
+  if Hashtbl.length ctx.cat.Catalog.triggers = 0 then []
+  else
+    let rec find = function
+      | tl :: _
+        when tl.tl_event = event && tl.tl_timing = timing
+             && String.equal tl.tl_table table ->
+        tl.tl_triggers
+      | _ :: rest -> find rest
+      | [] ->
+        let trs =
+          Hashtbl.fold
+            (fun _ (t : Catalog.trigger) acc ->
+               if String.equal t.tr_table table && t.tr_event = event
+                  && t.tr_timing = timing
+               then t :: acc
+               else acc)
+            ctx.cat.Catalog.triggers []
+        in
+        ctx.trigger_lists <-
+          { tl_table = table; tl_event = event; tl_timing = timing;
+            tl_triggers = trs }
+          :: ctx.trigger_lists;
+        trs
+    in
+    find ctx.trigger_lists
 
 let vkind_of = function
   | Value.Null -> 0
@@ -1368,6 +1415,10 @@ let rec exec ctx stmt : result =
   probe ctx s_exec ((Stmt_type.to_index ty * 8) lor (shape land 7));
   probe ctx s_state shape;
   check_privs ctx stmt;
+  (match stmt with
+   | S_insert _ | S_replace _ | S_update _ | S_delete _ | S_select _
+   | S_with _ | S_table _ -> ()
+   | _ -> ctx.trigger_lists <- []);
   match stmt with
   (* ---------------- DDL ---------------- *)
   | S_create_table { temp; if_not_exists; name; cols } ->
@@ -2095,18 +2146,7 @@ and exec_alter_table ctx table_name action =
   Done "table altered"
 
 and fire_triggers ctx table_name event ~timing =
-  (* The table's triggers for [event] and [timing], in fold order. *)
-  let trs =
-    if Hashtbl.length ctx.cat.Catalog.triggers = 0 then []
-    else
-      Hashtbl.fold
-        (fun _ (t : Catalog.trigger) acc ->
-           if String.equal t.tr_table table_name && t.tr_event = event
-              && t.tr_timing = timing
-           then t :: acc
-           else acc)
-        ctx.cat.Catalog.triggers []
-  in
+  let trs = triggers_for ctx table_name event timing in
   if trs <> [] then
     nested ctx ~limit:ctx.limits.Limits.max_trigger_depth
       ~at_limit:(fun ctx ->

@@ -47,7 +47,7 @@ let fault_hook t name =
 
 let create ?limits ?metrics ~sessions ~profile () =
   if sessions < 1 then invalid_arg "Session_pool.create: sessions < 1";
-  let engine = Minidb.Engine.create ?limits ?metrics ~profile () in
+  let engine = Minidb.Engine.create ?limits ~profile () in
   let t =
     { p_engine = engine;
       p_sessions = Array.init sessions Session.create;

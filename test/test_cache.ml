@@ -1,8 +1,8 @@
 (* Tests for the prefix-snapshot execution cache (DESIGN.md §12):
    eviction policy unit tests on the LRU store, a 1000-case property
    that prime + restore + suffix replay is indistinguishable from a
-   cold full replay, and campaign-level byte-identity of cache-on vs
-   cache-off runs. *)
+   cold full replay, the repeat memo against reruns and at its bound,
+   and campaign-level byte-identity of cache-on vs cache-off runs. *)
 
 module Cache = Fuzz.Prefix_cache
 module Prop = Reprutil.Prop
@@ -245,6 +245,122 @@ let test_compare_identity_all_fuzzers () =
     baselines
 
 (* ------------------------------------------------------------------ *)
+(* Repeat memo: a hinted testcase that prints like one run before is
+   answered from memory. Whatever a campaign reads of the answer must
+   equal the rerun's. *)
+
+(* Crashes PostgreSQL's seeded optimizer bug (PG-003) at statement 5. *)
+let crash_case =
+  Sqlparser.Parser.parse_testcase_exn
+    "CREATE TABLE dn (a INT); \
+     CREATE RULE dnr AS ON INSERT TO dn DO INSTEAD NOTIFY dch; \
+     LISTEN dch; INSERT INTO dn VALUES (1); \
+     WITH w AS (INSERT INTO dn VALUES (2)) SELECT 1; SELECT 2;"
+
+(* Statements that print alike but share no AST node with [tc]: a
+   testcase regenerated byte for byte. *)
+let reprinted tc =
+  match Sqlparser.Parser.parse_testcase (Sqlcore.Sql_printer.testcase tc) with
+  | Ok tc' -> tc'
+  | Error _ -> tc
+
+let counters_but_cache m =
+  List.filter_map
+    (fun k ->
+       if String.starts_with ~prefix:"cache." k
+       || String.starts_with ~prefix:"stage." k
+       then None
+       else Some (k, Telemetry.Registry.counter_value m k))
+    (Telemetry.Registry.counter_names m)
+
+let test_prop_repeat_equals_rerun () =
+  (* testcases of up to 10 statements, cut short after 6 *)
+  let limits = { Minidb.Limits.default with max_statements = 6 } in
+  let repeats = ref 0 in
+  Prop.check ~count:200 ~name:"repeat memo ≡ rerun" (Prop.int_range 0 99_999)
+    (fun seed ->
+       let rng = Reprutil.Rng.create seed in
+       let tc () =
+         gen_testcase
+           (Reprutil.Rng.create (Reprutil.Rng.int rng 1_000_000))
+           (1 + Reprutil.Rng.int rng 10)
+       in
+       let bases = List.init 4 (fun _ -> tc ()) in
+       (* siblings keep a base's first statements and grow a fresh tail *)
+       let siblings =
+         List.map
+           (fun b ->
+              let k = Reprutil.Rng.int rng (List.length b + 1) in
+              List.filteri (fun i _ -> i < k) b @ tc ())
+           bases
+       in
+       let pool =
+         Array.of_list
+           ((crash_case :: reprinted crash_case :: bases)
+            @ siblings @ List.map reprinted bases)
+       in
+       let picks =
+         List.init 40 (fun _ ->
+             let tc = pool.(Reprutil.Rng.int rng (Array.length pool)) in
+             let hint =
+               if Reprutil.Rng.int rng 8 = 0 then None
+               else Some (Reprutil.Rng.int rng (List.length tc + 1))
+             in
+             (hint, tc))
+       in
+       let run exec_cache =
+         let h = Fuzz.Harness.create ~limits ~exec_cache ~profile () in
+         let outcomes =
+           List.map (fun (hint, tc) -> Fuzz.Harness.execute ?hint h tc) picks
+         in
+         let m = Fuzz.Harness.metrics h in
+         ( outcomes,
+           counters_but_cache m,
+           Telemetry.Registry.counter_value m "cache.repeats" )
+       in
+       let off, off_counters, _ = run 0 in
+       let on, on_counters, n = run 16 in
+       repeats := !repeats + n;
+       off = on && off_counters = on_counters);
+  Alcotest.(check bool) "repeats were answered" true (!repeats > 0)
+
+(* The memo's bound: a repeat within one generation is answered (and
+   climbs back into the young generation); one evicted by two full
+   generations of other testcases runs again, with the outcome the memo
+   gave. *)
+let test_repeat_memo_bound () =
+  let h = Fuzz.Harness.create ~exec_cache:16 ~profile () in
+  let m = Fuzz.Harness.metrics h in
+  let value = Telemetry.Registry.counter_value m in
+  let target = gen_testcase (Reprutil.Rng.create 77) 5 in
+  let fill ~from n =
+    for i = from to from + n - 1 do
+      let select =
+        Sqlparser.Parser.parse_stmt_exn (Printf.sprintf "SELECT %d" i)
+      in
+      ignore (Fuzz.Harness.execute ~hint:0 h [ select ])
+    done
+  in
+  let first = Fuzz.Harness.execute ~hint:2 h target in
+  let g = Fuzz.Harness.repeat_generation in
+  fill ~from:0 g;
+  let runs = value "stage.execute.calls" in
+  let answered = Fuzz.Harness.execute ~hint:2 h target in
+  Alcotest.(check int) "answered, not run" runs (value "stage.execute.calls");
+  Alcotest.(check int) "one repeat" 1 (value "cache.repeats");
+  Alcotest.(check int64) "stored coverage hash" first.o_cov_hash
+    answered.o_cov_hash;
+  Alcotest.(check int) "no new branches" 0 answered.o_new_branches;
+  fill ~from:g (2 * g);
+  let runs = value "stage.execute.calls" in
+  let rerun = Fuzz.Harness.execute ~hint:2 h target in
+  Alcotest.(check int) "evicted: run again" (runs + 1)
+    (value "stage.execute.calls");
+  Alcotest.(check int) "still one repeat" 1 (value "cache.repeats");
+  Alcotest.(check bool) "rerun outcome = answered outcome" true
+    (rerun = answered)
+
+(* ------------------------------------------------------------------ *)
 (* Statement memo *)
 
 (* The memo's one resource: more distinct statements than it holds must
@@ -288,6 +404,9 @@ let suite =
      test_prop_restore_equals_cold);
     ("harness hit outcome identical", `Quick,
      test_harness_hit_outcome_identical);
+    ("repeat memo ≡ rerun (200 cases)", `Quick,
+     test_prop_repeat_equals_rerun);
+    ("repeat memo bound", `Quick, test_repeat_memo_bound);
     ("fuzz identity jobs=1", `Quick, test_fuzz_identity_jobs1);
     ("fuzz identity jobs=4", `Slow, test_fuzz_identity_jobs4);
     ("compare identity all fuzzers", `Quick,

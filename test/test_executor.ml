@@ -1774,6 +1774,38 @@ let test_row_path_characterisation () =
        Alcotest.(check (list string)) name pinned (transcript stmts))
     row_path_shapes row_path_pins
 
+(* ---------------- dialect transcripts ---------------- *)
+
+(* [legofuzz exec -d D] over the committed shape files must reproduce
+   their committed transcripts, recorded with earlier builds: the
+   stage-boundary shapes, and trigger DDL run from rule actions and
+   EXECUTE in the middle of a trigger cascade, where later rows must see
+   the changed trigger table. dune runs the suite from the build
+   directory, so the binary sits one level up. *)
+let test_dialect_transcripts () =
+  let out = Filename.temp_file "exec" ".txt" in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+       List.iter
+         (fun (shapes, golden) ->
+            List.iter
+              (fun d ->
+                 let code =
+                   Sys.command
+                     (Printf.sprintf "../bin/legofuzz.exe exec -d %s %s > %s"
+                        d (Filename.quote shapes) (Filename.quote out))
+                 in
+                 Alcotest.(check int) (d ^ " exit status") 0 code;
+                 Alcotest.(check string)
+                   (Printf.sprintf "%s on %s" shapes d)
+                   (read (Printf.sprintf golden d))
+                   (read out))
+              [ "postgresql"; "mysql"; "mariadb"; "comdb2" ])
+         [ ("golden/exec-shapes.sql", "golden/exec-%s.txt");
+           ("golden/exec-triggers.sql", "golden/exec-triggers-%s.txt") ])
+
 let suite =
   [ ("create/insert/select", `Quick, test_create_insert_select);
     ("duplicate table", `Quick, test_duplicate_table);
@@ -1827,4 +1859,5 @@ let suite =
     ("window tracking", `Quick, test_window_tracking);
     ("self-referencing view safe", `Quick, test_self_referencing_view_safe);
     ("row-path characterisation", `Quick, test_row_path_characterisation);
-    ("distinct numeric ties", `Quick, test_distinct_numeric_ties) ]
+    ("distinct numeric ties", `Quick, test_distinct_numeric_ties);
+    ("dialect transcripts pinned", `Quick, test_dialect_transcripts) ]
