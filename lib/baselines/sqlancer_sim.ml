@@ -16,11 +16,11 @@ type t = {
 
 let corpus_cap = 4096
 
-let create ?(seed = 1) ?limits ?harness profile =
+let create ?(seed = 1) ?harness profile =
   let harness =
     match harness with
     | Some h -> h
-    | None -> Fuzz.Harness.create ?limits ~profile ()
+    | None -> Fuzz.Harness.create ~profile ()
   in
   { rng = Rng.create (seed lxor 0x1A9C);
     harness;

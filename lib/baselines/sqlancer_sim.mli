@@ -13,11 +13,9 @@ type t
 
 val create :
   ?seed:int ->
-  ?limits:Minidb.Limits.t ->
   ?harness:Fuzz.Harness.t ->
   Minidb.Profile.t ->
   t
-(** [?harness] injects a (e.g. shard-owned) execution harness; [?limits]
-    only applies to a harness constructed here. *)
+(** [?harness] injects a (e.g. shard-owned) execution harness. *)
 
 val fuzzer : t -> Fuzz.Driver.fuzzer

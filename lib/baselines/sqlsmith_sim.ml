@@ -25,11 +25,11 @@ let preamble_sql =
    INSERT INTO t2 VALUES (1, 1.5, 'p'), (2, 2.5, 'q');\n\
    INSERT INTO t3 VALUES (TRUE, 'z', 0.25, 7), (FALSE, '', -1.5, -7);"
 
-let create ?(seed = 1) ?limits ?harness profile =
+let create ?(seed = 1) ?harness profile =
   let harness =
     match harness with
     | Some h -> h
-    | None -> Fuzz.Harness.create ?limits ~profile ()
+    | None -> Fuzz.Harness.create ~profile ()
   in
   let preamble = Sqlparser.Parser.parse_testcase_exn preamble_sql in
   { rng = Rng.create (seed lxor 0x53A1);

@@ -20,11 +20,11 @@ let process ?hint t tc =
     ignore (Lego.Skeleton_library.harvest t.skeletons tc)
   end
 
-let create ?(seed = 1) ?limits ?harness ~affinities profile =
+let create ?(seed = 1) ?harness ~affinities profile =
   let harness =
     match harness with
     | Some h -> h
-    | None -> Fuzz.Harness.create ?limits ~profile ()
+    | None -> Fuzz.Harness.create ~profile ()
   in
   let t =
     { rng = Rng.create (seed lxor 0x51AF);

@@ -13,7 +13,6 @@ type t
 
 val create :
   ?seed:int ->
-  ?limits:Minidb.Limits.t ->
   ?harness:Fuzz.Harness.t ->
   affinities:Lego.Affinity.t ->
   Minidb.Profile.t ->

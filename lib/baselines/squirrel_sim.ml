@@ -15,11 +15,11 @@ let process ?hint t tc =
       (Fuzz.Seed_pool.add t.pool ~tc ~cov_hash:outcome.o_cov_hash
          ~new_branches:outcome.o_new_branches ~cost:outcome.o_cost)
 
-let create ?(seed = 1) ?(mutants_per_step = 6) ?limits ?harness profile =
+let create ?(seed = 1) ?(mutants_per_step = 6) ?harness profile =
   let harness =
     match harness with
     | Some h -> h
-    | None -> Fuzz.Harness.create ?limits ~profile ()
+    | None -> Fuzz.Harness.create ~profile ()
   in
   let t =
     { rng = Rng.create (seed lxor 0x5153); (* distinct stream from LEGO *)

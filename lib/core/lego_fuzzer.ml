@@ -103,11 +103,11 @@ let process_candidate t ?(analyze = true) ?hint tc =
   end;
   outcome
 
-let create ?(config = default_config) ?limits ?harness profile =
+let create ?(config = default_config) ?harness profile =
   let harness =
     match harness with
     | Some h -> h
-    | None -> Fuzz.Harness.create ?limits ~profile ()
+    | None -> Fuzz.Harness.create ~profile ()
   in
   let metrics = Fuzz.Harness.metrics harness in
   let t =

@@ -35,13 +35,11 @@ type t
 
 val create :
   ?config:config ->
-  ?limits:Minidb.Limits.t ->
   ?harness:Fuzz.Harness.t ->
   Minidb.Profile.t ->
   t
 (** [?harness] injects the execution harness (e.g. a shard-owned one from
-    the campaign engine) instead of constructing a fresh one; [?limits]
-    only applies to a harness constructed here. *)
+    the campaign engine) instead of constructing a fresh one. *)
 
 val fuzzer : t -> Fuzz.Driver.fuzzer
 (** Driver-compatible view (name is ["LEGO"] or ["LEGO-"]). *)

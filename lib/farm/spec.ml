@@ -38,19 +38,14 @@ let profile (c : Store.campaign) =
   | Some p ->
     Ok (if c.sc_quirks = [] then p else Minidb.Profile.with_quirks p c.sc_quirks)
 
-(* Mirrors the CLI's historical make_fuzzer: the harness is created only
-   when a non-default capability is on, so plain edge-feedback campaigns
-   stay byte-identical to the pre-farm builds. *)
+(* One harness per shard, built inside the shard's domain: oracle
+   suites hold replay state and must stay domain-private. *)
 let fuzzer_factory ?(oracles = false) ?(exec_cache = 0)
     ?(feedback = Fuzz.Harness.Edges) ~name ~profile ~seed () =
   let harness () =
-    if oracles || exec_cache > 0 || feedback <> Fuzz.Harness.Edges then
-      Some
-        (Fuzz.Harness.create ~profile
-           ?oracles:
-             (if oracles then Some (Oracle.Suite.create profile) else None)
-           ~exec_cache ~feedback ())
-    else None
+    Fuzz.Harness.create ~profile
+      ?oracles:(if oracles then Some (Oracle.Suite.create profile) else None)
+      ~exec_cache ~feedback ()
   in
   let lego ~seq shard_id =
     let cfg =
@@ -59,13 +54,13 @@ let fuzzer_factory ?(oracles = false) ?(exec_cache = 0)
         sequence_oriented = seq }
     in
     Lego.Lego_fuzzer.fuzzer
-      (Lego.Lego_fuzzer.create ~config:cfg ?harness:(harness ()) profile)
+      (Lego.Lego_fuzzer.create ~config:cfg ~harness:(harness ()) profile)
   in
   let baseline create fuzzer shard_id =
     fuzzer
       (create
          ~seed:(Fuzz.Campaign.shard_seed ~seed ~shard_id)
-         ?harness:(harness ()) profile)
+         ~harness:(harness ()) profile)
   in
   match String.lowercase_ascii name with
   | "lego" -> Ok (lego ~seq:true)
@@ -73,17 +68,17 @@ let fuzzer_factory ?(oracles = false) ?(exec_cache = 0)
   | "squirrel" ->
     Ok
       (baseline
-         (fun ~seed ?harness p -> Baselines.Squirrel_sim.create ~seed ?harness p)
+         (fun ~seed ~harness p -> Baselines.Squirrel_sim.create ~seed ~harness p)
          Baselines.Squirrel_sim.fuzzer)
   | "sqlancer" ->
     Ok
       (baseline
-         (fun ~seed ?harness p -> Baselines.Sqlancer_sim.create ~seed ?harness p)
+         (fun ~seed ~harness p -> Baselines.Sqlancer_sim.create ~seed ~harness p)
          Baselines.Sqlancer_sim.fuzzer)
   | "sqlsmith" ->
     Ok
       (baseline
-         (fun ~seed ?harness p -> Baselines.Sqlsmith_sim.create ~seed ?harness p)
+         (fun ~seed ~harness p -> Baselines.Sqlsmith_sim.create ~seed ~harness p)
          Baselines.Sqlsmith_sim.fuzzer)
   | other ->
     Error

@@ -42,15 +42,6 @@ let checkpoint ?(start = Telemetry.Span.now_s ()) f ~iteration =
   let snap = snapshot f ~iteration in
   { cp_snapshot = snap; cp_annot = annotate ~start ~execs:snap.st_execs }
 
-let run ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) f ~iterations =
-  let start = Telemetry.Span.now_s () in
-  for i = 1 to iterations do
-    f.f_step ();
-    if checkpoint_every > 0 && i mod checkpoint_every = 0 then
-      on_checkpoint (checkpoint ~start f ~iteration:i)
-  done;
-  snapshot f ~iteration:iterations
-
 let run_until_execs ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ())
     ?(max_stall = default_max_stall) f ~execs =
   let start = Telemetry.Span.now_s () in

@@ -1,6 +1,6 @@
 (** The common campaign loop shared by all fuzzers.
 
-    Budgets are iteration counts, not wall-clock: deterministic and
+    Budgets are execution counts, not wall-clock: deterministic and
     machine-independent (see DESIGN.md's substitution table). *)
 
 type snapshot = {
@@ -51,15 +51,6 @@ val checkpoint : ?start:float -> fuzzer -> iteration:int -> checkpoint
 (** {!snapshot} plus wall-clock annotations relative to [start]
     (default: now, i.e. zero elapsed). *)
 
-val run :
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(checkpoint -> unit) ->
-  fuzzer ->
-  iterations:int ->
-  snapshot
-(** Run [iterations] steps; returns the final snapshot. [on_checkpoint]
-    fires every [checkpoint_every] iterations (default: never). *)
-
 val run_until_execs :
   ?checkpoint_every:int ->
   ?on_checkpoint:(checkpoint -> unit) ->
@@ -67,9 +58,12 @@ val run_until_execs :
   fuzzer ->
   execs:int ->
   snapshot
-(** Like {!run}, but the budget is a number of {e executions} rather than
-    iterations — the fair cross-fuzzer comparison (a 24-hour wall-clock
-    budget in the paper gives every fuzzer a similar execution count).
-    [checkpoint_every] is also in executions.
+(** Step [fuzzer] until it has made [execs] executions; returns the final
+    snapshot. The budget counts executions, not steps — the fair
+    cross-fuzzer comparison (a 24-hour wall-clock budget in the paper
+    gives every fuzzer a similar execution count). [on_checkpoint] fires
+    after the first step that ends [checkpoint_every] executions past
+    the last checkpoint (default: never), and never at the budget itself:
+    the returned snapshot is the final checkpoint.
     @raise Stalled after [max_stall] (default {!default_max_stall})
     consecutive steps that performed zero executions. *)

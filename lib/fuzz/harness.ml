@@ -99,14 +99,18 @@ and ranked = {
    like one run before, keyed by the digest chain over all of it:
    the engine is a function of the printed testcase, so the rerun
    would reproduce the stored coverage hash and stats, and the virgin
-   map only gains bits, so it would add no branch. *)
+   map only gains bits, so it would add no branch.
+
+   Both tables are two-generation maps ({!Generations}): a snapshot in
+   use climbs back into the young generation on a hit, and the rest age
+   out within two rolls. *)
 and cache_state = {
-  cs_cache : (string, cache_entry) Prefix_cache.t;
+  cs_cache : (string, cache_entry) Generations.t;
   cs_repeats : (string, repeat) Generations.t;
   cs_c_hits : Telemetry.Registry.counter;
   cs_c_misses : Telemetry.Registry.counter;
   cs_c_bypass : Telemetry.Registry.counter;  (* unhinted: never probed *)
-  cs_c_evictions : Telemetry.Registry.counter;
+  cs_c_evictions : Telemetry.Registry.counter;  (* dropped by rolls *)
   cs_c_repeats : Telemetry.Registry.counter;  (* answered from the memo *)
   cs_g_bytes : Telemetry.Registry.gauge;  (* peak estimated bytes *)
   cs_g_entries : Telemetry.Registry.gauge;
@@ -123,6 +127,7 @@ and cache_entry = {
   e_map : Coverage.Bitmap.compact;  (* the prefix's exec-map contribution *)
   e_stats : Minidb.Engine.run_stats;
   e_len : int;  (* statements the prefix covers *)
+  e_bytes : int;  (* estimated size, for the byte bound *)
 }
 
 and repeat = {
@@ -141,9 +146,10 @@ and oracle_state = {
   os_span : Telemetry.Span.t;
 }
 
-(* Snapshots are bounded by entry count and by estimated bytes; the
-   byte bound keeps a pathological dialect (huge tables in every
-   snapshot) from eating the heap even when the entry cap is generous. *)
+(* Snapshots are bounded by entry count ([exec_cache], over both
+   generations) and by estimated bytes; the byte bound keeps a
+   pathological dialect (huge tables in every snapshot) from eating the
+   heap even when the entry cap is generous. *)
 let cache_max_bytes = 256 * 1024 * 1024
 
 (* Entries per repeat-memo generation: ~1.5 MiB over both when full. *)
@@ -179,7 +185,9 @@ let create ?(limits = Minidb.Limits.default) ?metrics ?oracles
     else
       Some
         { cs_cache =
-            Prefix_cache.create ~cap:exec_cache ~max_bytes:cache_max_bytes ();
+            Generations.create ~generation:(max 1 (exec_cache / 2))
+              ~max_bytes:(cache_max_bytes / 2)
+              ~bytes:(fun _ e -> e.e_bytes) ();
           cs_repeats = Generations.create ~generation:repeat_generation ();
           cs_c_hits = Telemetry.Registry.counter m "cache.hits";
           cs_c_misses = Telemetry.Registry.counter m "cache.misses";
@@ -252,6 +260,12 @@ let digest_chain stmts tc =
     tc;
   d
 
+(* A hit promoted out of the old generation can roll the table, as an
+   add can. *)
+let count_evictions cs ~since =
+  let n = Generations.dropped cs.cs_cache - since in
+  if n > 0 then Telemetry.Registry.incr ~by:n cs.cs_c_evictions
+
 (* What the cache knows about a testcase before it runs. *)
 type lookup =
   | Bypass  (* cache off, unhinted or empty: run cold, remember nothing *)
@@ -287,11 +301,13 @@ let cache_lookup cs stmts ?hint tc =
        let rec probe k =
          if k < 1 then None
          else
-           match Prefix_cache.find cs.cs_cache d.(k - 1) with
+           match Generations.find cs.cs_cache d.(k - 1) with
            | Some e -> Some e
            | None -> probe (k - 1)
        in
+       let dropped = Generations.dropped cs.cs_cache in
        let hit = probe maxp in
+       count_evictions cs ~since:dropped;
        Telemetry.Registry.incr
          (if maxp < 1 then cs.cs_c_bypass
           else if Option.is_some hit then cs.cs_c_hits
@@ -313,19 +329,19 @@ let cache_capture t cs engine key ~stats ~len =
   Telemetry.Span.time cs.cs_sp_capture @@ fun () ->
   let snapshot = Minidb.Engine.snapshot engine in
   let map = Coverage.Bitmap.compact t.h_exec_map in
-  let entry =
-    { e_snapshot = snapshot; e_map = map; e_stats = stats; e_len = len }
-  in
   (* Structural estimate: walking the real object graph
      (Obj.reachable_words) costs more than the replay the cache saves. *)
   let bytes =
     Minidb.Engine.snapshot_bytes snapshot
     + Coverage.Bitmap.compact_bytes map + 128
   in
-  let evicted = Prefix_cache.insert cs.cs_cache key entry ~bytes in
-  if evicted > 0 then Telemetry.Registry.incr ~by:evicted cs.cs_c_evictions;
-  Telemetry.Registry.set_max cs.cs_g_bytes (Prefix_cache.bytes cs.cs_cache);
-  Telemetry.Registry.set_max cs.cs_g_entries (Prefix_cache.length cs.cs_cache)
+  let dropped = Generations.dropped cs.cs_cache in
+  Generations.add cs.cs_cache key
+    { e_snapshot = snapshot; e_map = map; e_stats = stats; e_len = len;
+      e_bytes = bytes };
+  count_evictions cs ~since:dropped;
+  Telemetry.Registry.set_max cs.cs_g_bytes (Generations.bytes cs.cs_cache);
+  Telemetry.Registry.set_max cs.cs_g_entries (Generations.length cs.cs_cache)
 
 let texts t tc = List.map (Stmt_memo.text t.h_stmts) tc
 
@@ -369,15 +385,15 @@ let run t lookup tc =
   (* When the start falls short of the hinted depth (a shallow hit or a
      hinted miss), capture that boundary as this run passes it: the next
      sibling sharing the same prefix then restores instead of replaying.
-     [mem] (no LRU reorder): an existing entry is identical by
-     determinism, so keep it and its recency. *)
+     [mem] (no promotion): an existing entry is identical by
+     determinism, so leave it in its generation. *)
   let on_boundary =
     match lookup with
     | Probed { cs; d; maxp; _ } when k < maxp ->
       Some
         (fun consumed stats ->
            if k + consumed = maxp
-              && not (Prefix_cache.mem cs.cs_cache d.(maxp - 1))
+              && not (Generations.mem cs.cs_cache d.(maxp - 1))
            then cache_capture t cs engine d.(maxp - 1) ~stats ~len:maxp)
     | _ -> None
   in

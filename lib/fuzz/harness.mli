@@ -68,9 +68,10 @@ val create :
     registry between a harness and its fuzzer's own stage spans.
 
     [exec_cache] > 0 enables the prefix-snapshot execution cache with
-    that many LRU entries (DESIGN.md §12): hinted executions restore the
-    longest cached statement prefix instead of replaying it, and capture
-    the hinted boundary on a miss so siblings sharing the prefix hit. It
+    at most that many entries, in two generations (DESIGN.md §12):
+    hinted executions restore the longest cached statement prefix
+    instead of replaying it, and capture the hinted boundary on a miss
+    so siblings sharing the prefix hit. It
     also enables the repeat memo: a hinted execution that prints byte
     for byte like one run before ({!repeat_generation}) is answered from
     memory without running. Outcomes — coverage, crashes, oracle

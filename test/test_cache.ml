@@ -1,67 +1,96 @@
-(* Tests for the prefix-snapshot execution cache (DESIGN.md §12):
-   eviction policy unit tests on the LRU store, a 1000-case property
-   that prime + restore + suffix replay is indistinguishable from a
-   cold full replay, the repeat memo against reruns and at its bound,
-   and campaign-level byte-identity of cache-on vs cache-off runs. *)
+(* Tests for the prefix-snapshot execution cache (DESIGN.md §12): the
+   laws of its two-generation store, a 1000-case property that prime +
+   restore + suffix replay is indistinguishable from a cold full
+   replay, the repeat memo against reruns and at its bound, and
+   campaign-level byte-identity of cache-on vs cache-off runs. *)
 
-module Cache = Fuzz.Prefix_cache
+module G = Fuzz.Generations
 module Prop = Reprutil.Prop
 
 (* ------------------------------------------------------------------ *)
-(* LRU store *)
+(* Two-generation store *)
 
-let test_lru_eviction_order () =
-  let c = Cache.create ~cap:3 () in
-  ignore (Cache.insert c "a" 1 ~bytes:10);
-  ignore (Cache.insert c "b" 2 ~bytes:10);
-  ignore (Cache.insert c "c" 3 ~bytes:10);
-  (* touch "a": "b" becomes least recently used *)
-  Alcotest.(check (option int)) "hit a" (Some 1) (Cache.find c "a");
-  let evicted = Cache.insert c "d" 4 ~bytes:10 in
-  Alcotest.(check int) "one eviction" 1 evicted;
-  Alcotest.(check (option int)) "b evicted" None (Cache.find c "b");
-  Alcotest.(check (option int)) "a survives" (Some 1) (Cache.find c "a");
-  Alcotest.(check (option int)) "c survives" (Some 3) (Cache.find c "c");
-  Alcotest.(check int) "at cap" 3 (Cache.length c)
+let check_mem g present absent =
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " live") true (G.mem g k))
+    present;
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " dropped") false (G.mem g k))
+    absent
 
-let test_lru_mem_does_not_refresh () =
-  let c = Cache.create ~cap:2 () in
-  ignore (Cache.insert c "a" 1 ~bytes:1);
-  ignore (Cache.insert c "b" 2 ~bytes:1);
-  (* [mem] must not touch recency: "a" stays the eviction victim *)
-  Alcotest.(check bool) "mem sees a" true (Cache.mem c "a");
-  ignore (Cache.insert c "c" 3 ~bytes:1);
-  Alcotest.(check (option int)) "a evicted despite mem" None
-    (Cache.find c "a");
-  Alcotest.(check (option int)) "b survives" (Some 2) (Cache.find c "b")
+(* Generations of two: "a" "b" fill the young one, "c" rolls them into
+   the old one and "e" drops them together. *)
+let test_gen_roll_drops_old_whole () =
+  let g = G.create ~generation:2 () in
+  List.iter (fun k -> G.add g k ()) [ "a"; "b"; "c"; "d" ];
+  check_mem g [ "a"; "b"; "c"; "d" ] [];
+  G.add g "e" ();
+  check_mem g [ "c"; "d"; "e" ] [ "a"; "b" ];
+  Alcotest.(check int) "length" 3 (G.length g)
 
-let test_lru_replace_updates_bytes () =
-  let c = Cache.create ~cap:4 () in
-  ignore (Cache.insert c "a" 1 ~bytes:100);
-  ignore (Cache.insert c "a" 2 ~bytes:40);
-  Alcotest.(check int) "replace does not grow" 1 (Cache.length c);
-  Alcotest.(check int) "byte estimate replaced" 40 (Cache.bytes c);
-  Alcotest.(check (option int)) "newest value wins" (Some 2)
-    (Cache.find c "a")
+let test_gen_old_hit_survives_a_roll () =
+  let g = G.create ~generation:2 () in
+  List.iter (fun k -> G.add g k ()) [ "a"; "b"; "c" ];
+  Alcotest.(check (option unit)) "old hit" (Some ()) (G.find g "a");
+  (* "a" moved into the young generation, beside "c": "d" rolls it back
+     into the old one and drops "b" *)
+  G.add g "d" ();
+  check_mem g [ "a"; "c"; "d" ] [ "b" ];
+  G.add g "e" ();
+  G.add g "f" ();
+  check_mem g [ "d"; "e"; "f" ] [ "a"; "b"; "c" ]
 
-let test_lru_memory_bound () =
-  let c = Cache.create ~max_bytes:100 ~cap:1000 () in
-  ignore (Cache.insert c 1 "x" ~bytes:40);
-  ignore (Cache.insert c 2 "y" ~bytes:40);
-  (* 120 bytes > 100: evict down from the LRU end *)
-  let evicted = Cache.insert c 3 "z" ~bytes:40 in
-  Alcotest.(check int) "evicted to fit budget" 1 evicted;
-  Alcotest.(check bool) "oldest gone" false (Cache.mem c 1);
-  Alcotest.(check int) "within budget" 80 (Cache.bytes c);
-  (* a single entry larger than the whole budget is kept, not thrashed *)
-  let evicted = Cache.insert c 4 "huge" ~bytes:500 in
-  Alcotest.(check int) "evicts the rest" 2 evicted;
-  Alcotest.(check int) "oversized entry kept alone" 1 (Cache.length c);
-  Alcotest.(check bool) "oversized entry live" true (Cache.mem c 4)
+let test_gen_mem_does_not_promote () =
+  let g = G.create ~generation:2 () in
+  List.iter (fun k -> G.add g k ()) [ "a"; "b"; "c" ];
+  Alcotest.(check bool) "mem sees a" true (G.mem g "a");
+  G.add g "d" ();
+  G.add g "e" ();
+  (* counted before any further lookup: a promoted "a" would have
+     rolled at "d", leaving "b" the only entry dropped *)
+  Alcotest.(check int) "a and b dropped by the roll at e" 2 (G.dropped g);
+  check_mem g [ "c"; "d"; "e" ] [ "a"; "b" ]
 
-let test_lru_rejects_nonpositive_cap () =
-  Alcotest.check_raises "cap 0" (Invalid_argument "Prefix_cache.create: cap must be positive")
-    (fun () -> ignore (Cache.create ~cap:0 ()))
+let test_gen_byte_bound () =
+  let g = G.create ~bytes:(fun _ v -> v) ~max_bytes:100 ~generation:1000 () in
+  G.add g "a" 40;
+  G.add g "b" 40;
+  (* 120 bytes would pass 100: the young generation rolls at two
+     entries, long before 1000 *)
+  G.add g "c" 40;
+  G.add g "d" 40;
+  G.add g "e" 40;
+  check_mem g [ "c"; "d"; "e" ] [ "a"; "b" ];
+  (* an entry over the whole bound goes in alone, not refused *)
+  G.add g "huge" 500;
+  check_mem g [ "e"; "huge" ] [ "c"; "d" ];
+  G.add g "f" 10;
+  check_mem g [ "huge"; "f" ] [ "e" ];
+  Alcotest.(check (option int)) "oversized entry served" (Some 500)
+    (G.find g "huge")
+
+(* [dropped] counts what the rolls drop, an add's or a promoting
+   find's, and [bytes] sums the live entries. *)
+let test_gen_dropped_and_bytes () =
+  let g = G.create ~bytes:(fun _ v -> v) ~generation:2 () in
+  let check ~dropped ~bytes =
+    Alcotest.(check int) "dropped" dropped (G.dropped g);
+    Alcotest.(check int) "bytes" bytes (G.bytes g)
+  in
+  G.add g "a" 1;
+  G.add g "b" 2;
+  G.add g "c" 4;
+  G.add g "d" 8;
+  check ~dropped:0 ~bytes:15;
+  (* "a" moves out of the old generation into the full young one, which
+     rolls: only "b" is left behind to drop *)
+  Alcotest.(check (option int)) "old hit" (Some 1) (G.find g "a");
+  check ~dropped:1 ~bytes:13;
+  Alcotest.(check int) "length" 3 (G.length g);
+  G.add g "e" 16;
+  G.add g "f" 32;
+  check ~dropped:3 ~bytes:49;
+  check_mem g [ "a"; "e"; "f" ] [ "b"; "c"; "d" ]
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot/restore vs cold replay: 1000-case property.
@@ -394,11 +423,13 @@ let test_stmt_memo_bound () =
   Alcotest.(check int) "still at its cap" M.cap (M.length memo)
 
 let suite =
-  [ ("lru eviction order", `Quick, test_lru_eviction_order);
-    ("lru mem does not refresh", `Quick, test_lru_mem_does_not_refresh);
-    ("lru replace updates bytes", `Quick, test_lru_replace_updates_bytes);
-    ("lru memory bound", `Quick, test_lru_memory_bound);
-    ("lru rejects cap<=0", `Quick, test_lru_rejects_nonpositive_cap);
+  [ ("generations roll drops old", `Quick, test_gen_roll_drops_old_whole);
+    ("generations old hit survives", `Quick,
+     test_gen_old_hit_survives_a_roll);
+    ("generations mem does not promote", `Quick,
+     test_gen_mem_does_not_promote);
+    ("generations byte bound", `Quick, test_gen_byte_bound);
+    ("generations dropped and bytes", `Quick, test_gen_dropped_and_bytes);
     ("statement memo bound", `Quick, test_stmt_memo_bound);
     ("restore ≡ cold replay (1000 cases)", `Quick,
      test_prop_restore_equals_cold);

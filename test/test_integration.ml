@@ -221,15 +221,32 @@ let test_sqlsmith_single_statement_corpus () =
        | ty -> Alcotest.fail ("unexpected tail: " ^ Stmt_type.name ty))
     corpus
 
+(* One execution per step, so the exec cadence is the step cadence:
+   checkpoints land on every tenth exec, none at the budget itself. *)
 let test_driver_checkpoints () =
-  let t = Lego.Lego_fuzzer.create Dialects.Registry.comdb2_sim in
-  let count = ref 0 in
-  let _ =
-    Fuzz.Driver.run ~checkpoint_every:10
-      ~on_checkpoint:(fun _ -> incr count)
-      (Lego.Lego_fuzzer.fuzzer t) ~iterations:55
+  let profile = Dialects.Registry.comdb2_sim in
+  let h = Fuzz.Harness.create ~profile () in
+  let tc = List.hd (Fuzz.Corpus.initial profile) in
+  let fz =
+    { Fuzz.Driver.f_name = "one";
+      f_step = (fun () -> ignore (Fuzz.Harness.execute h tc));
+      f_harness = h;
+      f_corpus = (fun () -> []);
+      f_exchange = None }
   in
-  Alcotest.(check int) "five checkpoints" 5 !count
+  let cps = ref [] in
+  let final =
+    Fuzz.Driver.run_until_execs ~checkpoint_every:10
+      ~on_checkpoint:(fun cp ->
+          let s = cp.Fuzz.Driver.cp_snapshot in
+          cps := (s.Fuzz.Driver.st_iteration, s.st_execs) :: !cps)
+      fz ~execs:50
+  in
+  Alcotest.(check (list (pair int int))) "checkpoints every 10 execs"
+    [ (10, 10); (20, 20); (30, 30); (40, 40) ]
+    (List.rev !cps);
+  Alcotest.(check int) "final snapshot at the budget" 50
+    final.Fuzz.Driver.st_execs
 
 let test_exec_checkpoint_no_double_fire () =
   (* A single step executes many cases, so the last step typically
