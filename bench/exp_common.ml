@@ -87,8 +87,7 @@ let make_lego ?(seq = true) ?(max_seq_len = 5) ?(feedback = Fuzz.Harness.Edges)
   ( (if seq then "LEGO" else "LEGO-"),
     fun shard_id ->
       let config =
-        { Lego.Lego_fuzzer.default_config with
-          sequence_oriented = seq;
+        { Lego.Lego_fuzzer.sequence_oriented = seq;
           max_seq_len;
           seed = Fuzz.Campaign.shard_seed ~seed:1 ~shard_id }
       in

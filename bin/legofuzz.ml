@@ -368,7 +368,7 @@ let findings profile (res : Fuzz.Campaign.result) =
     let bug_id = c.c_bug.Minidb.Fault.bug_id in
     ( (fun ppf -> Minidb.Fault.pp_crash ppf c),
       tc,
-      Fuzz.Reducer.crashes_with ~profile ~limits:Minidb.Limits.default ~bug_id,
+      Fuzz.Reducer.crashes_with ~profile ~bug_id,
       bug_id ^ ".sql" )
   in
   let violation i ((v : Oracle.Violation.t), tc) =

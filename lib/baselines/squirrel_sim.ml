@@ -1,10 +1,12 @@
 module Rng = Reprutil.Rng
 
+(* Conventional mutants of one seed per step. *)
+let mutants_per_step = 6
+
 type t = {
   rng : Rng.t;
   harness : Fuzz.Harness.t;
   pool : Fuzz.Seed_pool.t;
-  mutants_per_step : int;
   sp_mutate : Telemetry.Span.t;
 }
 
@@ -15,7 +17,7 @@ let process ?hint t tc =
       (Fuzz.Seed_pool.add t.pool ~tc ~cov_hash:outcome.o_cov_hash
          ~new_branches:outcome.o_new_branches ~cost:outcome.o_cost)
 
-let create ?(seed = 1) ?(mutants_per_step = 6) ?harness profile =
+let create ?(seed = 1) ?harness profile =
   let harness =
     match harness with
     | Some h -> h
@@ -25,7 +27,6 @@ let create ?(seed = 1) ?(mutants_per_step = 6) ?harness profile =
     { rng = Rng.create (seed lxor 0x5153); (* distinct stream from LEGO *)
       harness;
       pool = Fuzz.Seed_pool.create ();
-      mutants_per_step;
       sp_mutate =
         Telemetry.Span.stage (Fuzz.Harness.metrics harness) "mutate" }
   in
@@ -36,7 +37,7 @@ let step t () =
   match Fuzz.Seed_pool.select t.pool t.rng with
   | None -> ()
   | Some seed ->
-    for _ = 1 to t.mutants_per_step do
+    for _ = 1 to mutants_per_step do
       let mutant, pos =
         Telemetry.Span.time t.sp_mutate (fun () ->
             Lego.Conventional.mutate_testcase_at t.rng

@@ -11,7 +11,6 @@ type t
 
 val create :
   ?seed:int ->
-  ?mutants_per_step:int ->
   ?harness:Fuzz.Harness.t ->
   Minidb.Profile.t ->
   t

@@ -55,7 +55,7 @@ let cols_for rng schema stmt =
       | None -> [])
 
 (* Structural tweaks on SELECT bodies, like SQUIRREL's mutation areas. *)
-let mutate_select rng schema ~rich stmt =
+let mutate_select rng schema stmt =
   let cols = cols_for rng schema stmt in
   let tweak (s : select) =
     match Rng.int rng 9 with
@@ -89,7 +89,7 @@ let mutate_select rng schema ~rich stmt =
                Some (Binop (Gt, Agg (Count, false, None), Lit (L_int 0)))
              else None) }
       else { s with group_by = []; having = None }
-    | 5 when rich && cols <> [] && s.group_by = [] ->
+    | 5 when cols <> [] && s.group_by = [] ->
       (* add a window-function projection *)
       { s with
         projs =
@@ -178,7 +178,7 @@ let mutate_insert rng schema stmt =
   | S_replace i -> S_replace (grow i)
   | s -> s
 
-let mutate_stmt ?(rich = true) rng schema stmt =
+let mutate_stmt rng schema stmt =
   match Rng.int rng 6 with
   | 0 -> mutate_data rng stmt
   | 1 -> mutate_expr rng schema stmt
@@ -187,11 +187,11 @@ let mutate_stmt ?(rich = true) rng schema stmt =
       | s when s = stmt -> mutate_data rng stmt
       | s -> s)
   | _ -> (
-      match mutate_select rng schema ~rich stmt with
+      match mutate_select rng schema stmt with
       | s when s = stmt -> mutate_data rng stmt
       | s -> s)
 
-let mutate_testcase_at ?(rich = true) rng tc =
+let mutate_testcase_at rng tc =
   match tc with
   | [] -> ([], 0)
   | _ ->
@@ -201,7 +201,7 @@ let mutate_testcase_at ?(rich = true) rng tc =
       List.mapi
         (fun i stmt ->
            let stmt' =
-             if i = target then mutate_stmt ~rich rng schema stmt else stmt
+             if i = target then mutate_stmt rng schema stmt else stmt
            in
            Sym_schema.apply schema stmt';
            stmt')
@@ -209,9 +209,7 @@ let mutate_testcase_at ?(rich = true) rng tc =
     in
     (Instantiate.repair rng mutated, target)
 
-let mutate_testcase ?rich rng tc = fst (mutate_testcase_at ?rich rng tc)
-
-let mutate_testcase_at_biased ?rich rng ~novelty tc =
-  let ((m1, _) as r1) = mutate_testcase_at ?rich rng tc in
-  let ((m2, _) as r2) = mutate_testcase_at ?rich rng tc in
+let mutate_testcase_at_biased rng ~novelty tc =
+  let ((m1, _) as r1) = mutate_testcase_at rng tc in
+  let ((m2, _) as r2) = mutate_testcase_at rng tc in
   if novelty m2 > novelty m1 then r2 else r1

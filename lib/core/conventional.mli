@@ -10,27 +10,18 @@
 
 open Sqlcore
 
-val mutate_stmt :
-  ?rich:bool -> Reprutil.Rng.t -> Sym_schema.t -> Ast.stmt -> Ast.stmt
+val mutate_stmt : Reprutil.Rng.t -> Sym_schema.t -> Ast.stmt -> Ast.stmt
 (** One structural or data mutation; [type_of_stmt] is preserved
-    (property-tested). [rich:false] disables the window-function mutation,
-    for callers modelling a fuzzer with narrower grammar support. *)
+    (property-tested). *)
 
-val mutate_testcase :
-  ?rich:bool -> Reprutil.Rng.t -> Ast.testcase -> Ast.testcase
-(** Pick a statement, mutate it, re-validate the test case. The type
-    sequence is preserved. *)
-
-val mutate_testcase_at :
-  ?rich:bool -> Reprutil.Rng.t -> Ast.testcase -> Ast.testcase * int
-(** Like {!mutate_testcase}, but also returns the mutated position:
+val mutate_testcase_at : Reprutil.Rng.t -> Ast.testcase -> Ast.testcase * int
+(** Pick a statement, mutate it, re-validate the test case (the type
+    sequence is preserved), and return the mutated position with it:
     statements before it print identically to the parent's (repair only
     rewrites invalid references), so the position serves as a prefix hint
-    for the harness's execution cache. Same RNG stream as
-    {!mutate_testcase}. *)
+    for the harness's execution cache. *)
 
 val mutate_testcase_at_biased :
-  ?rich:bool ->
   Reprutil.Rng.t ->
   novelty:(Ast.testcase -> int) ->
   Ast.testcase ->

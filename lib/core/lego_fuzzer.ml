@@ -5,16 +5,18 @@ type config = {
   seed : int;
   sequence_oriented : bool;
   max_seq_len : int;
-  instantiations_per_seq : int;
-  max_pending : int;
-  conventional_per_step : int;
-  synth_batch : int;
 }
 
-let default_config =
-  { seed = 1; sequence_oriented = true; max_seq_len = 5;
-    instantiations_per_seq = 1; max_pending = 4096;
-    conventional_per_step = 3; synth_batch = 6 }
+let default_config = { seed = 1; sequence_oriented = true; max_seq_len = 5 }
+
+(* Bound on the synthesized-sequence reservoir. *)
+let max_pending = 4096
+
+(* Synthesized sequences instantiated and executed per iteration. *)
+let synth_batch = 6
+
+(* Conventional mutants per iteration. *)
+let conventional_per_step = 3
 
 type t = {
   cfg : config;
@@ -53,9 +55,9 @@ type t = {
    uses the shard RNG; the exchange-import path must not touch that
    stream, so it uses a content hash instead. *)
 let enqueue_seq t ~slot seq =
-  if Reprutil.Vec.length t.pending < t.cfg.max_pending then
+  if Reprutil.Vec.length t.pending < max_pending then
     Reprutil.Vec.push t.pending seq
-  else Reprutil.Vec.set t.pending (slot t.cfg.max_pending) seq
+  else Reprutil.Vec.set t.pending (slot max_pending) seq
 
 (* Algorithm 3 on one newly-discovered affinity: synthesize sequences and
    queue them for instantiation. Ids stream straight into the reservoir
@@ -153,22 +155,20 @@ let take_pending t =
 let step t () =
   (* Step 2: a batch of synthesized sequences becomes test cases. *)
   if t.cfg.sequence_oriented then begin
-    let batch = min t.cfg.synth_batch (Reprutil.Vec.length t.pending) in
+    let batch = min synth_batch (Reprutil.Vec.length t.pending) in
     for _ = 1 to batch do
       match take_pending t with
       | None -> ()
       | Some seq ->
         let seq = Synthesis.to_types t.synthesis seq in
-        for _ = 1 to t.cfg.instantiations_per_seq do
-          let tc =
-            (* instantiation is its own pipeline stage (the paper's
-               Step 2 second half), timed apart from Algorithm 3 *)
-            Telemetry.Span.time t.sp_instantiate (fun () ->
-                best_of_two t (fun () ->
-                    Instantiate.sequence t.rng ~skeletons:t.skeletons seq))
-          in
-          ignore (process_candidate t tc)
-        done
+        let tc =
+          (* instantiation is its own pipeline stage (the paper's
+             Step 2 second half), timed apart from Algorithm 3 *)
+          Telemetry.Span.time t.sp_instantiate (fun () ->
+              best_of_two t (fun () ->
+                  Instantiate.sequence t.rng ~skeletons:t.skeletons seq))
+        in
+        ignore (process_candidate t tc)
     done
   end;
   (* Step 1 + conventional depth run every iteration, so synthesis never
@@ -201,7 +201,7 @@ let step t () =
           mutants
       end;
       (* Conventional mutations (both LEGO and LEGO-). *)
-      for _ = 1 to t.cfg.conventional_per_step do
+      for _ = 1 to conventional_per_step do
         let mutant, pos =
           Telemetry.Span.time t.sp_mutate (fun () ->
               if Fuzz.Harness.grammar_feedback t.harness then

@@ -21,15 +21,12 @@ type config = {
   seed : int;                    (** PRNG seed *)
   sequence_oriented : bool;      (** [false] = LEGO- *)
   max_seq_len : int;             (** Algorithm 3's LEN (paper §VI: 3/5/8) *)
-  instantiations_per_seq : int;  (** random re-instantiations per sequence *)
-  max_pending : int;             (** bound on the synthesized-case queue *)
-  conventional_per_step : int;
-  synth_batch : int;             (** pending cases executed per iteration *)
 }
 
 val default_config : config
-(** seed 1, sequence-oriented, LEN 5, 2 instantiations, 1024 pending,
-    3 conventional mutants, batch 4. *)
+(** seed 1, sequence-oriented, LEN 5. The per-iteration batch sizes
+    and the synthesized-sequence reservoir bound are constants of the
+    implementation. *)
 
 type t
 

@@ -2,17 +2,18 @@ open Sqlcore
 module Vec = Reprutil.Vec
 module Rng = Reprutil.Rng
 
+(* Structures kept per statement type. *)
+let cap_per_type = 64
+
 type t = {
-  cap : int;
   by_type : Ast.stmt Vec.t array;  (* indexed by Stmt_type.to_index *)
   seen : (string, unit) Hashtbl.t;
   journal : Ast.stmt Vec.t;
   mutable total : int;
 }
 
-let create ?(cap_per_type = 64) () =
-  { cap = cap_per_type;
-    by_type = Array.init Stmt_type.count (fun _ -> Vec.create ());
+let create () =
+  { by_type = Array.init Stmt_type.count (fun _ -> Vec.create ());
     seen = Hashtbl.create 256;
     journal = Vec.create ();
     total = 0 }
@@ -28,11 +29,11 @@ let insert t ~journal stmt =
     Hashtbl.replace t.seen key ();
     let idx = Stmt_type.to_index (Ast.type_of_stmt stmt) in
     let vec = t.by_type.(idx) in
-    if Vec.length vec < t.cap then begin
+    if Vec.length vec < cap_per_type then begin
       Vec.push vec stmt;
       t.total <- t.total + 1
     end
-    else Vec.set vec (Hashtbl.hash key mod t.cap) stmt;
+    else Vec.set vec (Hashtbl.hash key mod cap_per_type) stmt;
     if journal then Vec.push t.journal stmt;
     true
   end

@@ -11,8 +11,7 @@ open Sqlcore
 
 type t
 
-val create : ?cap_per_type:int -> unit -> t
-(** [cap_per_type] defaults to 64. *)
+val create : unit -> t
 
 val harvest : t -> Ast.testcase -> int
 (** Store each statement under its type; returns how many were newly

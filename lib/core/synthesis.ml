@@ -25,9 +25,11 @@ type node = {
 
 type id = int
 
+(* Bound on [S], across all affinities. *)
+let max_total = 200_000
+
 type t = {
   max_len : int;
-  max_total : int;
   max_per_affinity : int;
   s : node Vec.t;
   ps : (int * int, int list ref) Hashtbl.t;
@@ -69,11 +71,10 @@ let record t parent c =
     (id, true)
   end
 
-let create ?(max_len = 5) ?(max_total = 200_000) ?(max_per_affinity = 512)
-    ~types () =
+let create ?(max_len = 5) ?(max_per_affinity = 512) ~types () =
   assert (Stmt_type.count <= 126);
   let t =
-    { max_len; max_total; max_per_affinity; s = Vec.create ();
+    { max_len; max_per_affinity; s = Vec.create ();
       ps = Hashtbl.create 256;
       roots = Array.make Stmt_type.count (-1) }
   in
@@ -114,7 +115,7 @@ exception Budget
 let on_new_affinity_iter t aff (t1, t2) yield =
   let produced = ref 0 in
   let emit parent c =
-    if Vec.length t.s >= t.max_total || !produced >= t.max_per_affinity then
+    if Vec.length t.s >= max_total || !produced >= t.max_per_affinity then
       raise Budget;
     let id, fresh = record t parent c in
     if fresh then begin

@@ -17,7 +17,7 @@
 
     Every type is seeded as a length-1 sequence (the paper synthesizes
     "beginning from specific starting statement types"; seeding all types
-    is the complete choice). Growth is bounded by [max_total] and
+    is the complete choice). Growth is bounded by a fixed total and by
     [max_per_affinity] so affinity-dense campaigns cannot explode (the
     paper's challenge C1). *)
 
@@ -31,13 +31,12 @@ type id = int
 
 val create :
   ?max_len:int ->
-  ?max_total:int ->
   ?max_per_affinity:int ->
   types:Stmt_type.t list ->
   unit ->
   t
 (** [max_len] defaults to 5 (the paper's best length in the §VI study);
-    [max_total] to 200_000 sequences; [max_per_affinity] to 512. *)
+    [max_per_affinity] to 512. *)
 
 val on_new_affinity :
   t -> Affinity.t -> Stmt_type.t * Stmt_type.t -> id list

@@ -10,16 +10,6 @@
     union grammar coverage with the very same [Bitmap.merge] the
     campaign engine already uses for edges. *)
 
-val rule_region : int
-(** Boundary between the two families: rule cells occupy
-    [\[0, rule_region)], pair cells [\[rule_region, Bitmap.size)]. *)
-
-val rule_slot : site:int -> int
-(** The cell of production [site]: the id itself. *)
-
-val pair_slot : site:int -> parent:int -> int
-(** The cell of the (production, parent production) pair. *)
-
 val record : Bitmap.t -> site:int -> parent:int -> unit
 (** Fire production [site] under [parent]: hits both the rule cell and
     the pair cell. *)

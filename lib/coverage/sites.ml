@@ -45,16 +45,12 @@ let register_in fam name =
 
 let count_in fam = fam.next
 
-let name_in fam id = Hashtbl.find_opt fam.by_id id
-
-let all_in fam =
-  List.init fam.next (fun id ->
-      (id, Option.value ~default:"?" (Hashtbl.find_opt fam.by_id id)))
-
 let register = register_in edges
 
 let count () = count_in edges
 
-let name_of = name_in edges
+let name_of id = Hashtbl.find_opt edges.by_id id
 
-let all () = all_in edges
+let all () =
+  List.init edges.next (fun id ->
+      (id, Option.value ~default:"?" (Hashtbl.find_opt edges.by_id id)))

@@ -39,10 +39,6 @@ val register_in : family -> string -> int
 
 val count_in : family -> int
 
-val name_in : family -> int -> string option
-
-val all_in : family -> (int * string) list
-
 val register : string -> int
 (** [register_in edges]. *)
 

@@ -25,18 +25,14 @@ let scale t n =
   done;
   if !best > 0. then !best else 1.0
 
-let allocate ?slices t ~budget ~active =
+let allocate t ~budget ~active =
   if Array.length active <> t.n_arms then
     invalid_arg "Bandit.allocate: active mask size";
   let execs = Array.make t.n_arms 0 and dealt = Array.make t.n_arms 0 in
   let n_active = Array.fold_left (fun a b -> if b then a + 1 else a) 0 active in
   if n_active = 0 || budget <= 0 then (execs, dealt)
   else begin
-    let slices =
-      match slices with
-      | Some s -> max 1 (min s budget)
-      | None -> max 1 (min (max 4 (2 * n_active)) budget)
-    in
+    let slices = max 1 (min (max 4 (2 * n_active)) budget) in
     (* Provisional pulls: committed counts plus what this call deals. *)
     let vn = Array.copy t.n in
     let vtotal = ref (Array.fold_left ( + ) 0 vn) in

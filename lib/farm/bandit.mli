@@ -21,11 +21,11 @@ val create : ?c:float -> arms:int -> unit -> t
     exploitation after each arm's first pull). *)
 
 val allocate :
-  ?slices:int -> t -> budget:int -> active:bool array -> int array * int array
+  t -> budget:int -> active:bool array -> int array * int array
 (** [allocate t ~budget ~active] deals [budget] executions to the active
     arms and returns [(execs, pulls)] per arm. The budget is cut into
-    [slices] near-equal slices (default [max 4 (2 * active arms)],
-    clamped to ≤ budget so no slice is empty); each slice goes to the
+    [max 4 (2 * active arms)] near-equal slices (clamped to ≤ budget so
+    no slice is empty); each slice goes to the
     active arm maximising [mean/best_mean + c * sqrt (2 ln N / n)], with
     never-pulled arms scoring +∞ (forced exploration) and ties breaking
     to the lowest index. Within the call each dealt slice provisionally

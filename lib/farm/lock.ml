@@ -49,19 +49,12 @@ let open_lock path =
   mkdir_p (Filename.dirname path);
   Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
 
-let cmd_of ~block = function
-  | Shared -> if block then Unix.F_RLOCK else Unix.F_TRLOCK
-  | Exclusive -> if block then Unix.F_LOCK else Unix.F_TLOCK
-
-let acquire ?(block = true) ~kind path =
+let acquire ~kind path =
   let fd = open_lock path in
-  match Unix.lockf fd (cmd_of ~block kind) 0 with
-  | () ->
-    note_acquire path;
-    Some { l_path = path; l_fd = fd; l_kind = kind }
-  | exception Unix.Unix_error ((EACCES | EAGAIN), _, _) ->
-    Unix.close fd;
-    None
+  let cmd = match kind with Shared -> Unix.F_RLOCK | Exclusive -> Unix.F_LOCK in
+  (try Unix.lockf fd cmd 0 with e -> Unix.close fd; raise e);
+  note_acquire path;
+  { l_path = path; l_fd = fd; l_kind = kind }
 
 let release t =
   (* Closing the descriptor releases the lock; do the bookkeeping first
@@ -71,10 +64,8 @@ let release t =
   try Unix.close t.l_fd with Unix.Unix_error _ -> ()
 
 let with_exclusive path f =
-  match acquire ~kind:Exclusive path with
-  | None -> assert false (* blocking acquire returns or raises *)
-  | Some l ->
-    Fun.protect ~finally:(fun () -> release l) f
+  let l = acquire ~kind:Exclusive path in
+  Fun.protect ~finally:(fun () -> release l) f
 
 let is_locked path =
   held_locally path

@@ -23,10 +23,9 @@ type t
     (process exit releases too, which is what makes a SIGKILLed
     worker's read-marks disappear rather than wedge pruning). *)
 
-val acquire : ?block:bool -> kind:kind -> string -> t option
-(** Take a lock on [path]. [block] (default true) waits; with
-    [~block:false] returns [None] when a conflicting lock is held by
-    another process. Shared locks admit other shared holders and
+val acquire : kind:kind -> string -> t
+(** Take a lock on [path], waiting while another process holds a
+    conflicting one. Shared locks admit other shared holders and
     exclude exclusive ones. *)
 
 val release : t -> unit

@@ -75,8 +75,7 @@ let capture ~(prior : Store.snapshot) ~campaign ~progress
     ~grammar:(Coverage.Bitmap.compact grammar_map)
     ~crash_keys ~logic_keys
 
-let run ?(jobs = 1) ?execs ?sync_every ?checkpoint_every
-    ?(sink = Telemetry.Sink.null) ?keep ~dir () =
+let run ?(jobs = 1) ?execs ?sync_every ?(sink = Telemetry.Sink.null) ~dir () =
   match Store.load ~dir with
   | Error warnings ->
     Error
@@ -122,7 +121,7 @@ let run ?(jobs = 1) ?execs ?sync_every ?checkpoint_every
         match
           try
             Ok
-              (Fuzz.Campaign.run ?sync_every ?checkpoint_every ~sink
+              (Fuzz.Campaign.run ?sync_every ~sink
                  ~exchange:true ~jobs ~execs:remaining make)
           with Fuzz.Driver.Stalled msg ->
             Error (Printf.sprintf "campaign %S stalled: %s" campaign.sc_id msg)
@@ -135,7 +134,7 @@ let run ?(jobs = 1) ?execs ?sync_every ?checkpoint_every
               pr_epoch = epoch }
           in
           let snapshot' = capture ~prior:sn ~campaign ~progress:progress' result in
-          let generation = Store.save ?keep ~dir snapshot' in
+          let generation = Store.save ~dir snapshot' in
           Ok
             { rs_result = result; rs_campaign = campaign;
               rs_from_generation = from_gen; rs_generation = generation;

@@ -53,9 +53,7 @@ val run :
   ?jobs:int ->
   ?execs:int ->
   ?sync_every:int ->
-  ?checkpoint_every:int ->
   ?sink:Telemetry.Sink.t ->
-  ?keep:int ->
   dir:string ->
   unit ->
   (outcome, string) result

@@ -10,9 +10,6 @@
 
 type policy = Bandit | Round_robin
 
-val policy_of_string : string -> policy option
-(** ["bandit"] or ["round_robin"]. *)
-
 val policy_to_string : policy -> string
 
 type t = {

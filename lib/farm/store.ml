@@ -467,7 +467,10 @@ let next_generation ~dir =
   let ws = List.map fst (worker_generations ~dir) in
   1 + List.fold_left max 0 (generations ~dir @ ws)
 
-let save ?(keep = 3) ?worker ~dir sn =
+(* Generations a promotion keeps, and a save unless told otherwise. *)
+let default_keep = 3
+
+let save ?(keep = default_keep) ?worker ~dir sn =
   mkdir_p dir;
   let gen = next_generation ~dir in
   let gdir =
@@ -601,12 +604,10 @@ let load_general ~read_marks ~dir =
       if read_marks then
         (* Hold a shared read-mark while parsing, so a lock-aware pruner
            in another process never deletes the generation mid-read. *)
-        match Lock.acquire ~kind:Lock.Shared (generation_lock_path ~dir g) with
-        | Some l ->
-          Fun.protect
-            ~finally:(fun () -> Lock.release l)
-            (fun () -> load_generation ~dir g)
-        | None -> load_generation ~dir g
+        let l = Lock.acquire ~kind:Lock.Shared (generation_lock_path ~dir g) in
+        Fun.protect
+          ~finally:(fun () -> Lock.release l)
+          (fun () -> load_generation ~dir g)
       else load_generation ~dir g
     in
     let rec go warnings = function
@@ -811,7 +812,7 @@ let merge_snapshots a b =
     ~crash_keys:(Fuzz.Triage.crash_keys keys)
     ~logic_keys:(Fuzz.Triage.logic_keys keys)
 
-let promote ?(keep = 3) ~dir ~worker gen =
+let promote ~dir ~worker gen =
   let src = worker_generation_dir ~dir ~worker gen in
   if not (Sys.file_exists src) then
     Error
@@ -820,7 +821,7 @@ let promote ?(keep = 3) ~dir ~worker gen =
     Lock.with_exclusive (store_lock_path ~dir) (fun () ->
         let dst = generation_dir ~dir gen in
         let finish g =
-          prune ~keep ~dir;
+          prune ~keep:default_keep ~dir;
           Ok g
         in
         if not (Sys.file_exists dst) then begin
@@ -837,7 +838,7 @@ let promote ?(keep = 3) ~dir ~worker gen =
           | Ok a, Ok b ->
             let merged = merge_snapshots a b in
             (try remove_tree src with Sys_error _ -> ());
-            finish (save ~keep ~dir merged)
+            finish (save ~dir merged)
           | Error _, Ok _ ->
             (* The plain twin is torn; the worker's copy is whole. *)
             (try remove_tree dst with Sys_error _ -> ());

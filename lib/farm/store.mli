@@ -112,10 +112,6 @@ val worker_generation_dir : dir:string -> worker:int -> int -> string
 val worker_generations : dir:string -> (int * int) list
 (** Unpromoted [(generation, worker)] pairs under [dir], ascending. *)
 
-val store_lock_path : dir:string -> string
-(** [<dir>/LOCK] — the exclusive lock {!promote} holds while renaming /
-    merging / pruning. *)
-
 val generation_lock_path : dir:string -> int -> string
 (** [<dir>/locks/gen-NNNNNN.lck] — the shared read-mark a process holds
     while parsing that generation; {!prune} skips locked generations. *)
@@ -180,14 +176,13 @@ val merge_snapshots : snapshot -> snapshot -> snapshot
     keys stay a prefix), progress counters taken pointwise-max. Campaign
     config comes from the first snapshot. *)
 
-val promote :
-  ?keep:int -> dir:string -> worker:int -> int -> (int, string) result
+val promote : dir:string -> worker:int -> int -> (int, string) result
 (** Promote a worker generation into the plain namespace, under the
     store's exclusive [LOCK]: renames [gen-NNNNNN.wK] to [gen-NNNNNN]
     when that number is still free (digests unchanged), or
     {!merge_snapshots} both twins into a fresh generation when a plain
-    one landed first. Prunes (lock-aware, keep [keep], default 3) on
-    the way out. Returns the resulting plain generation number. *)
+    one landed first. Prunes (lock-aware, to {!save}'s default [keep])
+    on the way out. Returns the resulting plain generation number. *)
 
 val discard_worker_generations : dir:string -> worker:int -> unit
 (** Remove every unpromoted generation of one worker slot — coordinator

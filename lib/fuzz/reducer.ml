@@ -6,8 +6,8 @@ type outcome = {
   r_removed : int;
 }
 
-let crashes_with ~profile ?(limits = Minidb.Limits.default) ~bug_id tc =
-  let engine = Minidb.Engine.create ~limits ~profile () in
+let crashes_with ~profile ~bug_id tc =
+  let engine = Minidb.Engine.create ~profile () in
   match (Minidb.Engine.run_testcase engine tc).Minidb.Engine.rs_crash with
   | Some crash -> crash.Minidb.Fault.c_bug.Minidb.Fault.bug_id = bug_id
   | None -> false
@@ -111,8 +111,5 @@ let reduce_with ~pred ?(max_tries = 2048) tc =
       r_removed = List.length tc - List.length simplified }
   end
 
-let reduce ~profile ?(limits = Minidb.Limits.default) ?max_tries ~bug_id tc =
-  (* bind the limits once: every oracle execution of this reduction reuses
-     the same record instead of re-resolving the optional default per try *)
-  let pred = crashes_with ~profile ~limits ~bug_id in
-  reduce_with ~pred ?max_tries tc
+let reduce ~profile ?max_tries ~bug_id tc =
+  reduce_with ~pred:(crashes_with ~profile ~bug_id) ?max_tries tc

@@ -15,7 +15,6 @@ type outcome = {
 
 val crashes_with :
   profile:Minidb.Profile.t ->
-  ?limits:Minidb.Limits.t ->
   bug_id:string ->
   Sqlcore.Ast.testcase ->
   bool
@@ -50,10 +49,9 @@ val reduce_with :
 
 val reduce :
   profile:Minidb.Profile.t ->
-  ?limits:Minidb.Limits.t ->
   ?max_tries:int ->
   bug_id:string ->
   Sqlcore.Ast.testcase ->
   outcome
 (** {!reduce_with} with [pred] bound once to
-    [crashes_with ~profile ~limits ~bug_id]. *)
+    [crashes_with ~profile ~bug_id]. *)

@@ -178,20 +178,20 @@ let count metrics name by =
 
 (* Serial replay of [steps] on a virgin pool; the interestingness
    oracles for minimization. *)
-let serial_outcome ?limits ~sessions ~profile steps =
-  let pool = Server.Session_pool.create ?limits ~sessions ~profile () in
+let serial_outcome ~sessions ~profile steps =
+  let pool = Server.Session_pool.create ~sessions ~profile () in
   Server.Session_pool.run_serial pool (Array.of_list steps)
 
-let crashes_with ?limits ~sessions ~profile ~bug_id steps =
-  match (serial_outcome ?limits ~sessions ~profile steps).o_crash with
+let crashes_with ~sessions ~profile ~bug_id steps =
+  match (serial_outcome ~sessions ~profile steps).o_crash with
   | Some (_, c) -> c.Minidb.Fault.c_bug.Minidb.Fault.bug_id = bug_id
   | None -> false
 
-let violates_with ?limits ~sessions ~profile ~key steps =
-  let out = serial_outcome ?limits ~sessions ~profile steps in
+let violates_with ~sessions ~profile ~key steps =
+  let out = serial_outcome ~sessions ~profile steps in
   out.o_crash = None
   && (match
-        Oracle.Isolation.check ?limits ~profile
+        Oracle.Isolation.check ~profile
           ~steps:(Array.of_list steps) ~observed:out.o_fingerprint ()
       with
       | Some v -> String.equal (Oracle.Violation.key v) key
@@ -207,8 +207,10 @@ let generate rng ~kind ~affine seqs =
   | 1 -> txn_biased rng seqs
   | _ -> spliced rng ~affine seqs
 
-let campaign ?limits ?metrics ?(max_tries = 512) ~profile ~sessions
-    ~schedules ~seed ~corpus () =
+(* Replays allowed per minimization. *)
+let max_tries = 512
+
+let campaign ?metrics ~profile ~sessions ~schedules ~seed ~corpus () =
   if corpus = [] then invalid_arg "Schedule.campaign: empty corpus";
   let triage = Triage.create () in
   let affine = adjacency_affinity corpus in
@@ -232,7 +234,7 @@ let campaign ?limits ?metrics ?(max_tries = 512) ~profile ~sessions
        schedule phase. *)
     let out =
       Server.Session_pool.run_serial
-        (Server.Session_pool.create ?limits ?metrics ~sessions ~profile ())
+        (Server.Session_pool.create ?metrics ~sessions ~profile ())
         steps
     in
     (* A new finding is reduced from its full schedule; the reducer's
@@ -254,13 +256,13 @@ let campaign ?limits ?metrics ?(max_tries = 512) ~profile ~sessions
       if Triage.record triage ~testcase:tc crash then begin
         let bug_id = crash.Minidb.Fault.c_bug.Minidb.Fault.bug_id in
         count metrics ("schedule.found." ^ bug_id) 1;
-        let repro = shrink (crashes_with ?limits ~sessions ~profile ~bug_id) in
+        let repro = shrink (crashes_with ~sessions ~profile ~bug_id) in
         crash_repros := (bug_id, repro) :: !crash_repros
       end
     | None ->
       count metrics "oracle.isolation.checks" 1;
       (match
-         Oracle.Isolation.check ?limits ~profile ~steps
+         Oracle.Isolation.check ~profile ~steps
            ~observed:out.o_fingerprint ()
        with
        | Some v ->
@@ -268,7 +270,7 @@ let campaign ?limits ?metrics ?(max_tries = 512) ~profile ~sessions
          count metrics "schedule.violations" 1;
          if Triage.record_logic triage ~testcase:tc v then begin
            let key = Oracle.Violation.key v in
-           let repro = shrink (violates_with ?limits ~sessions ~profile ~key) in
+           let repro = shrink (violates_with ~sessions ~profile ~key) in
            violation_repros := (key, repro) :: !violation_repros
          end
        | None -> ())

@@ -64,9 +64,7 @@ type result = {
 }
 
 val campaign :
-  ?limits:Minidb.Limits.t ->
   ?metrics:Telemetry.Registry.t ->
-  ?max_tries:int ->
   profile:Minidb.Profile.t ->
   sessions:int ->
   schedules:int ->
@@ -80,8 +78,8 @@ val campaign :
     counter family ([generated], [steps], [crashes], [violations],
     [replay_mismatch], [found.<bug_id>], [kind.<kind>]) plus
     [oracle.isolation.checks]/[.violations] and the schedule pools'
-    [session.*] counters (reducer replays are not counted). [max_tries]
-    bounds each minimization (default 512 replays). *)
+    [session.*] counters (reducer replays are not counted). Each
+    minimization is bounded by a fixed replay budget. *)
 
 val render_steps : (int * Ast.stmt) array -> string
 (** Printable schedule: one ["s<id>> SQL"] line per step. *)

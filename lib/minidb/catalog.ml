@@ -139,11 +139,7 @@ let find_table t name =
   | Some table -> table
   | None -> Errors.fail (Errors.No_such_table name)
 
-let table_exists t name = Hashtbl.mem t.tables name
-
-let view_exists t name = Hashtbl.mem t.views name
-
-let name_in_use t name = table_exists t name || view_exists t name
+let name_in_use t name = Hashtbl.mem t.tables name || Hashtbl.mem t.views name
 
 let indexes_on t table =
   Hashtbl.fold

@@ -100,10 +100,6 @@ val create : unit -> t
 val find_table : t -> string -> Storage.Table.t
 (** @raise Errors.Sql_error with [No_such_table] when absent. *)
 
-val table_exists : t -> string -> bool
-
-val view_exists : t -> string -> bool
-
 val name_in_use : t -> string -> bool
 (** Tables and views share a namespace. *)
 

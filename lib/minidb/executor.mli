@@ -77,9 +77,6 @@ val rows_scanned : ctx -> int
     subquery materialisations) over the context's lifetime — the
     engine's rows-scanned telemetry. *)
 
-val set_flag : ctx -> string -> unit
-(** Record a named per-statement event (consulted by fault triggers). *)
-
 val state_pred : ctx -> string -> bool
 (** Evaluate a named state predicate over catalog state and per-statement
     flags; this is what {!Fault.ctx.state} is wired to. Unknown names are

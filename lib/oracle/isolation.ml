@@ -134,12 +134,10 @@ let diverging_sections fp_a fp_b =
     (fun k -> Hashtbl.find_opt a k <> Hashtbl.find_opt b k)
     all
 
-let check ?(limits = Minidb.Limits.default) ~profile
-    ~(steps : (int * Ast.stmt) array) ~observed () =
+let check ~profile ~(steps : (int * Ast.stmt) array) ~observed () =
   let units = commit_order_units steps in
   let engine =
-    Minidb.Engine.create ~limits
-      ~profile:(Minidb.Profile.without_bugs profile) ()
+    Minidb.Engine.create ~profile:(Minidb.Profile.without_bugs profile) ()
   in
   let cat = Minidb.Engine.catalog engine in
   let current = ref (-1) in

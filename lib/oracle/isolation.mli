@@ -26,7 +26,6 @@ type unit_ = {
 (** One serializability unit: a transaction or autocommit statement. *)
 
 val check :
-  ?limits:Minidb.Limits.t ->
   profile:Minidb.Profile.t ->
   steps:(int * Ast.stmt) array ->
   observed:string ->

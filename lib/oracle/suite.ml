@@ -6,7 +6,6 @@ open Sqlcore
 
 type t = {
   s_profile : Minidb.Profile.t;  (* fault-free: crashes can never fire *)
-  s_limits : Minidb.Limits.t;
 }
 
 type outcome = {
@@ -16,9 +15,7 @@ type outcome = {
 
 let oracle_names = [ "diff_plan"; "tlp"; "rewrite"; "isolation" ]
 
-let create ?(limits = Minidb.Limits.default) profile =
-  { s_profile = Minidb.Profile.without_bugs profile;
-    s_limits = limits }
+let create profile = { s_profile = Minidb.Profile.without_bugs profile }
 
 (* --- row multisets -------------------------------------------------- *)
 
@@ -264,14 +261,12 @@ let check_rewrite engine stmt (rule : Minidb.Catalog.rule) sub ~sql =
 (* --- driving a whole test case -------------------------------------- *)
 
 let check t tc =
-  let engine =
-    Minidb.Engine.create ~limits:t.s_limits ~profile:t.s_profile ()
-  in
+  let engine = Minidb.Engine.create ~profile:t.s_profile () in
   let cat = Minidb.Engine.catalog engine in
   let n_diff = ref 0 and n_tlp = ref 0 and n_rw = ref 0 in
   let vios = ref [] in
   let add v = vios := v :: !vios in
-  let budget = ref t.s_limits.Minidb.Limits.max_statements in
+  let budget = ref Minidb.Limits.default.Minidb.Limits.max_statements in
   List.iter
     (fun stmt ->
        if !budget > 0 then begin

@@ -37,7 +37,7 @@ val oracle_names : string list
     [oracle.<name>.violations]). The isolation oracle runs on the
     schedule path ({!Isolation}), not in {!check}. *)
 
-val create : ?limits:Minidb.Limits.t -> Minidb.Profile.t -> t
+val create : Minidb.Profile.t -> t
 
 val check : t -> Sqlcore.Ast.testcase -> outcome
 (** Replay [tc] on a fresh engine, running every applicable oracle on

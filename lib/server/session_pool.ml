@@ -45,9 +45,9 @@ let fault_hook t name =
     Some (others (fun s -> s.Session.s_last_window))
   | _ -> None
 
-let create ?limits ?metrics ~sessions ~profile () =
+let create ?metrics ~sessions ~profile () =
   if sessions < 1 then invalid_arg "Session_pool.create: sessions < 1";
-  let engine = Minidb.Engine.create ?limits ~profile () in
+  let engine = Minidb.Engine.create ~profile () in
   let t =
     { p_engine = engine;
       p_sessions = Array.init sessions Session.create;

@@ -19,7 +19,6 @@ open Sqlcore
 type t
 
 val create :
-  ?limits:Minidb.Limits.t ->
   ?metrics:Telemetry.Registry.t ->
   sessions:int ->
   profile:Minidb.Profile.t ->

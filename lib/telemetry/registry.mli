@@ -39,14 +39,11 @@ val gauge : t -> string -> gauge
 
 val histogram : ?edges:int array -> t -> string -> histogram
 (** Find-or-create with the given bucket upper edges (default
-    {!default_edges}). Edges must be strictly increasing; an existing
-    histogram's edges win. Bucket [i] counts observations [v] with
-    [edges.(i-1) < v <= edges.(i)]; one overflow bucket catches
-    [v > edges.(last)]. *)
-
-val default_edges : int array
-(** [0, 1, 2, 4, 8, ..., 65536]: powers of two, a decade of AFL-ish
-    log-buckets wide enough for costs and microsecond stage timings. *)
+    [0, 1, 2, 4, 8, ..., 65536]: powers of two, log-buckets wide enough
+    for costs and microsecond stage timings). Edges must be strictly
+    increasing; an existing histogram's edges win. Bucket [i] counts
+    observations [v] with [edges.(i-1) < v <= edges.(i)]; one overflow
+    bucket catches [v > edges.(last)]. *)
 
 (* --- updates (lock-free, owner domain only) -------------------------- *)
 

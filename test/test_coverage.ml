@@ -631,7 +631,9 @@ let test_ranked_reuse_invisible () =
     in
     let c2 =
       if step mod 23 = 7 then bad
-      else Lego.Conventional.mutate_testcase (Reprutil.Rng.create step) c1
+      else
+        fst
+          (Lego.Conventional.mutate_testcase_at (Reprutil.Rng.create step) c1)
     in
     let n1, n2 =
       if step mod 2 = 0 then

@@ -1284,24 +1284,19 @@ let test_lock_basic () =
   with_dir "lock" (fun dir ->
     let path = Filename.concat dir "L" in
     Alcotest.(check bool) "unlocked initially" false (Lock.is_locked path);
-    (match Lock.acquire ~kind:Lock.Exclusive path with
-     | None -> Alcotest.fail "exclusive acquire failed"
-     | Some l ->
-       Alcotest.(check bool) "held" true (Lock.is_locked path);
-       Lock.release l);
+    let l = Lock.acquire ~kind:Lock.Exclusive path in
+    Alcotest.(check bool) "held" true (Lock.is_locked path);
+    Lock.release l;
     Alcotest.(check bool) "released" false (Lock.is_locked path);
-    match
-      (Lock.acquire ~kind:Lock.Shared path, Lock.acquire ~kind:Lock.Shared path)
-    with
-    | Some a, Some b ->
-      Alcotest.(check bool) "shared locks coexist" true (Lock.is_locked path);
-      Lock.release a;
-      Alcotest.(check bool) "still marked while one holder remains" true
-        (Lock.is_locked path);
-      Lock.release b;
-      Alcotest.(check bool) "clear once the last holder releases" false
-        (Lock.is_locked path)
-    | _ -> Alcotest.fail "shared acquire failed")
+    let a = Lock.acquire ~kind:Lock.Shared path in
+    let b = Lock.acquire ~kind:Lock.Shared path in
+    Alcotest.(check bool) "shared locks coexist" true (Lock.is_locked path);
+    Lock.release a;
+    Alcotest.(check bool) "still marked while one holder remains" true
+      (Lock.is_locked path);
+    Lock.release b;
+    Alcotest.(check bool) "clear once the last holder releases" false
+      (Lock.is_locked path))
 
 let test_lock_with_exclusive () =
   with_dir "lock-we" (fun dir ->
@@ -1326,10 +1321,7 @@ let test_prune_lock_aware () =
     Alcotest.(check int) "gen 1 written" 1
       (Store.save ~keep:10 ~dir (sample_snapshot 1));
     let mark =
-      match Lock.acquire ~kind:Lock.Shared (Store.generation_lock_path ~dir 1)
-      with
-      | Some l -> l
-      | None -> Alcotest.fail "read-mark acquire failed"
+      Lock.acquire ~kind:Lock.Shared (Store.generation_lock_path ~dir 1)
     in
     for i = 2 to 6 do
       ignore (Store.save ~keep:3 ~dir (sample_snapshot i))

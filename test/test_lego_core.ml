@@ -215,6 +215,40 @@ let test_skeleton_journal_and_store () =
    | Some (Ast.S_select _) -> ()
    | _ -> Alcotest.fail "expected the stored select to be pickable")
 
+(* Each statement type keeps at most 64 structures. Past the cap a new
+   structure overwrites a slot rather than growing the library, and it
+   is journaled for export like any other harvest. *)
+let test_skeleton_cap_per_type () =
+  let lib = Lego.Skeleton_library.create () in
+  let selects lo hi =
+    parse
+      (String.concat " "
+         (List.init (hi - lo) (fun i -> Printf.sprintf "SELECT %d;" (lo + i))))
+  in
+  Alcotest.(check int) "first 64 stored" 64
+    (Lego.Skeleton_library.harvest lib (selects 0 64));
+  Alcotest.(check int) "count at the cap" 64 (Lego.Skeleton_library.count lib);
+  Alcotest.(check int) "later structures still new" 136
+    (Lego.Skeleton_library.harvest lib (selects 64 200));
+  Alcotest.(check int) "count stops at the cap" 64
+    (Lego.Skeleton_library.count lib);
+  Alcotest.(check int) "every new structure journaled" 200
+    (Lego.Skeleton_library.journal_length lib);
+  let rng = Rng.create 7 and picked = Hashtbl.create 64 in
+  for _ = 1 to 4096 do
+    match Lego.Skeleton_library.pick lib rng Stmt_type.Select with
+    | Some s -> Hashtbl.replace picked (Sql_printer.stmt s) ()
+    | None -> Alcotest.fail "select structures vanished"
+  done;
+  Alcotest.(check int) "64 distinct structures pickable" 64
+    (Hashtbl.length picked);
+  let late = ref 0 in
+  for i = 64 to 199 do
+    if Hashtbl.mem picked (Sql_printer.stmt (List.hd (selects i (i + 1))))
+    then incr late
+  done;
+  Alcotest.(check bool) "later structures replaced slots" true (!late > 0)
+
 (* --- conventional mutation ------------------------------------------ *)
 
 let prop_conventional_preserves_type_sequence =
@@ -230,7 +264,7 @@ let prop_conventional_preserves_type_sequence =
             UPDATE t SET a = 3 WHERE b = 2;\n\
             SELECT a, b FROM t ORDER BY a ASC;"
        in
-       let mutated = Lego.Conventional.mutate_testcase rng tc in
+       let mutated = fst (Lego.Conventional.mutate_testcase_at rng tc) in
        Ast.type_sequence mutated = Ast.type_sequence tc)
 
 let test_conventional_changes_something () =
@@ -238,7 +272,8 @@ let test_conventional_changes_something () =
   let tc = parse "CREATE TABLE t (a INT); SELECT a FROM t WHERE a = 5;" in
   let changed = ref 0 in
   for _ = 1 to 50 do
-    if Lego.Conventional.mutate_testcase rng tc <> tc then incr changed
+    if fst (Lego.Conventional.mutate_testcase_at rng tc) <> tc then
+      incr changed
   done;
   Alcotest.(check bool) "mutations usually change the case" true
     (!changed > 25)
@@ -328,6 +363,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_instantiate_preserves_type_sequence;
     ("skeleton harvest/pick", `Quick, test_skeleton_harvest_pick);
     ("skeleton journal/store", `Quick, test_skeleton_journal_and_store);
+    ("skeleton cap per type", `Quick, test_skeleton_cap_per_type);
     QCheck_alcotest.to_alcotest prop_conventional_preserves_type_sequence;
     ("conventional changes something", `Quick,
      test_conventional_changes_something);
